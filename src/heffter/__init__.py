@@ -15,6 +15,7 @@ from .embedding import (
 from .iso import (
     EmbeddingMap,
     StabilizerGroup,
+    canonical_code,
     certify_distinct,
     classify,
     find_isomorphism,

@@ -226,9 +226,20 @@ def cmd_faces(args: argparse.Namespace) -> int:
     return PASS
 
 
+def _load_embedding(path: str) -> embedding.CombinatorialEmbedding:
+    content = _read(path)
+    try:
+        return embedding.CombinatorialEmbedding.from_json(content)
+    except (json.JSONDecodeError, AttributeError, KeyError, OverflowError,
+            TypeError, ValueError) as exc:
+        raise UsageError(
+            f"{path}: not an embedding file: {type(exc).__name__}: {exc}"
+        ) from None
+
+
 def cmd_iso(args: argparse.Namespace) -> int:
-    e1 = embedding.CombinatorialEmbedding.from_json(_read(args.emb1))
-    e2 = embedding.CombinatorialEmbedding.from_json(_read(args.emb2))
+    e1 = _load_embedding(args.emb1)
+    e2 = _load_embedding(args.emb2)
     m = iso.find_isomorphism(e1, e2)
     data = {"isomorphic": m is not None}
     if m is not None:
@@ -241,8 +252,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
     paths = sorted(Path(args.directory).glob("*.json"))
     if not paths:
         raise UsageError(f"no *.json embeddings under {args.directory}")
-    embs = [embedding.CombinatorialEmbedding.from_json(p.read_text()) for p in paths]
-    result = iso.classify(embs)
+    embs = [_load_embedding(str(p)) for p in paths]
+    try:
+        result = iso.classify(embs)
+    except ValueError as exc:
+        raise UsageError(f"{args.directory}: {exc}") from None
     data = result.to_json_dict()
     data["files"] = [p.name for p in paths]
     _emit(data, f"classes={result.class_count} of {result.total}", args.text)

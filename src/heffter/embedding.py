@@ -79,8 +79,12 @@ class CombinatorialEmbedding:
     source: EmbeddingSource | None = None
 
     def __post_init__(self) -> None:
+        if not (0 < self.t < self.v and self.v % self.t == 0):
+            raise ValueError("t must be a proper divisor of v")
         conn = set(self.connection)
-        if conn != set(range(self.v)) - subgroup_members(self.v, self.t):
+        # the length test first keeps a huge v from allocating range(v)
+        if (len(self.connection) != self.v - self.t
+                or conn != set(range(self.v)) - subgroup_members(self.v, self.t)):
             raise ValueError("connection set must be the complement of the subgroup J")
         if self.rho0.domain != frozenset(conn):
             raise ValueError("rho0 must act exactly on the connection set")

@@ -10,6 +10,13 @@ determined on the whole neighborhood of 0 by the image of one neighbor
 (propagate around the rotation at 0), then everywhere by the rotation at a
 second vertex.  That leaves at most 2 * degree candidate maps, each checked
 exactly on all oriented edges.
+
+The same two walks give every embedding a canonical code
+(:func:`canonical_code`): relabel the vertices from each of the 2 * degree
+roots (a neighbor of 0 and a direction of rotation), write down the relabelled
+rotation, and keep the least.  Embeddings are isomorphic exactly when their
+codes are equal, so :func:`classify` groups a family by code in one pass and
+searches for a map only to certify each member against its representative.
 """
 
 from __future__ import annotations
@@ -90,25 +97,25 @@ def verify_map(
 def _propagate(
     e1: CombinatorialEmbedding,
     e2: CombinatorialEmbedding,
+    cyc1: Sequence[int],
     image_of_one: int,
     kind: str,
 ) -> tuple[int, ...] | None:
     """Candidate sigma with sigma(0) = 0 and sigma(1) = image_of_one.
 
-    Determined by propagating around the rotation at vertex 0 (fixing sigma on
-    the whole connection set) and then around the rotation at vertex 1 (fixing
-    it on the remaining subgroup coset).  Returns None on any inconsistency.
+    ``cyc1`` is ``e1.rho0_cycle_from(1)``.  Determined by propagating around
+    the rotation at vertex 0 (fixing sigma on the whole connection set) and
+    then around the rotation at vertex 1 (fixing it on the remaining subgroup
+    coset).  Returns None on any inconsistency.
     """
     v = e1.v
     sigma = np.full(v, -1, dtype=np.int64)
     sigma[0] = 0
 
-    cyc1 = e1.rho0_cycle_from(1)
+    # cyc1 has distinct elements and avoids 0, so this walk cannot conflict
     rho2 = e2.rho0_array if kind == PRESERVING else e2.rho0_inv_array
     y = image_of_one
     for z in cyc1:
-        if sigma[z] >= 0 and sigma[z] != y:
-            return None
         sigma[z] = y
         y = int(rho2[y])
 
@@ -138,9 +145,10 @@ def _candidates(
     """All maps fixing 0 that survive propagation and full verification."""
     if e1.v != e2.v or e1.t != e2.t:
         return
+    cyc1 = e1.rho0_cycle_from(1)
     for target in e2.connection:
         for kind in (PRESERVING, REVERSING):
-            sigma = _propagate(e1, e2, target, kind)
+            sigma = _propagate(e1, e2, cyc1, target, kind)
             if sigma is None:
                 continue
             verdict = verify_map(e1, e2, sigma)
@@ -283,13 +291,83 @@ class ClassificationResult:
         }
 
 
-def classify(embeddings: Sequence[CombinatorialEmbedding]) -> ClassificationResult:
-    """Greedy partition of distinct embeddings into isomorphism classes.
+def _root_codes(emb: CombinatorialEmbedding) -> Iterator[bytes]:
+    """The successor table relabelled from each root, in :func:`canonical_code`."""
+    v = emb.v
+    deg = emb.degree()
+    conn = emb.conn_array
+    tails = np.repeat(np.arange(v, dtype=np.int64), deg)
+    diffs = np.tile(conn, v)
+    heads = (tails + diffs) % v
+    first = np.arange(1, deg + 1, dtype=np.int64)
+    for rho in (emb.rho0_array, emb.rho0_inv_array):
+        succs = (tails + rho[diffs]) % v
+        cycle = [int(conn[0])]
+        for _ in range(deg - 1):
+            cycle.append(int(rho[cycle[-1]]))
+        pos = np.empty(v, dtype=np.int64)
+        pos[cycle] = np.arange(deg)
+        twice = np.asarray(cycle + cycle, dtype=np.int64)
+        for c in emb.connection:
+            lam = np.full(v, -1, dtype=np.int64)
+            lam[0] = 0
+            lam[twice[pos[c]:pos[c] + deg]] = first
+            start = pos[(-c) % v]
+            around_c = (c + twice[start:start + deg]) % v
+            fresh = around_c[lam[around_c] < 0]
+            lam[fresh] = np.arange(deg + 1, deg + 1 + len(fresh))
+            table = np.full(v * v, -1, dtype=np.int32)
+            table[lam[tails] * v + lam[heads]] = lam[succs]
+            yield table.tobytes()
 
-    Inputs must share (v, t); duplicates as rotation maps are rejected.  Each
-    class's representative is its member with the lexicographically least
-    serialized rotation map, so representatives do not depend on the input
-    order.  Every class size is checked against
+
+def canonical_code(emb: CombinatorialEmbedding) -> bytes:
+    """A code that is equal for two embeddings exactly when they are isomorphic.
+
+    A root is a pair (c, rho) of a neighbor c of 0 and rho one of rho0 and
+    rho0^{-1}; there are 2 * degree roots.  A root relabels the vertices:
+    lambda(0) = 0, then the vertices met walking the rotation at 0 from c are
+    numbered in order, then those not yet numbered met walking the rotation
+    at c from 0.  These are the two walks of the candidate propagation, and
+    they reach every vertex: the first numbers the connection set Z_v \\ J,
+    and the rest, J \\ {0}, misses c + J and so lies among the neighbors of c.
+    The root's code is the relabelled successor table, written as the int32
+    bytes of a v x v array with -1 off the edges::
+
+        N[lambda(y), lambda(y + d)] = lambda(y + rho(d)),
+
+    and the embedding's code is the least root code.
+
+    Why equal codes mean isomorphic.  Translations are automorphisms, so
+    composing with one turns any isomorphism into one fixing 0.  A map sigma
+    fixing 0 from e1 onto e2 sends the root (c, rho) of e1 to the root
+    (sigma(c), rho') of e2, where rho' turns the same way as rho when sigma
+    preserves orientation and the other way when it reverses it.  It carries
+    both walks of the first root onto those of the second, so the
+    relabellings satisfy lambda' ∘ sigma = lambda and the two tables agree.
+    Isomorphic embeddings thus have the same set of root tables and the same
+    least one.  Conversely, if a root of e1 and a root of e2 give equal
+    tables, then lambda'^{-1} ∘ lambda carries every oriented edge of e1 and
+    its rho-successor onto an oriented edge of e2 and its rho'-successor:
+    it is an isomorphism, preserving when rho and rho' turn the same way.
+
+    The root codes are generated one at a time and only the least is kept.
+    """
+    return min(_root_codes(emb))
+
+
+def classify(embeddings: Sequence[CombinatorialEmbedding]) -> ClassificationResult:
+    """Partition distinct embeddings into isomorphism classes by canonical code.
+
+    Inputs must share (v, t); duplicates as rotation maps are rejected.
+    Embeddings with equal :func:`canonical_code` form one class; classes are
+    listed in the order of their first member in the input, and members in
+    input order.  Each class's representative is its member with the
+    lexicographically least serialized rotation map, so representatives do
+    not depend on the input order.  Every member gets a witness from
+    :func:`find_isomorphism` onto the representative, certified by
+    :func:`verify_map`; a member without one means the code is broken and
+    aborts.  Every class size is checked against
     min(2*|Aut_0(rep)|*degree, 4*degree^2), and against 2*degree^2 when the
     translations preserve the representative's orientation; exceeding a cap
     indicates a logic error and aborts.
@@ -306,20 +384,12 @@ def classify(embeddings: Sequence[CombinatorialEmbedding]) -> ClassificationResu
             raise ValueError("duplicate rotation maps: deduplicate before classify")
         seen_keys.add(key)
 
-    anchors: list[int] = []
-    members: dict[int, list[int]] = {}
+    groups: dict[bytes, list[int]] = {}
     for i, emb in enumerate(embeddings):
-        for anchor in anchors:
-            if find_isomorphism(emb, embeddings[anchor]) is not None:
-                members[anchor].append(i)
-                break
-        else:
-            anchors.append(i)
-            members[i] = [i]
+        groups.setdefault(canonical_code(emb), []).append(i)
 
     classes = []
-    for anchor in anchors:
-        group = members[anchor]
+    for group in groups.values():
         rep = min(group, key=lambda i: embeddings[i].rho0_key())
         emb = embeddings[rep]
         deg = emb.degree()
@@ -336,7 +406,11 @@ def classify(embeddings: Sequence[CombinatorialEmbedding]) -> ClassificationResu
         wit = []
         for i in group:
             found = find_isomorphism(embeddings[i], emb)
-            assert found is not None  # class membership was already certified
+            if found is None:
+                raise RuntimeError(
+                    f"embedding {i} shares a canonical code with {rep} but no "
+                    "isomorphism was found: classification logic is broken"
+                )
             wit.append(found)
         classes.append(IsomorphismClass(rep, tuple(group), tuple(wit), cap))
     return ClassificationResult(len(embeddings), tuple(classes))

@@ -153,6 +153,54 @@ class TestEmbedFacesIso:
         assert all(len(f["vertices"]) == 9 for f in data["faces"][:20])
 
 
+class TestIsoClassifyInput:
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        from heffter.embedding import build_embedding
+        from heffter.knight import enumerate_solutions
+        from heffter.validation import search_heffter
+
+        array = search_heffter(3, 3, 3, 3, 1, limit=1)[0]
+        pair = enumerate_solutions(array.skeleton())[0]
+        data = build_embedding(array, pair.rows, pair.cols).to_json_dict()
+        path = tmp_path_factory.mktemp("emb") / "good.json"
+        path.write_text(json.dumps(data))
+        return path, data
+
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        "[1, 2, 3]",
+        '{"v": 19}',
+        '{"v": 19, "t": 0, "connection": [], "rho0": [], "entry_class": []}',
+        '{"v": 1e400, "t": 1, "connection": [], "rho0": [], "entry_class": []}',
+    ])
+    def test_malformed_embedding(self, tmp_path, capsys, saved, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["iso", str(saved[0]), str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert main(["classify", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_constructor_rejection(self, tmp_path, capsys, saved):
+        data = dict(saved[1])
+        a, b = data["rho0"][0][1], data["rho0"][1][1]
+        data["rho0"] = [[x, b if y == a else a if y == b else y]
+                        for x, y in data["rho0"]]  # no longer one cycle
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["iso", str(bad), str(saved[0])]) == 2
+        assert "single cycle" in capsys.readouterr().err
+
+    def test_classify_duplicates(self, tmp_path, capsys, saved):
+        for name in ("a.json", "b.json"):
+            (tmp_path / name).write_text(saved[0].read_text())
+        assert main(["classify", str(tmp_path)]) == 2
+        assert "duplicate" in capsys.readouterr().err
+
+
 class TestSearchBoundsPipeline:
     def test_search(self, capsys):
         code, data = run_json(capsys, "search", "--m", "3", "--n", "3",

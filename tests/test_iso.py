@@ -2,11 +2,13 @@
 
 import pytest
 
+from heffter import iso
 from heffter.embedding import CombinatorialEmbedding, build_embedding
 from heffter.iso import (
     PRESERVING,
     REVERSING,
     all_isomorphisms_fixing_zero,
+    canonical_code,
     certify_distinct,
     classify,
     compose_maps,
@@ -47,6 +49,49 @@ def unit_relabeling(emb: CombinatorialEmbedding, u: int) -> CombinatorialEmbeddi
                                   entry, None)
 
 
+def mirror(emb: CombinatorialEmbedding) -> CombinatorialEmbedding:
+    """The same embedding with every rotation reversed."""
+    return CombinatorialEmbedding(emb.v, emb.t, emb.connection,
+                                  emb.rho0.inverse(), emb.entry_class, None)
+
+
+def pairwise_classify(embeddings) -> dict:
+    """Reference classifier: test each embedding against every class anchor.
+
+    Returns the JSON dict ``classify`` must produce, with the same
+    representative rule, caps and witnesses.
+    """
+    anchors: list[int] = []
+    members: dict[int, list[int]] = {}
+    for i, emb in enumerate(embeddings):
+        for anchor in anchors:
+            if find_isomorphism(emb, embeddings[anchor]) is not None:
+                members[anchor].append(i)
+                break
+        else:
+            anchors.append(i)
+            members[i] = [i]
+    classes = []
+    for anchor in anchors:
+        group = members[anchor]
+        rep = min(group, key=lambda i: embeddings[i].rho0_key())
+        emb = embeddings[rep]
+        deg = emb.degree()
+        cap = min(2 * stabilizer(emb).size * deg, 4 * deg * deg)
+        if verify_map(emb, emb, translation(emb.v, 1)) == PRESERVING:
+            cap = min(cap, 2 * deg * deg)
+        classes.append({
+            "representative": rep,
+            "members": group,
+            "witnesses": [find_isomorphism(embeddings[i], emb).to_json_dict()
+                          for i in group],
+            "size": len(group),
+            "cap": cap,
+        })
+    return {"total": len(embeddings), "class_count": len(classes),
+            "classes": classes}
+
+
 class TestVerifyMap:
     def test_translations_preserve(self, k19):
         for g in range(k19.v):
@@ -57,11 +102,8 @@ class TestVerifyMap:
         assert verify_map(emb, emb, translation(emb.v, 1)) == PRESERVING
 
     def test_identity_to_mirror_reverses(self, k19):
-        mirror = CombinatorialEmbedding(
-            k19.v, k19.t, k19.connection, k19.rho0.inverse(),
-            k19.entry_class, None)
         ident = tuple(range(k19.v))
-        assert verify_map(k19, mirror, ident) == REVERSING
+        assert verify_map(k19, mirror(k19), ident) == REVERSING
 
     def test_non_isomorphism_detected(self, k31_family):
         ident = tuple(range(31))
@@ -89,10 +131,7 @@ class TestFindIsomorphism:
         assert verify_map(k19, other, m.sigma) == m.kind
 
     def test_finds_mirror(self, k19):
-        mirror = CombinatorialEmbedding(
-            k19.v, k19.t, k19.connection, k19.rho0.inverse(),
-            k19.entry_class, None)
-        m = find_isomorphism(k19, mirror)
+        m = find_isomorphism(k19, mirror(k19))
         assert m is not None
 
     def test_sound_and_first_of_sweep(self, k31_family):
@@ -113,6 +152,22 @@ class TestFindIsomorphism:
                 sweep = all_isomorphisms_fixing_zero(a, b)
                 found = find_isomorphism(a, b)
                 assert (found is not None) == bool(sweep)
+
+
+class TestCanonicalCode:
+    def test_invariant_under_unit_relabeling(self, k19):
+        code = canonical_code(k19)
+        for u in (2, 3, 7):
+            assert canonical_code(unit_relabeling(k19, u)) == code
+
+    def test_invariant_under_mirroring(self, k19, k31_family):
+        for emb in (k19, k31_family[0]):
+            assert canonical_code(mirror(emb)) == canonical_code(emb)
+
+    def test_differs_on_non_isomorphic_pair(self, k31_family):
+        a, b = k31_family[0], k31_family[1]
+        assert find_isomorphism(a, b) is None
+        assert canonical_code(a) != canonical_code(b)
 
 
 class TestStabilizer:
@@ -239,6 +294,26 @@ class TestClassify:
                   for c in b.classes}
         assert reps_a == reps_b
         json.dumps(a.to_json_dict())  # serializable
+
+    def test_matches_pairwise_reference(self, k31_family):
+        import random
+
+        family = list(k31_family)
+        for emb in k31_family[:4]:
+            family += [mirror(emb), unit_relabeling(emb, 3),
+                       mirror(unit_relabeling(emb, 3))]
+        random.Random(5).shuffle(family)
+        assert len({e.rho0_key() for e in family}) == len(family)
+        result = classify(family)
+        kinds = {w.kind for c in result.classes for w in c.witnesses}
+        assert kinds == {PRESERVING, REVERSING}
+        assert max(c.size for c in result.classes) > 1
+        assert result.to_json_dict() == pairwise_classify(family)
+
+    def test_shared_code_without_witness_aborts(self, k31_family, monkeypatch):
+        monkeypatch.setattr(iso, "canonical_code", lambda emb: b"")
+        with pytest.raises(RuntimeError, match="no isomorphism"):
+            classify(k31_family[:2])
 
     def test_duplicates_rejected(self, k19):
         with pytest.raises(ValueError, match="duplicate"):

@@ -1,5 +1,6 @@
 """The jitted kernels and the fallback path must agree exactly."""
 
+import os
 import subprocess
 import sys
 
@@ -75,6 +76,12 @@ def test_trace_orbits_backends_agree():
     assert (oa == ob).all() and (ia == ib).all() and (la == lb).all()
 
 
+def child_env(**extra: str) -> dict[str, str]:
+    """A minimal subprocess environment that imports heffter like this process."""
+    path = os.pathsep.join(p for p in sys.path if p)
+    return {"PATH": "/usr/bin:/bin", "PYTHONPATH": path, **extra}
+
+
 def test_pure_numpy_env_flag_selects_fallback():
     code = (
         "import heffter.kernels as k; "
@@ -84,7 +91,7 @@ def test_pure_numpy_env_flag_selects_fallback():
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
-        env={"HEFFTER_PURE_NUMPY": "1", "PATH": "/usr/bin:/bin"},
+        env=child_env(HEFFTER_PURE_NUMPY="1"),
         capture_output=True,
         text=True,
     )
@@ -95,7 +102,7 @@ def test_threads_cap_accepted():
     code = "import heffter.kernels as k; k.warm_up()"
     proc = subprocess.run(
         [sys.executable, "-c", code],
-        env={"HEFFTER_THREADS": "1", "PATH": "/usr/bin:/bin"},
+        env=child_env(HEFFTER_THREADS="1"),
         capture_output=True,
         text=True,
     )
