@@ -50,6 +50,14 @@ def _load_array(path: str) -> pfarray.PartiallyFilledArray:
         raise UsageError(f"{path}: {exc}") from None
 
 
+def _validate(array: pfarray.PartiallyFilledArray, source: str) -> validation.ValidationReport:
+    """validate_heffter, with a v inconsistent with the weights as a usage error."""
+    try:
+        return validation.validate_heffter(array)
+    except ValueError as exc:
+        raise UsageError(f"{source}: {exc}") from None
+
+
 def _load_skeleton(path: str) -> pfarray.Skeleton:
     """Array files and bare skeleton JSONs are both accepted for tour commands."""
     content = _read(path)
@@ -91,7 +99,7 @@ def _load_solution(path: str, m: int, n: int) -> knight.OrientationPair:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     array = _load_array(args.array)
-    report = validation.validate_heffter(array)
+    report = _validate(array, args.array)
     gs = validation.is_globally_simple(array) if report.passed else None
     data = report.to_json_dict()
     data["globally_simple"] = gs
@@ -169,14 +177,22 @@ def cmd_tour_family(args: argparse.Namespace) -> int:
         family = knight.build_family(name, **params)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    if args.limit is not None and args.limit < 0:
+        raise UsageError("--limit must be >= 0")
+    census = family.census()
+    try:
+        str(census)
+    except ValueError:  # beyond the interpreter's int-to-str digit limit
+        raise UsageError(f"census of family {name} for n={args.n} is too large "
+                         "to print") from None
     pairs = list(itertools.islice(iter(family), args.limit)) if args.limit else list(family)
     data = {
         "spec": family.spec.to_json_dict(),
-        "census": family.census(),
+        "census": census,
         "emitted": len(pairs),
         "solutions": [p.to_json_dict() for p in pairs],
     }
-    _emit(data, f"census={family.census()} emitted={len(pairs)}", args.text)
+    _emit(data, f"census={census} emitted={len(pairs)}", args.text)
     return PASS
 
 
@@ -207,6 +223,8 @@ def cmd_embed(args: argparse.Namespace) -> int:
 
 
 def cmd_faces(args: argparse.Namespace) -> int:
+    if args.max_faces < 0:
+        raise UsageError("--max-faces must be >= 0")
     _, emb = _build_embedding_from_files(args.array, args.solution)
     faces = embedding.trace_faces(emb)
     limit = None if args.all else args.max_faces
@@ -335,25 +353,31 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         fields = args.search.split(",")
         if len(fields) not in (5, 6):
             raise UsageError("--search wants m,n,h,k,t[,cyclic]")
-        m_, n_, h_, k_, t_ = (int(x) for x in fields[:5])
-        skel = fields[5] if len(fields) == 6 else None
-        found = validation.search_heffter(m_, n_, h_, k_, t_, limit=1,
-                                          skeleton=skel)
+        try:
+            m_, n_, h_, k_, t_ = (int(x) for x in fields[:5])
+            skel = fields[5] if len(fields) == 6 else None
+            found = validation.search_heffter(m_, n_, h_, k_, t_, limit=1,
+                                              skeleton=skel)
+        except ValueError as exc:
+            raise UsageError(f"--search: {exc}") from None
         if not found:
             raise MathFailure("search found no array")
         array = found[0]
     else:
         raise UsageError("pipeline needs --array or --search")
 
-    report = validation.validate_heffter(array)
+    report = _validate(array, args.array or "--search")
     if not report.passed:
         raise MathFailure("input array fails validation")
     array_path = outdir / "array.arr"
     array_path.write_text(array.to_text())
 
-    sols = knight.enumerate_solutions(
-        array.skeleton(), trivial_rows=args.trivial_R, budget=args.budget
-    )
+    try:
+        sols = knight.enumerate_solutions(
+            array.skeleton(), trivial_rows=args.trivial_R, budget=args.budget
+        )
+    except knight.BudgetExceededError as exc:
+        raise UsageError(str(exc)) from None
     (outdir / "solutions.json").write_text(
         json.dumps([p.to_json_dict() for p in sols], sort_keys=True) + "\n"
     )

@@ -292,11 +292,7 @@ def trace_faces(emb: CombinatorialEmbedding) -> FaceSet:
     x = np.arange(v, dtype=np.int64)
     succ = (((x[:, None] + conn[None, :]) % v) * C + next_di[None, :]).ravel()
 
-    n_edges = v * C
-    orbit_order = np.empty(n_edges, dtype=np.int64)
-    orbit_ids = np.full(n_edges, -1, dtype=np.int64)
-    orbit_lens = np.empty(n_edges, dtype=np.int64)
-    n_faces = int(kernels.trace_orbits(succ, orbit_order, orbit_ids, orbit_lens))
+    orbit_order, orbit_lens = kernels.trace_orbits(succ)
 
     is_entry = np.zeros(v, dtype=bool)
     for e in emb.entry_class:
@@ -304,8 +300,7 @@ def trace_faces(emb: CombinatorialEmbedding) -> FaceSet:
 
     faces = []
     pos = 0
-    for f in range(n_faces):
-        ln = int(orbit_lens[f])
+    for ln in orbit_lens.tolist():
         orbit = orbit_order[pos:pos + ln]
         pos += ln
         verts = tuple(int(e) // C for e in orbit)

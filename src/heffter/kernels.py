@@ -1,41 +1,16 @@
-"""Hot integer kernels: tour stepping, orientation scans, orbit tracing.
+"""Hot integer loops: tour stepping, orientation scans, orbit tracing.
 
-Each kernel exists twice: a plain-Python/NumPy implementation (the ``*_py``
-names) and, when numba is importable, an ``@njit(cache=True)`` compilation of
-the same function.  Set ``HEFFTER_PURE_NUMPY=1`` to force the fallback path;
-``HEFFTER_THREADS`` caps numba's threading layer.  Kernels are serial so that
-output order never depends on scheduling.
-
-All kernel inputs are 0-based int64 arrays; the public modules translate to
+The loops are plain Python and serial, so output order never depends on
+scheduling.  All kernel inputs are 0-based; the public modules translate to
 and from 1-based grid positions.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
-
-
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() not in ("", "0", "false", "no")
-
-
-PURE_NUMPY = _env_flag("HEFFTER_PURE_NUMPY")
-
-try:  # pragma: no cover - absence exercised only on stripped installs
-    if PURE_NUMPY:
-        raise ImportError("pure-numpy path requested")
-    import numba
-    from numba import njit
-
-    HAVE_NUMBA = True
-    _threads = os.environ.get("HEFFTER_THREADS")
-    if _threads:
-        numba.set_num_threads(max(1, min(int(_threads), numba.config.NUMBA_NUM_THREADS)))
-except ImportError:
-    HAVE_NUMBA = False
 
 
 # -- scan tables -----------------------------------------------------------------
@@ -98,134 +73,69 @@ def build_scan_tables(m: int, n: int, filled: list[tuple[int, int]]) -> ScanTabl
     return ScanTables(m, n, rows, cols, row_next, row_prev, col_next, col_prev, idx)
 
 
-# -- kernel sources ---------------------------------------------------------------
-# Written in nopython-compatible style; compiled by numba when available.
+# -- kernels ----------------------------------------------------------------------
 
 
-def tour_orbit_py(
-    rows, cols, row_next, row_prev, col_next, col_prev,
-    row_rev, col_rev, start, out,
-):
-    """Walk the successor orbit from ``start``; fill ``out``; return its length.
+def tour_orbit(
+    t: ScanTables, row_rev: Sequence[int], col_rev: Sequence[int], start: int
+) -> list[int]:
+    """Cell ids of the successor orbit from ``start``, in visiting order.
 
-    ``row_rev[i]`` is 1 when row i scans right-to-left, ``col_rev[j]`` 1 when
+    ``row_rev[i]`` is true when row i scans right-to-left, ``col_rev[j]`` when
     column j scans bottom-to-top.
     """
+    # Python lists index several times faster than NumPy scalars
+    rows, cols, row_next, row_prev, col_next, col_prev = (
+        a.tolist()
+        for a in (t.rows, t.cols, t.row_next, t.row_prev, t.col_next, t.col_prev)
+    )
+    orbit = []
     cur = start
-    cnt = 0
     while True:
-        out[cnt] = cur
-        cnt += 1
+        orbit.append(cur)
         mid = row_prev[cur] if row_rev[rows[cur]] else row_next[cur]
         cur = col_prev[mid] if col_rev[cols[mid]] else col_next[mid]
         if cur == start:
-            return cnt
+            return orbit
 
 
-def orbit_length_py(
-    rows, cols, row_next, row_prev, col_next, col_prev, row_rev, col_rev, start,
-):
-    cur = start
-    cnt = 0
-    while True:
-        cnt += 1
-        mid = row_prev[cur] if row_rev[rows[cur]] else row_next[cur]
-        cur = col_prev[mid] if col_rev[cols[mid]] else col_next[mid]
-        if cur == start:
-            return cnt
+def scan_orientations(t: ScanTables, trivial_rows: bool) -> list[int]:
+    """Masks of the orientation pairs whose tour covers every cell.
 
-
-def scan_orientations_py(
-    rows, cols, row_next, row_prev, col_next, col_prev,
-    m, n, trivial_rows, out_masks,
-):
-    """Test every orientation pair; return the number of solutions found.
-
-    Masks are iterated ascending, which is lexicographic order over the
-    direction vectors with +1 before -1 (first position = most significant
-    bit, row vector above column vector).  A mask bit 1 means direction -1.
-    Solutions are recorded in ``out_masks`` as (row_mask << n) | col_mask.
+    Masks ascend, which is lexicographic order over the direction vectors
+    with +1 before -1 (first position = most significant bit, row vector above
+    column vector).  A mask bit 1 means direction -1; a pair is recorded as
+    (row_mask << n) | col_mask.
     """
-    nc = rows.size
-    row_rev = np.zeros(m, dtype=np.uint8)
-    col_rev = np.zeros(n, dtype=np.uint8)
-    n_row_masks = 1 if trivial_rows else (1 << m)
-    found = 0
-    for rmask in range(n_row_masks):
-        for i in range(m):
-            row_rev[i] = (rmask >> (m - 1 - i)) & 1
+    m, n = t.m, t.n
+    masks = []
+    for rmask in range(1 if trivial_rows else 1 << m):
+        row_rev = [(rmask >> (m - 1 - i)) & 1 for i in range(m)]
         for cmask in range(1 << n):
-            for j in range(n):
-                col_rev[j] = (cmask >> (n - 1 - j)) & 1
-            cur = 0
-            cnt = 0
-            while True:
-                cnt += 1
-                mid = row_prev[cur] if row_rev[rows[cur]] else row_next[cur]
-                cur = col_prev[mid] if col_rev[cols[mid]] else col_next[mid]
-                if cur == 0:
-                    break
-            if cnt == nc:
-                out_masks[found] = (rmask << n) | cmask
-                found += 1
-    return found
+            col_rev = [(cmask >> (n - 1 - j)) & 1 for j in range(n)]
+            if len(tour_orbit(t, row_rev, col_rev, 0)) == t.ncells:
+                masks.append((rmask << n) | cmask)
+    return masks
 
 
-def trace_orbits_py(succ, orbit_order, orbit_ids, orbit_lens):
+def trace_orbits(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Partition {0..len(succ)-1} into orbits of the successor map ``succ``.
 
-    Orbits are discovered in ascending order of their least element and laid
-    out consecutively in ``orbit_order``; returns the number of orbits.
+    Returns (order, lengths): the orbits laid out consecutively in ``order``,
+    in ascending order of their least element, and their lengths.
     """
-    ne = succ.size
-    pos = 0
-    nf = 0
-    for e0 in range(ne):
-        if orbit_ids[e0] >= 0:
+    succ = succ.tolist()
+    seen = bytearray(len(succ))
+    order: list[int] = []
+    lengths: list[int] = []
+    for e0 in range(len(succ)):
+        if seen[e0]:
             continue
         e = e0
-        ln = 0
-        while orbit_ids[e] < 0:
-            orbit_ids[e] = nf
-            orbit_order[pos] = e
-            pos += 1
-            ln += 1
+        start = len(order)
+        while not seen[e]:
+            seen[e] = 1
+            order.append(e)
             e = succ[e]
-        orbit_lens[nf] = ln
-        nf += 1
-    return nf
-
-
-if HAVE_NUMBA:
-    tour_orbit = njit(cache=True)(tour_orbit_py)
-    orbit_length = njit(cache=True)(orbit_length_py)
-    scan_orientations = njit(cache=True)(scan_orientations_py)
-    trace_orbits = njit(cache=True)(trace_orbits_py)
-else:
-    tour_orbit = tour_orbit_py
-    orbit_length = orbit_length_py
-    scan_orientations = scan_orientations_py
-    trace_orbits = trace_orbits_py
-
-
-def active_backend() -> str:
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-def warm_up() -> None:
-    """Compile the kernels on a 1x1 skeleton so later timings are steady-state."""
-    t = build_scan_tables(1, 1, [(0, 0)])
-    one = np.zeros(1, dtype=np.uint8)
-    out = np.empty(1, dtype=np.int64)
-    tour_orbit(t.rows, t.cols, t.row_next, t.row_prev, t.col_next, t.col_prev,
-               one, one, 0, out)
-    orbit_length(t.rows, t.cols, t.row_next, t.row_prev, t.col_next, t.col_prev,
-                 one, one, 0)
-    masks = np.empty(4, dtype=np.int64)
-    scan_orientations(t.rows, t.cols, t.row_next, t.row_prev, t.col_next,
-                      t.col_prev, 1, 1, False, masks)
-    succ = np.zeros(1, dtype=np.int64)
-    ids = np.full(1, -1, dtype=np.int64)
-    lens = np.empty(1, dtype=np.int64)
-    order = np.empty(1, dtype=np.int64)
-    trace_orbits(succ, order, ids, lens)
+        lengths.append(len(order) - start)
+    return np.array(order, dtype=np.int64), np.array(lengths, dtype=np.int64)

@@ -23,9 +23,8 @@ from functools import lru_cache
 from math import comb, gcd
 from typing import Callable, Iterator, Sequence
 
-import numpy as np
-
 from . import kernels
+from .bounds import _is_prime
 from .perm import Permutation
 from .pfarray import (
     Skeleton,
@@ -33,6 +32,7 @@ from .pfarray import (
     cyclic_diagonal_skeleton,
     diagonal_skeleton,
 )
+from .validation import _check_directions
 
 
 class BudgetExceededError(ValueError):
@@ -124,11 +124,9 @@ def _tables(skel: Skeleton) -> kernels.ScanTables:
     )
 
 
-def _rev_flags(dirs: Sequence[int], length: int, what: str) -> np.ndarray:
-    if len(dirs) != length or any(d not in (1, -1) for d in dirs):
-        raise ValueError(f"{what} direction vector must be ±1 of length {length}")
-    return np.fromiter((1 if d == -1 else 0 for d in dirs), dtype=np.uint8,
-                       count=length)
+def _rev_flags(dirs: Sequence[int], length: int, what: str) -> list[bool]:
+    _check_directions(dirs, length, what)
+    return [d == -1 for d in dirs]
 
 
 def successor(
@@ -169,17 +167,9 @@ def tour(
     if start not in skel.filled:
         raise ValueError(f"start cell {start} is not filled")
     start_id = t.index[(start[0] - 1, start[1] - 1)]
-    out = np.empty(t.ncells, dtype=np.int64)
-    period = int(
-        kernels.tour_orbit(
-            t.rows, t.cols, t.row_next, t.row_prev, t.col_next, t.col_prev,
-            row_rev, col_rev, start_id, out,
-        )
-    )
-    cells = tuple(
-        (int(t.rows[c]) + 1, int(t.cols[c]) + 1) for c in out[:period]
-    )
-    return TourResult(start, cells, period == t.ncells, period)
+    orbit = kernels.tour_orbit(t, row_rev, col_rev, start_id)
+    cells = tuple((int(t.rows[c]) + 1, int(t.cols[c]) + 1) for c in orbit)
+    return TourResult(start, cells, len(orbit) == t.ncells, len(orbit))
 
 
 def is_solution(
@@ -189,11 +179,7 @@ def is_solution(
     t = _tables(skel)
     row_rev = _rev_flags(rows_dir, skel.m, "row")
     col_rev = _rev_flags(cols_dir, skel.n, "column")
-    period = kernels.orbit_length(
-        t.rows, t.cols, t.row_next, t.row_prev, t.col_next, t.col_prev,
-        row_rev, col_rev, 0,
-    )
-    return int(period) == t.ncells
+    return len(kernels.tour_orbit(t, row_rev, col_rev, 0)) == t.ncells
 
 
 def enumerate_solutions(
@@ -213,17 +199,8 @@ def enumerate_solutions(
         raise BudgetExceededError(
             f"scan of {total} orientation pairs exceeds budget {budget}"
         )
-    t = _tables(skel)
-    out_masks = np.empty(total, dtype=np.int64)
-    found = int(
-        kernels.scan_orientations(
-            t.rows, t.cols, t.row_next, t.row_prev, t.col_next, t.col_prev,
-            m, n, trivial_rows, out_masks,
-        )
-    )
     pairs = []
-    for mask in out_masks[:found]:
-        mask = int(mask)
+    for mask in kernels.scan_orientations(_tables(skel), trivial_rows):
         rmask, cmask = mask >> n, mask & ((1 << n) - 1)
         pairs.append(
             OrientationPair(
@@ -385,19 +362,6 @@ class SolutionFamily:
     def census(self) -> int:
         """Exact number of pairs the stream yields (all distinct)."""
         return self.base_count * (4 if self.swap_closed else 2)
-
-
-def _is_prime(x: int) -> bool:
-    if x < 2:
-        return False
-    if x % 2 == 0:
-        return x == 2
-    f = 3
-    while f * f <= x:
-        if x % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def _default_prime_r(lo_num: int, lo_den: int, hi_num: int, hi_den: int,

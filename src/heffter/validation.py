@@ -327,6 +327,8 @@ def search_heffter(
         raise ValueError(f"infeasible parameters: m*h={m * h} != n*k={n * k}")
     if not (3 <= h <= n and 3 <= k <= m):
         raise ValueError("need 3 <= h <= n and 3 <= k <= m")
+    if t < 1:
+        raise ValueError(f"subgroup order t={t} must be >= 1")
     v = 2 * n * k + t
     if v % t != 0:
         raise ValueError(f"t={t} does not divide v={v}")

@@ -8,7 +8,6 @@ from pathlib import Path
 
 import pytest
 
-from heffter import kernels
 from heffter.pfarray import (
     PartiallyFilledArray,
     Skeleton,
@@ -28,12 +27,6 @@ def load_golden(name: str) -> dict:
 
 def fixture_path(name: str) -> Path:
     return Path(str(resources.files("heffter") / "data" / name))
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels() -> None:
-    # compile (or no-op) once so acceptance timings measure steady state
-    kernels.warm_up()
 
 
 @pytest.fixture(scope="session")

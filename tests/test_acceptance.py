@@ -1,8 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines and timings.  Time limits are wall-clock seconds measured after the
-kernels have been warmed by the session fixture.
+lines and timings.  Time limits are wall-clock seconds.
 """
 
 import itertools

@@ -253,6 +253,29 @@ class TestSearchBoundsPipeline:
         assert main(["pipeline", "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    "pipeline --search 7,7,3,3,1,foo --out {tmp}/run",
+    "pipeline --search 7,7,3,x,1 --out {tmp}/run",
+    "pipeline --search 5,5,3,3,1,cyclic --budget 2 --out {tmp}/run",
+    "search --m 3 --n 3 --h 3 --k 3 --t 0",
+    "search --m 3 --n 3 --h 3 --k 3 --t -1",
+    "tour-family --family ThreeDiag --n 100001 --limit 1",
+    "tour-family --family 3diag --n 5 --limit -1",
+    "faces --array {array} --solution {tmp}/sol.json --max-faces -1",
+    "verify {tmp}/bad_v.arr",
+])
+def test_bad_input_is_a_usage_error(tmp_path, capsys, argv):
+    (tmp_path / "sol.json").write_text(json.dumps({"R": [1] * 11, "C": [-1] + [1] * 10}))
+    # header v inconsistent with the weights: 2nk/lambda + t = 207
+    (tmp_path / "bad_v.arr").write_text(
+        fixture_path("h9_11_9.arr").read_text().replace("v=207", "v=216", 1))
+    code = main(argv.format(tmp=tmp_path, array=ARRAY).split())
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 class TestTextOutput:
     def test_text_mode_is_one_line(self, capsys):
         code, out = run(capsys, "verify", ARRAY, "--text")
