@@ -199,6 +199,7 @@ def cmd_tour_family(args: argparse.Namespace) -> int:
 def _build_embedding_from_files(array_path: str, solution_path: str):
     array = _load_array(array_path)
     pair = _load_solution(solution_path, array.m, array.n)
+    _validate(array, array_path)
     try:
         return array, embedding.build_embedding(array, pair.rows, pair.cols)
     except ValueError as exc:

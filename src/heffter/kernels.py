@@ -1,4 +1,4 @@
-"""Hot integer loops: tour stepping, orientation scans, orbit tracing.
+"""Hot integer loops: tour stepping and orientation scans.
 
 The loops are plain Python and serial, so output order never depends on
 scheduling.  All kernel inputs are 0-based; the public modules translate to
@@ -117,25 +117,3 @@ def scan_orientations(t: ScanTables, trivial_rows: bool) -> list[int]:
                 masks.append((rmask << n) | cmask)
     return masks
 
-
-def trace_orbits(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Partition {0..len(succ)-1} into orbits of the successor map ``succ``.
-
-    Returns (order, lengths): the orbits laid out consecutively in ``order``,
-    in ascending order of their least element, and their lengths.
-    """
-    succ = succ.tolist()
-    seen = bytearray(len(succ))
-    order: list[int] = []
-    lengths: list[int] = []
-    for e0 in range(len(succ)):
-        if seen[e0]:
-            continue
-        e = e0
-        start = len(order)
-        while not seen[e]:
-            seen[e] = 1
-            order.append(e)
-            e = succ[e]
-        lengths.append(len(order) - start)
-    return np.array(order, dtype=np.int64), np.array(lengths, dtype=np.int64)

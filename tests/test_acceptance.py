@@ -129,7 +129,7 @@ def test_criterion_04_golden_embedding(ex_array, ex_pair):
         assert faces.all_simple
         assert faces.count_color(ROW) == 2277
         assert faces.count_color(COLUMN) == 2277
-        rep = biembedding_report(emb, faces)
+        rep = biembedding_report(emb)
         assert rep.two_colorable
         assert rep.genus_euler == rep.genus_closed_form == 7867
         assert genus_formula(11, 11, 9, 9) == 7867

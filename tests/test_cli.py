@@ -263,6 +263,8 @@ class TestSearchBoundsPipeline:
     "tour-family --family 3diag --n 5 --limit -1",
     "faces --array {array} --solution {tmp}/sol.json --max-faces -1",
     "verify {tmp}/bad_v.arr",
+    "embed --array {tmp}/bad_v.arr --solution {tmp}/sol.json",
+    "faces --array {tmp}/bad_v.arr --solution {tmp}/sol.json",
 ])
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv):
     (tmp_path / "sol.json").write_text(json.dumps({"R": [1] * 11, "C": [-1] + [1] * 10}))

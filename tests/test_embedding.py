@@ -1,11 +1,16 @@
 """Rotation construction, face tracing, genus, and the biembedding report."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heffter.embedding import (
     COLUMN,
     ROW,
     CombinatorialEmbedding,
+    EmbeddingSource,
+    Face,
+    FaceSet,
     biembedding_report,
     build_embedding,
     build_rho0,
@@ -15,7 +20,81 @@ from heffter.embedding import (
     translated_faces,
 )
 from heffter.knight import enumerate_solutions
-from heffter.validation import orderings_from_orientations
+from heffter.perm import Permutation
+from heffter.validation import orderings_from_orientations, search_heffter
+
+
+def reference_faces(emb):
+    """Faces as the orbits of next((x, y)) = (y, y + rho0(x - y)) on all v*C
+    oriented edges, walked from the least unseen edge index x*C + i."""
+    v, conn = emb.v, emb.connection
+    C = len(conn)
+    index = {d: i for i, d in enumerate(conn)}
+    succ = [((x + d) % v) * C + index[emb.rho0((-d) % v)]
+            for x in range(v) for d in conn]
+    seen = bytearray(len(succ))
+    faces = []
+    for e0 in range(len(succ)):
+        if seen[e0]:
+            continue
+        orbit = []
+        e = e0
+        while not seen[e]:
+            seen[e] = 1
+            orbit.append(e)
+            e = succ[e]
+        verts = tuple(e // C for e in orbit)
+        in_entry = {conn[e % C] in emb.entry_class for e in orbit}
+        if len(in_entry) == 2:
+            raise AssertionError(
+                "face boundary mixes entry and negated-entry differences")
+        canonical = min(verts[i:] + verts[:i] for i in range(len(verts)))
+        faces.append(Face(canonical, COLUMN if True in in_entry else ROW,
+                          len(set(verts)) == len(verts)))
+    return FaceSet(v, tuple(faces))
+
+
+def reference_report_fields(emb, faces):
+    """The report fields that depend on the faces, counted from ``faces``."""
+    src = emb.source
+    V, E, F = emb.v, emb.v * len(emb.connection) // 2, faces.count
+    return {
+        "face_count": F,
+        "row_faces": faces.count_color(ROW),
+        "column_faces": faces.count_color(COLUMN),
+        "row_lengths_ok": all(f.length == src.h for f in faces.faces
+                              if f.color == ROW),
+        "column_lengths_ok": all(f.length == src.k for f in faces.faces
+                                 if f.color == COLUMN),
+        "simple": faces.all_simple,
+        "genus_euler": (2 - (V - E + F)) // 2,
+    }
+
+
+def assert_report_matches(emb, faces):
+    want = reference_report_fields(emb, faces)
+    rep = biembedding_report(emb).to_json_dict()
+    assert {key: rep[key] for key in want} == want
+
+
+@st.composite
+def alternating_embeddings(draw):
+    """A rotation alternating a shuffled entry class with a shuffled list of
+    the negated entries: every difference cycle stays in one class, while its
+    sum, and so the face length and simplicity, is arbitrary."""
+    v = draw(st.integers(3, 40))
+    # v/2 must lie in J, else it is its own negative and no entry class exists
+    t = draw(st.sampled_from([t for t in range(1, v)
+                              if v % t == 0 and (v % 2 or t % 2 == 0)]))
+    conn = tuple(x for x in range(v) if x % (v // t))
+    entries = [x if draw(st.booleans()) else v - x for x in conn if x < v - x]
+    entries = draw(st.permutations(entries))
+    negated = draw(st.permutations([v - x for x in entries]))
+    cycle = [d for pair in zip(entries, negated) for d in pair]
+    # m = n = 1, k = 3 keeps the closed-form genus defined (it is 1)
+    source = EmbeddingSource(1, 1, 3, 3, "random", (1,), (1,))
+    return CombinatorialEmbedding(v, t, conn, Permutation.from_cycles([cycle]),
+                                  frozenset(entries), source)
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +237,29 @@ class TestFaces:
             canonical[key] += 1
         assert all(count == v for count in canonical.values())
 
+    @pytest.mark.parametrize("name", ["ex_embedding", "k19_embedding"])
+    def test_matches_reference(self, name, request):
+        emb = request.getfixturevalue(name)
+        assert trace_faces(emb) == reference_faces(emb)
+
+    @settings(max_examples=150, deadline=None)
+    @given(alternating_embeddings())
+    def test_random_rotations_match_reference(self, emb):
+        faces = reference_faces(emb)
+        assert trace_faces(emb) == faces
+        assert_report_matches(emb, faces)
+
+    def test_mixed_rotation_raises(self, k19_embedding):
+        # the connection set in ascending order: d -> rho0(-d) sends the
+        # entry 2 to the negated entry 18
+        e = k19_embedding
+        mixed = CombinatorialEmbedding(
+            e.v, e.t, e.connection, Permutation.from_cycles([e.connection]),
+            frozenset(range(1, 10)), e.source)
+        for trace in (trace_faces, reference_faces, biembedding_report):
+            with pytest.raises(AssertionError, match="mixes"):
+                trace(mixed)
+
 
 class TestGenusAndReport:
     def test_closed_form_values(self):
@@ -192,6 +294,16 @@ class TestGenusAndReport:
         # V - E + F = 31 - 465 + 310 = -124
         assert rep.face_count == 310
         assert rep.genus_euler == genus_formula(5, 5, 3, 1) == 63
+
+    def test_report_matches_reference_faces(self, ex_embedding, k19_embedding,
+                                            h53_cyclic):
+        embs = [ex_embedding, k19_embedding]
+        for array in [h53_cyclic] + search_heffter(7, 7, 3, 3, 1, limit=3,
+                                                   skeleton="cyclic"):
+            sols = enumerate_solutions(array.skeleton(), trivial_rows=True)
+            embs += [build_embedding(array, p.rows, p.cols) for p in sols[:2]]
+        for emb in embs:
+            assert_report_matches(emb, reference_faces(emb))
 
     def test_report_requires_source(self, k19_embedding):
         bare = CombinatorialEmbedding(
