@@ -77,8 +77,10 @@ def _parse_direction(text: str | None, length: int, what: str) -> tuple[int, ...
         vec = tuple(int(x) for x in text.replace(" ", "").split(","))
     except ValueError:
         raise UsageError(f"--{what} must be comma-separated ±1") from None
-    if len(vec) != length or any(d not in (1, -1) for d in vec):
-        raise UsageError(f"--{what} must be ±1 of length {length}")
+    try:
+        validation._check_directions(vec, length, f"--{what}")
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     return vec
 
 
@@ -394,7 +396,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         (emb_dir / f"embedding_{idx:04d}.json").write_text(
             json.dumps(emb.to_json_dict(), sort_keys=True) + "\n"
         )
-    keys = {e.rho0_key() for e in embs}
+    keys = {e.rho0 for e in embs}
     if len(keys) != len(embs):
         raise MathFailure("distinct solutions produced equal rotation maps")
 

@@ -16,8 +16,10 @@ Faces are the orbits of next((x, y)) = (y, y + rho0(x - y)).  Orbits whose
 boundary differences are negated entries close after h steps (they follow the
 row orderings, and rows sum to zero); orbits through entries close after k
 steps along the column orderings.  This is the 2-coloring: we call the former
-row faces and the latter column faces, and the report verifies the split
-rather than assuming it.
+row faces and the latter column faces.  The report checks that every face
+stays in one class and has its row or column length; that each edge then
+borders one face of each color follows from the entry class holding one of
+each ± pair.
 
 Translations act regularly on the oriented edges and commute with next, so the
 difference of an edge evolves on its own, d -> rho0(-d), on the connection
@@ -33,17 +35,14 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .perm import Permutation
 from .pfarray import PartiallyFilledArray
 from .validation import (
     LineOrderingSet,
-    are_compatible,
     orderings_from_orientations,
     subgroup_members,
     validate_heffter,
@@ -72,17 +71,19 @@ class EmbeddingSource:
 
 @dataclass(frozen=True)
 class CombinatorialEmbedding:
-    """Vertex set Z_v, connection set Z_v \\ J, and rotation data rho0.
+    """Vertex set Z_v, connection set Z_v \\ J, and the rotation table rho0.
 
-    ``entry_class`` is the half of the connection set that appears as array
-    entries; it fixes which faces are called column faces.  Immutable and
-    shareable; all derived arrays are cached.
+    ``rho0[d]`` is the image of the difference d under the rotation, which
+    acts at every vertex x as x + d -> x + rho0[d]; it is -1 for d in J.
+    Equal tables mean equal embeddings.  ``entry_class`` is the half of the
+    connection set that appears as array entries; it fixes which faces are
+    called column faces.  Immutable and shareable.
     """
 
     v: int
     t: int
     connection: tuple[int, ...]
-    rho0: Permutation
+    rho0: tuple[int, ...]
     entry_class: frozenset[int]
     source: EmbeddingSource | None = None
 
@@ -94,52 +95,32 @@ class CombinatorialEmbedding:
         if (len(self.connection) != self.v - self.t
                 or conn != set(range(self.v)) - subgroup_members(self.v, self.t)):
             raise ValueError("connection set must be the complement of the subgroup J")
-        if self.rho0.domain != frozenset(conn):
-            raise ValueError("rho0 must act exactly on the connection set")
-        if not self.rho0.is_single_cycle():
-            raise ValueError("rho0 must be a single cycle (orderings not compatible)")
+        rho = self.rho0
+        if len(rho) != self.v or any(rho[j] != -1 for j in subgroup_members(self.v, self.t)):
+            raise ValueError("rho0 must be a table of length v with -1 on J")
+        # single cycle: the walk from one difference meets all C before it closes
+        start = self.connection[0]
+        walk = {start}
+        d = rho[start]
+        while d in conn and d not in walk:
+            walk.add(d)
+            d = rho[d]
+        if d != start or len(walk) != len(conn):
+            raise ValueError(
+                "rho0 must be a single cycle on the connection set "
+                "(orderings not compatible: (R, C) is not a tour solution)"
+            )
         if not self.entry_class <= conn:
             raise ValueError("entry class must lie inside the connection set")
         if {(-x) % self.v for x in self.entry_class} != conn - self.entry_class:
             raise ValueError("entry class must contain one of each ± pair")
 
-    # -- derived arrays (0-based residues) -------------------------------------
-
-    @cached_property
-    def rho0_array(self) -> np.ndarray:
-        arr = np.full(self.v, -1, dtype=np.int64)
-        for a, b in self.rho0.as_dict().items():
-            arr[a] = b
-        return arr
-
-    @cached_property
-    def rho0_inv_array(self) -> np.ndarray:
-        arr = np.full(self.v, -1, dtype=np.int64)
-        for a, b in self.rho0.as_dict().items():
-            arr[b] = a
-        return arr
-
-    @cached_property
-    def diff_index(self) -> np.ndarray:
-        arr = np.full(self.v, -1, dtype=np.int64)
-        for i, d in enumerate(self.connection):
-            arr[d] = i
-        return arr
-
-    @cached_property
-    def conn_array(self) -> np.ndarray:
-        return np.asarray(self.connection, dtype=np.int64)
-
-    def rho0_key(self) -> tuple[int, ...]:
-        """Canonical serialization of the rotation; equal keys = equal embeddings."""
-        return tuple(int(x) for x in self.rho0_array)
-
     def rho0_cycle_from(self, x: int) -> list[int]:
         out = [x]
-        nxt = int(self.rho0_array[x])
+        nxt = self.rho0[x]
         while nxt != x:
             out.append(nxt)
-            nxt = int(self.rho0_array[nxt])
+            nxt = self.rho0[nxt]
         return out
 
     def degree(self) -> int:
@@ -152,7 +133,7 @@ class CombinatorialEmbedding:
             "v": self.v,
             "t": self.t,
             "connection": list(self.connection),
-            "rho0": [[a, int(self.rho0_array[a])] for a in self.connection],
+            "rho0": [[a, self.rho0[a]] for a in self.connection],
             "entry_class": sorted(self.entry_class),
             "source": None if self.source is None else self.source.to_json_dict(),
         }
@@ -166,11 +147,25 @@ class CombinatorialEmbedding:
                 src["m"], src["n"], src["h"], src["k"], src["array_key"],
                 tuple(src["R"]), tuple(src["C"]),
             )
+        v = int(data["v"])
+        pairs = [(int(a), int(b)) for a, b in data["rho0"]]
+        # the v - t >= v/2 connection differences each need a pair, which
+        # bounds the table by the file's size before it is allocated
+        if v > 2 * len(pairs):
+            raise ValueError("rho0 must give an image for every connection difference")
+        rho0 = [-1] * v
+        for a, b in pairs:
+            # a negative index would wrap around instead of failing
+            if not (0 <= a < v and 0 <= b < v):
+                raise ValueError(f"rho0 pair ({a}, {b}) is not in Z_{v}")
+            if rho0[a] != -1:
+                raise ValueError(f"rho0 lists the difference {a} twice")
+            rho0[a] = b
         return cls(
-            v=int(data["v"]),
+            v=v,
             t=int(data["t"]),
             connection=tuple(int(x) for x in data["connection"]),
-            rho0=Permutation({int(a): int(b) for a, b in data["rho0"]}),
+            rho0=tuple(rho0),
             entry_class=frozenset(int(x) for x in data["entry_class"]),
             source=source,
         )
@@ -180,21 +175,25 @@ class CombinatorialEmbedding:
         return cls.from_json_dict(json.loads(text))
 
 
-def build_rho0(array: PartiallyFilledArray, ords: LineOrderingSet) -> Permutation:
-    """The rotation permutation induced by a full set of line orderings."""
+def build_rho0(array: PartiallyFilledArray, ords: LineOrderingSet) -> tuple[int, ...]:
+    """The rotation table induced by a full set of line orderings:
+    rho0[a] = -(row successor of a) and rho0[-a] = column successor of a."""
     v = array.v
-    row_perm, col_perm = ords.row_perm, ords.col_perm
-    mapping: dict[int, int] = {}
+    entries = set(array.entries())
     for a in array.entries():
-        neg = (-a) % v
-        if neg in row_perm:
+        if (-a) % v in entries:
             raise ValueError(
-                f"entries {a} and {neg} are negatives of each other: "
+                f"entries {a} and {(-a) % v} are negatives of each other: "
                 "the rotation construction needs one representative per pair"
             )
-        mapping[a] = (-row_perm(a)) % v
-        mapping[neg] = col_perm(a)
-    return Permutation(mapping)
+    rho0 = [-1] * v
+    for line in ords.rows:
+        for a, b in zip(line, line[1:] + line[:1]):
+            rho0[a] = (-b) % v
+    for line in ords.cols:
+        for a, b in zip(line, line[1:] + line[:1]):
+            rho0[(-a) % v] = b
+    return tuple(rho0)
 
 
 def array_key(array: PartiallyFilledArray) -> str:
@@ -218,11 +217,7 @@ def build_embedding(
         raise ValueError("array fails validation; cannot embed")
     if array.fold != 1:
         raise ValueError("fold > 1 arrays are not embedded")
-    ords = orderings_from_orientations(array, rows_dir, cols_dir)
-    if not are_compatible(ords.row_perm, ords.col_perm):
-        raise ValueError("orderings not compatible: (R, C) is not a tour solution")
-    rho0 = build_rho0(array, ords)
-    conn = tuple(sorted(rho0.domain))
+    rho0 = build_rho0(array, orderings_from_orientations(array, rows_dir, cols_dir))
     source = EmbeddingSource(
         array.m, array.n, report.h, report.k, array_key(array),
         tuple(rows_dir), tuple(cols_dir),
@@ -230,7 +225,7 @@ def build_embedding(
     return CombinatorialEmbedding(
         v=array.v,
         t=array.t,
-        connection=conn,
+        connection=tuple(d for d, image in enumerate(rho0) if image >= 0),
         rho0=rho0,
         entry_class=frozenset(array.entries()),
         source=source,
@@ -309,7 +304,7 @@ def _difference_cycles(emb: CombinatorialEmbedding) -> list[_DifferenceCycle]:
     asserted to stay inside one sign class, which determines its color.
     """
     v = emb.v
-    rho = emb.rho0_array.tolist()
+    rho = emb.rho0
     seen = bytearray(v)
     cycles = []
     for d0 in emb.connection:
@@ -348,11 +343,13 @@ def trace_faces(emb: CombinatorialEmbedding) -> FaceSet:
     """
     v = emb.v
     C = len(emb.connection)
+    conn_pos = np.full(v, -1, dtype=np.int64)
+    conn_pos[list(emb.connection)] = np.arange(C)
     keyed = []
     for cyc in _difference_cycles(emb):
         walk = np.asarray(cyc.walk, dtype=np.int64)
         # connection index of each edge's difference walk[i+1] - walk[i]
-        edge_di = emb.diff_index[(np.roll(walk, -1) - walk) % v]
+        edge_di = conn_pos[(np.roll(walk, -1) - walk) % v]
         verts = (walk[None, :] + np.arange(cyc.translates)[:, None]) % v
         keys = (verts * C + edge_di[None, :]).min(axis=1)
         for key, row in zip(keys.tolist(), verts.tolist()):
@@ -386,22 +383,36 @@ class BiembeddingReport:
     column_faces: int
     row_lengths_ok: bool
     column_lengths_ok: bool
-    two_colorable: bool
     simple: bool
     genus_euler: int
     genus_closed_form: int
     euler_consistent: bool
-    z_v_regular: bool
+
+    @property
+    def two_colorable(self) -> bool:
+        """Each edge borders one row face and one column face.
+
+        True by construction: the entry class holds one of each ± pair
+        (checked by the embedding's constructor), so of an edge's two
+        oriented edges one has an entry difference and lies on a column
+        face, the other a negated one and lies on a row face.
+        """
+        return True
+
+    @property
+    def z_v_regular(self) -> bool:
+        """The translations x -> x + g are orientation-preserving automorphisms.
+
+        True by construction: the rotation at x sends x + d to x + rho0[d]
+        with rho0 the same at every vertex, so it commutes with every
+        translation.
+        """
+        return True
 
     @property
     def passed(self) -> bool:
-        return bool(
-            self.row_lengths_ok
-            and self.column_lengths_ok
-            and self.two_colorable
-            and self.euler_consistent
-            and self.z_v_regular
-        )
+        return bool(self.row_lengths_ok and self.column_lengths_ok
+                    and self.euler_consistent)
 
     def to_json_dict(self) -> dict:
         return {
@@ -424,11 +435,12 @@ class BiembeddingReport:
 def biembedding_report(emb: CombinatorialEmbedding) -> BiembeddingReport:
     """Full verification of the biembedding contract.
 
-    Checks face lengths per color (h on row faces, k on column faces), the
-    2-coloring (each unoriented edge borders one face of each color), Euler
-    consistency of the face count against the closed-form genus, and
-    regularity of the translation action.  Face statistics come from the
-    difference cycles, without listing the faces.
+    Checks that each face stays in one difference class (else raises
+    AssertionError), face lengths per color (h on row faces, k on column
+    faces), and Euler consistency of the face count against the closed-form
+    genus.  Face statistics come from the difference cycles, without listing
+    the faces.  The 2-coloring and translation regularity hold by
+    construction (see :class:`BiembeddingReport`).
     """
     if emb.source is None:
         raise ValueError("report needs source parameters (m, n, h, k)")
@@ -442,8 +454,6 @@ def biembedding_report(emb: CombinatorialEmbedding) -> BiembeddingReport:
     row_faces = sum(c.translates for c in row_cycles)
     col_faces = sum(c.translates for c in col_cycles)
 
-    two_col = _check_two_coloring(emb)
-
     V = emb.v
     E = emb.v * len(emb.connection) // 2
     F = row_faces + col_faces
@@ -453,11 +463,6 @@ def biembedding_report(emb: CombinatorialEmbedding) -> BiembeddingReport:
     genus_euler = (2 - chi) // 2
     genus_closed = genus_formula(src.m, src.n, src.k, emb.t)
 
-    from .iso import PRESERVING, verify_map  # deferred: iso imports this module
-
-    tau1 = tuple((x + 1) % emb.v for x in range(emb.v))
-    regular = verify_map(emb, emb, tau1) == PRESERVING
-
     return BiembeddingReport(
         v=emb.v,
         face_count=F,
@@ -465,28 +470,11 @@ def biembedding_report(emb: CombinatorialEmbedding) -> BiembeddingReport:
         column_faces=col_faces,
         row_lengths_ok=row_ok,
         column_lengths_ok=col_ok,
-        two_colorable=two_col,
         simple=all(c.simple for c in cycles),
         genus_euler=genus_euler,
         genus_closed_form=genus_closed,
         euler_consistent=genus_euler == genus_closed,
-        z_v_regular=regular,
     )
-
-
-def _check_two_coloring(emb: CombinatorialEmbedding) -> bool:
-    """Each unoriented edge must carry one entry-class and one negated oriented edge.
-
-    With faces colored by difference class this is exactly "one row face and
-    one column face per edge": the oriented edge whose difference is an entry
-    lies on a column face, its reverse on a row face.
-    """
-    v = emb.v
-    for d in emb.connection:
-        neg = (v - d) % v
-        if (d in emb.entry_class) == (neg in emb.entry_class):
-            return False
-    return True
 
 
 def translated_faces(faces: FaceSet, g: int) -> frozenset[tuple[tuple[int, ...], str]]:

@@ -49,6 +49,15 @@ class EmbeddingMap:
         return {"kind": self.kind, "sigma": list(self.sigma)}
 
 
+def _inverse(rho0: Sequence[int]) -> list[int]:
+    """The table of rho0^{-1}, -1 where rho0 is."""
+    inv = [-1] * len(rho0)
+    for d, image in enumerate(rho0):
+        if image >= 0:
+            inv[image] = d
+    return inv
+
+
 def verify_map(
     e1: CombinatorialEmbedding,
     e2: CombinatorialEmbedding,
@@ -70,8 +79,8 @@ def verify_map(
 
     in_conn2 = np.zeros(v, dtype=bool)
     in_conn2[list(e2.connection)] = True
-    rho2 = e2.rho0_array
-    rho2_inv = e2.rho0_inv_array
+    rho2 = np.asarray(e2.rho0, dtype=np.int64)
+    rho2_inv = np.asarray(_inverse(e2.rho0), dtype=np.int64)
     idx = np.arange(v, dtype=np.int64)
 
     pres = True
@@ -80,7 +89,7 @@ def verify_map(
         diffs = (S[(idx + d) % v] - S) % v
         if not in_conn2[diffs].all():
             return None  # not even a graph isomorphism
-        lhs = S[(idx + int(e1.rho0_array[d])) % v]
+        lhs = S[(idx + e1.rho0[d]) % v]
         if pres and not np.array_equal(lhs, (S + rho2[diffs]) % v):
             pres = False
         if rev and not np.array_equal(lhs, (S + rho2_inv[diffs]) % v):
@@ -95,48 +104,43 @@ def verify_map(
 
 
 def _propagate(
-    e1: CombinatorialEmbedding,
-    e2: CombinatorialEmbedding,
+    rho1: Sequence[int],
+    rho2: Sequence[int],
     cyc1: Sequence[int],
     image_of_one: int,
-    kind: str,
 ) -> tuple[int, ...] | None:
     """Candidate sigma with sigma(0) = 0 and sigma(1) = image_of_one.
 
-    ``cyc1`` is ``e1.rho0_cycle_from(1)``.  Determined by propagating around
-    the rotation at vertex 0 (fixing sigma on the whole connection set) and
-    then around the rotation at vertex 1 (fixing it on the remaining subgroup
-    coset).  Returns None on any inconsistency.
+    ``rho1`` is the rotation table of e1 and ``cyc1`` its cycle from 1;
+    ``rho2`` is e2's table for a preserving candidate, its inverse for a
+    reversing one.  Determined by propagating around the rotation at vertex 0
+    (fixing sigma on the whole connection set) and then around the rotation
+    at vertex 1 (fixing it on the remaining subgroup coset).  Returns None on
+    any inconsistency.
     """
-    v = e1.v
-    sigma = np.full(v, -1, dtype=np.int64)
+    v = len(rho1)
+    sigma = [-1] * v
     sigma[0] = 0
 
     # cyc1 has distinct elements and avoids 0, so this walk cannot conflict
-    rho2 = e2.rho0_array if kind == PRESERVING else e2.rho0_inv_array
     y = image_of_one
     for z in cyc1:
         sigma[z] = y
-        y = int(rho2[y])
+        y = rho2[y]
 
     # rotation at vertex 1 covers the subgroup coset J \ {0}
-    rho1 = e1.rho0_array
     z = 0
     w = 0
-    y1, y2 = 1, image_of_one
     for _ in range(len(cyc1)):
-        z = (y1 + int(rho1[(z - y1) % v])) % v
-        w = (y2 + int(rho2[(w - y2) % v])) % v
-        if sigma[z] >= 0:
-            if sigma[z] != w:
-                return None
-        else:
+        z = (1 + rho1[(z - 1) % v]) % v
+        w = (image_of_one + rho2[(w - image_of_one) % v]) % v
+        if sigma[z] < 0:
             sigma[z] = w
-    if (sigma < 0).any():
+        elif sigma[z] != w:
+            return None
+    if -1 in sigma or len(set(sigma)) != v:
         return None
-    if len(set(sigma.tolist())) != v:
-        return None
-    return tuple(int(x) for x in sigma)
+    return tuple(sigma)
 
 
 def _candidates(
@@ -146,9 +150,10 @@ def _candidates(
     if e1.v != e2.v or e1.t != e2.t:
         return
     cyc1 = e1.rho0_cycle_from(1)
+    rho2 = {PRESERVING: e2.rho0, REVERSING: _inverse(e2.rho0)}
     for target in e2.connection:
         for kind in (PRESERVING, REVERSING):
-            sigma = _propagate(e1, e2, cyc1, target, kind)
+            sigma = _propagate(e1.rho0, rho2[kind], cyc1, target)
             if sigma is None:
                 continue
             verdict = verify_map(e1, e2, sigma)
@@ -295,16 +300,16 @@ def _root_codes(emb: CombinatorialEmbedding) -> Iterator[bytes]:
     """The successor table relabelled from each root, in :func:`canonical_code`."""
     v = emb.v
     deg = emb.degree()
-    conn = emb.conn_array
+    conn = np.asarray(emb.connection, dtype=np.int64)
     tails = np.repeat(np.arange(v, dtype=np.int64), deg)
     diffs = np.tile(conn, v)
     heads = (tails + diffs) % v
     first = np.arange(1, deg + 1, dtype=np.int64)
-    for rho in (emb.rho0_array, emb.rho0_inv_array):
-        succs = (tails + rho[diffs]) % v
-        cycle = [int(conn[0])]
+    for rho in (emb.rho0, _inverse(emb.rho0)):
+        succs = (tails + np.asarray(rho, dtype=np.int64)[diffs]) % v
+        cycle = [emb.connection[0]]
         for _ in range(deg - 1):
-            cycle.append(int(rho[cycle[-1]]))
+            cycle.append(rho[cycle[-1]])
         pos = np.empty(v, dtype=np.int64)
         pos[cycle] = np.arange(deg)
         twice = np.asarray(cycle + cycle, dtype=np.int64)
@@ -368,21 +373,18 @@ def classify(embeddings: Sequence[CombinatorialEmbedding]) -> ClassificationResu
     :func:`find_isomorphism` onto the representative, certified by
     :func:`verify_map`; a member without one means the code is broken and
     aborts.  Every class size is checked against
-    min(2*|Aut_0(rep)|*degree, 4*degree^2), and against 2*degree^2 when the
-    translations preserve the representative's orientation; exceeding a cap
-    indicates a logic error and aborts.
+    min(2*|Aut_0(rep)|*degree, 2*degree^2), where 2*degree^2 (4*degree^2 in
+    general) holds because the translations preserve the orientation of
+    every embedding here: its rotation is the same table at each vertex.
+    Exceeding the cap indicates a logic error and aborts.
     """
     if not embeddings:
         return ClassificationResult(0, ())
     v, t = embeddings[0].v, embeddings[0].t
     if any(e.v != v or e.t != t for e in embeddings):
         raise ValueError("mixed parameters in classification input")
-    seen_keys: set[tuple[int, ...]] = set()
-    for e in embeddings:
-        key = e.rho0_key()
-        if key in seen_keys:
-            raise ValueError("duplicate rotation maps: deduplicate before classify")
-        seen_keys.add(key)
+    if len({e.rho0 for e in embeddings}) != len(embeddings):
+        raise ValueError("duplicate rotation maps: deduplicate before classify")
 
     groups: dict[bytes, list[int]] = {}
     for i, emb in enumerate(embeddings):
@@ -390,14 +392,11 @@ def classify(embeddings: Sequence[CombinatorialEmbedding]) -> ClassificationResu
 
     classes = []
     for group in groups.values():
-        rep = min(group, key=lambda i: embeddings[i].rho0_key())
+        rep = min(group, key=lambda i: embeddings[i].rho0)
         emb = embeddings[rep]
         deg = emb.degree()
         aut0 = stabilizer(emb)
-        cap = min(2 * aut0.size * deg, 4 * deg * deg)
-        tau1 = tuple((x + 1) % v for x in range(v))
-        if verify_map(emb, emb, tau1) == PRESERVING:
-            cap = min(cap, 2 * deg * deg)
+        cap = min(2 * aut0.size * deg, 2 * deg * deg)
         if len(group) > cap:
             raise RuntimeError(
                 f"class of representative {rep} has {len(group)} members, above "

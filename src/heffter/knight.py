@@ -52,8 +52,8 @@ class OrientationPair:
     def __post_init__(self) -> None:
         if not self.rows or not self.cols:
             raise ValueError("direction vectors must be nonempty")
-        if any(d not in (1, -1) for d in self.rows + self.cols):
-            raise ValueError("directions must be +1 or -1")
+        _check_directions(self.rows, len(self.rows), "row")
+        _check_directions(self.cols, len(self.cols), "column")
 
     @property
     def minus_positions(self) -> tuple[int, ...]:

@@ -329,6 +329,8 @@ def search_heffter(
         raise ValueError("need 3 <= h <= n and 3 <= k <= m")
     if t < 1:
         raise ValueError(f"subgroup order t={t} must be >= 1")
+    if limit < 0:
+        raise ValueError(f"limit={limit} must be >= 0")
     v = 2 * n * k + t
     if v % t != 0:
         raise ValueError(f"t={t} does not divide v={v}")

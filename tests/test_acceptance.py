@@ -242,7 +242,7 @@ def test_criterion_09_distinctness_and_classification(h53_cyclic):
         sols = enumerate_solutions(h53_cyclic.skeleton(), trivial_rows=True)
         assert len(sols) >= 2
         embs = [build_embedding(h53_cyclic, p.rows, p.cols) for p in sols]
-        keys = {e.rho0_key() for e in embs}
+        keys = {e.rho0 for e in embs}
         assert len(keys) == len(embs)  # pairwise distinct rotation maps
         assert certify_distinct(
             [(h53_cyclic, p) for p in sols]) == len(sols)

@@ -153,6 +153,18 @@ class TestEmbedFacesIso:
         assert all(len(f["vertices"]) == 9 for f in data["faces"][:20])
 
 
+def k7_embedding(rho0) -> str:
+    """An embedding file over Z_7 with the given rho0 pairs.
+
+    ``K7_RHO0`` is one cycle 1 -> 2 -> ... -> 6 -> 1, so the file is valid;
+    each malformed variant below changes only its rho0."""
+    return json.dumps({"v": 7, "t": 1, "connection": [1, 2, 3, 4, 5, 6],
+                       "rho0": rho0, "entry_class": [1, 2, 4]})
+
+
+K7_RHO0 = [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [6, 1]]
+
+
 class TestIsoClassifyInput:
     @pytest.fixture(scope="class")
     def saved(self, tmp_path_factory):
@@ -173,6 +185,16 @@ class TestIsoClassifyInput:
         '{"v": 19}',
         '{"v": 19, "t": 0, "connection": [], "rho0": [], "entry_class": []}',
         '{"v": 1e400, "t": 1, "connection": [], "rho0": [], "entry_class": []}',
+        k7_embedding(K7_RHO0[:5] + [[13, 1]]),  # difference >= v
+        k7_embedding(K7_RHO0[:5] + [[-1, 1]]),  # negative difference
+        k7_embedding(K7_RHO0[:5] + [[6, -6]]),  # negative image
+        k7_embedding(K7_RHO0[:5] + [[6, 0]]),  # image inside J
+        k7_embedding([[1, 2], [1, 3]] + K7_RHO0[2:]),  # difference listed twice
+        k7_embedding(K7_RHO0 + [[6, 1]]),  # pair listed twice
+        k7_embedding(K7_RHO0 + [[0, 1]]),  # difference inside J
+        # far beyond the rho0 pairs given: must fail before a table of size v
+        '{"v": 1000000000000000, "t": 1, "connection": [1], "rho0": [[1, 1]], '
+        '"entry_class": []}',
     ])
     def test_malformed_embedding(self, tmp_path, capsys, saved, text):
         bad = tmp_path / "bad.json"
@@ -183,6 +205,11 @@ class TestIsoClassifyInput:
         assert "Traceback" not in err
         assert main(["classify", str(tmp_path)]) == 2
         assert capsys.readouterr().err.count("\n") == 1
+
+    def test_k7_base_is_valid(self, tmp_path, capsys):
+        good = tmp_path / "k7.json"
+        good.write_text(k7_embedding(K7_RHO0))
+        assert main(["iso", str(good), str(good)]) == 0
 
     def test_constructor_rejection(self, tmp_path, capsys, saved):
         data = dict(saved[1])
@@ -261,6 +288,7 @@ class TestSearchBoundsPipeline:
     "search --m 3 --n 3 --h 3 --k 3 --t -1",
     "tour-family --family ThreeDiag --n 100001 --limit 1",
     "tour-family --family 3diag --n 5 --limit -1",
+    "search --m 3 --n 3 --h 3 --k 3 --limit -1",
     "faces --array {array} --solution {tmp}/sol.json --max-faces -1",
     "verify {tmp}/bad_v.arr",
     "embed --array {tmp}/bad_v.arr --solution {tmp}/sol.json",
@@ -276,6 +304,8 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, argv):
     assert "Traceback" not in err
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    if "--limit -1" in argv:
+        assert "limit" in err
 
 
 class TestTextOutput:

@@ -19,9 +19,25 @@ from heffter.embedding import (
     trace_faces,
     translated_faces,
 )
+from heffter.iso import PRESERVING, verify_map
 from heffter.knight import enumerate_solutions
-from heffter.perm import Permutation
 from heffter.validation import orderings_from_orientations, search_heffter
+
+
+def cycle_table(v, cycle):
+    """The rotation table of one cycle on the differences it lists."""
+    table = [-1] * v
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        table[a] = b
+    return tuple(table)
+
+
+def cycle_from(table, x):
+    """The cycle of the rotation table through x, listed from x."""
+    out = [x]
+    while table[out[-1]] != x:
+        out.append(table[out[-1]])
+    return out
 
 
 def reference_faces(emb):
@@ -30,7 +46,7 @@ def reference_faces(emb):
     v, conn = emb.v, emb.connection
     C = len(conn)
     index = {d: i for i, d in enumerate(conn)}
-    succ = [((x + d) % v) * C + index[emb.rho0((-d) % v)]
+    succ = [((x + d) % v) * C + index[emb.rho0[(-d) % v]]
             for x in range(v) for d in conn]
     seen = bytearray(len(succ))
     faces = []
@@ -93,7 +109,7 @@ def alternating_embeddings(draw):
     cycle = [d for pair in zip(entries, negated) for d in pair]
     # m = n = 1, k = 3 keeps the closed-form genus defined (it is 1)
     source = EmbeddingSource(1, 1, 3, 3, "random", (1,), (1,))
-    return CombinatorialEmbedding(v, t, conn, Permutation.from_cycles([cycle]),
+    return CombinatorialEmbedding(v, t, conn, cycle_table(v, cycle),
                                   frozenset(entries), source)
 
 
@@ -115,22 +131,21 @@ class TestRho0:
         ords = orderings_from_orientations(ex_array, *ex_pair)
         rho0 = build_rho0(ex_array, ords)
         v = ex_array.v
-        assert rho0(10) == (-55) % v   # negated row successor of 10
-        assert rho0((-10) % v) == 36   # column successor of 10
-        assert rho0.is_single_cycle()
-        assert len(rho0) == 198
+        assert rho0[10] == (-55) % v   # negated row successor of 10
+        assert rho0[(-10) % v] == 36   # column successor of 10
+        assert len(cycle_from(rho0, 10)) == 198
+        assert len(rho0) == v and sum(x >= 0 for x in rho0) == 198
 
     def test_square_never_fixes_a_point(self, ex_array, ex_pair):
         ords = orderings_from_orientations(ex_array, *ex_pair)
         rho0 = build_rho0(ex_array, ords)
-        sq = rho0.compose(rho0)
-        assert all(sq(a) != a for a in rho0)
+        assert all(rho0[rho0[a]] != a for a in range(len(rho0)) if rho0[a] >= 0)
 
     def test_alternates_between_entry_classes(self, ex_embedding):
         ec = ex_embedding.entry_class
         rho = ex_embedding.rho0
-        for a in rho:
-            assert (a in ec) != (rho(a) in ec)
+        for a in ex_embedding.connection:
+            assert (a in ec) != (rho[a] in ec)
 
 
 class TestBuild:
@@ -163,12 +178,11 @@ class TestBuild:
         assert back == k19_embedding
 
     def test_rejects_broken_rotation(self, k19_embedding):
-        from heffter.perm import Permutation
-
-        two_cycles = Permutation.from_cycles(
-            [(1, 2), tuple(x for x in k19_embedding.connection if x > 2)])
+        conn = k19_embedding.connection
+        table = list(cycle_table(19, [x for x in conn if x > 2]))
+        table[1], table[2] = 2, 1  # the 2-cycle (1 2)
         with pytest.raises(ValueError, match="single cycle"):
-            CombinatorialEmbedding(19, 1, k19_embedding.connection, two_cycles,
+            CombinatorialEmbedding(19, 1, conn, tuple(table),
                                    k19_embedding.entry_class)
 
 
@@ -243,18 +257,22 @@ class TestFaces:
         assert trace_faces(emb) == reference_faces(emb)
 
     @settings(max_examples=150, deadline=None)
-    @given(alternating_embeddings())
-    def test_random_rotations_match_reference(self, emb):
+    @given(alternating_embeddings(), st.data())
+    def test_random_rotations_match_reference(self, emb, data):
         faces = reference_faces(emb)
         assert trace_faces(emb) == faces
         assert_report_matches(emb, faces)
+        # the report's z_v_regular, which it no longer checks at run time
+        g = data.draw(st.integers(0, emb.v - 1), label="g")
+        tau_g = tuple((x + g) % emb.v for x in range(emb.v))
+        assert verify_map(emb, emb, tau_g) == PRESERVING
 
     def test_mixed_rotation_raises(self, k19_embedding):
         # the connection set in ascending order: d -> rho0(-d) sends the
         # entry 2 to the negated entry 18
         e = k19_embedding
         mixed = CombinatorialEmbedding(
-            e.v, e.t, e.connection, Permutation.from_cycles([e.connection]),
+            e.v, e.t, e.connection, cycle_table(e.v, e.connection),
             frozenset(range(1, 10)), e.source)
         for trace in (trace_faces, reference_faces, biembedding_report):
             with pytest.raises(AssertionError, match="mixes"):
@@ -312,15 +330,26 @@ class TestGenusAndReport:
         with pytest.raises(ValueError, match="source"):
             biembedding_report(bare)
 
+    def test_euler_mismatch_fails(self, k19_embedding):
+        # m = 5 in place of 3 keeps h and k but gives closed-form genus 1
+        e = k19_embedding
+        wrong_m = CombinatorialEmbedding(
+            e.v, e.t, e.connection, e.rho0, e.entry_class,
+            EmbeddingSource(5, 3, 3, 3, "wrong m", (1,) * 5, (1,) * 3))
+        rep = biembedding_report(wrong_m)
+        assert rep.row_lengths_ok and rep.column_lengths_ok
+        assert rep.genus_closed_form == 1 and rep.genus_euler == 20
+        assert not rep.euler_consistent and not rep.passed
+
 
 class TestDistinctness:
     def test_distinct_solutions_distinct_rotations(self, h53_cyclic):
         sols = enumerate_solutions(h53_cyclic.skeleton(), trivial_rows=True)
         embs = [build_embedding(h53_cyclic, p.rows, p.cols) for p in sols]
-        keys = {e.rho0_key() for e in embs}
+        keys = {e.rho0 for e in embs}
         assert len(keys) == len(sols)
 
     def test_equal_orderings_equal_rotations(self, h53_cyclic):
         a = build_embedding(h53_cyclic, (1,) * 5, (-1, 1, 1, 1, 1))
         b = build_embedding(h53_cyclic, (1,) * 5, (-1, 1, 1, 1, 1))
-        assert a.rho0_key() == b.rho0_key()
+        assert a.rho0 == b.rho0

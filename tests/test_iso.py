@@ -38,21 +38,22 @@ def k31_family(h53_cyclic):
 
 def unit_relabeling(emb: CombinatorialEmbedding, u: int) -> CombinatorialEmbedding:
     """The isomorphic embedding obtained by relabeling vertices x -> u*x."""
-    from heffter.perm import Permutation
-
     v = emb.v
-    u_inv = pow(u, -1, v)
-    rho = {d: (u * emb.rho0((d * u_inv) % v)) % v
-           for d in ((u * e) % v for e in emb.rho0)}
+    rho = [-1] * v
+    for d in emb.connection:
+        rho[(u * d) % v] = (u * emb.rho0[d]) % v
     entry = frozenset((u * e) % v for e in emb.entry_class)
-    return CombinatorialEmbedding(v, emb.t, emb.connection, Permutation(rho),
+    return CombinatorialEmbedding(v, emb.t, emb.connection, tuple(rho),
                                   entry, None)
 
 
 def mirror(emb: CombinatorialEmbedding) -> CombinatorialEmbedding:
     """The same embedding with every rotation reversed."""
+    inverse = [-1] * emb.v
+    for d in emb.connection:
+        inverse[emb.rho0[d]] = d
     return CombinatorialEmbedding(emb.v, emb.t, emb.connection,
-                                  emb.rho0.inverse(), emb.entry_class, None)
+                                  tuple(inverse), emb.entry_class, None)
 
 
 def pairwise_classify(embeddings) -> dict:
@@ -74,7 +75,7 @@ def pairwise_classify(embeddings) -> dict:
     classes = []
     for anchor in anchors:
         group = members[anchor]
-        rep = min(group, key=lambda i: embeddings[i].rho0_key())
+        rep = min(group, key=lambda i: embeddings[i].rho0)
         emb = embeddings[rep]
         deg = emb.degree()
         cap = min(2 * stabilizer(emb).size * deg, 4 * deg * deg)
@@ -260,11 +261,11 @@ class TestClassify:
 
     def test_witness_maps_verify(self, k19):
         family = [k19]
-        keys = {k19.rho0_key()}
+        keys = {k19.rho0}
         for u in range(2, k19.v):
             cand = unit_relabeling(k19, u)
-            if cand.rho0_key() not in keys:
-                keys.add(cand.rho0_key())
+            if cand.rho0 not in keys:
+                keys.add(cand.rho0)
                 family.append(cand)
             if len(family) == 3:
                 break
@@ -289,8 +290,8 @@ class TestClassify:
         assert sorted(tuple(sorted(c.members)) for c in a.classes) == \
             sorted(remap(c.members) for c in b.classes)
         # the chosen representative embedding does not depend on input order
-        reps_a = {subset[c.representative].rho0_key() for c in a.classes}
-        reps_b = {list(reversed(subset))[c.representative].rho0_key()
+        reps_a = {subset[c.representative].rho0 for c in a.classes}
+        reps_b = {list(reversed(subset))[c.representative].rho0
                   for c in b.classes}
         assert reps_a == reps_b
         json.dumps(a.to_json_dict())  # serializable
@@ -303,7 +304,7 @@ class TestClassify:
             family += [mirror(emb), unit_relabeling(emb, 3),
                        mirror(unit_relabeling(emb, 3))]
         random.Random(5).shuffle(family)
-        assert len({e.rho0_key() for e in family}) == len(family)
+        assert len({e.rho0 for e in family}) == len(family)
         result = classify(family)
         kinds = {w.kind for c in result.classes for w in c.witnesses}
         assert kinds == {PRESERVING, REVERSING}
@@ -325,11 +326,11 @@ class TestClassify:
 
     def test_isomorphic_relabelings_fall_in_one_class(self, k19):
         family = [k19]
-        keys = {k19.rho0_key()}
+        keys = {k19.rho0}
         for u in range(2, k19.v):
             cand = unit_relabeling(k19, u)
-            if cand.rho0_key() not in keys:
-                keys.add(cand.rho0_key())
+            if cand.rho0 not in keys:
+                keys.add(cand.rho0)
                 family.append(cand)
             if len(family) == 3:
                 break
@@ -362,13 +363,13 @@ class TestCertifyDistinct:
         assert n == 2
         ea = build_embedding(a, pair.rows, pair.cols)
         eb = build_embedding(at, pair.rows, pair.cols)
-        assert ea.rho0_key() != eb.rho0_key()
+        assert ea.rho0 != eb.rho0
 
     def test_certified_count_matches_rotation_hashes(self, h53_cyclic):
         sols = enumerate_solutions(h53_cyclic.skeleton(), trivial_rows=True)[:6]
         batch = [(h53_cyclic, p) for p in sols]
         certified = certify_distinct(batch)
-        built = {build_embedding(a, p.rows, p.cols).rho0_key()
+        built = {build_embedding(a, p.rows, p.cols).rho0
                  for a, p in batch}
         assert certified == len(built) == 6
 
