@@ -120,7 +120,10 @@ def cmd_tour(args: argparse.Namespace) -> int:
             start = (i, j)
         except ValueError:
             raise UsageError("--start must be i,j") from None
-    result = knight.tour(skel, rows, cols, start)
+    try:
+        result = knight.tour(skel, rows, cols, start)
+    except ValueError as exc:  # an unfilled --start cell, an empty skeleton
+        raise UsageError(str(exc)) from None
     data = {
         "start": list(result.start),
         "covers_all": result.covers_all,

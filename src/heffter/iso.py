@@ -4,25 +4,30 @@ Two embeddings with rotations rho, rho' are isomorphic when some graph
 isomorphism sigma satisfies sigma∘rho = rho'∘sigma on every oriented edge
 (orientation preserving) or sigma∘rho = rho'^{-1}∘sigma (reversing).
 
-For the translation-regular embeddings built here the search space collapses:
-composing with translations normalizes sigma(0) = 0, and a map fixing 0 is
-determined on the whole neighborhood of 0 by the image of one neighbor
-(propagate around the rotation at 0), then everywhere by the rotation at a
-second vertex.  That leaves at most 2 * degree candidate maps, each checked
-exactly on all oriented edges.
+For the translation-regular embeddings built here every question reduces to
+roots.  Translations are automorphisms, so any isomorphism composes with one
+to a map fixing 0.  A root is a neighbor c of 0 with a direction rho, one of
+rho0 and rho0^{-1}: 2 * degree roots in all.  Its labelling numbers 0, then
+the rotation at 0 walked from c, then the vertices still unnumbered on the
+rotation at c walked from 0.  A map fixing 0 sends each root of e1 to a root
+of e2 and carries the one labelling onto the other, so it is the composite
+of the two labellings.
 
-The same two walks give every embedding a canonical code
-(:func:`canonical_code`): relabel the vertices from each of the 2 * degree
-roots (a neighbor of 0 and a direction of rotation), write down the relabelled
-rotation, and keep the least.  Embeddings are isomorphic exactly when their
-codes are equal, so :func:`classify` groups a family by code in one pass and
-searches for a map only to certify each member against its representative.
+:func:`canonical_code` writes the rotation system in the labels of each root,
+one row per vertex, and keeps the least; roots are dropped at their first
+row above the running minimum.  The roots that reach the end are one orbit
+of the stabilizer Aut_0, so they give :func:`stabilizer` and, between
+embeddings with equal codes, every isomorphism fixing 0
+(:func:`find_isomorphism`).  Each such map is checked by :func:`verify_map`
+on all oriented edges before it is returned.  :func:`classify` groups a
+family by code in one pass and takes its witnesses from the same roots.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -103,86 +108,178 @@ def verify_map(
     return None
 
 
-def _propagate(
-    rho1: Sequence[int],
-    rho2: Sequence[int],
-    cyc1: Sequence[int],
-    image_of_one: int,
-) -> tuple[int, ...] | None:
-    """Candidate sigma with sigma(0) = 0 and sigma(1) = image_of_one.
+class _Root(NamedTuple):
+    """A root's direction and labelling: ``lam`` maps vertex to label, ``inv`` back."""
 
-    ``rho1`` is the rotation table of e1 and ``cyc1`` its cycle from 1;
-    ``rho2`` is e2's table for a preserving candidate, its inverse for a
-    reversing one.  Determined by propagating around the rotation at vertex 0
-    (fixing sigma on the whole connection set) and then around the rotation
-    at vertex 1 (fixing it on the remaining subgroup coset).  Returns None on
-    any inconsistency.
+    reverses: bool
+    lam: tuple[int, ...]
+    inv: tuple[int, ...]
+
+
+class _CanonicalForm(NamedTuple):
+    """The canonical code and the roots that attain it: one orbit of Aut_0."""
+
+    code: bytes
+    roots: tuple[_Root, ...]
+
+
+def _canonical_form(emb: CombinatorialEmbedding) -> _CanonicalForm:
+    """The least root code, built row by row, and the roots that attain it."""
+    v, deg = emb.v, emb.degree()
+    fresh = (0, *range(deg + 1, v))  # labels of J, in the order row 1 meets it
+    ranks = [k % deg + 1 for k in range(2 * deg)]
+    cyc = emb.rho0_cycle_from(emb.connection[0])
+
+    # Screen every root on row 1, the rotation at c read from 0, without
+    # building its labelling: a vertex y outside J has label
+    # (pos[y] - pos[c]) % deg + 1.  The vertices of J take the fresh labels
+    # in the order the row meets them, so rows compare as they would with
+    # every vertex of J read as deg + 1.
+    best: list[int] | None = None
+    tied = []
+    for reverses, cycle in ((False, cyc), (True, cyc[:1] + cyc[:0:-1])):
+        pos = [-1] * v
+        for i, d in enumerate(cycle):
+            pos[d] = i
+        pos2 = pos + pos
+        twice = cycle + cycle
+        for c in emb.connection:
+            label = ranks[deg - pos[c]:2 * deg - pos[c]]
+            label.append(deg + 1)  # label[-1], read for J
+            around = twice[pos[v - c]:pos[v - c] + deg]
+            row = [label[pos2[c + d]] for d in around]
+            if best is None or row < best:
+                best, tied = row, []
+            if row == best:
+                tied.append((reverses, cycle, label, pos, around, c))
+
+    # Full labellings for the survivors only.  Row a is the rotation at the
+    # vertex labelled a, from its least label; a root leaves at its first
+    # row above the least one.
+    holes = [i for i, x in enumerate(best) if x > deg]
+    for new, i in zip(fresh, holes):
+        best[i] = new
+    alive = []
+    for reverses, cycle, label, pos, around, c in tied:
+        lam = [label[q] for q in pos]
+        for new, i in zip(fresh, holes):
+            lam[(c + around[i]) % v] = new
+        alive.append((reverses, cycle, lam, lam + lam,
+                      sorted(range(v), key=lam.__getitem__)))
+    code = [*range(1, deg + 1), *best]
+    for a in range(2, v):
+        rows = []
+        for _, cycle, _, lam2, inv in alive:
+            x = inv[a]
+            labels = [lam2[x + d] for d in cycle]
+            m = labels.index(min(labels))
+            rows.append(labels[m:] + labels[:m])
+        low = min(rows)
+        alive = [root for root, row in zip(alive, rows) if row == low]
+        code += low
+    return _CanonicalForm(array("i", code).tobytes(), tuple(
+        _Root(reverses, tuple(lam), tuple(inv)) for reverses, _, lam, _, inv in alive))
+
+
+def canonical_code(emb: CombinatorialEmbedding) -> bytes:
+    """A code that is equal for two embeddings exactly when they are isomorphic.
+
+    A root (c, rho) is a neighbor c of 0 and rho one of rho0 and rho0^{-1}.
+    Its labelling lambda numbers 0 as 0, the vertices met walking the
+    rotation at 0 from c as 1, ..., degree, and then those not yet numbered
+    met walking the rotation at c from 0.  The first walk numbers the
+    connection set Z_v \\ J; the rest, J \\ {0}, misses c + J and so lies
+    among the neighbors of c.  The root's code has one row per label a: the
+    rotation at lambda^{-1}(a) in the direction rho, in labels, written as a
+    cycle from its least label.  Row 0 is 1, ..., degree for every root, and
+    row 1 is the rotation at c from 0.  The embedding's code is the least
+    root code, rows compared in order, written as int32 bytes.
+
+    It is built row by row.  Row 1 of every root is read straight from the
+    positions of the vertices on the cycle of rho, without a labelling: y
+    outside J has label (pos[y] - pos[c]) % degree + 1, and the vertices of
+    J, whose fresh labels exceed degree and follow the order of the row,
+    compare as degree + 1.  Only the roots that tie on row 1 get a
+    labelling, and each later row is computed for the roots still tied,
+    dropping those whose row is above the least.  On the
+    embeddings of the tests and the benchmark, row 1 alone already leaves
+    only the roots that tie on the whole code.
+
+    Why equal codes mean isomorphic.  A map sigma fixing 0 from e1 onto e2
+    sends the root (c, rho) of e1 to the root (sigma(c), rho') of e2, where
+    rho' turns the same way as rho when sigma preserves orientation and the
+    other way when it reverses it.  It carries both walks of the first root
+    onto those of the second, so lambda' ∘ sigma = lambda and the two codes
+    agree.  Isomorphic embeddings thus have the same root codes and the same
+    least one.  Conversely a code lists the rotation at every vertex, so if a
+    root of e1 and a root of e2 give equal codes then lambda'^{-1} ∘ lambda
+    carries each rotation of e1 onto the matching rotation of e2: it is an
+    isomorphism, preserving when rho and rho' turn the same way.
+
+    Why the tied roots are one orbit of Aut_0.  Taking e1 = e2, the roots
+    whose code is the least are mapped onto one another by the maps
+    lambda_s^{-1} ∘ lambda_r, which are automorphisms fixing 0; an
+    automorphism fixing 0 maps a least root to a root with the same code.
+    An automorphism fixing 0 is determined by the root it sends a given root
+    to, so |Aut_0| is the number of tied roots.
     """
-    v = len(rho1)
-    sigma = [-1] * v
-    sigma[0] = 0
-
-    # cyc1 has distinct elements and avoids 0, so this walk cannot conflict
-    y = image_of_one
-    for z in cyc1:
-        sigma[z] = y
-        y = rho2[y]
-
-    # rotation at vertex 1 covers the subgroup coset J \ {0}
-    z = 0
-    w = 0
-    for _ in range(len(cyc1)):
-        z = (1 + rho1[(z - 1) % v]) % v
-        w = (image_of_one + rho2[(w - image_of_one) % v]) % v
-        if sigma[z] < 0:
-            sigma[z] = w
-        elif sigma[z] != w:
-            return None
-    if -1 in sigma or len(set(sigma)) != v:
-        return None
-    return tuple(sigma)
+    return _canonical_form(emb).code
 
 
-def _candidates(
+def _isomorphisms(
+    e1: CombinatorialEmbedding,
+    root1: _Root,
+    e2: CombinatorialEmbedding,
+    roots2: Sequence[_Root],
+) -> Iterator[EmbeddingMap]:
+    """The maps lambda'^{-1} ∘ lambda from ``root1`` onto each of ``roots2``.
+
+    Sorted as the isomorphisms fixing 0 are listed: by the index of sigma(1)
+    in ``e2.connection``, preserving before reversing.  Only maps that
+    :func:`verify_map` certifies are yielded, and each only once.
+    """
+    where = {d: i for i, d in enumerate(e2.connection)}
+    turns: dict[tuple[int, ...], bool] = {}
+    for root in roots2:
+        sigma = tuple(map(root.inv.__getitem__, root1.lam))
+        turns.setdefault(sigma, root.reverses != root1.reverses)
+    for sigma in sorted(turns, key=lambda s: (where[s[1]], turns[s])):
+        kind = verify_map(e1, e2, sigma)
+        if kind is not None:
+            yield EmbeddingMap(sigma, kind)
+
+
+def _isomorphisms_between(
     e1: CombinatorialEmbedding, e2: CombinatorialEmbedding
 ) -> Iterator[EmbeddingMap]:
-    """All maps fixing 0 that survive propagation and full verification."""
     if e1.v != e2.v or e1.t != e2.t:
-        return
-    cyc1 = e1.rho0_cycle_from(1)
-    rho2 = {PRESERVING: e2.rho0, REVERSING: _inverse(e2.rho0)}
-    for target in e2.connection:
-        for kind in (PRESERVING, REVERSING):
-            sigma = _propagate(e1.rho0, rho2[kind], cyc1, target)
-            if sigma is None:
-                continue
-            verdict = verify_map(e1, e2, sigma)
-            if verdict is not None:
-                yield EmbeddingMap(sigma, verdict)
+        return iter(())
+    form1 = _canonical_form(e1)
+    form2 = form1 if e2 is e1 else _canonical_form(e2)
+    if form1.code != form2.code:
+        return iter(())
+    return _isomorphisms(e1, form1.roots[0], e2, form2.roots)
 
 
 def find_isomorphism(
     e1: CombinatorialEmbedding, e2: CombinatorialEmbedding
 ) -> EmbeddingMap | None:
-    """First isomorphism fixing 0, in canonical candidate order, or None.
+    """First isomorphism fixing 0, or None.
 
-    Complete for the translation-regular embeddings built here: if any
-    isomorphism exists, one fixing 0 exists (compose with a translation), and
-    every such map appears among the propagated candidates.
+    The isomorphisms fixing 0 are listed by the index of sigma(1) in
+    ``e2.connection``, preserving before reversing.  Complete for the
+    translation-regular embeddings built here: if any isomorphism exists, one
+    fixing 0 exists (compose with a translation), and then the codes agree
+    and every such map carries a least root of e1 onto a least root of e2.
     """
-    for m in _candidates(e1, e2):
-        return m
-    return None
+    return next(_isomorphisms_between(e1, e2), None)
 
 
 def all_isomorphisms_fixing_zero(
     e1: CombinatorialEmbedding, e2: CombinatorialEmbedding
 ) -> tuple[EmbeddingMap, ...]:
-    """Exhaustive candidate sweep; deduplicated, in canonical order."""
-    seen: dict[tuple[int, ...], EmbeddingMap] = {}
-    for m in _candidates(e1, e2):
-        seen.setdefault(m.sigma, m)
-    return tuple(seen.values())
+    """Every isomorphism fixing 0, in :func:`find_isomorphism`'s order."""
+    return tuple(_isomorphisms_between(e1, e2))
 
 
 @dataclass(frozen=True)
@@ -215,7 +312,11 @@ class StabilizerGroup:
 
 
 def stabilizer(emb: CombinatorialEmbedding) -> StabilizerGroup:
-    """Brute-force the vertex-0 stabilizer through the candidate propagation."""
+    """The vertex-0 stabilizer: one automorphism per root tied for the code.
+
+    Listed in :func:`find_isomorphism`'s order, each certified by
+    :func:`verify_map`.
+    """
     return StabilizerGroup(all_isomorphisms_fixing_zero(emb, emb), emb.degree())
 
 
@@ -296,71 +397,6 @@ class ClassificationResult:
         }
 
 
-def _root_codes(emb: CombinatorialEmbedding) -> Iterator[bytes]:
-    """The successor table relabelled from each root, in :func:`canonical_code`."""
-    v = emb.v
-    deg = emb.degree()
-    conn = np.asarray(emb.connection, dtype=np.int64)
-    tails = np.repeat(np.arange(v, dtype=np.int64), deg)
-    diffs = np.tile(conn, v)
-    heads = (tails + diffs) % v
-    first = np.arange(1, deg + 1, dtype=np.int64)
-    for rho in (emb.rho0, _inverse(emb.rho0)):
-        succs = (tails + np.asarray(rho, dtype=np.int64)[diffs]) % v
-        cycle = [emb.connection[0]]
-        for _ in range(deg - 1):
-            cycle.append(rho[cycle[-1]])
-        pos = np.empty(v, dtype=np.int64)
-        pos[cycle] = np.arange(deg)
-        twice = np.asarray(cycle + cycle, dtype=np.int64)
-        for c in emb.connection:
-            lam = np.full(v, -1, dtype=np.int64)
-            lam[0] = 0
-            lam[twice[pos[c]:pos[c] + deg]] = first
-            start = pos[(-c) % v]
-            around_c = (c + twice[start:start + deg]) % v
-            fresh = around_c[lam[around_c] < 0]
-            lam[fresh] = np.arange(deg + 1, deg + 1 + len(fresh))
-            table = np.full(v * v, -1, dtype=np.int32)
-            table[lam[tails] * v + lam[heads]] = lam[succs]
-            yield table.tobytes()
-
-
-def canonical_code(emb: CombinatorialEmbedding) -> bytes:
-    """A code that is equal for two embeddings exactly when they are isomorphic.
-
-    A root is a pair (c, rho) of a neighbor c of 0 and rho one of rho0 and
-    rho0^{-1}; there are 2 * degree roots.  A root relabels the vertices:
-    lambda(0) = 0, then the vertices met walking the rotation at 0 from c are
-    numbered in order, then those not yet numbered met walking the rotation
-    at c from 0.  These are the two walks of the candidate propagation, and
-    they reach every vertex: the first numbers the connection set Z_v \\ J,
-    and the rest, J \\ {0}, misses c + J and so lies among the neighbors of c.
-    The root's code is the relabelled successor table, written as the int32
-    bytes of a v x v array with -1 off the edges::
-
-        N[lambda(y), lambda(y + d)] = lambda(y + rho(d)),
-
-    and the embedding's code is the least root code.
-
-    Why equal codes mean isomorphic.  Translations are automorphisms, so
-    composing with one turns any isomorphism into one fixing 0.  A map sigma
-    fixing 0 from e1 onto e2 sends the root (c, rho) of e1 to the root
-    (sigma(c), rho') of e2, where rho' turns the same way as rho when sigma
-    preserves orientation and the other way when it reverses it.  It carries
-    both walks of the first root onto those of the second, so the
-    relabellings satisfy lambda' ∘ sigma = lambda and the two tables agree.
-    Isomorphic embeddings thus have the same set of root tables and the same
-    least one.  Conversely, if a root of e1 and a root of e2 give equal
-    tables, then lambda'^{-1} ∘ lambda carries every oriented edge of e1 and
-    its rho-successor onto an oriented edge of e2 and its rho'-successor:
-    it is an isomorphism, preserving when rho and rho' turn the same way.
-
-    The root codes are generated one at a time and only the least is kept.
-    """
-    return min(_root_codes(emb))
-
-
 def classify(embeddings: Sequence[CombinatorialEmbedding]) -> ClassificationResult:
     """Partition distinct embeddings into isomorphism classes by canonical code.
 
@@ -369,10 +405,11 @@ def classify(embeddings: Sequence[CombinatorialEmbedding]) -> ClassificationResu
     listed in the order of their first member in the input, and members in
     input order.  Each class's representative is its member with the
     lexicographically least serialized rotation map, so representatives do
-    not depend on the input order.  Every member gets a witness from
-    :func:`find_isomorphism` onto the representative, certified by
-    :func:`verify_map`; a member without one means the code is broken and
-    aborts.  Every class size is checked against
+    not depend on the input order.  The representative's tied roots give
+    Aut_0(rep), and each member's witness onto it is the one
+    :func:`find_isomorphism` would return, taken from the same roots and
+    certified by :func:`verify_map`; a member without one means the code is
+    broken and aborts.  Every class size is checked against
     min(2*|Aut_0(rep)|*degree, 2*degree^2), where 2*degree^2 (4*degree^2 in
     general) holds because the translations preserve the orientation of
     every embedding here: its rotation is the same table at each vertex.
@@ -386,17 +423,18 @@ def classify(embeddings: Sequence[CombinatorialEmbedding]) -> ClassificationResu
     if len({e.rho0 for e in embeddings}) != len(embeddings):
         raise ValueError("duplicate rotation maps: deduplicate before classify")
 
+    forms = [_canonical_form(emb) for emb in embeddings]
     groups: dict[bytes, list[int]] = {}
-    for i, emb in enumerate(embeddings):
-        groups.setdefault(canonical_code(emb), []).append(i)
+    for i, form in enumerate(forms):
+        groups.setdefault(form.code, []).append(i)
 
     classes = []
     for group in groups.values():
         rep = min(group, key=lambda i: embeddings[i].rho0)
-        emb = embeddings[rep]
+        emb, roots = embeddings[rep], forms[rep].roots
         deg = emb.degree()
-        aut0 = stabilizer(emb)
-        cap = min(2 * aut0.size * deg, 2 * deg * deg)
+        aut0 = tuple(_isomorphisms(emb, roots[0], emb, roots))
+        cap = min(2 * len(aut0) * deg, 2 * deg * deg)
         if len(group) > cap:
             raise RuntimeError(
                 f"class of representative {rep} has {len(group)} members, above "
@@ -404,7 +442,8 @@ def classify(embeddings: Sequence[CombinatorialEmbedding]) -> ClassificationResu
             )
         wit = []
         for i in group:
-            found = find_isomorphism(embeddings[i], emb)
+            found = aut0[0] if i == rep else next(
+                _isomorphisms(embeddings[i], forms[i].roots[0], emb, roots), None)
             if found is None:
                 raise RuntimeError(
                     f"embedding {i} shares a canonical code with {rep} but no "

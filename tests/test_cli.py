@@ -293,6 +293,7 @@ class TestSearchBoundsPipeline:
     "verify {tmp}/bad_v.arr",
     "embed --array {tmp}/bad_v.arr --solution {tmp}/sol.json",
     "faces --array {tmp}/bad_v.arr --solution {tmp}/sol.json",
+    "tour {array} --start 0,0",
 ])
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv):
     (tmp_path / "sol.json").write_text(json.dumps({"R": [1] * 11, "C": [-1] + [1] * 10}))

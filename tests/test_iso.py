@@ -1,5 +1,7 @@
 """Isomorphism testing, stabilizers, classification, distinctness certification."""
 
+import random
+
 import pytest
 
 from heffter import iso
@@ -7,6 +9,7 @@ from heffter.embedding import CombinatorialEmbedding, build_embedding
 from heffter.iso import (
     PRESERVING,
     REVERSING,
+    EmbeddingMap,
     all_isomorphisms_fixing_zero,
     canonical_code,
     certify_distinct,
@@ -18,6 +21,7 @@ from heffter.iso import (
     verify_map,
 )
 from heffter.knight import enumerate_solutions
+from heffter.validation import search_heffter
 
 
 def translation(v: int, g: int) -> tuple[int, ...]:
@@ -34,6 +38,21 @@ def k19(h33):
 def k31_family(h53_cyclic):
     sols = enumerate_solutions(h53_cyclic.skeleton(), trivial_rows=True)
     return [build_embedding(h53_cyclic, p.rows, p.cols) for p in sols]
+
+
+@pytest.fixture(scope="module")
+def z19_family(h33):
+    """All 24 solutions of the 3x3 array over Z_19, as embeddings."""
+    sols = enumerate_solutions(h33.skeleton())
+    return [build_embedding(h33, p.rows, p.cols) for p in sols]
+
+
+@pytest.fixture(scope="module")
+def z21_family():
+    """All 24 solutions of a searched 3x3 array over Z_21 with t = 3."""
+    array = search_heffter(3, 3, 3, 3, 3, limit=1)[0]
+    sols = enumerate_solutions(array.skeleton())
+    return [build_embedding(array, p.rows, p.cols) for p in sols]
 
 
 def unit_relabeling(emb: CombinatorialEmbedding, u: int) -> CombinatorialEmbedding:
@@ -56,17 +75,89 @@ def mirror(emb: CombinatorialEmbedding) -> CombinatorialEmbedding:
                                   tuple(inverse), emb.entry_class, None)
 
 
+def _propagate(rho1, rho2, cyc1, image_of_one):
+    """Candidate sigma with sigma(0) = 0 and sigma(1) = image_of_one, or None.
+
+    ``rho2`` is e2's table for a preserving candidate, its inverse for a
+    reversing one.  The rotation at 0 fixes sigma on the connection set, the
+    rotation at 1 on the rest of J.
+    """
+    v = len(rho1)
+    sigma = [-1] * v
+    sigma[0] = 0
+    y = image_of_one
+    for z in cyc1:
+        sigma[z] = y
+        y = rho2[y]
+    z = w = 0
+    for _ in range(len(cyc1)):
+        z = (1 + rho1[(z - 1) % v]) % v
+        w = (image_of_one + rho2[(w - image_of_one) % v]) % v
+        if sigma[z] < 0:
+            sigma[z] = w
+        elif sigma[z] != w:
+            return None
+    if -1 in sigma or len(set(sigma)) != v:
+        return None
+    return tuple(sigma)
+
+
+def reference_isomorphisms(e1, e2) -> tuple[EmbeddingMap, ...]:
+    """Oracle: every isomorphism fixing 0, by propagation from each image of 1.
+
+    Sweeps the 2 * degree candidates (sigma(1) over ``e2.connection``,
+    preserving before reversing), keeps those ``verify_map`` certifies, and
+    drops repeats.  Independent of the root labellings the library uses.
+    """
+    if e1.v != e2.v or e1.t != e2.t:
+        return ()
+    cyc1 = e1.rho0_cycle_from(1)
+    rho2 = {PRESERVING: e2.rho0, REVERSING: mirror(e2).rho0}
+    seen: dict[tuple[int, ...], EmbeddingMap] = {}
+    for target in e2.connection:
+        for kind in (PRESERVING, REVERSING):
+            sigma = _propagate(e1.rho0, rho2[kind], cyc1, target)
+            if sigma is not None:
+                verdict = verify_map(e1, e2, sigma)
+                if verdict is not None:
+                    seen.setdefault(sigma, EmbeddingMap(sigma, verdict))
+    return tuple(seen.values())
+
+
+def cayley_map(v: int, t: int, cycle) -> CombinatorialEmbedding:
+    """The embedding whose rotation at every vertex follows ``cycle``."""
+    rho = [-1] * v
+    for d, image in zip(cycle, cycle[1:] + cycle[:1]):
+        rho[d] = image
+    connection = tuple(sorted(cycle))
+    entry = frozenset(d for d in connection if d < v - d)
+    return CombinatorialEmbedding(v, t, connection, tuple(rho), entry, None)
+
+
+def random_cayley_maps(v: int, t: int, count: int, seed: int):
+    """``count`` distinct embeddings with random rotations, seeded."""
+    rng = random.Random(seed)
+    connection = [d for d in range(v) if d % (v // t)]
+    out: dict[tuple[int, ...], CombinatorialEmbedding] = {}
+    while len(out) < count:
+        rng.shuffle(connection)
+        emb = cayley_map(v, t, list(connection))
+        out.setdefault(emb.rho0, emb)
+    return list(out.values())
+
+
 def pairwise_classify(embeddings) -> dict:
     """Reference classifier: test each embedding against every class anchor.
 
-    Returns the JSON dict ``classify`` must produce, with the same
-    representative rule, caps and witnesses.
+    Uses only :func:`reference_isomorphisms`.  Returns the JSON dict
+    ``classify`` must produce, with the same representative rule, caps and
+    witnesses.
     """
     anchors: list[int] = []
     members: dict[int, list[int]] = {}
     for i, emb in enumerate(embeddings):
         for anchor in anchors:
-            if find_isomorphism(emb, embeddings[anchor]) is not None:
+            if reference_isomorphisms(emb, embeddings[anchor]):
                 members[anchor].append(i)
                 break
         else:
@@ -78,19 +169,106 @@ def pairwise_classify(embeddings) -> dict:
         rep = min(group, key=lambda i: embeddings[i].rho0)
         emb = embeddings[rep]
         deg = emb.degree()
-        cap = min(2 * stabilizer(emb).size * deg, 4 * deg * deg)
+        cap = min(2 * len(reference_isomorphisms(emb, emb)) * deg, 4 * deg * deg)
         if verify_map(emb, emb, translation(emb.v, 1)) == PRESERVING:
             cap = min(cap, 2 * deg * deg)
         classes.append({
             "representative": rep,
             "members": group,
-            "witnesses": [find_isomorphism(embeddings[i], emb).to_json_dict()
+            "witnesses": [reference_isomorphisms(embeddings[i], emb)[0].to_json_dict()
                           for i in group],
             "size": len(group),
             "cap": cap,
         })
     return {"total": len(embeddings), "class_count": len(classes),
             "classes": classes}
+
+
+class TestAgainstPropagation:
+    """The root-labelling maps equal the propagation oracle, order included."""
+
+    @staticmethod
+    def assert_maps_match(e1, e2) -> bool:
+        expected = reference_isomorphisms(e1, e2)
+        assert all_isomorphisms_fixing_zero(e1, e2) == expected
+        assert find_isomorphism(e1, e2) == (expected[0] if expected else None)
+        return bool(expected)
+
+    def test_k31_with_mirrors_and_relabelings(self, k31_family):
+        family = []
+        for emb in k31_family[:3]:
+            family += [emb, mirror(emb), unit_relabeling(emb, 3),
+                       mirror(unit_relabeling(emb, 3))]
+        for a in family:
+            for b in family:
+                self.assert_maps_match(a, b)
+        for emb in family + k31_family:
+            assert stabilizer(emb).elements == reference_isomorphisms(emb, emb)
+
+    def test_all_solutions_of_3x3_arrays(self, z19_family, z21_family):
+        for family in (z19_family, z21_family):
+            assert len(family) == 24
+            isomorphic = 0
+            for i, a in enumerate(family):
+                for b in family[i % 3::3]:
+                    isomorphic += self.assert_maps_match(a, b) and a is not b
+                assert stabilizer(a).elements == reference_isomorphisms(a, a)
+            assert isomorphic > 0
+
+    def test_subgroup_vertices_labelled_canonically(self, ex_array, ex_pair,
+                                                    z21_family):
+        # t > 1: the vertices of J \ {0} are numbered by the rotation at c
+        for emb in (build_embedding(ex_array, *ex_pair), z21_family[0]):
+            assert emb.t > 1
+            for other in (unit_relabeling(emb, 2), mirror(unit_relabeling(emb, 5))):
+                assert canonical_code(other) == canonical_code(emb)
+                self.assert_maps_match(other, emb)
+
+    def test_reflexible_rotation(self):
+        # rho0(d) = the next element of the connection set: x -> -x reverses
+        for v, t in ((7, 1), (9, 3)):
+            emb = cayley_map(v, t, [d for d in range(v) if d % (v // t)])
+            kinds = {m.kind for m in stabilizer(emb).elements}
+            assert kinds == {PRESERVING, REVERSING}
+            assert stabilizer(emb).elements == reference_isomorphisms(emb, emb)
+            for u in (2, 5):
+                other = unit_relabeling(emb, u)
+                for a, b in ((emb, other), (other, emb), (mirror(other), emb)):
+                    assert self.assert_maps_match(a, b)
+
+    def test_random_rotations(self):
+        # row 1 often ties roots that a later row separates
+        for v, t in ((9, 3), (12, 2), (13, 1)):
+            family = random_cayley_maps(v, t, 12, seed=v)
+            for emb in family:
+                tied = len(iso._canonical_form(emb).roots)
+                assert stabilizer(emb).elements == reference_isomorphisms(emb, emb)
+                assert tied == len(stabilizer(emb).elements)
+                for other in (unit_relabeling(emb, 5), mirror(emb)):
+                    assert self.assert_maps_match(other, emb)
+            for a in family:
+                for b in family:
+                    self.assert_maps_match(a, b)
+            for emb in family[:4]:
+                other = unit_relabeling(emb, 5)
+                if all(other.rho0 != e.rho0 for e in family):
+                    family.append(other)
+            assert classify(family).to_json_dict() == pairwise_classify(family)
+
+    def test_tied_roots_count_the_stabilizer(self, k31_family, z19_family,
+                                             z21_family):
+        sizes = {}
+        for emb in k31_family + z19_family + z21_family:
+            tied = len(iso._canonical_form(emb).roots)
+            assert tied == len(reference_isomorphisms(emb, emb))
+            sizes.setdefault(emb.v, set()).add(tied)
+        assert sizes == {31: {1}, 19: {1, 3}, 21: {1, 3}}
+
+    def test_classification_of_3x3_arrays(self, z19_family, z21_family):
+        for family in (z19_family, z21_family):
+            result = classify(family)
+            assert result.class_count == 8
+            assert result.to_json_dict() == pairwise_classify(family)
 
 
 class TestVerifyMap:
@@ -312,8 +490,17 @@ class TestClassify:
         assert result.to_json_dict() == pairwise_classify(family)
 
     def test_shared_code_without_witness_aborts(self, k31_family, monkeypatch):
-        monkeypatch.setattr(iso, "canonical_code", lambda emb: b"")
+        # two non-isomorphic embeddings given one code, each keeping its roots
+        form = iso._canonical_form
+        monkeypatch.setattr(iso, "_canonical_form",
+                            lambda emb: form(emb)._replace(code=b""))
         with pytest.raises(RuntimeError, match="no isomorphism"):
+            classify(k31_family[:2])
+
+    def test_rejected_stabilizer_maps_abort(self, k31_family, monkeypatch):
+        # with every derived map refused, no class fits under its cap
+        monkeypatch.setattr(iso, "verify_map", lambda e1, e2, sigma: None)
+        with pytest.raises(RuntimeError, match="above the provable cap"):
             classify(k31_family[:2])
 
     def test_duplicates_rejected(self, k19):
