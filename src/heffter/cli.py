@@ -291,7 +291,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     try:
         found = validation.search_heffter(
             args.m, args.n, args.h, args.k, args.t,
-            limit=args.limit, skeleton=args.skeleton,
+            limit=args.limit, skeleton=args.skeleton, budget=args.budget,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -363,7 +363,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             m_, n_, h_, k_, t_ = (int(x) for x in fields[:5])
             skel = fields[5] if len(fields) == 6 else None
             found = validation.search_heffter(m_, n_, h_, k_, t_, limit=1,
-                                              skeleton=skel)
+                                              skeleton=skel, budget=args.budget)
         except ValueError as exc:
             raise UsageError(f"--search: {exc}") from None
         if not found:
@@ -518,6 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=1)
     p.add_argument("--limit", type=int, default=1)
     p.add_argument("--skeleton", help='"cyclic" for consecutive diagonals')
+    p.add_argument("--budget", type=int, default=1 << 20,
+                   help="maximum number of search tree nodes")
     p.add_argument("--out", help="write found arrays into this directory")
     p.set_defaults(fn=cmd_search)
 
@@ -535,7 +537,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--array", help="input array file")
     p.add_argument("--search", help="m,n,h,k,t[,cyclic] to search an array first")
     p.add_argument("--trivial-R", action="store_true", dest="trivial_R")
-    p.add_argument("--budget", type=int, default=1 << 20)
+    p.add_argument("--budget", type=int, default=1 << 20,
+                   help="maximum search tree nodes and orientation pairs")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(fn=cmd_pipeline)
 

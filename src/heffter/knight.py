@@ -32,11 +32,7 @@ from .pfarray import (
     cyclic_diagonal_skeleton,
     diagonal_skeleton,
 )
-from .validation import _check_directions
-
-
-class BudgetExceededError(ValueError):
-    """Raised when an exhaustive scan would exceed its configured budget."""
+from .validation import BudgetExceededError, _check_directions
 
 
 # -- orientation pairs -------------------------------------------------------------

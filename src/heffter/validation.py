@@ -26,6 +26,10 @@ from .perm import Permutation
 from .pfarray import PartiallyFilledArray, Skeleton, cyclic_diagonal_skeleton
 
 
+class BudgetExceededError(ValueError):
+    """Raised when an exhaustive scan or search would exceed its budget."""
+
+
 # -- orderings and simplicity ---------------------------------------------------
 
 
@@ -310,14 +314,29 @@ def search_heffter(
     *,
     limit: int = 1,
     skeleton: Skeleton | str | None = None,
+    budget: int = 1 << 20,
 ) -> list[PartiallyFilledArray]:
     """Backtracking search for Heffter arrays with the given parameters.
 
-    One representative of ±x is chosen per class; cells are filled row-major
-    with candidate residues in ascending order, forcing the value whenever a
-    line has a single empty cell left.  The global-negation symmetry is pruned
-    by restricting the first cell to [1, v//2], so output is deterministic and
-    canonical for fixed parameters.
+    One representative of ±x is chosen per class.  Free cells are branched on
+    in row-major order with the residues outside J in ascending order, so the
+    arrays come out in lexicographic order of their row-major entries.  The
+    global-negation symmetry is pruned by restricting the first cell to
+    [1, v//2], so output is deterministic and canonical for fixed parameters.
+
+    After each placement, a line left with one free cell is closed at once
+    with its forced value -sum mod v, which must lie outside J and in an unused
+    ± class, and must agree with the crossing line's forced value when that
+    line closes on the same cell.  Closing one line can close others in turn,
+    and a placement that leads to a dead end anywhere is undone at once
+    instead of when row-major order reaches the dead cell.  This prunes only
+    subtrees that hold no array, so it changes neither the arrays found nor
+    their order.
+
+    ``budget`` bounds the search tree: every node (a free cell branched on,
+    or a completed array) counts one, and :class:`BudgetExceededError` is
+    raised when the count exceeds it.  ``limit`` (at least 1) caps the number
+    of arrays returned; the search stops once it is reached.
 
     ``skeleton`` may be an explicit :class:`Skeleton`, the string ``"cyclic"``
     (k consecutive diagonals, square arrays only), or None for the fully
@@ -329,8 +348,8 @@ def search_heffter(
         raise ValueError("need 3 <= h <= n and 3 <= k <= m")
     if t < 1:
         raise ValueError(f"subgroup order t={t} must be >= 1")
-    if limit < 0:
-        raise ValueError(f"limit={limit} must be >= 0")
+    if limit < 1:
+        raise ValueError(f"limit={limit} must be >= 1")
     v = 2 * n * k + t
     if v % t != 0:
         raise ValueError(f"t={t} does not divide v={v}")
@@ -356,66 +375,114 @@ def search_heffter(
         if len(skel.column_rows(j)) != k:
             raise ValueError(f"skeleton column {j} has weight != {k}")
 
-    return list(itertools.islice(_search_iter(m, n, v, t, skel), limit))
+    return list(itertools.islice(_search_iter(m, n, v, t, skel, budget), limit))
 
 
 def _search_iter(
-    m: int, n: int, v: int, t: int, skel: Skeleton
+    m: int, n: int, v: int, t: int, skel: Skeleton, budget: int
 ) -> Iterator[PartiallyFilledArray]:
-    J = subgroup_members(v, t)
     cells = skel.positions()
     ncells = len(cells)
+    # lines 0..m-1 are the rows, m..m+n-1 the columns
+    lines_of = [(i - 1, m + j - 1) for (i, j) in cells]
+    line_cells: list[list[int]] = [[] for _ in range(m + n)]
+    for c, (r, col) in enumerate(lines_of):
+        line_cells[r].append(c)
+        line_cells[col].append(c)
+    left = [len(cs) for cs in line_cells]
+    sums = [0] * (m + n)
+    vals: list[int | None] = [None] * ncells
+    trail: list[int] = []  # cells in the order they were filled
+    # used[x] marks both members of a used ± class; J is marked from the start
+    used = bytearray(v)
+    for x in subgroup_members(v, t):
+        used[x] = 1
+    candidates = [x for x in range(1, v) if not used[x]]
+    first_candidates = [x for x in candidates if x <= v // 2]
+    nodes = 0
 
-    row_left = [len(skel.row_columns(i)) for i in range(m + 1)]  # 1-based use
-    col_left = [len(skel.column_rows(j)) for j in range(n + 1)]
-    row_left[0] = col_left[0] = 0
-    row_sum = [0] * (m + 1)
-    col_sum = [0] * (n + 1)
-    used = bytearray(v)  # marks both members of a used class
-    grid: list[list[int | None]] = [[None] * n for _ in range(m)]
+    # Requiring a line left with two free cells to still have two unused
+    # classes a, b with a + b = -sum prunes more nodes, but it made the k = 3
+    # searches slower overall, so it is not done.
+    def assign(c: int, val: int) -> bool:
+        """Fill c with val and every value that closes a line; False on a dead end.
+
+        Each filled cell goes on the trail, so ``undo`` reverses this
+        whether it succeeds or not.
+        """
+        todo = [(c, val)]
+        while todo:
+            c, val = todo.pop()
+            if vals[c] is not None:
+                # both lines through c forced it; filling it for one line
+                # checked the other's sum, so the two values agreed
+                continue
+            if used[val]:
+                return False
+            used[val] = used[v - val] = 1
+            vals[c] = val
+            trail.append(c)
+            dead = False
+            for line in lines_of[c]:
+                s = sums[line] = (sums[line] + val) % v
+                k = left[line] = left[line] - 1
+                if k == 1:
+                    for d in line_cells[line]:
+                        if vals[d] is None:
+                            todo.append((d, -s % v))
+                            break
+                elif k == 0 and s:
+                    dead = True
+            if dead:
+                return False
+        return True
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            c = trail.pop()
+            val = vals[c]
+            vals[c] = None
+            used[val] = used[v - val] = 0
+            for line in lines_of[c]:
+                sums[line] = (sums[line] - val) % v
+                left[line] += 1
 
     def place(idx: int) -> Iterator[PartiallyFilledArray]:
-        if idx == ncells:
-            yield PartiallyFilledArray(
-                m, n, v, t, 1, tuple(tuple(r) for r in grid)
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(
+                f"search tree exceeds budget of {budget} nodes"
             )
+        while idx < ncells and vals[idx] is not None:
+            idx += 1
+        if idx == ncells:
+            grid: list[list[int | None]] = [[None] * n for _ in range(m)]
+            for (i, j), val in zip(cells, vals):
+                grid[i - 1][j - 1] = val
+            yield PartiallyFilledArray(m, n, v, t, 1, tuple(map(tuple, grid)))
             return
-        i, j = cells[idx]
-        forced: int | None = None
-        if row_left[i] == 1 and col_left[j] == 1:
-            a = (-row_sum[i]) % v
-            if a != (-col_sum[j]) % v:
-                return
-            forced = a
-        elif row_left[i] == 1:
-            forced = (-row_sum[i]) % v
-        elif col_left[j] == 1:
-            forced = (-col_sum[j]) % v
-
-        if forced is not None:
-            candidates: Iterator[int] = iter((forced,))
-        elif idx == 0:
-            candidates = iter(range(1, v // 2 + 1))
-        else:
-            candidates = iter(range(1, v))
-
-        for val in candidates:
-            if val in J or used[val]:
+        # every line through a free cell has two or more free cells here,
+        # since a line left with one is closed at once by assign
+        r, col = lines_of[idx]
+        close_r = left[r] == 2
+        close_c = left[col] == 2
+        rs, cs = sums[r], sums[col]
+        mark = len(trail)
+        for val in first_candidates if idx == 0 else candidates:
+            if used[val]:
                 continue
-            used[val] = used[(-val) % v] = 1
-            grid[i - 1][j - 1] = val
-            row_sum[i] = (row_sum[i] + val) % v
-            col_sum[j] = (col_sum[j] + val) % v
-            row_left[i] -= 1
-            col_left[j] -= 1
-
-            yield from place(idx + 1)
-
-            row_left[i] += 1
-            col_left[j] += 1
-            row_sum[i] = (row_sum[i] - val) % v
-            col_sum[j] = (col_sum[j] - val) % v
-            grid[i - 1][j - 1] = None
-            used[val] = used[(-val) % v] = 0
+            # cheap rejections of a closing value before any state changes
+            if close_r:
+                x = (-rs - val) % v
+                if used[x] or x == val or x == v - val:
+                    continue
+            if close_c:
+                x = (-cs - val) % v
+                if used[x] or x == val or x == v - val:
+                    continue
+            if assign(idx, val):
+                yield from place(idx + 1)
+            undo(mark)
 
     return place(0)

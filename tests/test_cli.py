@@ -284,6 +284,10 @@ class TestSearchBoundsPipeline:
     "pipeline --search 7,7,3,3,1,foo --out {tmp}/run",
     "pipeline --search 7,7,3,x,1 --out {tmp}/run",
     "pipeline --search 5,5,3,3,1,cyclic --budget 2 --out {tmp}/run",
+    "pipeline --search 5,5,3,3,1,cyclic --budget 5 --out {tmp}/run",
+    "pipeline --array {array} --budget 16 --out {tmp}/run",
+    "search --m 5 --n 5 --h 3 --k 3 --skeleton cyclic --budget 5",
+    "search --m 3 --n 3 --h 3 --k 3 --limit 0",
     "search --m 3 --n 3 --h 3 --k 3 --t 0",
     "search --m 3 --n 3 --h 3 --k 3 --t -1",
     "tour-family --family ThreeDiag --n 100001 --limit 1",
@@ -305,8 +309,10 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, argv):
     assert "Traceback" not in err
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
-    if "--limit -1" in argv:
+    if "--limit -1" in argv or "--limit 0" in argv:
         assert "limit" in err
+    if "--budget" in argv:
+        assert "budget" in err
 
 
 class TestTextOutput:

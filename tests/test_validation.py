@@ -1,11 +1,22 @@
 """Heffter conditions, simple orderings, compatibility, and the array search."""
 
+import itertools
+from typing import Iterator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heffter.pfarray import PartiallyFilledArray, diagonal_skeleton
+import heffter
+from heffter import knight
+from heffter.pfarray import (
+    PartiallyFilledArray,
+    Skeleton,
+    cyclic_diagonal_skeleton,
+    diagonal_skeleton,
+)
 from heffter.validation import (
+    BudgetExceededError,
     Ordering,
     are_compatible,
     composed_cycle,
@@ -229,6 +240,102 @@ class TestSearch:
         cells = tuple(h33.cells[i] for i in perm_rows)
         shuffled = PartiallyFilledArray(3, 3, 19, 1, 1, cells)
         assert validate_heffter(shuffled).passed
+
+
+    def test_limit_must_be_positive(self):
+        with pytest.raises(ValueError, match="limit"):
+            search_heffter(3, 3, 3, 3, 1, limit=0)
+
+    def test_budget(self):
+        with pytest.raises(BudgetExceededError, match="budget of 5 nodes"):
+            search_heffter(5, 5, 3, 3, 1, skeleton="cyclic", budget=5)
+        assert BudgetExceededError is knight.BudgetExceededError
+        assert BudgetExceededError is heffter.BudgetExceededError
+
+
+def _unpruned_search_iter(
+    m: int, n: int, v: int, t: int, skel: Skeleton
+) -> Iterator[PartiallyFilledArray]:
+    """The search before forward checking: closing values are only checked
+    when row-major order reaches their cell.  Oracle for the pruned search."""
+    J = subgroup_members(v, t)
+    cells = skel.positions()
+    ncells = len(cells)
+
+    row_left = [len(skel.row_columns(i)) for i in range(m + 1)]  # 1-based use
+    col_left = [len(skel.column_rows(j)) for j in range(n + 1)]
+    row_left[0] = col_left[0] = 0
+    row_sum = [0] * (m + 1)
+    col_sum = [0] * (n + 1)
+    used = bytearray(v)  # marks both members of a used class
+    grid: list[list[int | None]] = [[None] * n for _ in range(m)]
+
+    def place(idx: int) -> Iterator[PartiallyFilledArray]:
+        if idx == ncells:
+            yield PartiallyFilledArray(
+                m, n, v, t, 1, tuple(tuple(r) for r in grid)
+            )
+            return
+        i, j = cells[idx]
+        forced: int | None = None
+        if row_left[i] == 1 and col_left[j] == 1:
+            a = (-row_sum[i]) % v
+            if a != (-col_sum[j]) % v:
+                return
+            forced = a
+        elif row_left[i] == 1:
+            forced = (-row_sum[i]) % v
+        elif col_left[j] == 1:
+            forced = (-col_sum[j]) % v
+
+        if forced is not None:
+            candidates: Iterator[int] = iter((forced,))
+        elif idx == 0:
+            candidates = iter(range(1, v // 2 + 1))
+        else:
+            candidates = iter(range(1, v))
+
+        for val in candidates:
+            if val in J or used[val]:
+                continue
+            used[val] = used[(-val) % v] = 1
+            grid[i - 1][j - 1] = val
+            row_sum[i] = (row_sum[i] + val) % v
+            col_sum[j] = (col_sum[j] + val) % v
+            row_left[i] -= 1
+            col_left[j] -= 1
+
+            yield from place(idx + 1)
+
+            row_left[i] += 1
+            col_left[j] += 1
+            row_sum[i] = (row_sum[i] - val) % v
+            col_sum[j] = (col_sum[j] - val) % v
+            grid[i - 1][j - 1] = None
+            used[val] = used[(-val) % v] = 0
+
+    return place(0)
+
+
+def _relabelled_k3(perm: tuple[int, ...]) -> Skeleton:
+    """The 4x4 three-diagonal skeleton with rows relabelled: row i is empty in
+    column perm[i-1], so row-major order walks a different search tree."""
+    return Skeleton(4, 4, frozenset((r, c) for r in range(1, 5)
+                                    for c in range(1, 5) if c != perm[r - 1]))
+
+
+@pytest.mark.parametrize("n, t, skel, limit", [
+    (3, 1, Skeleton(3, 3, frozenset(itertools.product(range(1, 4), repeat=2))), 50),
+    (5, 1, cyclic_diagonal_skeleton(5, 3), 100),
+    (4, 3, _relabelled_k3((3, 2, 4, 1)), 1 << 30),  # exhaustive: 432 arrays
+    (4, 4, _relabelled_k3((4, 2, 3, 1)), 1 << 30),  # exhaustive: 864 arrays
+], ids=["3x3-full", "5x5-cyclic", "4x4-t3", "4x4-t4"])
+def test_pruned_search_matches_unpruned(n, t, skel, limit):
+    found = search_heffter(n, n, 3, 3, t, limit=limit, skeleton=skel)
+    oracle = list(itertools.islice(
+        _unpruned_search_iter(n, n, 6 * n + t, t, skel), limit))
+    assert len(found) == min(limit, len(oracle))
+    assert found == oracle
 
 
 def test_validation_matches_skeleton_weights(h53_cyclic):
