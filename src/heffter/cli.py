@@ -43,6 +43,21 @@ def _read(path: str) -> str:
     return content
 
 
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from None
+
+
+def _make_dir(path: Path) -> Path:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create directory {path}: {exc}") from None
+    return path
+
+
 def _load_array(path: str) -> pfarray.PartiallyFilledArray:
     try:
         return pfarray.parse_array(_read(path))
@@ -219,9 +234,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
     _, emb = _build_embedding_from_files(args.array, args.solution)
     report = embedding.biembedding_report(emb)
     if args.save:
-        Path(args.save).write_text(
-            json.dumps(emb.to_json_dict(), sort_keys=True) + "\n"
-        )
+        _write(Path(args.save), json.dumps(emb.to_json_dict(), sort_keys=True) + "\n")
     data = report.to_json_dict()
     _emit(data, f"passed={report.passed} faces={report.face_count} "
                 f"genus={report.genus_euler}", args.text)
@@ -296,10 +309,9 @@ def cmd_search(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
+        outdir = _make_dir(Path(args.out))
         for idx, arr in enumerate(found):
-            (outdir / f"array_{idx:03d}.arr").write_text(arr.to_text())
+            _write(outdir / f"array_{idx:03d}.arr", arr.to_text())
     data = {
         "count": len(found),
         "arrays": [a.to_json_dict() for a in found],
@@ -346,8 +358,6 @@ class RunManifest:
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     input_hashes: dict[str, str] = {}
 
     if args.array:
@@ -375,8 +385,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     report = _validate(array, args.array or "--search")
     if not report.passed:
         raise MathFailure("input array fails validation")
-    array_path = outdir / "array.arr"
-    array_path.write_text(array.to_text())
+    outdir = _make_dir(Path(args.out))
+    _write(outdir / "array.arr", array.to_text())
 
     try:
         sols = knight.enumerate_solutions(
@@ -384,29 +394,25 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         )
     except knight.BudgetExceededError as exc:
         raise UsageError(str(exc)) from None
-    (outdir / "solutions.json").write_text(
-        json.dumps([p.to_json_dict() for p in sols], sort_keys=True) + "\n"
-    )
+    _write(outdir / "solutions.json",
+           json.dumps([p.to_json_dict() for p in sols], sort_keys=True) + "\n")
     if not sols:
         raise MathFailure("no tour solutions within budget")
 
-    emb_dir = outdir / "embeddings"
-    emb_dir.mkdir(exist_ok=True)
+    emb_dir = _make_dir(outdir / "embeddings")
     embs = []
     for idx, pair in enumerate(sols):
         emb = embedding.build_embedding(array, pair.rows, pair.cols)
         embs.append(emb)
-        (emb_dir / f"embedding_{idx:04d}.json").write_text(
-            json.dumps(emb.to_json_dict(), sort_keys=True) + "\n"
-        )
+        _write(emb_dir / f"embedding_{idx:04d}.json",
+               json.dumps(emb.to_json_dict(), sort_keys=True) + "\n")
     keys = {e.rho0 for e in embs}
     if len(keys) != len(embs):
         raise MathFailure("distinct solutions produced equal rotation maps")
 
     classification = iso.classify(embs)
-    (outdir / "classification.json").write_text(
-        json.dumps(classification.to_json_dict(), sort_keys=True) + "\n"
-    )
+    _write(outdir / "classification.json",
+           json.dumps(classification.to_json_dict(), sort_keys=True) + "\n")
 
     reports = [embedding.biembedding_report(e) for e in embs]
     all_pass = all(r.passed for r in reports)
@@ -431,9 +437,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         "reports_all_passed": all_pass,
         "manifest": manifest.to_json_dict(),
     }
-    (outdir / "summary.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n"
-    )
+    _write(outdir / "summary.json", json.dumps(summary, sort_keys=True, indent=2) + "\n")
     _emit(summary, f"solutions={len(sols)} classes={classification.class_count} "
                    f"all_passed={all_pass}", args.text)
     return PASS if all_pass else FAIL

@@ -34,11 +34,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple, Sequence
-
-import numpy as np
 
 from .pfarray import PartiallyFilledArray
 from .validation import (
@@ -269,17 +268,6 @@ class FaceSet:
         return all(f.simple for f in self.faces)
 
 
-def _canonical_rotation(seq: tuple[int, ...]) -> tuple[int, ...]:
-    lo = min(seq)
-    best = None
-    for i, x in enumerate(seq):
-        if x == lo:
-            cand = seq[i:] + seq[:i]
-            if best is None or cand < best:
-                best = cand
-    return best  # type: ignore[return-value]
-
-
 class _DifferenceCycle(NamedTuple):
     """A cycle of d -> rho0(-d) and the faces it lifts to.
 
@@ -339,23 +327,35 @@ def trace_faces(emb: CombinatorialEmbedding) -> FaceSet:
 
     i is the index of the edge's difference in ``emb.connection``, so this is
     the order of the face orbits by their least element.  Each face is a
-    translate of its difference cycle's walk.
+    translate of its difference cycle's walk, written from its least vertex.
+    The translate by s starts at the least walk value x >= v - s, which wraps
+    to x + s - v, or at the least value when there is none; its key is that
+    vertex times C plus the least difference index leaving x on the walk.  A
+    value met twice, only on a non-simple face, takes the least rotation.
     """
     v = emb.v
     C = len(emb.connection)
-    conn_pos = np.full(v, -1, dtype=np.int64)
-    conn_pos[list(emb.connection)] = np.arange(C)
+    conn_pos = [-1] * v
+    for i, d in enumerate(emb.connection):
+        conn_pos[d] = i
     keyed = []
     for cyc in _difference_cycles(emb):
-        walk = np.asarray(cyc.walk, dtype=np.int64)
+        walk = cyc.walk
+        twice = walk + walk
         # connection index of each edge's difference walk[i+1] - walk[i]
-        edge_di = conn_pos[(np.roll(walk, -1) - walk) % v]
-        verts = (walk[None, :] + np.arange(cyc.translates)[:, None]) % v
-        keys = (verts * C + edge_di[None, :]).min(axis=1)
-        for key, row in zip(keys.tolist(), verts.tolist()):
-            keyed.append(
-                (key, Face(_canonical_rotation(tuple(row)), cyc.color, cyc.simple))
-            )
+        # (a negative difference indexes from the end, at its residue)
+        edge_di = [conn_pos[b - a] for a, b in zip(walk, twice[1:])]
+        at: dict[int, list[int]] = {}
+        for i, x in enumerate(walk):
+            at.setdefault(x, []).append(i)
+        values = sorted(at)
+        rotations = [[twice[i:i + len(walk)] for i in at[x]] for x in values]
+        least_di = [min(edge_di[i] for i in at[x]) for x in values]
+        for s in range(cyc.translates):
+            j = bisect_left(values, v - s) % len(values)  # none: the least
+            verts = min(tuple([(y + s) % v for y in rot]) for rot in rotations[j])
+            key = ((values[j] + s) % v) * C + least_di[j]
+            keyed.append((key, Face(verts, cyc.color, cyc.simple)))
     keyed.sort(key=lambda kf: kf[0])
     return FaceSet(v, tuple(f for _, f in keyed))
 
@@ -478,11 +478,12 @@ def biembedding_report(emb: CombinatorialEmbedding) -> BiembeddingReport:
 
 
 def translated_faces(faces: FaceSet, g: int) -> frozenset[tuple[tuple[int, ...], str]]:
-    """The face set shifted by the translation x -> x+g (canonicalized)."""
+    """The face set shifted by the translation x -> x+g, each face written
+    as its least rotation (the one :func:`trace_faces` lists)."""
     out = set()
     for f in faces.faces:
         verts = tuple((x + g) % faces.v for x in f.vertices)
-        out.add((_canonical_rotation(verts), f.color))
+        out.add((min(verts[i:] + verts[:i] for i in range(len(verts))), f.color))
     return frozenset(out)
 
 

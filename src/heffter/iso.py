@@ -29,8 +29,6 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
-import numpy as np
-
 from .embedding import CombinatorialEmbedding
 from .knight import OrientationPair, is_solution
 from .pfarray import PartiallyFilledArray, classify_diagonality, diagonal_cells
@@ -70,34 +68,39 @@ def verify_map(
 ) -> str | None:
     """Classify sigma as preserving, reversing, or not an isomorphism.
 
-    sigma must be a bijection of Z_v; the check runs over all v * degree
-    oriented edges.
+    sigma must be a bijection of Z_v.  The identity between equal rotation
+    tables is preserving at once; any other map is checked on all v * degree
+    oriented edges, one difference d of e1 at a time: the images of x + d
+    and x + rho1(d) over all x, as list slices of sigma written twice.
     """
     if e1.v != e2.v:
         raise ValueError(f"mismatched moduli: {e1.v} != {e2.v}")
     v = e1.v
-    S = np.asarray(sigma, dtype=np.int64)
-    if S.shape != (v,) or not np.array_equal(np.sort(S), np.arange(v)):
+    S = list(sigma)
+    identity = list(range(v))
+    if sorted(S) != identity:
         raise ValueError("sigma is not a bijection of Z_v")
     if len(e1.connection) != len(e2.connection):
         return None
+    if S == identity and e1.rho0 == e2.rho0:
+        return PRESERVING
 
-    in_conn2 = np.zeros(v, dtype=bool)
-    in_conn2[list(e2.connection)] = True
-    rho2 = np.asarray(e2.rho0, dtype=np.int64)
-    rho2_inv = np.asarray(_inverse(e2.rho0), dtype=np.int64)
-    idx = np.arange(v, dtype=np.int64)
+    # wrap[i] is i mod v for 0 <= i < 2v and -1 above; a difference in J
+    # rotates to 2v, so a non-edge image fails both comparisons below
+    wrap = [*identity, *identity, *[-1] * v]
+    rho2 = [2 * v if r < 0 else r for r in e2.rho0]
+    rho2_inv = [2 * v if r < 0 else r for r in _inverse(e2.rho0)]
+    S2 = S + S
 
-    pres = True
-    rev = True
+    pres = rev = True
     for d in e1.connection:
-        diffs = (S[(idx + d) % v] - S) % v
-        if not in_conn2[diffs].all():
-            return None  # not even a graph isomorphism
-        lhs = S[(idx + e1.rho0[d]) % v]
-        if pres and not np.array_equal(lhs, (S + rho2[diffs]) % v):
+        # a = sigma(x + d) and b = sigma(x): the edge (x, d) goes to (b, a - b)
+        ends = S2[d:d + v]
+        r = e1.rho0[d]
+        lhs = S2[r:r + v]
+        if pres and lhs != [wrap[b + rho2[wrap[a - b + v]]] for a, b in zip(ends, S)]:
             pres = False
-        if rev and not np.array_equal(lhs, (S + rho2_inv[diffs]) % v):
+        if rev and lhs != [wrap[b + rho2_inv[wrap[a - b + v]]] for a, b in zip(ends, S)]:
             rev = False
         if not (pres or rev):
             return None

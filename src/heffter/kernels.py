@@ -1,16 +1,14 @@
 """Hot integer loops: tour stepping and orientation scans.
 
-The loops are plain Python and serial, so output order never depends on
-scheduling.  All kernel inputs are 0-based; the public modules translate to
-and from 1-based grid positions.
+The loops are plain Python over tuples of ints and serial, so output order
+never depends on scheduling.  All kernel inputs are 0-based; the public
+modules translate to and from 1-based grid positions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 
 # -- scan tables -----------------------------------------------------------------
@@ -28,17 +26,17 @@ class ScanTables:
 
     m: int
     n: int
-    rows: np.ndarray
-    cols: np.ndarray
-    row_next: np.ndarray
-    row_prev: np.ndarray
-    col_next: np.ndarray
-    col_prev: np.ndarray
+    rows: tuple[int, ...]
+    cols: tuple[int, ...]
+    row_next: tuple[int, ...]
+    row_prev: tuple[int, ...]
+    col_next: tuple[int, ...]
+    col_prev: tuple[int, ...]
     index: dict  # (row, col) 0-based -> cell id
 
     @property
     def ncells(self) -> int:
-        return int(self.rows.size)
+        return len(self.rows)
 
 
 def build_scan_tables(m: int, n: int, filled: list[tuple[int, int]]) -> ScanTables:
@@ -47,13 +45,8 @@ def build_scan_tables(m: int, n: int, filled: list[tuple[int, int]]) -> ScanTabl
     if not cells:
         raise ValueError("empty skeleton")
     idx = {pos: c for c, pos in enumerate(cells)}
-    nc = len(cells)
-    rows = np.fromiter((p[0] for p in cells), dtype=np.int64, count=nc)
-    cols = np.fromiter((p[1] for p in cells), dtype=np.int64, count=nc)
-    row_next = np.empty(nc, dtype=np.int64)
-    row_prev = np.empty(nc, dtype=np.int64)
-    col_next = np.empty(nc, dtype=np.int64)
-    col_prev = np.empty(nc, dtype=np.int64)
+    rows, cols = zip(*cells)
+    row_next, row_prev, col_next, col_prev = ([0] * len(cells) for _ in range(4))
 
     by_row: dict[int, list[int]] = {}
     by_col: dict[int, list[int]] = {}
@@ -70,7 +63,8 @@ def build_scan_tables(m: int, n: int, filled: list[tuple[int, int]]) -> ScanTabl
         for a, i in enumerate(is_):
             col_next[idx[(i, j)]] = idx[(is_[(a + 1) % L], j)]
             col_prev[idx[(i, j)]] = idx[(is_[(a - 1) % L], j)]
-    return ScanTables(m, n, rows, cols, row_next, row_prev, col_next, col_prev, idx)
+    return ScanTables(m, n, rows, cols, tuple(row_next), tuple(row_prev),
+                      tuple(col_next), tuple(col_prev), idx)
 
 
 # -- kernels ----------------------------------------------------------------------
@@ -84,11 +78,8 @@ def tour_orbit(
     ``row_rev[i]`` is true when row i scans right-to-left, ``col_rev[j]`` when
     column j scans bottom-to-top.
     """
-    # Python lists index several times faster than NumPy scalars
-    rows, cols, row_next, row_prev, col_next, col_prev = (
-        a.tolist()
-        for a in (t.rows, t.cols, t.row_next, t.row_prev, t.col_next, t.col_prev)
-    )
+    rows, cols = t.rows, t.cols
+    row_next, row_prev, col_next, col_prev = t.row_next, t.row_prev, t.col_next, t.col_prev
     orbit = []
     cur = start
     while True:

@@ -141,9 +141,8 @@ def successor(
     t = _tables(skel)
     cur = t.index[(cell[0] - 1, cell[1] - 1)]
     mid = t.row_prev[cur] if rows_dir[cell[0] - 1] == -1 else t.row_next[cur]
-    j2 = int(t.cols[mid])
-    out = t.col_prev[mid] if cols_dir[j2] == -1 else t.col_next[mid]
-    return (int(t.rows[out]) + 1, int(t.cols[out]) + 1)
+    out = t.col_prev[mid] if cols_dir[t.cols[mid]] == -1 else t.col_next[mid]
+    return (t.rows[out] + 1, t.cols[out] + 1)
 
 
 def tour(
@@ -164,7 +163,7 @@ def tour(
         raise ValueError(f"start cell {start} is not filled")
     start_id = t.index[(start[0] - 1, start[1] - 1)]
     orbit = kernels.tour_orbit(t, row_rev, col_rev, start_id)
-    cells = tuple((int(t.rows[c]) + 1, int(t.cols[c]) + 1) for c in orbit)
+    cells = tuple((t.rows[c] + 1, t.cols[c] + 1) for c in orbit)
     return TourResult(start, cells, len(orbit) == t.ncells, len(orbit))
 
 

@@ -279,6 +279,11 @@ class TestSearchBoundsPipeline:
     def test_pipeline_needs_input(self, tmp_path):
         assert main(["pipeline", "--out", str(tmp_path / "x")]) == 2
 
+    def test_pipeline_usage_error_creates_no_output(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["pipeline", "--search", "7,7,3,x,1", "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("argv", [
     "pipeline --search 7,7,3,3,1,foo --out {tmp}/run",
@@ -298,9 +303,13 @@ class TestSearchBoundsPipeline:
     "embed --array {tmp}/bad_v.arr --solution {tmp}/sol.json",
     "faces --array {tmp}/bad_v.arr --solution {tmp}/sol.json",
     "tour {array} --start 0,0",
+    "search --m 3 --n 3 --h 3 --k 3 --out {tmp}/file.txt",
+    "pipeline --search 3,3,3,3,1 --out {tmp}/file.txt",
+    "embed --array {array} --solution {tmp}/sol.json --save {tmp}/missing/x.json",
 ])
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv):
     (tmp_path / "sol.json").write_text(json.dumps({"R": [1] * 11, "C": [-1] + [1] * 10}))
+    (tmp_path / "file.txt").write_text("")  # an output path that is not a directory
     # header v inconsistent with the weights: 2nk/lambda + t = 207
     (tmp_path / "bad_v.arr").write_text(
         fixture_path("h9_11_9.arr").read_text().replace("v=207", "v=216", 1))

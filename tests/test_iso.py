@@ -1,6 +1,7 @@
 """Isomorphism testing, stabilizers, classification, distinctness certification."""
 
 import random
+from math import gcd
 
 import pytest
 
@@ -271,7 +272,66 @@ class TestAgainstPropagation:
             assert result.to_json_dict() == pairwise_classify(family)
 
 
+def naive_verify_map(e1, e2, sigma):
+    """Oracle for ``verify_map``: each oriented edge (x, d) of e1 in turn.
+
+    sigma is an isomorphism when it sends every edge of e1 to an edge of e2
+    (the degrees are equal, so it is then a graph isomorphism) and carries
+    the rotation at x onto the rotation at sigma(x), or onto its inverse.
+    """
+    v = e1.v
+    inverse2 = {b: a for a, b in enumerate(e2.rho0) if b >= 0}
+    if len(e1.connection) != len(inverse2):
+        return None
+    pres = rev = True
+    for x in range(v):
+        for d in e1.connection:
+            diff = (sigma[(x + d) % v] - sigma[x]) % v
+            if diff not in inverse2:
+                return None  # not even a graph isomorphism
+            image = (sigma[(x + e1.rho0[d]) % v] - sigma[x]) % v
+            pres = pres and image == e2.rho0[diff]
+            rev = rev and image == inverse2[diff]
+    return PRESERVING if pres else REVERSING if rev else None
+
+
 class TestVerifyMap:
+    def test_matches_naive_oracle(self, k19, z19_family, z21_family, k31_family):
+        rng = random.Random(8)
+        pairs = [
+            (k19, k19), (k19, mirror(k19)), (k19, unit_relabeling(k19, 2)),
+            *zip(z19_family[::4], z19_family[1::4]),
+            *zip(z21_family[::4], z21_family[1::4]),
+            (z21_family[0], z21_family[0]), (z21_family[0], mirror(z21_family[0])),
+            (k31_family[0], k31_family[1]), (k31_family[2], mirror(k31_family[2])),
+        ]
+        verdicts = set()
+        for e1, e2 in pairs:
+            v = e1.v
+            ident = tuple(range(v))
+            maps = [
+                ident,
+                translation(v, 1),
+                translation(v, v - 1),
+                tuple((-x) % v for x in ident),
+                *(tuple(u * x % v for x in ident) for u in (2, 3) if gcd(u, v) == 1),
+                *(m.sigma for m in all_isomorphisms_fixing_zero(e1, e2)),
+            ]
+            for _ in range(4):
+                shuffled = list(ident)
+                rng.shuffle(shuffled)
+                maps.append(tuple(shuffled))
+                # a translation with two images swapped
+                swapped = list(translation(v, rng.randrange(v)))
+                i, j = rng.sample(range(v), 2)
+                swapped[i], swapped[j] = swapped[j], swapped[i]
+                maps.append(tuple(swapped))
+            for sigma in maps:
+                want = naive_verify_map(e1, e2, sigma)
+                assert verify_map(e1, e2, sigma) == want
+                verdicts.add(want)
+        assert verdicts == {PRESERVING, REVERSING, None}
+
     def test_translations_preserve(self, k19):
         for g in range(k19.v):
             assert verify_map(k19, k19, translation(k19.v, g)) == PRESERVING
@@ -293,8 +353,9 @@ class TestVerifyMap:
             verify_map(k19, k31_family[0], tuple(range(19)))
 
     def test_non_bijection_rejected(self, k19):
-        with pytest.raises(ValueError, match="bijection"):
-            verify_map(k19, k19, (0,) * 19)
+        for sigma in ((0,) * 19, tuple(range(18)), tuple(range(20))):
+            with pytest.raises(ValueError, match="bijection"):
+                verify_map(k19, k19, sigma)
 
 
 class TestFindIsomorphism:

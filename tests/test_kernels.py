@@ -1,6 +1,5 @@
 """Scan tables; tours are tested through ``knight``."""
 
-import numpy as np
 import pytest
 
 from heffter import kernels
@@ -17,10 +16,16 @@ def tables(n, k):
 def test_scan_tables_shape():
     t = tables(5, 3)
     assert t.ncells == 15
-    assert t.rows.dtype == np.int64
-    # every cell's row-next stays in its row
-    assert (t.rows[t.row_next] == t.rows).all()
-    assert (t.cols[t.col_next] == t.cols).all()
+    tabs = (t.rows, t.cols, t.row_next, t.row_prev, t.col_next, t.col_prev)
+    assert all(type(a) is tuple and len(a) == 15 for a in tabs)
+    assert all(type(x) is int for a in tabs for x in a)
+    cells = range(t.ncells)
+    # every cell's row-next stays in its row, its column-next in its column
+    assert all(t.rows[t.row_next[c]] == t.rows[c] for c in cells)
+    assert all(t.cols[t.col_next[c]] == t.cols[c] for c in cells)
+    # prev undoes next
+    assert all(t.row_prev[t.row_next[c]] == c for c in cells)
+    assert all(t.col_prev[t.col_next[c]] == c for c in cells)
 
 
 def test_empty_skeleton_rejected():
