@@ -45,7 +45,6 @@ from .knight import (
     three_diagonal_family,
     tour,
 )
-from .perm import Permutation
 from .pfarray import (
     ArrayFormatError,
     DiagonalProfile,
@@ -60,7 +59,6 @@ from .pfarray import (
 )
 from .validation import (
     LineOrderingSet,
-    Ordering,
     ValidationReport,
     are_compatible,
     composed_cycle,

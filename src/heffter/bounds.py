@@ -413,7 +413,13 @@ def evaluate_bound(query: BoundQuery, *, force: bool = False) -> BoundResult:
                 f"{query.theorem}: hypotheses failed: {', '.join(failed)}"
             )
         notes.append(f"forced evaluation despite failed hypotheses: {failed}")
-    exact, ref = evaluate(query)
+    try:
+        exact, ref = evaluate(query)
+    except (ArithmeticError, ValueError) as exc:
+        # a forced evaluation can leave the formula's domain, at n = 0 say
+        raise HypothesisError(
+            f"{query.theorem}: formula undefined for n={query.n}, k={query.k}: {exc}"
+        ) from None
     approx = float(exact) if exact is not None else None
     if exact is None:
         # value itself is irrational (power of sqrt(2)); report the float

@@ -77,9 +77,9 @@ def _load_skeleton(path: str) -> pfarray.Skeleton:
     """Array files and bare skeleton JSONs are both accepted for tour commands."""
     content = _read(path)
     stripped = content.lstrip()
-    if stripped.startswith("{") and "\"filled\"" in stripped:
-        return pfarray.parse_skeleton_json(content)
     try:
+        if stripped.startswith("{") and "\"filled\"" in stripped:
+            return pfarray.parse_skeleton_json(content)
         return pfarray.parse_array(content).skeleton()
     except pfarray.ArrayFormatError as exc:
         raise UsageError(f"{path}: {exc}") from None
@@ -104,11 +104,11 @@ def _load_solution(path: str, m: int, n: int) -> knight.OrientationPair:
         data = json.loads(_read(path))
         rows = tuple(int(x) for x in data["R"])
         cols = tuple(int(x) for x in data["C"])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        if len(rows) != m or len(cols) != n:
+            raise UsageError(f"{path}: solution shape does not match the array")
+        return knight.OrientationPair(rows, cols)
+    except (KeyError, OverflowError, RecursionError, TypeError, ValueError) as exc:
         raise UsageError(f"{path}: bad solution file: {exc}") from None
-    if len(rows) != m or len(cols) != n:
-        raise UsageError(f"{path}: solution shape does not match the array")
-    return knight.OrientationPair(rows, cols)
 
 
 # -- subcommands ---------------------------------------------------------------------
@@ -267,8 +267,8 @@ def _load_embedding(path: str) -> embedding.CombinatorialEmbedding:
     content = _read(path)
     try:
         return embedding.CombinatorialEmbedding.from_json(content)
-    except (json.JSONDecodeError, AttributeError, KeyError, OverflowError,
-            TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, RecursionError, TypeError,
+            ValueError) as exc:
         raise UsageError(
             f"{path}: not an embedding file: {type(exc).__name__}: {exc}"
         ) from None

@@ -42,6 +42,8 @@ from typing import NamedTuple, Sequence
 from .pfarray import PartiallyFilledArray
 from .validation import (
     LineOrderingSet,
+    cycle_from,
+    is_single_cycle,
     orderings_from_orientations,
     subgroup_members,
     validate_heffter,
@@ -97,14 +99,7 @@ class CombinatorialEmbedding:
         rho = self.rho0
         if len(rho) != self.v or any(rho[j] != -1 for j in subgroup_members(self.v, self.t)):
             raise ValueError("rho0 must be a table of length v with -1 on J")
-        # single cycle: the walk from one difference meets all C before it closes
-        start = self.connection[0]
-        walk = {start}
-        d = rho[start]
-        while d in conn and d not in walk:
-            walk.add(d)
-            d = rho[d]
-        if d != start or len(walk) != len(conn):
+        if not is_single_cycle(rho, self.connection):
             raise ValueError(
                 "rho0 must be a single cycle on the connection set "
                 "(orderings not compatible: (R, C) is not a tour solution)"
@@ -115,12 +110,7 @@ class CombinatorialEmbedding:
             raise ValueError("entry class must contain one of each ± pair")
 
     def rho0_cycle_from(self, x: int) -> list[int]:
-        out = [x]
-        nxt = self.rho0[x]
-        while nxt != x:
-            out.append(nxt)
-            nxt = self.rho0[nxt]
-        return out
+        return cycle_from(self.rho0, x)
 
     def degree(self) -> int:
         return len(self.connection)
@@ -185,13 +175,11 @@ def build_rho0(array: PartiallyFilledArray, ords: LineOrderingSet) -> tuple[int,
                 f"entries {a} and {(-a) % v} are negatives of each other: "
                 "the rotation construction needs one representative per pair"
             )
+    row_perm, col_perm = ords.row_perm, ords.col_perm
     rho0 = [-1] * v
-    for line in ords.rows:
-        for a, b in zip(line, line[1:] + line[:1]):
-            rho0[a] = (-b) % v
-    for line in ords.cols:
-        for a, b in zip(line, line[1:] + line[:1]):
-            rho0[(-a) % v] = b
+    for a in entries:
+        rho0[a] = (-row_perm[a]) % v
+        rho0[(-a) % v] = col_perm[a]
     return tuple(rho0)
 
 

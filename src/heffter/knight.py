@@ -12,7 +12,10 @@ Besides direct orbit tracing (the oracle) this module implements two exact
 characterizations of the trivial-R solutions of diagonal-structured square
 skeletons, five constructive solution families with those shapes, the two
 solution symmetries (negation, and row/column swap on cyclically diagonal
-skeletons), and an exhaustive enumerator.
+skeletons), and an exhaustive enumerator.  The cyclic characterization's two
+reconnection permutations are tables indexed by position with -1 off E, the
+library's one permutation form, and it tests their composition with
+:func:`validation.is_single_cycle`.
 """
 
 from __future__ import annotations
@@ -25,14 +28,18 @@ from typing import Callable, Iterator, Sequence
 
 from . import kernels
 from .bounds import _is_prime
-from .perm import Permutation
 from .pfarray import (
     Skeleton,
     classify_diagonality,
     cyclic_diagonal_skeleton,
     diagonal_skeleton,
 )
-from .validation import BudgetExceededError, _check_directions
+from .validation import (
+    BudgetExceededError,
+    _check_directions,
+    compose,
+    is_single_cycle,
+)
 
 
 # -- orientation pairs -------------------------------------------------------------
@@ -229,9 +236,7 @@ def strip_criterion(skel: Skeleton, minus_positions: Sequence[int]) -> bool:
         raise ValueError("criterion requires n > k")
     if 1 not in profile.filled_diagonals:
         raise ValueError("criterion requires the first diagonal to be filled")
-    E = sorted(set(minus_positions))
-    if any(not 1 <= e <= n for e in E):
-        raise ValueError(f"positions {E} must lie in [1, {n}]")
+    E = _positions(n, minus_positions)
 
     for d in profile.strip_gcds:
         if {e % d for e in E} != set(range(d)):
@@ -248,29 +253,25 @@ def strip_criterion(skel: Skeleton, minus_positions: Sequence[int]) -> bool:
 
 def cyclic_criterion_perms(
     n: int, k: int, minus_positions: Sequence[int]
-):
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The two reconnection permutations of E for a cyclically k-diagonal skeleton.
 
     The first sends e to the first member of E met by stepping backwards from e
     in multiples of k-1 (mod n, on residues {1..n}); the second shifts the
-    sorted list of E by k-1 positions.
+    sorted list of E by k-1 positions.  Both are tables indexed by position
+    0..n, with -1 off E.
     """
-    E = sorted(set(minus_positions))
+    E = _positions(n, minus_positions)
     if not E:
         raise ValueError("needs a nonempty position list")
     eset = set(E)
-    w1 = {}
-    for e in E:
-        step = 1
-        while True:
-            cand = (e - step * (k - 1) - 1) % n + 1
-            if cand in eset:
-                w1[e] = cand
-                break
-            step += 1
-    r = len(E)
-    w2 = {E[i]: E[(i + (k - 1)) % r] for i in range(r)}
-    return Permutation(w1), Permutation(w2)
+    w1 = [-1] * (n + 1)
+    w2 = [-1] * (n + 1)
+    for i, e in enumerate(E):
+        back = ((e - step * (k - 1) - 1) % n + 1 for step in itertools.count(1))
+        w1[e] = next(c for c in back if c in eset)
+        w2[e] = E[(i + k - 1) % len(E)]
+    return tuple(w1), tuple(w2)
 
 
 def cyclic_criterion(n: int, k: int, minus_positions: Sequence[int]) -> bool:
@@ -283,14 +284,20 @@ def cyclic_criterion(n: int, k: int, minus_positions: Sequence[int]) -> bool:
         raise ValueError("criterion requires an odd diagonal count k >= 3")
     if n <= k:
         raise ValueError("criterion requires n > k")
-    E = sorted(set(minus_positions))
-    if any(not 1 <= e <= n for e in E):
-        raise ValueError(f"positions {E} must lie in [1, {n}]")
+    E = _positions(n, minus_positions)
     d = gcd(n, k - 1)
     if {e % d for e in E} != set(range(d)):
         return False
     w1, w2 = cyclic_criterion_perms(n, k, E)
-    return w2.compose(w1).is_single_cycle()
+    return is_single_cycle(compose(w2, w1), E)
+
+
+def _positions(n: int, minus_positions: Sequence[int]) -> list[int]:
+    """The distinct positions of E in ascending order, each checked to lie in [1, n]."""
+    E = sorted(set(minus_positions))
+    if any(not 1 <= e <= n for e in E):
+        raise ValueError(f"positions {E} must lie in [1, {n}]")
+    return E
 
 
 # -- constructive families ----------------------------------------------------------

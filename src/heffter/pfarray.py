@@ -221,7 +221,10 @@ def _parse_header(line: str) -> dict[str, int]:
         m = re.fullmatch(r"([^=\s]+)=(-?\d+)", token)
         if not m or m.group(1) not in _HEADER_KEYS:
             raise ArrayFormatError(f"malformed header token {token!r}")
-        out[_HEADER_KEYS[m.group(1)]] = int(m.group(2))
+        try:
+            out[_HEADER_KEYS[m.group(1)]] = int(m.group(2))
+        except ValueError:  # past the interpreter's int-from-str digit limit
+            raise ArrayFormatError(f"malformed header token {token!r}") from None
     if "v" not in out or "t" not in out:
         raise ArrayFormatError("header must define v= and t=")
     return out
@@ -240,10 +243,8 @@ def parse_array(text: str) -> PartiallyFilledArray:
 
     lines = [ln for ln in text.splitlines() if ln.strip()]
     head = _parse_header(lines[0])
-    v, t = head["v"], head["t"]
-    if v < 1 or t < 1 or v % t != 0:
-        raise ArrayFormatError(f"t={t} does not divide v={v}")
-    fold = head.get("fold", 1)
+    v, t, fold = head["v"], head["t"], head.get("fold", 1)
+    _check_moduli(v, t, fold)
 
     rows: list[list[int | None]] = []
     for ln in lines[1:]:
@@ -271,28 +272,27 @@ def parse_array(text: str) -> PartiallyFilledArray:
     return PartiallyFilledArray(len(rows), width, v, t, fold, tuple(map(tuple, rows)))
 
 
+def _check_moduli(v: int, t: int, fold: int) -> None:
+    if v < 1 or t < 1 or v % t != 0:
+        raise ArrayFormatError(f"t={t} does not divide v={v}")
+    if fold < 1:
+        raise ArrayFormatError(f"lambda={fold} must be at least 1")
+
+
 def _parse_array_json(text: str) -> PartiallyFilledArray:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ArrayFormatError(f"invalid JSON: {exc}") from None
-    try:
-        v = int(data["v"])
-        t = int(data["t"])
-        fold = int(data.get("lambda", 1))
-        rows = data["cells"]
-    except (KeyError, TypeError) as exc:
-        raise ArrayFormatError(f"missing field in JSON array: {exc}") from None
-    if v < 1 or t < 1 or v % t != 0:
-        raise ArrayFormatError(f"t={t} does not divide v={v}")
-    grid: list[list[int | None]] = []
-    for row in rows:
-        grid.append([None if x is None else int(x) % v for x in row])
+        v, t, fold = int(data["v"]), int(data["t"]), int(data.get("lambda", 1))
+        _check_moduli(v, t, fold)
+        shape = {key: int(data[key]) for key in ("m", "n") if key in data}
+        grid = [[None if x is None else int(x) % v for x in row] for row in data["cells"]]
+    except (KeyError, OverflowError, RecursionError, TypeError, ValueError) as exc:
+        raise ArrayFormatError(f"invalid JSON array: {exc}") from None
     if not grid or any(len(r) != len(grid[0]) for r in grid):
         raise ArrayFormatError("ragged or empty cell grid")
-    if "m" in data and int(data["m"]) != len(grid):
+    if shape.get("m", len(grid)) != len(grid):
         raise ArrayFormatError("JSON m does not match cell grid")
-    if "n" in data and int(data["n"]) != len(grid[0]):
+    if shape.get("n", len(grid[0])) != len(grid[0]):
         raise ArrayFormatError("JSON n does not match cell grid")
     return PartiallyFilledArray(
         len(grid), len(grid[0]), v, t, fold, tuple(map(tuple, grid))
@@ -300,16 +300,24 @@ def _parse_array_json(text: str) -> PartiallyFilledArray:
 
 
 def parse_skeleton_json(text: str) -> Skeleton:
-    """Parse a bare skeleton: {"m": .., "n": .., "filled": [[i, j], ...]}."""
+    """Parse a bare skeleton: {"m": .., "n": .., "filled": [[i, j], ...]}.
+
+    Every row and column must hold a filled cell, so m and n are bounded by
+    the file's size.
+    """
     try:
         data = json.loads(text)
-        return Skeleton(
+        skel = Skeleton(
             int(data["m"]),
             int(data["n"]),
             frozenset((int(i), int(j)) for i, j in data["filled"]),
         )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, RecursionError, TypeError, ValueError) as exc:
         raise ArrayFormatError(f"invalid skeleton JSON: {exc}") from None
+    if (len({i for i, _ in skel.filled}) != skel.m
+            or len({j for _, j in skel.filled}) != skel.n):
+        raise ArrayFormatError("invalid skeleton JSON: a row or column has no filled cell")
+    return skel
 
 
 # -- diagonal structure -----------------------------------------------------------

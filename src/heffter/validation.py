@@ -10,9 +10,14 @@ order t) is a lambda-fold Heffter array relative to J when
 
 Orderings of a line are *simple* when their partial sums are pairwise distinct
 mod v; the array is *globally simple* when every natural (left-to-right /
-top-to-bottom) line ordering is simple.  Row and column orderings compose into
+top-to-bottom) line ordering is simple.  Row and column orderings induce
 permutations of the filled entries, and a pair of such permutations is
 *compatible* when the column-after-row composition is one full cycle.
+
+Every permutation here is held as the rotation rho0 of an embedding is: a
+tuple indexed by element, holding the element's image, with -1 off the
+domain.  :func:`cycle_from` is the one walk along such a table, and
+:func:`is_single_cycle` the one single-cycle test built on it.
 """
 
 from __future__ import annotations
@@ -20,9 +25,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Collection, Iterator, Sequence
 
-from .perm import Permutation
 from .pfarray import PartiallyFilledArray, Skeleton, cyclic_diagonal_skeleton
 
 
@@ -30,45 +34,65 @@ class BudgetExceededError(ValueError):
     """Raised when an exhaustive scan or search would exceed its budget."""
 
 
+# -- permutation tables ----------------------------------------------------------
+
+
+def cycle_from(table: Sequence[int], x: int) -> list[int]:
+    """The walk x, table[x], table[table[x]], ... up to its first repeat.
+
+    The walk stops before a value off the table's domain (negative, past its
+    end, or an element whose own image is negative) and before a value it has
+    met, so it ends on any table, even one read from an untrusted file.  It is
+    the cycle through x, listed from x, exactly when the table sends its last
+    element back to x.
+    """
+    out = [x]
+    seen = {x}
+    size = len(table)
+    d = table[x]
+    while 0 <= d < size and table[d] >= 0 and d not in seen:
+        out.append(d)
+        seen.add(d)
+        d = table[d]
+    return out
+
+
+def is_single_cycle(table: Sequence[int], domain: Collection[int]) -> bool:
+    """True iff ``table`` is one cycle through exactly the elements of ``domain``."""
+    if not domain:
+        return False
+    x = next(iter(domain))
+    cyc = cycle_from(table, x)
+    return table[cyc[-1]] == x and set(cyc) == set(domain)
+
+
+def compose(outer: Sequence[int], inner: Sequence[int]) -> tuple[int, ...]:
+    """outer ∘ inner: apply ``inner`` first.  Off the domain of ``inner`` it is -1."""
+    return tuple(-1 if d < 0 else outer[d] for d in inner)
+
+
 # -- orderings and simplicity ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Ordering:
-    """An arrangement of one line's entries, with the ambient modulus."""
-
-    values: tuple[int, ...]
-    v: int
-
-    def partial_sums(self) -> tuple[int, ...]:
-        sums = []
-        s = 0
-        for x in self.values:
-            s = (s + x) % self.v
-            sums.append(s)
-        return tuple(sums)
-
-    @property
-    def simple(self) -> bool:
-        sums = self.partial_sums()
-        return len(set(sums)) == len(sums)
-
-    def reversed(self) -> "Ordering":
-        return Ordering(tuple(reversed(self.values)), self.v)
 
 
 def is_simple_ordering(values: Sequence[int], v: int) -> bool:
     """True iff the partial sums of ``values`` are pairwise distinct mod v."""
-    return Ordering(tuple(x % v for x in values), v).simple
+    seen = set()
+    s = 0
+    for x in values:
+        s = (s + x) % v
+        if s in seen:
+            return False
+        seen.add(s)
+    return True
 
 
 @dataclass(frozen=True)
 class LineOrderingSet:
     """One ordering per row and per column, over an array's entry set.
 
-    The induced row (column) permutation is the product of the disjoint cycles
-    given by the row (column) orderings; that needs all entries of the array to
-    be distinct residues, which holds for every array validated here.
+    Each line ordering is a cycle, and the row (column) permutation is the
+    table of their product, indexed by residue; that needs the entries to be
+    distinct residues mod v, which holds for every array validated here.
     """
 
     rows: tuple[tuple[int, ...], ...]
@@ -80,18 +104,28 @@ class LineOrderingSet:
         col_elems = [x for line in self.cols for x in line]
         if sorted(row_elems) != sorted(col_elems):
             raise ValueError("row and column orderings cover different entries")
-        if len(set(row_elems)) != len(row_elems):
+        if len(set(row_elems)) != len(row_elems) or any(
+                not 0 <= x < self.v for x in row_elems):
             raise ValueError(
                 "array entries are not distinct residues: line permutations undefined"
             )
 
     @property
-    def row_perm(self) -> Permutation:
-        return Permutation.from_cycles(self.rows)
+    def row_perm(self) -> tuple[int, ...]:
+        return _lines_table(self.rows, self.v)
 
     @property
-    def col_perm(self) -> Permutation:
-        return Permutation.from_cycles(self.cols)
+    def col_perm(self) -> tuple[int, ...]:
+        return _lines_table(self.cols, self.v)
+
+
+def _lines_table(lines: Sequence[Sequence[int]], v: int) -> tuple[int, ...]:
+    """The table of the product of the disjoint cycles ``lines`` on Z_v."""
+    table = [-1] * v
+    for line in lines:
+        for a, b in zip(line, line[1:] + line[:1]):
+            table[a] = b
+    return tuple(table)
 
 
 def orderings_from_orientations(
@@ -107,15 +141,18 @@ def orderings_from_orientations(
     """
     _check_directions(rows_dir, array.m, "row")
     _check_directions(cols_dir, array.n, "column")
-    rows = []
-    for i in range(1, array.m + 1):
-        line = array.row_values(i)
-        rows.append(line if rows_dir[i - 1] == 1 else tuple(reversed(line)))
-    cols = []
-    for j in range(1, array.n + 1):
-        line = array.column_values(j)
-        cols.append(line if cols_dir[j - 1] == 1 else tuple(reversed(line)))
-    return LineOrderingSet(tuple(rows), tuple(cols), array.v)
+    rows, cols = _natural_lines(array)
+    return LineOrderingSet(
+        tuple(line if d == 1 else line[::-1] for line, d in zip(rows, rows_dir)),
+        tuple(line if d == 1 else line[::-1] for line, d in zip(cols, cols_dir)),
+        array.v,
+    )
+
+
+def _natural_lines(array: PartiallyFilledArray) -> tuple[list, list]:
+    """The rows left to right and the columns top to bottom."""
+    return ([array.row_values(i) for i in range(1, array.m + 1)],
+            [array.column_values(j) for j in range(1, array.n + 1)])
 
 
 def natural_orderings(array: PartiallyFilledArray) -> LineOrderingSet:
@@ -127,27 +164,23 @@ def _check_directions(vec: Sequence[int], length: int, what: str) -> None:
         raise ValueError(f"{what} direction vector must be ±1 of length {length}")
 
 
-def are_compatible(row_perm: Permutation, col_perm: Permutation) -> bool:
+def are_compatible(row_perm: Sequence[int], col_perm: Sequence[int]) -> bool:
     """True iff col_perm ∘ row_perm is a single cycle covering the entry set."""
-    if row_perm.domain != col_perm.domain:
+    domain = [d for d, image in enumerate(row_perm) if image >= 0]
+    if domain != [d for d, image in enumerate(col_perm) if image >= 0]:
         raise ValueError("orderings act on different ground sets")
-    return col_perm.compose(row_perm).is_single_cycle()
+    return is_single_cycle(compose(col_perm, row_perm), domain)
 
 
-def composed_cycle(ords: LineOrderingSet) -> Permutation:
+def composed_cycle(ords: LineOrderingSet) -> tuple[int, ...]:
     """The column-after-row composition induced by a full ordering set."""
-    return ords.col_perm.compose(ords.row_perm)
+    return compose(ords.col_perm, ords.row_perm)
 
 
 def is_globally_simple(array: PartiallyFilledArray) -> bool:
     """Are all natural line orderings simple?"""
-    for i in range(1, array.m + 1):
-        if not is_simple_ordering(array.row_values(i), array.v):
-            return False
-    for j in range(1, array.n + 1):
-        if not is_simple_ordering(array.column_values(j), array.v):
-            return False
-    return True
+    rows, cols = _natural_lines(array)
+    return all(is_simple_ordering(line, array.v) for line in rows + cols)
 
 
 def find_simple_line_orderings(array: PartiallyFilledArray) -> LineOrderingSet | None:
@@ -162,19 +195,14 @@ def find_simple_line_orderings(array: PartiallyFilledArray) -> LineOrderingSet |
                 return cand
         return None
 
-    rows = []
-    for i in range(1, array.m + 1):
-        w = first_simple(array.row_values(i))
+    rows, cols = _natural_lines(array)
+    found = []
+    for line in rows + cols:
+        w = first_simple(line)
         if w is None:
             return None
-        rows.append(w)
-    cols = []
-    for j in range(1, array.n + 1):
-        w = first_simple(array.column_values(j))
-        if w is None:
-            return None
-        cols.append(w)
-    return LineOrderingSet(tuple(rows), tuple(cols), array.v)
+        found.append(w)
+    return LineOrderingSet(tuple(found[:array.m]), tuple(found[array.m:]), array.v)
 
 
 # -- validation ----------------------------------------------------------------

@@ -25,6 +25,15 @@ def load_golden(name: str) -> dict:
         return json.load(f)
 
 
+def cycles_table(size: int, cycles) -> tuple[int, ...]:
+    """The permutation table, -1 off the listed elements, of disjoint cycles."""
+    table = [-1] * size
+    for cycle in cycles:
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            table[a] = b
+    return tuple(table)
+
+
 def fixture_path(name: str) -> Path:
     return Path(str(resources.files("heffter") / "data" / name))
 

@@ -74,6 +74,11 @@ class TestEvaluators:
         with pytest.raises(HypothesisError):
             evaluate_bound(BoundQuery("CDY", n=13, k=7), force=True)
 
+    @pytest.mark.parametrize("theorem", ["DiagBi", "DiagBi2", "PropK7", "PropPower2"])
+    def test_forced_evaluation_outside_the_domain(self, theorem):
+        with pytest.raises(HypothesisError, match="undefined for n=0"):
+            evaluate_bound(BoundQuery(theorem, n=0, k=1), force=True)
+
     def test_cdy_mod3_clause(self):
         # n divisible by 3 demands k = 7 mod 12
         with pytest.raises(HypothesisError, match="hypotheses failed"):

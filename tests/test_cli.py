@@ -163,6 +163,7 @@ def k7_embedding(rho0) -> str:
 
 
 K7_RHO0 = [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [6, 1]]
+NESTED = "[" * 100000 + "]" * 100000  # JSON nested past the recursion limit
 
 
 class TestIsoClassifyInput:
@@ -195,6 +196,7 @@ class TestIsoClassifyInput:
         # far beyond the rho0 pairs given: must fail before a table of size v
         '{"v": 1000000000000000, "t": 1, "connection": [1], "rho0": [[1, 1]], '
         '"entry_class": []}',
+        pytest.param(NESTED, id="nested-past-recursion-limit"),
     ])
     def test_malformed_embedding(self, tmp_path, capsys, saved, text):
         bad = tmp_path / "bad.json"
@@ -306,9 +308,28 @@ class TestSearchBoundsPipeline:
     "search --m 3 --n 3 --h 3 --k 3 --out {tmp}/file.txt",
     "pipeline --search 3,3,3,3,1 --out {tmp}/file.txt",
     "embed --array {array} --solution {tmp}/sol.json --save {tmp}/missing/x.json",
+    "embed --array {array} --solution {tmp}/sol_not_pm1.json",
+    "faces --array {array} --solution {tmp}/sol_not_pm1.json",
+    "embed --array {array} --solution {tmp}/sol_inf.json",
+    "faces --array {array} --solution {tmp}/sol_inf.json",
+    "tour {tmp}/huge.skel.json",
+    "tour-enum {tmp}/huge.skel.json",
+    "verify {tmp}/bad_v.json",
+    "verify {tmp}/nested_array.json",
+    "tour {tmp}/nested.skel.json",
+    "embed --array {array} --solution {tmp}/nested_sol.json",
 ])
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv):
     (tmp_path / "sol.json").write_text(json.dumps({"R": [1] * 11, "C": [-1] + [1] * 10}))
+    (tmp_path / "sol_not_pm1.json").write_text(
+        json.dumps({"R": [1] * 11, "C": [2] + [1] * 10}))
+    (tmp_path / "sol_inf.json").write_text('{"R": [1e400], "C": []}')  # int(inf) overflows
+    (tmp_path / "huge.skel.json").write_text(
+        json.dumps({"m": 2 ** 63, "n": 1, "filled": [[1, 1]]}))
+    (tmp_path / "bad_v.json").write_text('{"v": "x", "t": 1, "cells": [[1]]}')
+    (tmp_path / "nested_array.json").write_text('{"cells": ' + NESTED + "}")
+    (tmp_path / "nested.skel.json").write_text('{"filled": ' + NESTED + "}")
+    (tmp_path / "nested_sol.json").write_text('{"R": ' + NESTED + "}")
     (tmp_path / "file.txt").write_text("")  # an output path that is not a directory
     # header v inconsistent with the weights: 2nk/lambda + t = 207
     (tmp_path / "bad_v.arr").write_text(

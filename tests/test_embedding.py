@@ -21,23 +21,9 @@ from heffter.embedding import (
 )
 from heffter.iso import PRESERVING, verify_map
 from heffter.knight import enumerate_solutions
-from heffter.validation import orderings_from_orientations, search_heffter
+from heffter.validation import cycle_from, orderings_from_orientations, search_heffter
 
-
-def cycle_table(v, cycle):
-    """The rotation table of one cycle on the differences it lists."""
-    table = [-1] * v
-    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        table[a] = b
-    return tuple(table)
-
-
-def cycle_from(table, x):
-    """The cycle of the rotation table through x, listed from x."""
-    out = [x]
-    while table[out[-1]] != x:
-        out.append(table[out[-1]])
-    return out
+from conftest import cycles_table
 
 
 def reference_faces(emb):
@@ -109,7 +95,7 @@ def alternating_embeddings(draw):
     cycle = [d for pair in zip(entries, negated) for d in pair]
     # m = n = 1, k = 3 keeps the closed-form genus defined (it is 1)
     source = EmbeddingSource(1, 1, 3, 3, "random", (1,), (1,))
-    return CombinatorialEmbedding(v, t, conn, cycle_table(v, cycle),
+    return CombinatorialEmbedding(v, t, conn, cycles_table(v, [cycle]),
                                   frozenset(entries), source)
 
 
@@ -179,7 +165,7 @@ class TestBuild:
 
     def test_rejects_broken_rotation(self, k19_embedding):
         conn = k19_embedding.connection
-        table = list(cycle_table(19, [x for x in conn if x > 2]))
+        table = list(cycles_table(19, [[x for x in conn if x > 2]]))
         table[1], table[2] = 2, 1  # the 2-cycle (1 2)
         with pytest.raises(ValueError, match="single cycle"):
             CombinatorialEmbedding(19, 1, conn, tuple(table),
@@ -234,7 +220,7 @@ class TestFaces:
         v = ex_array.v
         ords = orderings_from_orientations(ex_array, *ex_pair)
         canonical = {}
-        for cyc in (tuple(c) for c in ords.col_perm.cycles()):
+        for cyc in ords.cols:
             lo = cyc.index(min(cyc))
             canonical[cyc[lo:] + cyc[:lo]] = 0
         assert len(canonical) == 11
@@ -272,7 +258,7 @@ class TestFaces:
         # entry 2 to the negated entry 18
         e = k19_embedding
         mixed = CombinatorialEmbedding(
-            e.v, e.t, e.connection, cycle_table(e.v, e.connection),
+            e.v, e.t, e.connection, cycles_table(e.v, [e.connection]),
             frozenset(range(1, 10)), e.source)
         for trace in (trace_faces, reference_faces, biembedding_report):
             with pytest.raises(AssertionError, match="mixes"):

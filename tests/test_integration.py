@@ -6,8 +6,10 @@ from heffter.knight import enumerate_solutions, is_solution
 from heffter.validation import (
     are_compatible,
     is_globally_simple,
+    is_single_cycle,
     orderings_from_orientations,
     search_heffter,
+    subgroup_members,
     validate_heffter,
 )
 
@@ -17,25 +19,18 @@ def all_vectors(n):
         yield tuple(-1 if (mask >> (n - 1 - j)) & 1 else 1 for j in range(n))
 
 
-def is_single_cycle(table):
-    """Does the rotation table form one cycle on its differences (not -1)?"""
-    domain = [d for d, image in enumerate(table) if image >= 0]
-    length, d = 1, table[domain[0]]
-    while d != domain[0]:
-        length, d = length + 1, table[d]
-    return length == len(domain)
-
-
 def test_three_way_equivalence(h53_cyclic):
     """One full cycle in rho0 <=> compatible orderings <=> tour solution."""
     skel = h53_cyclic.skeleton()
+    v, t = h53_cyclic.v, h53_cyclic.t
+    connection = set(range(v)) - subgroup_members(v, t)
     hits = 0
     for rows in all_vectors(5):
         for cols in all_vectors(5):
             ords = orderings_from_orientations(h53_cyclic, rows, cols)
             compatible = are_compatible(ords.row_perm, ords.col_perm)
             rho0 = build_rho0(h53_cyclic, ords)
-            assert is_single_cycle(rho0) == compatible
+            assert is_single_cycle(rho0, connection) == compatible
             assert compatible == is_solution(skel, rows, cols)
             hits += compatible
     assert hits > 0

@@ -33,6 +33,9 @@ from heffter.pfarray import (
 )
 from heffter.validation import (
     are_compatible,
+    compose,
+    cycle_from,
+    is_single_cycle,
     orderings_from_orientations,
 )
 
@@ -223,9 +226,13 @@ class TestCharacterizations:
 
     def test_perm_pair_example(self):
         w1, w2 = cyclic_criterion_perms(5, 3, (1, 3))
-        assert w1.as_dict() == {1: 3, 3: 1}
-        assert w2.as_dict() == {1: 1, 3: 3}
-        assert w2.compose(w1).cycles() == ((1, 3),)
+        # tables indexed by position 0..5: 1 -> 3 -> 1 under w1, w2 fixes E
+        assert w1 == (-1, 3, -1, 1, -1, -1)
+        assert w2 == (-1, 1, -1, 3, -1, -1)
+        comp = compose(w2, w1)
+        assert comp == (-1, 3, -1, 1, -1, -1)
+        assert cycle_from(comp, 1) == [1, 3]
+        assert is_single_cycle(comp, (1, 3))
         assert cyclic_criterion(5, 3, (1, 3))
 
     def test_singleton_reversal(self):
@@ -304,10 +311,10 @@ class TestFamilies:
         # with E = (1, 2, e3..e9 = 3 mod 6): images land at indices 7, 8, 6
         E = (1, 2, 3, 9, 15, 21, 27, 33, 39)
         w1, w2 = cyclic_criterion_perms(123, 7, E)
-        comp = w2.compose(w1)
-        assert comp(E[0]) == E[6]
-        assert comp(E[1]) == E[7]
-        assert comp(E[2]) == E[5]
+        comp = compose(w2, w1)
+        assert comp[E[0]] == E[6]
+        assert comp[E[1]] == E[7]
+        assert comp[E[2]] == E[5]
 
     def test_k7_delegates_on_coprime(self):
         fam = seven_diagonal_family(125)

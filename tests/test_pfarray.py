@@ -14,6 +14,7 @@ from heffter.pfarray import (
     diagonal_cells,
     diagonal_skeleton,
     parse_array,
+    parse_skeleton_json,
     signed,
 )
 
@@ -58,11 +59,27 @@ class TestParsing:
             "v=11 t=1\n1,x\n",  # non-integer
             "v=11 t=1 m=3\n1,2\n",  # header m mismatch
             "v=11 t=1 q=2\n1\n",  # unknown key
+            "v=11 t=1 lambda=0\n1\n",  # fold below 1
+            pytest.param("v=1" + "0" * 5000 + " t=1\n1\n", id="v-past-digit-limit"),
+            '{"v": "x", "t": 1, "cells": [[1]]}',
+            '{"v": 1e400, "t": 1, "cells": [[1]]}',
+            '{"v": 11, "t": 1, "cells": [[1, "x"]]}',
+            '{"v": 11, "t": 1, "cells": 5}',
+            '{"v": 11, "t": 1, "m": "x", "cells": [[1]]}',
         ],
     )
     def test_malformed(self, bad):
         with pytest.raises(ArrayFormatError):
             parse_array(bad)
+
+    @pytest.mark.parametrize("bad", [
+        '{"m": 1e400, "n": 1, "filled": [[1, 1]]}',
+        '{"m": 2, "n": 1, "filled": [[1, 1]]}',  # row 2 is empty
+        '{"m": 9223372036854775808, "n": 1, "filled": [[1, 1]]}',
+    ])
+    def test_malformed_skeleton(self, bad):
+        with pytest.raises(ArrayFormatError):
+            parse_skeleton_json(bad)
 
     def test_signed_display(self):
         assert signed(197, 207) == -10

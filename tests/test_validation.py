@@ -17,12 +17,14 @@ from heffter.pfarray import (
 )
 from heffter.validation import (
     BudgetExceededError,
-    Ordering,
     are_compatible,
+    compose,
     composed_cycle,
+    cycle_from,
     find_simple_line_orderings,
     is_globally_simple,
     is_simple_ordering,
+    is_single_cycle,
     natural_orderings,
     orderings_from_orientations,
     search_heffter,
@@ -30,7 +32,7 @@ from heffter.validation import (
     validate_heffter,
 )
 
-from conftest import load_golden
+from conftest import cycles_table, load_golden
 
 
 class TestValidate:
@@ -111,11 +113,13 @@ class TestSimpleOrderings:
         for line in ords.rows + ords.cols:
             assert is_simple_ordering(line, h53_cyclic.v)
 
-    def test_ordering_dataclass(self):
-        o = Ordering((1, 2, 4), 7)
-        assert o.partial_sums() == (1, 3, 0)
-        assert o.simple
-        assert o.reversed().values == (4, 2, 1)
+    def test_simple_ordering_example(self):
+        # partial sums 1, 3, 0 mod 7; reversed 4, 6, 0; appending 1 repeats 1
+        assert [s % 7 for s in itertools.accumulate((1, 2, 4))] == [1, 3, 0]
+        assert is_simple_ordering((1, 2, 4), 7)
+        assert is_simple_ordering((4, 2, 1), 7)
+        assert not is_simple_ordering((1, 2, 4, 1), 7)
+        assert is_simple_ordering((8, -5, 11), 7)  # the same sums, unreduced
 
 
 @settings(max_examples=100, deadline=None)
@@ -130,6 +134,98 @@ def test_reversal_preserves_simplicity_for_zero_sum(params):
     assert fwd == rev
 
 
+def inverse(table):
+    """The inverse of a permutation table, -1 where the table is -1."""
+    out = [-1] * len(table)
+    for d, image in enumerate(table):
+        if image >= 0:
+            out[image] = d
+    return tuple(out)
+
+
+def naive_cycles(table, domain):
+    """The disjoint cycles of a permutation of ``domain``, each from its least element."""
+    seen, cycles = set(), []
+    for start in sorted(domain):
+        if start not in seen:
+            cyc = [start]
+            while table[cyc[-1]] != start:
+                cyc.append(table[cyc[-1]])
+            seen.update(cyc)
+            cycles.append(cyc)
+    return cycles
+
+
+@st.composite
+def permutation_tables(draw):
+    """(table, domain, damaged): a permutation of a subset of range(size) held
+    as a table with -1 holes, with up to two images sent off the domain
+    when ``damaged``."""
+    size = draw(st.integers(1, 10))
+    domain = sorted(draw(st.sets(st.integers(0, size - 1))))
+    table = [-1] * size
+    for d, image in zip(domain, draw(st.permutations(domain))):
+        table[d] = image
+    damaged = bool(domain) and draw(st.booleans())
+    if damaged:
+        holes = [d for d in range(size) if table[d] < 0]
+        for d in draw(st.sets(st.sampled_from(domain), min_size=1, max_size=2)):
+            table[d] = draw(st.sampled_from([-1, -3, size, size + 5] + holes))
+    return tuple(table), domain, damaged
+
+
+@settings(max_examples=200, deadline=None)
+@given(permutation_tables())
+def test_cycle_helpers_match_naive_decomposition(drawn):
+    table, domain, damaged = drawn
+    on_domain = lambda d: 0 <= d < len(table) and table[d] >= 0
+    for x in domain:
+        walk = cycle_from(table, x)
+        # the walk follows the table from x without a repeat, and stops only
+        # before a value off the domain or already met
+        assert walk[0] == x and len(set(walk)) == len(walk)
+        assert all(table[a] == b for a, b in zip(walk, walk[1:]))
+        assert not on_domain(table[walk[-1]]) or table[walk[-1]] in walk
+    if damaged:
+        # some image is off the domain, so the table permutes no domain
+        assert not is_single_cycle(table, domain)
+        return
+    cycles = naive_cycles(table, domain)
+    for cyc in cycles:
+        for i, x in enumerate(cyc):
+            assert cycle_from(table, x) == cyc[i:] + cyc[:i]
+        assert is_single_cycle(table, cyc) and is_single_cycle(table, cyc[::-1])
+    assert is_single_cycle(table, domain) == (len(cycles) == 1)
+    if len(cycles) > 1:
+        assert not is_single_cycle(table, cycles[0] + cycles[1])
+
+
+def test_cycle_helpers_examples():
+    identity = tuple(range(5))
+    assert not is_single_cycle(identity, range(5))
+    assert all(cycle_from(identity, x) == [x] for x in range(5))
+    p = cycles_table(5, [(4, 1, 3, 2)])
+    assert cycle_from(p, 3) == [3, 2, 4, 1]
+    assert is_single_cycle(p, (1, 2, 3, 4))
+    assert not is_single_cycle(p, ())
+    q = cycles_table(5, [(1, 2), (3, 4)])
+    assert not is_single_cycle(q, (1, 2, 3, 4))
+    not_bijective = (-1, 2, 2)  # 1 -> 2 -> 2
+    assert cycle_from(not_bijective, 1) == [1, 2]
+    assert not is_single_cycle(not_bijective, (1, 2))
+    with pytest.raises(ValueError, match="ground sets"):
+        are_compatible(tuple(range(3)), tuple(range(4)))
+
+
+def test_compose_applies_the_inner_table_first():
+    a = cycles_table(4, [(1, 2), (3,)])
+    b = cycles_table(4, [(1,), (2, 3)])
+    assert compose(a, b)[2] == a[b[2]] == a[3] == 3
+    assert compose(b, a)[2] == b[1] == 1
+    assert compose(a, b)[0] == -1  # off the domain
+    assert compose(a, inverse(a)) == compose(inverse(a), a) == cycles_table(4, [(1,), (2,), (3,)])
+
+
 class TestOrientationsAndCompatibility:
     def test_all_plus_is_natural(self, ex_array):
         ords = orderings_from_orientations(ex_array, (1,) * 11, (1,) * 11)
@@ -139,19 +235,15 @@ class TestOrientationsAndCompatibility:
     def test_all_minus_inverts_row_perm(self, ex_array):
         nat = natural_orderings(ex_array)
         rev = orderings_from_orientations(ex_array, (-1,) * 11, (-1,) * 11)
-        assert rev.row_perm == nat.row_perm.inverse()
-        assert rev.col_perm == nat.col_perm.inverse()
+        assert rev.row_perm == inverse(nat.row_perm)
+        assert rev.col_perm == inverse(nat.col_perm)
 
     def test_golden_orderings(self, ex_array, ex_pair):
-        from heffter.perm import Permutation
-
         g = load_golden("orderings_11x11.json")
         ords = orderings_from_orientations(ex_array, *ex_pair)
         v = ex_array.v
-        want_rows = Permutation.from_cycles(
-            [tuple(x % v for x in c) for c in g["row_cycles"]])
-        want_cols = Permutation.from_cycles(
-            [tuple(x % v for x in c) for c in g["column_cycles"]])
+        want_rows = cycles_table(v, [tuple(x % v for x in c) for c in g["row_cycles"]])
+        want_cols = cycles_table(v, [tuple(x % v for x in c) for c in g["column_cycles"]])
         assert ords.row_perm == want_rows
         assert ords.col_perm == want_cols
 
@@ -161,11 +253,13 @@ class TestOrientationsAndCompatibility:
         comp = composed_cycle(ords)
         assert are_compatible(ords.row_perm, ords.col_perm)
         want = [x % ex_array.v for x in g["composition_cycle"]]
-        assert list(comp.cycle_through(want[0])) == want
+        assert cycle_from(comp, want[0]) == want
 
     def test_inverse_composition_is_identity(self, ex_array):
         nat = natural_orderings(ex_array)
-        assert not are_compatible(nat.col_perm.inverse(), nat.col_perm)
+        assert compose(nat.col_perm, inverse(nat.col_perm)) == cycles_table(
+            ex_array.v, [(x,) for x in ex_array.entries()])
+        assert not are_compatible(inverse(nat.col_perm), nat.col_perm)
 
     def test_ground_set_mismatch(self, ex_array, h33):
         with pytest.raises(ValueError):
