@@ -34,6 +34,15 @@ def cycles_table(size: int, cycles) -> tuple[int, ...]:
     return tuple(table)
 
 
+def inverse(table) -> tuple[int, ...]:
+    """The inverse of a permutation table, -1 where the table is -1."""
+    out = [-1] * len(table)
+    for d, image in enumerate(table):
+        if image >= 0:
+            out[image] = d
+    return tuple(out)
+
+
 def fixture_path(name: str) -> Path:
     return Path(str(resources.files("heffter") / "data" / name))
 

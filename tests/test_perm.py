@@ -1,95 +1,120 @@
-"""The exact permutation type underlying orderings and rotations."""
+"""Permutation tables: the shared cycle walk, the single-cycle test, composition.
+
+A permutation is a tuple indexed by element, -1 off its domain.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heffter.perm import Permutation
+from heffter.validation import are_compatible, compose, cycle_from, is_single_cycle
+
+from conftest import cycles_table, inverse
+
+
+def naive_cycles(table, domain):
+    """The disjoint cycles of a permutation of ``domain``, each from its least element."""
+    seen, cycles = set(), []
+    for start in sorted(domain):
+        if start not in seen:
+            cyc = [start]
+            while table[cyc[-1]] != start:
+                cyc.append(table[cyc[-1]])
+            seen.update(cyc)
+            cycles.append(cyc)
+    return cycles
+
+
+@st.composite
+def permutation_tables(draw):
+    """(table, domain, damaged): a permutation of a subset of range(size) held
+    as a table with -1 holes, with up to two images sent off the domain
+    when ``damaged``."""
+    size = draw(st.integers(1, 10))
+    domain = sorted(draw(st.sets(st.integers(0, size - 1))))
+    table = [-1] * size
+    for d, image in zip(domain, draw(st.permutations(domain))):
+        table[d] = image
+    damaged = bool(domain) and draw(st.booleans())
+    if damaged:
+        holes = [d for d in range(size) if table[d] < 0]
+        for d in draw(st.sets(st.sampled_from(domain), min_size=1, max_size=2)):
+            table[d] = draw(st.sampled_from([-1, -3, size, size + 5] + holes))
+    return tuple(table), domain, damaged
 
 
 def test_identity():
-    p = Permutation.identity(range(5))
-    assert p(3) == 3
-    assert p.is_single_cycle() is False
-    assert p.cycles() == ((0,), (1,), (2,), (3,), (4,))
-
-
-def test_from_cycles_and_fixed_points():
-    p = Permutation.from_cycles([(1, 2, 3)], domain=range(5))
-    assert p(1) == 2 and p(3) == 1 and p(0) == 0
-    assert len(p) == 5
-
-
-def test_from_overlapping_cycles_rejected():
-    with pytest.raises(ValueError, match="two cycles"):
-        Permutation.from_cycles([(1, 2), (2, 3)])
+    identity = tuple(range(5))
+    assert identity[3] == 3
+    assert not is_single_cycle(identity, range(5))
+    assert all(cycle_from(identity, x) == [x] for x in range(5))
 
 
 def test_non_bijection_rejected():
-    with pytest.raises(ValueError, match="bijection"):
-        Permutation({1: 2, 2: 2})
+    not_bijective = (-1, 2, 2)  # 1 -> 2 -> 2
+    assert cycle_from(not_bijective, 1) == [1, 2]
+    assert not is_single_cycle(not_bijective, (1, 2))
 
 
 def test_compose_applies_right_factor_first():
-    a = Permutation.from_cycles([(1, 2)], domain=(1, 2, 3))
-    b = Permutation.from_cycles([(2, 3)], domain=(1, 2, 3))
-    assert a.compose(b)(2) == a(b(2)) == a(3) == 3
-    assert b.compose(a)(2) == b(1) == 1
+    a = cycles_table(4, [(1, 2), (3,)])
+    b = cycles_table(4, [(1,), (2, 3)])
+    assert compose(a, b)[2] == a[b[2]] == a[3] == 3
+    assert compose(b, a)[2] == b[1] == 1
+    assert compose(a, b)[0] == -1  # off the domain
 
 
 def test_compose_requires_same_domain():
-    a = Permutation.identity(range(3))
-    b = Permutation.identity(range(4))
-    with pytest.raises(ValueError):
-        a.compose(b)
+    with pytest.raises(ValueError, match="ground sets"):
+        are_compatible(tuple(range(3)), tuple(range(4)))
 
 
 def test_cycle_through_and_single_cycle():
-    p = Permutation.from_cycles([(4, 1, 3, 2)])
-    assert p.cycle_through(3) == (3, 2, 4, 1)
-    assert p.is_single_cycle()
-    q = Permutation.from_cycles([(1, 2), (3, 4)])
-    assert not q.is_single_cycle()
+    p = cycles_table(5, [(4, 1, 3, 2)])
+    assert cycle_from(p, 3) == [3, 2, 4, 1]
+    assert is_single_cycle(p, (1, 2, 3, 4))
+    assert not is_single_cycle(p, ())
+    q = cycles_table(5, [(1, 2), (3, 4)])
+    assert not is_single_cycle(q, (1, 2, 3, 4))
 
 
 def test_canonical_cycles():
-    p = Permutation.from_cycles([(5, 6), (2, 4, 3)])
-    assert p.cycles() == ((2, 4, 3), (5, 6))
-
-
-def test_key_and_hash_equality():
-    a = Permutation({1: 2, 2: 1, 3: 3})
-    b = Permutation.from_cycles([(2, 1)], domain=(1, 2, 3))
-    assert a == b and hash(a) == hash(b)
-    assert a.key() == ((1, 2), (2, 1), (3, 3))
+    p = cycles_table(7, [(5, 6), (2, 4, 3)])
+    assert naive_cycles(p, (2, 3, 4, 5, 6)) == [[2, 4, 3], [5, 6]]
+    assert cycle_from(p, 3) == [3, 2, 4] and cycle_from(p, 6) == [6, 5]
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.permutations(list(range(8))))
 def test_inverse_roundtrip(images):
-    p = Permutation(dict(enumerate(images)))
-    ident = Permutation.identity(range(8))
-    assert p.compose(p.inverse()) == ident
-    assert p.inverse().compose(p) == ident
-    assert p.inverse().inverse() == p
+    p = tuple(images)
+    identity = tuple(range(8))
+    assert compose(p, inverse(p)) == compose(inverse(p), p) == identity
+    assert inverse(inverse(p)) == p
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.permutations(list(range(7))), st.integers(-20, 20))
-def test_power_matches_repeated_composition(images, e):
-    p = Permutation(dict(enumerate(images)))
-    ident = Permutation.identity(range(7))
-    step = p if e >= 0 else p.inverse()
-    expect = ident
-    for _ in range(abs(e)):
-        expect = step.compose(expect)
-    assert p.power(e) == expect
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.permutations(list(range(9))))
-def test_cycles_partition_domain(images):
-    p = Permutation(dict(enumerate(images)))
-    seen = [x for c in p.cycles() for x in c]
-    assert sorted(seen) == list(range(9))
-    assert p.is_single_cycle() == (len(p.cycles()) == 1)
+@settings(max_examples=200, deadline=None)
+@given(permutation_tables())
+def test_cycles_partition_domain(drawn):
+    table, domain, damaged = drawn
+    on_domain = lambda d: 0 <= d < len(table) and table[d] >= 0
+    for x in domain:
+        walk = cycle_from(table, x)
+        # the walk follows the table from x without a repeat, and stops only
+        # before a value off the domain or already met
+        assert walk[0] == x and len(set(walk)) == len(walk)
+        assert all(table[a] == b for a, b in zip(walk, walk[1:]))
+        assert not on_domain(table[walk[-1]]) or table[walk[-1]] in walk
+    if damaged:
+        # some image is off the domain, so the table permutes no domain
+        assert not is_single_cycle(table, domain)
+        return
+    cycles = naive_cycles(table, domain)
+    assert sorted(x for c in cycles for x in c) == domain
+    for cyc in cycles:
+        for i, x in enumerate(cyc):
+            assert cycle_from(table, x) == cyc[i:] + cyc[:i]
+        assert is_single_cycle(table, cyc) and is_single_cycle(table, cyc[::-1])
+    assert is_single_cycle(table, domain) == (len(cycles) == 1)
+    if len(cycles) > 1:
+        assert not is_single_cycle(table, cycles[0] + cycles[1])

@@ -24,7 +24,6 @@ from heffter.validation import (
     find_simple_line_orderings,
     is_globally_simple,
     is_simple_ordering,
-    is_single_cycle,
     natural_orderings,
     orderings_from_orientations,
     search_heffter,
@@ -32,7 +31,7 @@ from heffter.validation import (
     validate_heffter,
 )
 
-from conftest import cycles_table, load_golden
+from conftest import cycles_table, inverse, load_golden
 
 
 class TestValidate:
@@ -132,98 +131,6 @@ def test_reversal_preserves_simplicity_for_zero_sum(params):
     fwd = is_simple_ordering(xs, v)
     rev = is_simple_ordering(list(reversed(xs)), v)
     assert fwd == rev
-
-
-def inverse(table):
-    """The inverse of a permutation table, -1 where the table is -1."""
-    out = [-1] * len(table)
-    for d, image in enumerate(table):
-        if image >= 0:
-            out[image] = d
-    return tuple(out)
-
-
-def naive_cycles(table, domain):
-    """The disjoint cycles of a permutation of ``domain``, each from its least element."""
-    seen, cycles = set(), []
-    for start in sorted(domain):
-        if start not in seen:
-            cyc = [start]
-            while table[cyc[-1]] != start:
-                cyc.append(table[cyc[-1]])
-            seen.update(cyc)
-            cycles.append(cyc)
-    return cycles
-
-
-@st.composite
-def permutation_tables(draw):
-    """(table, domain, damaged): a permutation of a subset of range(size) held
-    as a table with -1 holes, with up to two images sent off the domain
-    when ``damaged``."""
-    size = draw(st.integers(1, 10))
-    domain = sorted(draw(st.sets(st.integers(0, size - 1))))
-    table = [-1] * size
-    for d, image in zip(domain, draw(st.permutations(domain))):
-        table[d] = image
-    damaged = bool(domain) and draw(st.booleans())
-    if damaged:
-        holes = [d for d in range(size) if table[d] < 0]
-        for d in draw(st.sets(st.sampled_from(domain), min_size=1, max_size=2)):
-            table[d] = draw(st.sampled_from([-1, -3, size, size + 5] + holes))
-    return tuple(table), domain, damaged
-
-
-@settings(max_examples=200, deadline=None)
-@given(permutation_tables())
-def test_cycle_helpers_match_naive_decomposition(drawn):
-    table, domain, damaged = drawn
-    on_domain = lambda d: 0 <= d < len(table) and table[d] >= 0
-    for x in domain:
-        walk = cycle_from(table, x)
-        # the walk follows the table from x without a repeat, and stops only
-        # before a value off the domain or already met
-        assert walk[0] == x and len(set(walk)) == len(walk)
-        assert all(table[a] == b for a, b in zip(walk, walk[1:]))
-        assert not on_domain(table[walk[-1]]) or table[walk[-1]] in walk
-    if damaged:
-        # some image is off the domain, so the table permutes no domain
-        assert not is_single_cycle(table, domain)
-        return
-    cycles = naive_cycles(table, domain)
-    for cyc in cycles:
-        for i, x in enumerate(cyc):
-            assert cycle_from(table, x) == cyc[i:] + cyc[:i]
-        assert is_single_cycle(table, cyc) and is_single_cycle(table, cyc[::-1])
-    assert is_single_cycle(table, domain) == (len(cycles) == 1)
-    if len(cycles) > 1:
-        assert not is_single_cycle(table, cycles[0] + cycles[1])
-
-
-def test_cycle_helpers_examples():
-    identity = tuple(range(5))
-    assert not is_single_cycle(identity, range(5))
-    assert all(cycle_from(identity, x) == [x] for x in range(5))
-    p = cycles_table(5, [(4, 1, 3, 2)])
-    assert cycle_from(p, 3) == [3, 2, 4, 1]
-    assert is_single_cycle(p, (1, 2, 3, 4))
-    assert not is_single_cycle(p, ())
-    q = cycles_table(5, [(1, 2), (3, 4)])
-    assert not is_single_cycle(q, (1, 2, 3, 4))
-    not_bijective = (-1, 2, 2)  # 1 -> 2 -> 2
-    assert cycle_from(not_bijective, 1) == [1, 2]
-    assert not is_single_cycle(not_bijective, (1, 2))
-    with pytest.raises(ValueError, match="ground sets"):
-        are_compatible(tuple(range(3)), tuple(range(4)))
-
-
-def test_compose_applies_the_inner_table_first():
-    a = cycles_table(4, [(1, 2), (3,)])
-    b = cycles_table(4, [(1,), (2, 3)])
-    assert compose(a, b)[2] == a[b[2]] == a[3] == 3
-    assert compose(b, a)[2] == b[1] == 1
-    assert compose(a, b)[0] == -1  # off the domain
-    assert compose(a, inverse(a)) == compose(inverse(a), a) == cycles_table(4, [(1,), (2,), (3,)])
 
 
 class TestOrientationsAndCompatibility:
