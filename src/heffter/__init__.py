@@ -34,7 +34,6 @@ from .knight import (
     cyclic_criterion_perms,
     enumerate_solutions,
     is_solution,
-    negated,
     pairs_family,
     power_two_family,
     prime_family,

@@ -46,16 +46,35 @@ def binom(a: int, b: int) -> int:
     return comb(a, b)
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981  # least strong pseudoprime to all bases
+
+
 def _is_prime(x: int) -> bool:
+    """Deterministic Miller-Rabin on the primes up to 41, exact below _MR_LIMIT.
+
+    Raises ValueError at or above the limit, where these bases prove nothing.
+    """
+    if x >= _MR_LIMIT:
+        raise ValueError(f"primality test is exact only below {_MR_LIMIT}, got {x}")
     if x < 2:
         return False
-    if x % 2 == 0:
-        return x == 2
-    f = 3
-    while f * f <= x:
-        if x % f == 0:
+    for p in _MR_BASES:
+        if x % p == 0:
+            return x == p
+    d, s = x - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        y = pow(a, d, x)
+        if y in (1, x - 1):
+            continue
+        for _ in range(s - 1):
+            y = y * y % x
+            if y == x - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -63,13 +82,22 @@ def _ceil(a: int, b: int) -> int:
     return -(-a // b)
 
 
+def _float(compute: Callable[[], float]) -> float | None:
+    """The float ``compute()`` returns, or None where it overflows a float."""
+    try:
+        value = compute()
+    except OverflowError:
+        return None
+    return None if math.isinf(value) else value
+
+
 @dataclass
 class BoundQuery:
     """A theorem id plus its parameters.
 
     ``n`` and ``k`` are always required; ``subgroup_t`` only matters for the
-    diagonal-family theorems (default 1) and ``s1``/``i`` for the strip
-    pattern.  Derived quantities (v, cdy_t) are always recomputed.
+    diagonal-family theorems (default 1) and ``s1`` for the strip pattern.
+    Derived quantities (v, cdy_t) are always recomputed.
     """
 
     theorem: str
@@ -77,7 +105,6 @@ class BoundQuery:
     k: int
     subgroup_t: int = 1
     s1: int | None = None
-    i: int | None = None
 
     @property
     def v(self) -> int:
@@ -139,7 +166,7 @@ def _cdy_hypotheses(q: BoundQuery, prime_only: bool) -> dict[str, bool]:
         hyp["n_prime"] = _is_prime(q.n)
         hyp["n>8k"] = q.n > 8 * q.k
     else:
-        hyp["n_prime_or_n>=(7k+1)/3"] = _is_prime(q.n) or 3 * q.n >= 7 * q.k + 1
+        hyp["n_prime_or_n>=(7k+1)/3"] = 3 * q.n >= 7 * q.k + 1 or _is_prime(q.n)
         hyp["k=7_mod_12_when_3|n"] = q.n % 3 != 0 or q.k % 12 == 7
     hyp["derangement_domain_t>=2"] = t is not None and t >= 2
     return hyp
@@ -160,110 +187,118 @@ def _diag_t_hypothesis(q: BoundQuery) -> dict[str, bool]:
     }
 
 
-def _eval_cdy(q: BoundQuery) -> tuple[int, float]:
+def _eval_cdy(q: BoundQuery) -> tuple[int, float | None]:
     t = q.cdy_t
     value = _cdy_core(q)
-    ref = (q.n - 2) * (math.factorial(t - 2) / _E) ** 2
+    ref = _float(lambda: (q.n - 2) * (math.factorial(t - 2) / _E) ** 2)
     return value, ref
 
 
-def _eval_general_bound(q: BoundQuery) -> tuple[Fraction, float]:
+def _eval_general_bound(q: BoundQuery) -> tuple[Fraction, float | None]:
     t = q.cdy_t
     value = Fraction(_cdy_core(q), 2 * (2 * q.n * q.k) ** 2)
     if t > 2:
-        ref = math.pi * (t - 2) ** (2 * t - 5) / (64 * _E ** (2 * t - 2) * q.n)
+        ref = _float(
+            lambda: math.pi * (t - 2) ** (2 * t - 5) / (64 * _E ** (2 * t - 2) * q.n)
+        )
     else:
         ref = float("nan")
     return value, ref
 
 
-def _eval_cdy2(q: BoundQuery) -> tuple[int, float]:
+def _eval_cdy2(q: BoundQuery) -> tuple[int, float | None]:
     t = q.cdy_t
     bn = binom(_ceil(q.n, 2 * q.k), _ceil(q.n, 8 * q.k))
     value = 2 * _cdy_core(q) * bn
-    ref = (
+    ref = _float(lambda: (
         math.factorial(t - 2) ** 2
         * math.sqrt((4 * t + 3) * q.n)
         / (_E ** 2 * math.sqrt(3 * math.pi))
         * 2 ** (q.n / (2 * (4 * t + 3)) * _H14 + 3)
-    )
+    ))
     return value, ref
 
 
-def _eval_cdy3(q: BoundQuery) -> tuple[Fraction, float]:
+def _eval_cdy3(q: BoundQuery) -> tuple[Fraction, float | None]:
     t = q.cdy_t
     bn = binom(_ceil(q.n, 2 * q.k), _ceil(q.n, 8 * q.k))
     value = Fraction(_cdy_core(q) * bn, (2 * q.n * q.k) ** 2)
-    ref = (
+    ref = _float(lambda: (
         math.factorial(t - 2) ** 2
         / (_E ** 2 * math.sqrt(3 * math.pi * (q.n * (4 * t + 3)) ** 3))
         * 2 ** (q.n / (2 * (4 * t + 3)) * _H14)
+    ))
+    return value, ref
+
+
+def _eval_cdy4(q: BoundQuery) -> tuple[int, float | None]:
+    t = q.cdy_t
+    value = 2 * _cdy_core(q) * binom(q.n, 2)
+    ref = _float(lambda: q.n ** 3 * math.factorial(t - 2) ** 2 / _E ** 2)
+    return value, ref
+
+
+def _eval_cdy5(q: BoundQuery) -> tuple[Fraction, float | None]:
+    t = q.cdy_t
+    value = Fraction(_cdy_core(q) * binom(q.n, 2), (2 * q.n * q.k) ** 2)
+    ref = _float(
+        lambda: q.n * math.factorial(t - 2) ** 2 / (8 * ((4 * t + 3) * _E) ** 2)
     )
     return value, ref
 
 
-def _eval_cdy4(q: BoundQuery) -> tuple[int, float]:
-    t = q.cdy_t
-    value = 2 * _cdy_core(q) * binom(q.n, 2)
-    ref = q.n ** 3 * math.factorial(t - 2) ** 2 / _E ** 2
-    return value, ref
+def _eval_diagbi(q: BoundQuery) -> tuple[None, float | None]:
+    return None, _float(lambda: 2 ** (q.n / 2) / (9 * q.n ** 2))
 
 
-def _eval_cdy5(q: BoundQuery) -> tuple[Fraction, float]:
-    t = q.cdy_t
-    value = Fraction(_cdy_core(q) * binom(q.n, 2), (2 * q.n * q.k) ** 2)
-    ref = q.n * math.factorial(t - 2) ** 2 / (8 * ((4 * t + 3) * _E) ** 2)
-    return value, ref
-
-
-def _eval_diagbi(q: BoundQuery) -> tuple[None, float]:
-    return None, 2 ** (q.n / 2) / (9 * q.n ** 2)
-
-
-def _eval_diagbi2(q: BoundQuery) -> tuple[Fraction, float]:
+def _eval_diagbi2(q: BoundQuery) -> tuple[Fraction, float | None]:
     n, k = q.n, q.k
     value = Fraction(binom(n // (k - 1), n // (4 * k - 4)), (n * k) ** 2)
-    ref = (
+    ref = _float(lambda: (
         math.sqrt(2 * (k - 1) / (3 * n * math.pi))
         * 2 ** ((n // (k - 1)) * _H14 + 1)
         / (n * k) ** 2
-    )
+    ))
     return value, ref
 
 
-def _eval_diagbi3(q: BoundQuery) -> tuple[Fraction, float]:
+def _eval_diagbi3(q: BoundQuery) -> tuple[Fraction, float | None]:
     n, k = q.n, q.k
     value = Fraction(binom(_ceil(n, k - 1), _ceil(n, 4 * k - 4)), (n * k) ** 2)
-    ref = (
+    ref = _float(lambda: (
         math.sqrt(2 * (k - 1) / (3 * n * math.pi))
         * 2 ** (n / (k - 1) * _H14 + 1)
         / (n * k) ** 2
-    )
+    ))
     return value, ref
 
 
-def _eval_p3diag(q: BoundQuery) -> tuple[None, float]:
-    return None, 2 ** (q.n / 2 + 2)
+def _eval_p3diag(q: BoundQuery) -> tuple[None, float | None]:
+    return None, _float(lambda: 2 ** (q.n / 2 + 2))
 
 
-def _eval_ppower2(q: BoundQuery) -> tuple[int, float]:
+def _eval_ppower2(q: BoundQuery) -> tuple[int, float | None]:
     n, k = q.n, q.k
     value = 4 * binom(_ceil(n, k - 1), _ceil(n, 4 * k - 4))
-    ref = math.sqrt(2 * (k - 1) / (3 * n * math.pi)) * 2 ** (n / (k - 1) * _H14 + 3)
+    ref = _float(lambda: (
+        math.sqrt(2 * (k - 1) / (3 * n * math.pi)) * 2 ** (n / (k - 1) * _H14 + 3)
+    ))
     return value, ref
 
 
-def _eval_pk7(q: BoundQuery) -> tuple[int, float]:
+def _eval_pk7(q: BoundQuery) -> tuple[int, float | None]:
     n = q.n
     value = 4 * binom(n // 6, n // 24)
-    ref = 2 ** ((n // 6) * _H14 + 4) / math.sqrt(n * math.pi)
+    ref = _float(lambda: 2 ** ((n // 6) * _H14 + 4) / math.sqrt(n * math.pi))
     return value, ref
 
 
-def _eval_pprime(q: BoundQuery) -> tuple[int, float]:
+def _eval_pprime(q: BoundQuery) -> tuple[int, float | None]:
     n, k = q.n, q.k
     value = 2 * binom(_ceil(n, 2 * k), _ceil(n, 8 * k))
-    ref = math.sqrt(k / (3 * math.pi * n)) * 2 ** (n / (2 * k) * _H14 + 3)
+    ref = _float(
+        lambda: math.sqrt(k / (3 * math.pi * n)) * 2 ** (n / (2 * k) * _H14 + 3)
+    )
     return value, ref
 
 
@@ -420,7 +455,7 @@ def evaluate_bound(query: BoundQuery, *, force: bool = False) -> BoundResult:
         raise HypothesisError(
             f"{query.theorem}: formula undefined for n={query.n}, k={query.k}: {exc}"
         ) from None
-    approx = float(exact) if exact is not None else None
+    approx = _float(lambda: float(exact)) if exact is not None else None
     if exact is None:
         # value itself is irrational (power of sqrt(2)); report the float
         approx = ref

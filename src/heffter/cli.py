@@ -50,6 +50,14 @@ def _write(path: Path, text: str) -> None:
         raise UsageError(f"cannot write {path}: {exc}") from None
 
 
+def _check_printable(value: object, what: str) -> None:
+    """A usage error when ``value`` is past the interpreter's int-to-str digit limit."""
+    try:
+        str(value)
+    except ValueError:
+        raise UsageError(f"{what} is too large to print") from None
+
+
 def _make_dir(path: Path) -> Path:
     try:
         path.mkdir(parents=True, exist_ok=True)
@@ -200,11 +208,7 @@ def cmd_tour_family(args: argparse.Namespace) -> int:
     if args.limit is not None and args.limit < 0:
         raise UsageError("--limit must be >= 0")
     census = family.census()
-    try:
-        str(census)
-    except ValueError:  # beyond the interpreter's int-to-str digit limit
-        raise UsageError(f"census of family {name} for n={args.n} is too large "
-                         "to print") from None
+    _check_printable(census, f"census of family {name} for n={args.n}")
     pairs = list(itertools.islice(iter(family), args.limit)) if args.limit else list(family)
     data = {
         "spec": family.spec.to_json_dict(),
@@ -332,6 +336,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         return FAIL
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    _check_printable(result.exact, f"exact value of {args.theorem} for n={args.n}")
     _emit(result.to_json_dict(),
           f"exact={result.exact} approx={result.approx}", args.text)
     return PASS

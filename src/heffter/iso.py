@@ -323,10 +323,6 @@ def stabilizer(emb: CombinatorialEmbedding) -> StabilizerGroup:
     return StabilizerGroup(all_isomorphisms_fixing_zero(emb, emb), emb.degree())
 
 
-def compose_maps(outer: Sequence[int], inner: Sequence[int]) -> tuple[int, ...]:
-    return tuple(outer[x] for x in inner)
-
-
 def phi_map(
     sigma: EmbeddingMap | Sequence[int],
     g: int,
@@ -342,9 +338,7 @@ def phi_map(
     if s[0] != 0:
         raise ValueError("phi needs sigma(0) = 0")
     v = e2.v
-    s_inv = [0] * v
-    for x, y in enumerate(s):
-        s_inv[y] = x
+    s_inv = _inverse(s)
     sg = s[g % v]
     phi = tuple(s[(s_inv[(x + sg) % v] - g) % v] for x in range(v))
     kind = verify_map(e2, e2, phi)

@@ -1,12 +1,15 @@
 """Hot integer loops: tour stepping and orientation scans.
 
 The loops are plain Python over tuples of ints and serial, so output order
-never depends on scheduling.  All kernel inputs are 0-based; the public
-modules translate to and from 1-based grid positions.
+never depends on scheduling.  The kernels take an orientation pair as its two
+±1 direction vectors, rows then columns, the form the whole library uses.
+Cell ids and line indices are 0-based; the public modules translate to and
+from 1-based grid positions.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -71,12 +74,12 @@ def build_scan_tables(m: int, n: int, filled: list[tuple[int, int]]) -> ScanTabl
 
 
 def tour_orbit(
-    t: ScanTables, row_rev: Sequence[int], col_rev: Sequence[int], start: int
+    t: ScanTables, rows_dir: Sequence[int], cols_dir: Sequence[int], start: int
 ) -> list[int]:
     """Cell ids of the successor orbit from ``start``, in visiting order.
 
-    ``row_rev[i]`` is true when row i scans right-to-left, ``col_rev[j]`` when
-    column j scans bottom-to-top.
+    ``rows_dir[i]`` is +1 when row i scans left-to-right and -1 when it scans
+    right-to-left; ``cols_dir[j]`` is +1 top-to-bottom and -1 bottom-to-top.
     """
     rows, cols = t.rows, t.cols
     row_next, row_prev, col_next, col_prev = t.row_next, t.row_prev, t.col_next, t.col_prev
@@ -84,27 +87,26 @@ def tour_orbit(
     cur = start
     while True:
         orbit.append(cur)
-        mid = row_prev[cur] if row_rev[rows[cur]] else row_next[cur]
-        cur = col_prev[mid] if col_rev[cols[mid]] else col_next[mid]
+        mid = row_prev[cur] if rows_dir[rows[cur]] < 0 else row_next[cur]
+        cur = col_prev[mid] if cols_dir[cols[mid]] < 0 else col_next[mid]
         if cur == start:
             return orbit
 
 
-def scan_orientations(t: ScanTables, trivial_rows: bool) -> list[int]:
-    """Masks of the orientation pairs whose tour covers every cell.
+def scan_orientations(
+    t: ScanTables, trivial_rows: bool
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The direction-vector pairs (R, C) whose tour covers every cell.
 
-    Masks ascend, which is lexicographic order over the direction vectors
-    with +1 before -1 (first position = most significant bit, row vector above
-    column vector).  A mask bit 1 means direction -1; a pair is recorded as
-    (row_mask << n) | col_mask.
+    Pairs come in lexicographic order over (R, C) with +1 before -1; with
+    ``trivial_rows`` R is all +1.
     """
-    m, n = t.m, t.n
-    masks = []
-    for rmask in range(1 if trivial_rows else 1 << m):
-        row_rev = [(rmask >> (m - 1 - i)) & 1 for i in range(m)]
-        for cmask in range(1 << n):
-            col_rev = [(cmask >> (n - 1 - j)) & 1 for j in range(n)]
-            if len(tour_orbit(t, row_rev, col_rev, 0)) == t.ncells:
-                masks.append((rmask << n) | cmask)
-    return masks
-
+    signs = (1, -1)
+    row_vectors = [(1,) * t.m] if trivial_rows else itertools.product(signs, repeat=t.m)
+    col_vectors = list(itertools.product(signs, repeat=t.n))
+    return [
+        (rows_dir, cols_dir)
+        for rows_dir in row_vectors
+        for cols_dir in col_vectors
+        if len(tour_orbit(t, rows_dir, cols_dir, 0)) == t.ncells
+    ]

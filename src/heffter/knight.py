@@ -7,6 +7,8 @@ next filled cell, landing in column j'; then move within column j', in
 direction C_{j'}, to the next filled cell.  The map is a bijection, so the
 question "does the orbit cover every filled cell?" does not depend on the
 start cell; a covering pair (R, C) is called a solution for the skeleton.
+R and C are held as ±1 vectors everywhere, and the kernels in
+:mod:`heffter.kernels` take them as they are.
 
 Besides direct orbit tracing (the oracle) this module implements two exact
 characterizations of the trivial-R solutions of diagonal-structured square
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, gcd
 from typing import Callable, Iterator, Sequence
 
@@ -31,7 +33,6 @@ from .bounds import _is_prime
 from .pfarray import (
     Skeleton,
     classify_diagonality,
-    cyclic_diagonal_skeleton,
     diagonal_skeleton,
 )
 from .validation import (
@@ -64,6 +65,7 @@ class OrientationPair:
         return tuple(j + 1 for j, d in enumerate(self.cols) if d == -1)
 
     def negated(self) -> "OrientationPair":
+        """The pair (-R, -C); solutions are closed under this."""
         return OrientationPair(
             tuple(-d for d in self.rows), tuple(-d for d in self.cols)
         )
@@ -80,16 +82,8 @@ class OrientationPair:
         cls, m: int, n: int, minus_positions: Sequence[int]
     ) -> "OrientationPair":
         """Trivial row vector plus the column vector with -1 at the given positions."""
-        bad = [e for e in minus_positions if not 1 <= e <= n]
-        if bad:
-            raise ValueError(f"positions {bad} outside [1, {n}]")
-        es = set(minus_positions)
+        es = set(_positions(n, minus_positions))
         return cls((1,) * m, tuple(-1 if j + 1 in es else 1 for j in range(n)))
-
-
-def negated(pair: OrientationPair) -> OrientationPair:
-    """The pair (-R, -C); solutions are closed under this."""
-    return pair.negated()
 
 
 def swapped(pair: OrientationPair, skel: Skeleton) -> OrientationPair:
@@ -127,11 +121,6 @@ def _tables(skel: Skeleton) -> kernels.ScanTables:
     )
 
 
-def _rev_flags(dirs: Sequence[int], length: int, what: str) -> list[bool]:
-    _check_directions(dirs, length, what)
-    return [d == -1 for d in dirs]
-
-
 def successor(
     skel: Skeleton,
     rows_dir: Sequence[int],
@@ -139,17 +128,8 @@ def successor(
     cell: tuple[int, int],
 ) -> tuple[int, int]:
     """One step of the successor map from a filled cell (1-based)."""
-    if not skel.filled:
-        raise ValueError("empty skeleton")
-    if cell not in skel.filled:
-        raise ValueError(f"cell {cell} is not filled")
-    _rev_flags(rows_dir, skel.m, "row")
-    _rev_flags(cols_dir, skel.n, "column")
-    t = _tables(skel)
-    cur = t.index[(cell[0] - 1, cell[1] - 1)]
-    mid = t.row_prev[cur] if rows_dir[cell[0] - 1] == -1 else t.row_next[cur]
-    out = t.col_prev[mid] if cols_dir[t.cols[mid]] == -1 else t.col_next[mid]
-    return (t.rows[out] + 1, t.cols[out] + 1)
+    cells = tour(skel, rows_dir, cols_dir, start=cell).cells
+    return cells[1 % len(cells)]
 
 
 def tour(
@@ -161,15 +141,15 @@ def tour(
     """The full orbit of ``start`` (default: first filled cell, row-major)."""
     if not skel.filled:
         raise ValueError("empty skeleton")
-    t = _tables(skel)
-    row_rev = _rev_flags(rows_dir, skel.m, "row")
-    col_rev = _rev_flags(cols_dir, skel.n, "column")
+    _check_directions(rows_dir, skel.m, "row")
+    _check_directions(cols_dir, skel.n, "column")
     if start is None:
         start = min(skel.filled)
     if start not in skel.filled:
         raise ValueError(f"start cell {start} is not filled")
+    t = _tables(skel)
     start_id = t.index[(start[0] - 1, start[1] - 1)]
-    orbit = kernels.tour_orbit(t, row_rev, col_rev, start_id)
+    orbit = kernels.tour_orbit(t, rows_dir, cols_dir, start_id)
     cells = tuple((t.rows[c] + 1, t.cols[c] + 1) for c in orbit)
     return TourResult(start, cells, len(orbit) == t.ncells, len(orbit))
 
@@ -178,10 +158,10 @@ def is_solution(
     skel: Skeleton, rows_dir: Sequence[int], cols_dir: Sequence[int]
 ) -> bool:
     """Does the successor orbit cover every filled cell?  Start-independent."""
+    _check_directions(rows_dir, skel.m, "row")
+    _check_directions(cols_dir, skel.n, "column")
     t = _tables(skel)
-    row_rev = _rev_flags(rows_dir, skel.m, "row")
-    col_rev = _rev_flags(cols_dir, skel.n, "column")
-    return len(kernels.tour_orbit(t, row_rev, col_rev, 0)) == t.ncells
+    return len(kernels.tour_orbit(t, rows_dir, cols_dir, 0)) == t.ncells
 
 
 def enumerate_solutions(
@@ -195,22 +175,15 @@ def enumerate_solutions(
     Raises :class:`BudgetExceededError` when the scan size (2^n with trivial
     rows, else 2^(m+n)) exceeds ``budget``.
     """
-    m, n = skel.m, skel.n
-    total = (1 << n) if trivial_rows else (1 << (m + n))
+    total = 1 << (skel.n if trivial_rows else skel.m + skel.n)
     if total > budget:
         raise BudgetExceededError(
             f"scan of {total} orientation pairs exceeds budget {budget}"
         )
-    pairs = []
-    for mask in kernels.scan_orientations(_tables(skel), trivial_rows):
-        rmask, cmask = mask >> n, mask & ((1 << n) - 1)
-        pairs.append(
-            OrientationPair(
-                tuple(-1 if (rmask >> (m - 1 - i)) & 1 else 1 for i in range(m)),
-                tuple(-1 if (cmask >> (n - 1 - j)) & 1 else 1 for j in range(n)),
-            )
-        )
-    return pairs
+    return [
+        OrientationPair(rows, cols)
+        for rows, cols in kernels.scan_orientations(_tables(skel), trivial_rows)
+    ]
 
 
 # -- exact characterizations (trivial row vector) ---------------------------------------
@@ -330,17 +303,33 @@ class SolutionFamily:
     """A lazily generated, deterministic stream of certified solutions.
 
     Iteration yields, for each base set E in lexicographic order, the trivial-R
-    pair, its negation, and (on cyclically diagonal skeletons) the row/column
-    swap and the negated swap.  Every base pair is re-certified against the
-    relevant characterization before being emitted.
+    pair, its negation, and (on cyclically diagonal skeletons, where
+    ``swap_closed`` holds) the row/column swap and the negated swap.  Every
+    base pair is re-certified before being emitted: by the cyclic criterion on
+    cyclically diagonal skeletons, else by the strip criterion.
     """
 
     spec: FamilySpec
-    skeleton: Skeleton
     swap_closed: bool
     base_count: int
     _bases: Callable[[], Iterator[tuple[int, ...]]]
-    _verify: Callable[[tuple[int, ...]], bool]
+
+    @cached_property
+    def skeleton(self) -> Skeleton:
+        """The n x n skeleton filled on ``spec.diagonals``, built on first read."""
+        return diagonal_skeleton(self.spec.n, self.spec.diagonals)
+
+    def _verify(self, minus_positions: Sequence[int]) -> bool:
+        """Does the trivial-R pair with -1 at ``minus_positions`` solve the skeleton?"""
+        n, k = self.spec.n, self.spec.k
+        if not self.swap_closed:
+            return strip_criterion(self.skeleton, minus_positions)
+        if n > k:
+            return cyclic_criterion(n, k, minus_positions)
+        # n = k: a fully filled grid, outside the criterion's n > k regime;
+        # certify by direct orbit trace instead.
+        pair = OrientationPair.from_minus_positions(n, n, minus_positions)
+        return is_solution(self.skeleton, pair.rows, pair.cols)
 
     def base_pairs(self) -> Iterator[OrientationPair]:
         n = self.spec.n
@@ -388,27 +377,17 @@ def three_diagonal_family(n: int) -> SolutionFamily:
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("needs odd n >= 3")
-    odds = tuple(range(1, n + 1, 2))
-    skel = cyclic_diagonal_skeleton(n, 3)
+    odds = range(1, n + 1, 2)
 
     def bases() -> Iterator[tuple[int, ...]]:
         for r in range(1, len(odds) + 1):
             yield from itertools.combinations(odds, r)
 
-    if n > 3:
-        verify = lambda E: cyclic_criterion(n, 3, E)
-    else:
-        # n = k = 3: fully filled grid, outside the criterion's n > k regime;
-        # certify by direct orbit trace instead.
-        def verify(E: tuple[int, ...]) -> bool:
-            pair = OrientationPair.from_minus_positions(n, n, E)
-            return is_solution(skel, pair.rows, pair.cols)
-
     spec = FamilySpec(
         "ThreeDiag", n, 3, None, (1, 2, 3),
         {"n_odd": n % 2 == 1, "n_at_least_3": n >= 3},
     )
-    return SolutionFamily(spec, skel, True, (1 << len(odds)) - 1, bases, verify)
+    return SolutionFamily(spec, True, (1 << len(odds)) - 1, bases)
 
 
 def _congruent_positions(n: int, modulus: int, residue: int) -> tuple[int, ...]:
@@ -422,9 +401,7 @@ def _subset_family(
     r: int,
     residues: tuple[int, ...],
     prefix: tuple[int, ...],
-    skel: Skeleton,
     swap_closed: bool,
-    verify: Callable[[tuple[int, ...]], bool],
     admissibility: dict[str, bool],
     diagonals: tuple[int, ...],
 ) -> SolutionFamily:
@@ -439,9 +416,7 @@ def _subset_family(
             yield prefix + combo
 
     spec = FamilySpec(family_id, n, k, r, diagonals, admissibility)
-    return SolutionFamily(
-        spec, skel, swap_closed, comb(len(residues), pick), bases, verify
-    )
+    return SolutionFamily(spec, swap_closed, comb(len(residues), pick), bases)
 
 
 def power_two_family(n: int, k: int, r: int | None = None) -> SolutionFamily:
@@ -472,8 +447,7 @@ def power_two_family(n: int, k: int, r: int | None = None) -> SolutionFamily:
         "default_range_n>=4k-3": n >= 4 * k - 3,
     }
     return _subset_family(
-        "PowerTwo", n, k, r, residues, (), cyclic_diagonal_skeleton(n, k),
-        True, lambda E: cyclic_criterion(n, k, E), adm, tuple(range(1, k + 1)),
+        "PowerTwo", n, k, r, residues, (), True, adm, tuple(range(1, k + 1))
     )
 
 
@@ -510,8 +484,7 @@ def seven_diagonal_family(n: int, r: int | None = None) -> SolutionFamily:
     adm = {"n_odd": True, "gcd(n,6)=3": True, "r=4_mod_5": r % 5 == 4,
            "counting_range_n>120": n > 120}
     return _subset_family(
-        "KSeven", n, 7, r, residues, (1, 2), cyclic_diagonal_skeleton(n, 7),
-        True, lambda E: cyclic_criterion(n, 7, E), adm, tuple(range(1, 8)),
+        "KSeven", n, 7, r, residues, (1, 2), True, adm, tuple(range(1, 8))
     )
 
 
@@ -536,14 +509,10 @@ def prime_family(n: int, k: int, r: int | None = None) -> SolutionFamily:
     if gcd(r, k - 2) != 1:
         raise ValueError(f"subset size r={r} must be coprime with k-2={k - 2}")
     diagonals = tuple(range(1, k - 2)) + (k - 1, k, k + 1)
-    skel = diagonal_skeleton(n, diagonals)
     residues = _congruent_positions(n, 2 * k, 1)
     adm = {"k_odd": True, "n_prime": True, "r_coprime_k-2": gcd(r, k - 2) == 1,
            "default_range_n>8k": n > 8 * k}
-    return _subset_family(
-        "PrimeN", n, k, r, residues, (), skel, False,
-        lambda E: strip_criterion(skel, E), adm, diagonals,
-    )
+    return _subset_family("PrimeN", n, k, r, residues, (), False, adm, diagonals)
 
 
 def pairs_family(n: int, k: int, i: int, s1: int) -> SolutionFamily:
@@ -571,16 +540,12 @@ def pairs_family(n: int, k: int, i: int, s1: int) -> SolutionFamily:
     diagonals = tuple(range(1, i + 1)) + (i + s1,) + tuple(
         range(i + s1 + 2, k + s1 + 1)
     )
-    skel = diagonal_skeleton(n, diagonals)
 
     def bases() -> Iterator[tuple[int, ...]]:
         yield from itertools.combinations(range(1, n + 1), 2)
 
     spec = FamilySpec("PairsGeneral", n, k, 2, diagonals, checks)
-    return SolutionFamily(
-        spec, skel, False, comb(n, 2), bases,
-        lambda E: strip_criterion(skel, E),
-    )
+    return SolutionFamily(spec, False, comb(n, 2), bases)
 
 
 FAMILY_BUILDERS = {

@@ -205,10 +205,6 @@ class PartiallyFilledArray:
             ],
         }
 
-    def canonical_key(self) -> tuple:
-        """Hashable identity used for provenance bookkeeping."""
-        return (self.m, self.n, self.v, self.t, self.fold, self.cells)
-
 
 # -- parsing ---------------------------------------------------------------------
 

@@ -24,7 +24,6 @@ from heffter.knight import (
     cyclic_criterion,
     enumerate_solutions,
     is_solution,
-    negated,
     pairs_family,
     power_two_family,
     prime_family,
@@ -179,13 +178,13 @@ def test_criterion_06_symmetry_lemmas(ex_array):
     with criterion(6, "negation and swap closure of all found solutions", 60.0):
         for (n, k), (skel, sols) in _cyclic_solution_sets().items():
             for pair in sols:
-                neg = negated(pair)
+                neg = pair.negated()
                 assert is_solution(skel, neg.rows, neg.cols), (n, k, pair)
                 sw = swapped(pair, skel)
                 assert is_solution(skel, sw.rows, sw.cols), (n, k, pair)
         strip_skel, strip_sols = _strip_solution_set(ex_array)
         for pair in strip_sols:
-            neg = negated(pair)
+            neg = pair.negated()
             assert is_solution(strip_skel, neg.rows, neg.cols), pair
 
 

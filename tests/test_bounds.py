@@ -10,6 +10,7 @@ from heffter.bounds import (
     BoundQuery,
     HypothesisError,
     THEOREMS,
+    _is_prime,
     binary_entropy,
     binom,
     derangements,
@@ -190,6 +191,46 @@ class TestConsistencyWithFamilies:
         fam = seven_diagonal_family(123)
         bound = evaluate_bound(BoundQuery("PropK7", n=123, k=7)).exact
         assert fam.census() >= bound
+
+
+def trial_division(x):
+    return x >= 2 and all(x % f for f in range(2, math.isqrt(x) + 1))
+
+
+class TestIsPrime:
+    def test_matches_trial_division(self):
+        assert [x for x in range(10 ** 5) if _is_prime(x)] == \
+            [x for x in range(10 ** 5) if trial_division(x)]
+
+    @pytest.mark.parametrize("x", [
+        561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 62745, 63973,
+        75361, 101101, 126217, 172081, 188461, 252601, 278545, 294409,
+    ])
+    def test_carmichael_numbers_are_composite(self, x):
+        assert not trial_division(x) and not _is_prime(x)
+
+    @pytest.mark.parametrize("x,factors", [
+        (3215031751, (151, 751, 28351)),  # strong pseudoprime to bases 2..7
+        (3825123056546413051, (149491, 747451, 34233211)),  # bases 2..23
+        (318665857834031151167461, (399165290221, 798330580441)),  # 2..37
+    ])
+    def test_strong_pseudoprimes_are_composite(self, x, factors):
+        assert math.prod(factors) == x
+        assert not _is_prime(x)
+
+    @pytest.mark.parametrize("p", [
+        2 ** 31 - 1, 999999999989, 2 ** 61 - 1, 10 ** 18 + 3, 10 ** 24 + 7,
+    ])
+    def test_large_primes(self, p):
+        assert _is_prime(p)
+        assert not _is_prime(p * 3) and not _is_prime(p + 1)
+
+    def test_past_the_deterministic_range(self):
+        limit = 3317044064679887385961981  # strong pseudoprime to bases 2..41
+        assert not _is_prime(limit - 1)
+        for x in (limit, 2 ** 89 - 1):
+            with pytest.raises(ValueError, match="exact only below"):
+                _is_prime(x)
 
 
 def test_monotonicity_spot_checks():

@@ -1,6 +1,9 @@
 """Exit codes, JSON determinism, and end-to-end subcommand behavior."""
 
 import json
+import math
+import time
+import tracemalloc
 
 import pytest
 
@@ -256,6 +259,30 @@ class TestSearchBoundsPipeline:
                               "--n", "33", "--k", "11", "--force")
         assert code == 0 and data["exact"] == 31
 
+    def test_bounds_float_overflow_is_null(self, capsys):
+        n = 10 ** 200 + 1
+        code, data = run_json(capsys, "bounds", "--theorem", "PropPairs",
+                              "--n", str(n), "--k", "3", "--s1", "2")
+        assert code == 0 and data["exact"] == 2 * math.comb(n, 2)
+        assert data["approx"] is None
+        # the hypotheses hold; only the float reference passes 1e308
+        code, data = run_json(capsys, "bounds", "--theorem", "PropPower2",
+                              "--n", "6001", "--k", "5")
+        assert code == 0 and data["hypotheses_ok"]
+        assert data["exact"] == 4 * math.comb(1501, 376)
+        assert data["approx"] is None and data["asymptotic_reference"] is None
+        code, data = run_json(capsys, "bounds", "--theorem", "Prop3diag",
+                              "--n", "4001", "--k", "3")
+        assert code == 0 and data["exact"] is None and data["approx"] is None
+
+    @pytest.mark.parametrize("theorem", ["CDY", "CDY2"])
+    def test_bounds_huge_n_primality_is_fast(self, capsys, theorem):
+        start = time.perf_counter()
+        code, data = run_json(capsys, "bounds", "--theorem", theorem,
+                              "--n", "1000000000000000003", "--k", "11")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and "n=1_mod_4" in data["error"]
+
     def test_pipeline(self, tmp_path, capsys):
         out = tmp_path / "run"
         code, data = run_json(capsys, "pipeline", "--search", "5,5,3,3,1,cyclic",
@@ -299,6 +326,8 @@ class TestSearchBoundsPipeline:
     "search --m 3 --n 3 --h 3 --k 3 --t -1",
     "tour-family --family ThreeDiag --n 100001 --limit 1",
     "tour-family --family 3diag --n 5 --limit -1",
+    "bounds --theorem PropPower2 --n 100001 --k 5",
+    "bounds --theorem CDY2 --n 3317044064679887385961981 --k 11",
     "search --m 3 --n 3 --h 3 --k 3 --limit -1",
     "faces --array {array} --solution {tmp}/sol.json --max-faces -1",
     "verify {tmp}/bad_v.arr",
@@ -343,6 +372,20 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, argv):
         assert "limit" in err
     if "--budget" in argv:
         assert "budget" in err
+
+
+def test_huge_family_census_is_refused_before_building(capsys):
+    # the 2000001 x 2000001 skeleton would need gigabytes; it is never built
+    tracemalloc.start()
+    try:
+        code = main("tour-family --family 3diag --n 2000001 --limit 1".split())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert peak < 100 * 2 ** 20
 
 
 class TestTextOutput:

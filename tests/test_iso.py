@@ -15,14 +15,13 @@ from heffter.iso import (
     canonical_code,
     certify_distinct,
     classify,
-    compose_maps,
     find_isomorphism,
     phi_map,
     stabilizer,
     verify_map,
 )
 from heffter.knight import enumerate_solutions
-from heffter.validation import search_heffter
+from heffter.validation import compose, search_heffter
 
 
 def translation(v: int, g: int) -> tuple[int, ...]:
@@ -424,7 +423,7 @@ class TestStabilizer:
         sigmas = {m.sigma for m in stab.elements}
         for a in stab.elements:
             for b in stab.elements:
-                assert compose_maps(a.sigma, b.sigma) in sigmas
+                assert compose(a.sigma, b.sigma) in sigmas
 
     def test_restriction_is_rotation_power(self, ex_array, ex_pair):
         emb = build_embedding(ex_array, *ex_pair)

@@ -15,7 +15,6 @@ from heffter.knight import (
     cyclic_criterion_perms,
     enumerate_solutions,
     is_solution,
-    negated,
     pairs_family,
     power_two_family,
     prime_family,
@@ -105,11 +104,16 @@ class TestTour:
     def test_orderings_equivalence(self, h53_cyclic):
         # a pair solves the tour iff its induced orderings compose to one cycle
         skel = h53_cyclic.skeleton()
+        compatible = []
         for rows in all_column_vectors(5):
             for cols in all_column_vectors(5):
                 ords = orderings_from_orientations(h53_cyclic, rows, cols)
-                assert are_compatible(ords.row_perm, ords.col_perm) == \
-                    is_solution(skel, rows, cols)
+                ok = are_compatible(ords.row_perm, ords.col_perm)
+                assert ok == is_solution(skel, rows, cols)
+                if ok:
+                    compatible.append(OrientationPair(rows, cols))
+        # the full scan lists exactly these pairs, in this loop's order
+        assert enumerate_solutions(skel) == compatible
 
     def test_solution_depends_only_on_skeleton(self, h53_cyclic, h53_centered):
         # same skeleton shape, different entries: identical solution sets
@@ -126,7 +130,7 @@ class TestSymmetries:
     def test_negation_closure(self, n, k):
         skel = cyclic_diagonal_skeleton(n, k)
         for pair in enumerate_solutions(skel, trivial_rows=True):
-            neg = negated(pair)
+            neg = pair.negated()
             assert is_solution(skel, neg.rows, neg.cols)
 
     @pytest.mark.parametrize("n,k", [(5, 3), (7, 3), (9, 3), (7, 5)])
@@ -138,7 +142,7 @@ class TestSymmetries:
 
     def test_negation_involution(self):
         p = OrientationPair((1, -1, 1), (-1, -1, 1))
-        assert negated(negated(p)) == p
+        assert p.negated().negated() == p
 
     def test_swap_requires_cyclic(self, ex_array):
         p = OrientationPair((1,) * 11, (-1,) + (1,) * 10)
