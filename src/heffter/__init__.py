@@ -19,7 +19,6 @@ from .iso import (
     certify_distinct,
     classify,
     find_isomorphism,
-    phi_map,
     stabilizer,
     verify_map,
 )
@@ -39,7 +38,6 @@ from .knight import (
     prime_family,
     seven_diagonal_family,
     strip_criterion,
-    successor,
     swapped,
     three_diagonal_family,
     tour,
@@ -60,11 +58,8 @@ from .validation import (
     LineOrderingSet,
     ValidationReport,
     are_compatible,
-    composed_cycle,
-    find_simple_line_orderings,
     is_globally_simple,
     is_simple_ordering,
-    natural_orderings,
     orderings_from_orientations,
     search_heffter,
     validate_heffter,

@@ -13,6 +13,7 @@ they can never be aliased.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd
@@ -83,12 +84,41 @@ def _ceil(a: int, b: int) -> int:
 
 
 def _float(compute: Callable[[], float]) -> float | None:
-    """The float ``compute()`` returns, or None where it overflows a float."""
+    """The float ``compute()`` returns, or None where it overflows a float or is NaN."""
     try:
         value = compute()
     except OverflowError:
         return None
-    return None if math.isinf(value) else value
+    return None if math.isinf(value) or math.isnan(value) else value
+
+
+class TooLargeError(ValueError):
+    """Raised before computing an exact value with more digits than str() prints."""
+
+
+def _check_digits(*log10_factors: float, den: int = 1) -> None:
+    """Raise :class:`TooLargeError` when a product of factors with at least these
+    log10s, reduced over ``den``, is past the int-to-str digit limit (0: none).
+    A reduced numerator is at least numerator/den; one digit absorbs rounding."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # absent before 3.10.7
+    if limit and sum(log10_factors) - math.log10(abs(den) or 1) > limit + 1:
+        raise TooLargeError(f"more than {limit} digits")
+
+
+def _log10_binom(a: int, b: int) -> float:
+    """A lower bound on log10 C(a, b) = log10 C(a, c) >= c log10(a/c), c = min(b, a-b);
+    as a/c >= 2, capping c keeps it a lower bound."""
+    c = min(b, a - b)
+    if c <= 0:
+        return -math.inf
+    return min(c, 10 ** 300) * (math.log10(a) - math.log10(c))
+
+
+def _log10_derangements(m: int) -> float:
+    """A lower bound on log10 D(m): D(m) >= m!/(2e) for m >= 2, and D grows with m."""
+    if m < 2:
+        return -math.inf
+    return (math.lgamma(min(m, 10 ** 300) + 1) - 1 - math.log(2)) / math.log(10)
 
 
 @dataclass
@@ -178,6 +208,12 @@ def _cdy_core(q: BoundQuery) -> int:
     return (q.n - 2) * derangements(t - 2) ** 2
 
 
+def _log10_cdy_core(q: BoundQuery) -> float:
+    """A lower bound on log10 |_cdy_core(q)|."""
+    n_term = math.log10(abs(q.n - 2)) if q.n != 2 else -math.inf
+    return n_term + 2 * _log10_derangements(q.cdy_t - 2)
+
+
 def _diag_t_hypothesis(q: BoundQuery) -> dict[str, bool]:
     t, n, k = q.subgroup_t, q.n, q.k
     return {
@@ -189,27 +225,30 @@ def _diag_t_hypothesis(q: BoundQuery) -> dict[str, bool]:
 
 def _eval_cdy(q: BoundQuery) -> tuple[int, float | None]:
     t = q.cdy_t
+    _check_digits(_log10_cdy_core(q))
     value = _cdy_core(q)
     ref = _float(lambda: (q.n - 2) * (math.factorial(t - 2) / _E) ** 2)
     return value, ref
 
 
-def _eval_general_bound(q: BoundQuery) -> tuple[Fraction, float | None]:
+def _eval_general_bound(q: BoundQuery) -> tuple:
     t = q.cdy_t
-    value = Fraction(_cdy_core(q), 2 * (2 * q.n * q.k) ** 2)
-    if t > 2:
-        ref = _float(
-            lambda: math.pi * (t - 2) ** (2 * t - 5) / (64 * _E ** (2 * t - 2) * q.n)
-        )
-    else:
-        ref = float("nan")
+    den = 2 * (2 * q.n * q.k) ** 2
+    _check_digits(_log10_cdy_core(q), den=den)
+    value = Fraction(_cdy_core(q), den)
+    if t == 2:
+        return value, None, "no asymptotic reference at t = 2: (t-2)^(2t-5) is 0^-1"
+    ref = _float(
+        lambda: math.pi * (t - 2) ** (2 * t - 5) / (64 * _E ** (2 * t - 2) * q.n)
+    )
     return value, ref
 
 
 def _eval_cdy2(q: BoundQuery) -> tuple[int, float | None]:
     t = q.cdy_t
-    bn = binom(_ceil(q.n, 2 * q.k), _ceil(q.n, 8 * q.k))
-    value = 2 * _cdy_core(q) * bn
+    a, b = _ceil(q.n, 2 * q.k), _ceil(q.n, 8 * q.k)
+    _check_digits(_log10_cdy_core(q), _log10_binom(a, b))
+    value = 2 * _cdy_core(q) * binom(a, b)
     ref = _float(lambda: (
         math.factorial(t - 2) ** 2
         * math.sqrt((4 * t + 3) * q.n)
@@ -221,8 +260,9 @@ def _eval_cdy2(q: BoundQuery) -> tuple[int, float | None]:
 
 def _eval_cdy3(q: BoundQuery) -> tuple[Fraction, float | None]:
     t = q.cdy_t
-    bn = binom(_ceil(q.n, 2 * q.k), _ceil(q.n, 8 * q.k))
-    value = Fraction(_cdy_core(q) * bn, (2 * q.n * q.k) ** 2)
+    a, b = _ceil(q.n, 2 * q.k), _ceil(q.n, 8 * q.k)
+    _check_digits(_log10_cdy_core(q), _log10_binom(a, b), den=(2 * q.n * q.k) ** 2)
+    value = Fraction(_cdy_core(q) * binom(a, b), (2 * q.n * q.k) ** 2)
     ref = _float(lambda: (
         math.factorial(t - 2) ** 2
         / (_E ** 2 * math.sqrt(3 * math.pi * (q.n * (4 * t + 3)) ** 3))
@@ -233,6 +273,7 @@ def _eval_cdy3(q: BoundQuery) -> tuple[Fraction, float | None]:
 
 def _eval_cdy4(q: BoundQuery) -> tuple[int, float | None]:
     t = q.cdy_t
+    _check_digits(_log10_cdy_core(q), _log10_binom(q.n, 2))
     value = 2 * _cdy_core(q) * binom(q.n, 2)
     ref = _float(lambda: q.n ** 3 * math.factorial(t - 2) ** 2 / _E ** 2)
     return value, ref
@@ -240,6 +281,7 @@ def _eval_cdy4(q: BoundQuery) -> tuple[int, float | None]:
 
 def _eval_cdy5(q: BoundQuery) -> tuple[Fraction, float | None]:
     t = q.cdy_t
+    _check_digits(_log10_cdy_core(q), _log10_binom(q.n, 2), den=(2 * q.n * q.k) ** 2)
     value = Fraction(_cdy_core(q) * binom(q.n, 2), (2 * q.n * q.k) ** 2)
     ref = _float(
         lambda: q.n * math.factorial(t - 2) ** 2 / (8 * ((4 * t + 3) * _E) ** 2)
@@ -253,7 +295,9 @@ def _eval_diagbi(q: BoundQuery) -> tuple[None, float | None]:
 
 def _eval_diagbi2(q: BoundQuery) -> tuple[Fraction, float | None]:
     n, k = q.n, q.k
-    value = Fraction(binom(n // (k - 1), n // (4 * k - 4)), (n * k) ** 2)
+    a, b = n // (k - 1), n // (4 * k - 4)
+    _check_digits(_log10_binom(a, b), den=(n * k) ** 2)
+    value = Fraction(binom(a, b), (n * k) ** 2)
     ref = _float(lambda: (
         math.sqrt(2 * (k - 1) / (3 * n * math.pi))
         * 2 ** ((n // (k - 1)) * _H14 + 1)
@@ -264,7 +308,9 @@ def _eval_diagbi2(q: BoundQuery) -> tuple[Fraction, float | None]:
 
 def _eval_diagbi3(q: BoundQuery) -> tuple[Fraction, float | None]:
     n, k = q.n, q.k
-    value = Fraction(binom(_ceil(n, k - 1), _ceil(n, 4 * k - 4)), (n * k) ** 2)
+    a, b = _ceil(n, k - 1), _ceil(n, 4 * k - 4)
+    _check_digits(_log10_binom(a, b), den=(n * k) ** 2)
+    value = Fraction(binom(a, b), (n * k) ** 2)
     ref = _float(lambda: (
         math.sqrt(2 * (k - 1) / (3 * n * math.pi))
         * 2 ** (n / (k - 1) * _H14 + 1)
@@ -279,7 +325,9 @@ def _eval_p3diag(q: BoundQuery) -> tuple[None, float | None]:
 
 def _eval_ppower2(q: BoundQuery) -> tuple[int, float | None]:
     n, k = q.n, q.k
-    value = 4 * binom(_ceil(n, k - 1), _ceil(n, 4 * k - 4))
+    a, b = _ceil(n, k - 1), _ceil(n, 4 * k - 4)
+    _check_digits(_log10_binom(a, b))
+    value = 4 * binom(a, b)
     ref = _float(lambda: (
         math.sqrt(2 * (k - 1) / (3 * n * math.pi)) * 2 ** (n / (k - 1) * _H14 + 3)
     ))
@@ -288,6 +336,7 @@ def _eval_ppower2(q: BoundQuery) -> tuple[int, float | None]:
 
 def _eval_pk7(q: BoundQuery) -> tuple[int, float | None]:
     n = q.n
+    _check_digits(_log10_binom(n // 6, n // 24))
     value = 4 * binom(n // 6, n // 24)
     ref = _float(lambda: 2 ** ((n // 6) * _H14 + 4) / math.sqrt(n * math.pi))
     return value, ref
@@ -295,7 +344,9 @@ def _eval_pk7(q: BoundQuery) -> tuple[int, float | None]:
 
 def _eval_pprime(q: BoundQuery) -> tuple[int, float | None]:
     n, k = q.n, q.k
-    value = 2 * binom(_ceil(n, 2 * k), _ceil(n, 8 * k))
+    a, b = _ceil(n, 2 * k), _ceil(n, 8 * k)
+    _check_digits(_log10_binom(a, b))
+    value = 2 * binom(a, b)
     ref = _float(
         lambda: math.sqrt(k / (3 * math.pi * n)) * 2 ** (n / (2 * k) * _H14 + 3)
     )
@@ -303,14 +354,12 @@ def _eval_pprime(q: BoundQuery) -> tuple[int, float | None]:
 
 
 def _eval_ppairs(q: BoundQuery) -> tuple[int, None]:
+    _check_digits(_log10_binom(q.n, 2))
     return 2 * binom(q.n, 2), None
 
 
-_Spec = tuple[
-    Callable[[BoundQuery], dict[str, bool]],
-    Callable[[BoundQuery], tuple[int | Fraction | None, float | None]],
-    str,
-]
+# An evaluator returns the exact value and the reference float, then any notes.
+_Spec = tuple[Callable[[BoundQuery], dict[str, bool]], Callable[[BoundQuery], tuple], str]
 
 THEOREMS: dict[str, _Spec] = {
     # complete-graph families with k = 4t+3
@@ -425,6 +474,8 @@ def evaluate_bound(query: BoundQuery, *, force: bool = False) -> BoundResult:
     Raises :class:`HypothesisError` when a hypothesis (or an evaluation-domain
     requirement, e.g. the derangement argument going negative) fails; pass
     ``force=True`` to evaluate anyway where the formula is still defined.
+    Raises :class:`TooLargeError`, before computing, when the exact value
+    would have more digits than the interpreter converts to a string.
     """
     try:
         check, evaluate, _ = THEOREMS[query.theorem]
@@ -449,12 +500,15 @@ def evaluate_bound(query: BoundQuery, *, force: bool = False) -> BoundResult:
             )
         notes.append(f"forced evaluation despite failed hypotheses: {failed}")
     try:
-        exact, ref = evaluate(query)
+        exact, ref, *more_notes = evaluate(query)
+    except TooLargeError as exc:
+        raise TooLargeError(f"{query.theorem}: exact value has {exc}") from None
     except (ArithmeticError, ValueError) as exc:
         # a forced evaluation can leave the formula's domain, at n = 0 say
         raise HypothesisError(
             f"{query.theorem}: formula undefined for n={query.n}, k={query.k}: {exc}"
         ) from None
+    notes += more_notes
     approx = _float(lambda: float(exact)) if exact is not None else None
     if exact is None:
         # value itself is irrational (power of sqrt(2)); report the float

@@ -13,7 +13,6 @@ import hashlib
 import itertools
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -329,37 +328,20 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         theorem=args.theorem, n=args.n, k=args.k,
         subgroup_t=args.t, s1=args.s1,
     )
+    what = f"exact value of {args.theorem} for n={args.n}"
     try:
         result = bounds.evaluate_bound(query, force=args.force)
     except bounds.HypothesisError as exc:
         _emit({"error": str(exc)}, f"error: {exc}", args.text)
         return FAIL
+    except bounds.TooLargeError:
+        raise UsageError(f"{what} is too large to print") from None
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    _check_printable(result.exact, f"exact value of {args.theorem} for n={args.n}")
+    _check_printable(result.exact, what)
     _emit(result.to_json_dict(),
           f"exact={result.exact} approx={result.approx}", args.text)
     return PASS
-
-
-@dataclass
-class RunManifest:
-    command: str
-    arguments: list[str]
-    input_hashes: dict[str, str]
-    version: str
-    deterministic: str
-    outputs: list[str]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "arguments": self.arguments,
-            "input_hashes": self.input_hashes,
-            "version": self.version,
-            "deterministic": self.deterministic,
-            "outputs": self.outputs,
-        }
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
@@ -424,14 +406,14 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     outputs = sorted(
         str(p.relative_to(outdir)) for p in outdir.rglob("*") if p.is_file()
     )
-    manifest = RunManifest(
-        command="pipeline",
-        arguments=list(args.raw_argv),
-        input_hashes=input_hashes,
-        version=__version__,
-        deterministic="no randomness anywhere; rerunning reproduces bytes",
-        outputs=outputs + ["summary.json"],
-    )
+    manifest = {
+        "command": "pipeline",
+        "arguments": list(args.raw_argv),
+        "input_hashes": input_hashes,
+        "version": __version__,
+        "deterministic": "no randomness anywhere; rerunning reproduces bytes",
+        "outputs": outputs + ["summary.json"],
+    }
     summary = {
         "array": array.to_json_dict(),
         "validation": report.to_json_dict(),
@@ -440,7 +422,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         "distinct_rotations": len(keys),
         "classes": classification.to_json_dict(),
         "reports_all_passed": all_pass,
-        "manifest": manifest.to_json_dict(),
+        "manifest": manifest,
     }
     _write(outdir / "summary.json", json.dumps(summary, sort_keys=True, indent=2) + "\n")
     _emit(summary, f"solutions={len(sols)} classes={classification.class_count} "

@@ -42,7 +42,6 @@ from typing import NamedTuple, Sequence
 from .pfarray import PartiallyFilledArray
 from .validation import (
     LineOrderingSet,
-    cycle_from,
     is_single_cycle,
     orderings_from_orientations,
     subgroup_members,
@@ -108,9 +107,6 @@ class CombinatorialEmbedding:
             raise ValueError("entry class must lie inside the connection set")
         if {(-x) % self.v for x in self.entry_class} != conn - self.entry_class:
             raise ValueError("entry class must contain one of each ± pair")
-
-    def rho0_cycle_from(self, x: int) -> list[int]:
-        return cycle_from(self.rho0, x)
 
     def degree(self) -> int:
         return len(self.connection)
@@ -464,16 +460,3 @@ def biembedding_report(emb: CombinatorialEmbedding) -> BiembeddingReport:
         euler_consistent=genus_euler == genus_closed,
     )
 
-
-def translated_faces(faces: FaceSet, g: int) -> frozenset[tuple[tuple[int, ...], str]]:
-    """The face set shifted by the translation x -> x+g, each face written
-    as its least rotation (the one :func:`trace_faces` lists)."""
-    out = set()
-    for f in faces.faces:
-        verts = tuple((x + g) % faces.v for x in f.vertices)
-        out.add((min(verts[i:] + verts[:i] for i in range(len(verts))), f.color))
-    return frozenset(out)
-
-
-def face_set_key(faces: FaceSet) -> frozenset[tuple[tuple[int, ...], str]]:
-    return frozenset((f.vertices, f.color) for f in faces.faces)

@@ -32,7 +32,7 @@ from typing import Iterator, NamedTuple, Sequence
 from .embedding import CombinatorialEmbedding
 from .knight import OrientationPair, is_solution
 from .pfarray import PartiallyFilledArray, classify_diagonality, diagonal_cells
-from .validation import is_globally_simple, validate_heffter
+from .validation import cycle_from, is_globally_simple, validate_heffter
 
 PRESERVING = "preserving"
 REVERSING = "reversing"
@@ -131,7 +131,7 @@ def _canonical_form(emb: CombinatorialEmbedding) -> _CanonicalForm:
     v, deg = emb.v, emb.degree()
     fresh = (0, *range(deg + 1, v))  # labels of J, in the order row 1 meets it
     ranks = [k % deg + 1 for k in range(2 * deg)]
-    cyc = emb.rho0_cycle_from(emb.connection[0])
+    cyc = cycle_from(emb.rho0, emb.connection[0])
 
     # Screen every root on row 1, the rotation at c read from 0, without
     # building its labelling: a vertex y outside J has label
@@ -323,30 +323,6 @@ def stabilizer(emb: CombinatorialEmbedding) -> StabilizerGroup:
     return StabilizerGroup(all_isomorphisms_fixing_zero(emb, emb), emb.degree())
 
 
-def phi_map(
-    sigma: EmbeddingMap | Sequence[int],
-    g: int,
-    e1: CombinatorialEmbedding,
-    e2: CombinatorialEmbedding,
-) -> EmbeddingMap:
-    """The automorphism sigma ∘ tau_g^{-1} ∘ sigma^{-1} ∘ tau_{sigma(g)} of e2.
-
-    Needs sigma(0) = 0; the result fixes 0 and is certified to be an
-    automorphism of e2 before being returned.
-    """
-    s = tuple(sigma.sigma if isinstance(sigma, EmbeddingMap) else sigma)
-    if s[0] != 0:
-        raise ValueError("phi needs sigma(0) = 0")
-    v = e2.v
-    s_inv = _inverse(s)
-    sg = s[g % v]
-    phi = tuple(s[(s_inv[(x + sg) % v] - g) % v] for x in range(v))
-    kind = verify_map(e2, e2, phi)
-    if kind is None:
-        raise ValueError("composed map is not an automorphism of the target")
-    return EmbeddingMap(phi, kind)
-
-
 # -- classification ------------------------------------------------------------------
 
 
@@ -463,7 +439,8 @@ def certify_distinct(
     diagonal-structured arrays sharing entries, skeleton, and a common fully
     filled diagonal on which all arrays agree, distinct (array, solution)
     pairs give distinct rotation maps.  Hypotheses are verified; violations
-    raise ValueError.
+    raise ValueError.  Acceptance criterion 9 checks the lemma against the
+    rotation maps of a searched array's embeddings.
     """
     if not batch:
         return 0

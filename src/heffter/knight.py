@@ -90,7 +90,8 @@ def swapped(pair: OrientationPair, skel: Skeleton) -> OrientationPair:
     """The pair (C, R) on the same skeleton.
 
     Solutions are closed under the swap when the skeleton is cyclically
-    diagonal and R is trivial; both hypotheses are enforced.
+    diagonal and R is trivial; both hypotheses are enforced.  Acceptance
+    criterion 6 checks this lemma on every trivial-R solution it finds.
     """
     profile = _profile(skel)
     if not profile.cyclic:
@@ -119,17 +120,6 @@ def _tables(skel: Skeleton) -> kernels.ScanTables:
     return kernels.build_scan_tables(
         skel.m, skel.n, [(i - 1, j - 1) for (i, j) in skel.filled]
     )
-
-
-def successor(
-    skel: Skeleton,
-    rows_dir: Sequence[int],
-    cols_dir: Sequence[int],
-    cell: tuple[int, int],
-) -> tuple[int, int]:
-    """One step of the successor map from a filled cell (1-based)."""
-    cells = tour(skel, rows_dir, cols_dir, start=cell).cells
-    return cells[1 % len(cells)]
 
 
 def tour(

@@ -17,7 +17,7 @@ import json
 import re
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class ArrayFormatError(ValueError):
@@ -59,22 +59,6 @@ class Skeleton:
     def column_rows(self, j: int) -> tuple[int, ...]:
         return tuple(sorted(i for (i, c) in self.filled if c == j))
 
-    def transpose(self) -> "Skeleton":
-        return Skeleton(self.n, self.m, frozenset((j, i) for (i, j) in self.filled))
-
-    def row_translated(self, shift: int) -> "Skeleton":
-        """Cyclic row shift: row i of the result is row i-shift of self.
-
-        Content moves down by ``shift``; diagonal indices increase by it.
-        """
-        if self.m != self.n:
-            raise ValueError("row translation is defined for square skeletons")
-        n = self.n
-        return Skeleton(
-            n, n,
-            frozenset(((i - 1 + shift) % n + 1, j) for (i, j) in self.filled),
-        )
-
     def to_json_dict(self) -> dict:
         return {"m": self.m, "n": self.n, "filled": [list(p) for p in self.positions()]}
 
@@ -109,30 +93,10 @@ class PartiallyFilledArray:
                 if x is not None and not (0 <= x < self.v):
                     raise ValueError(f"entry {x} outside [0, {self.v - 1}]")
 
-    # -- construction ---------------------------------------------------------
-
-    @classmethod
-    def from_rows(
-        cls,
-        rows: Sequence[Sequence[int | None]],
-        v: int,
-        t: int = 1,
-        fold: int = 1,
-    ) -> "PartiallyFilledArray":
-        """Build from signed integer rows; entries are reduced mod v."""
-        cells = tuple(
-            tuple(None if x is None else x % v for x in row) for row in rows
-        )
-        return cls(len(cells), len(cells[0]) if cells else 0, v, t, fold, cells)
-
     # -- cell access (1-based) --------------------------------------------------
 
     def entry(self, i: int, j: int) -> int | None:
         return self.cells[i - 1][j - 1]
-
-    def signed_entry(self, i: int, j: int) -> int | None:
-        x = self.entry(i, j)
-        return None if x is None else signed(x, self.v)
 
     def row_values(self, i: int) -> tuple[int, ...]:
         """Entries of row i, left to right."""
@@ -154,29 +118,6 @@ class PartiallyFilledArray:
             if x is not None
         )
         return Skeleton(self.m, self.n, filled)
-
-    # -- transformations --------------------------------------------------------
-
-    def transpose(self) -> "PartiallyFilledArray":
-        cells = tuple(
-            tuple(self.cells[i][j] for i in range(self.m)) for j in range(self.n)
-        )
-        return PartiallyFilledArray(self.n, self.m, self.v, self.t, self.fold, cells)
-
-    def row_translated(self, shift: int) -> "PartiallyFilledArray":
-        """Cyclic row shift: row i of the result is row i-shift of self."""
-        if self.m != self.n:
-            raise ValueError("row translation is defined for square arrays")
-        n = self.n
-        cells = tuple(self.cells[(i - shift) % n] for i in range(n))
-        return PartiallyFilledArray(n, n, self.v, self.t, self.fold, cells)
-
-    def negated(self) -> "PartiallyFilledArray":
-        cells = tuple(
-            tuple(None if x is None else (-x) % self.v for x in row)
-            for row in self.cells
-        )
-        return PartiallyFilledArray(self.m, self.n, self.v, self.t, self.fold, cells)
 
     # -- serialization -----------------------------------------------------------
 
@@ -352,11 +293,11 @@ def diagonal_skeleton(n: int, diagonals: Iterable[int]) -> Skeleton:
     return Skeleton(n, n, frozenset(filled))
 
 
-def cyclic_diagonal_skeleton(n: int, k: int, start: int = 1) -> Skeleton:
-    """Skeleton of a cyclically k-diagonal array: k consecutive diagonals."""
+def cyclic_diagonal_skeleton(n: int, k: int) -> Skeleton:
+    """Skeleton of a cyclically k-diagonal array: diagonals 1..k."""
     if not (1 <= k <= n):
         raise ValueError("need 1 <= k <= n")
-    return diagonal_skeleton(n, range(start, start + k))
+    return diagonal_skeleton(n, range(1, k + 1))
 
 
 def classify_diagonality(obj: Skeleton | PartiallyFilledArray) -> DiagonalProfile:
@@ -370,16 +311,16 @@ def classify_diagonality(obj: Skeleton | PartiallyFilledArray) -> DiagonalProfil
     if skel.m != skel.n:
         raise ValueError("diagonal classification needs a square skeleton")
     n = skel.n
-    filled_diags: list[int] = []
-    for i in range(1, n + 1):
-        cells = diagonal_cells(n, i)
-        hits = sum(1 for c in cells if c in skel.filled)
-        if hits == n:
-            filled_diags.append(i)
-        elif hits != 0:
+    # cell (i, j) lies on diagonal (i - j) mod n + 1
+    hits = [0] * (n + 1)
+    for (i, j) in skel.filled:
+        hits[(i - j) % n + 1] += 1
+    for d in range(1, n + 1):
+        if 0 < hits[d] < n:
             raise NotDiagonalError(
-                f"diagonal {i} is partially filled: not diagonal-structured"
+                f"diagonal {d} is partially filled: not diagonal-structured"
             )
+    filled_diags = [d for d in range(1, n + 1) if hits[d] == n]
     if not filled_diags:
         raise NotDiagonalError("empty skeleton has no diagonal structure")
 

@@ -155,54 +155,27 @@ def _natural_lines(array: PartiallyFilledArray) -> tuple[list, list]:
             [array.column_values(j) for j in range(1, array.n + 1)])
 
 
-def natural_orderings(array: PartiallyFilledArray) -> LineOrderingSet:
-    return orderings_from_orientations(array, (1,) * array.m, (1,) * array.n)
-
-
 def _check_directions(vec: Sequence[int], length: int, what: str) -> None:
     if len(vec) != length or any(d not in (1, -1) for d in vec):
         raise ValueError(f"{what} direction vector must be ±1 of length {length}")
 
 
 def are_compatible(row_perm: Sequence[int], col_perm: Sequence[int]) -> bool:
-    """True iff col_perm ∘ row_perm is a single cycle covering the entry set."""
+    """True iff col_perm ∘ row_perm is a single cycle covering the entry set.
+
+    The paper's compatibility condition; acceptance criterion 3 checks it on
+    the golden orderings of the bundled array.
+    """
     domain = [d for d, image in enumerate(row_perm) if image >= 0]
     if domain != [d for d, image in enumerate(col_perm) if image >= 0]:
         raise ValueError("orderings act on different ground sets")
     return is_single_cycle(compose(col_perm, row_perm), domain)
 
 
-def composed_cycle(ords: LineOrderingSet) -> tuple[int, ...]:
-    """The column-after-row composition induced by a full ordering set."""
-    return compose(ords.col_perm, ords.row_perm)
-
-
 def is_globally_simple(array: PartiallyFilledArray) -> bool:
     """Are all natural line orderings simple?"""
     rows, cols = _natural_lines(array)
     return all(is_simple_ordering(line, array.v) for line in rows + cols)
-
-
-def find_simple_line_orderings(array: PartiallyFilledArray) -> LineOrderingSet | None:
-    """First simple ordering of every line, or None if some line has none.
-
-    Lines are independent, so each is searched separately; candidate
-    permutations are tried in lexicographic order of the line's natural order.
-    """
-    def first_simple(line: tuple[int, ...]) -> tuple[int, ...] | None:
-        for cand in itertools.permutations(line):
-            if is_simple_ordering(cand, array.v):
-                return cand
-        return None
-
-    rows, cols = _natural_lines(array)
-    found = []
-    for line in rows + cols:
-        w = first_simple(line)
-        if w is None:
-            return None
-        found.append(w)
-    return LineOrderingSet(tuple(found[:array.m]), tuple(found[array.m:]), array.v)
 
 
 # -- validation ----------------------------------------------------------------

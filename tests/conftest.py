@@ -43,6 +43,14 @@ def inverse(table) -> tuple[int, ...]:
     return tuple(out)
 
 
+def transpose(obj):
+    """The transpose of a skeleton or of an array: position (i, j) goes to (j, i)."""
+    if isinstance(obj, Skeleton):
+        return Skeleton(obj.n, obj.m, frozenset((j, i) for (i, j) in obj.filled))
+    return PartiallyFilledArray(obj.n, obj.m, obj.v, obj.t, obj.fold,
+                                tuple(zip(*obj.cells)))
+
+
 def fixture_path(name: str) -> Path:
     return Path(str(resources.files("heffter") / "data" / name))
 

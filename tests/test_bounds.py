@@ -1,7 +1,9 @@
 """Entropy, derangements, binomials, and the per-theorem bound evaluators."""
 
 import itertools
+import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from heffter.bounds import (
     BoundQuery,
     HypothesisError,
     THEOREMS,
+    TooLargeError,
     _is_prime,
     binary_entropy,
     binom,
@@ -249,3 +252,65 @@ def test_every_theorem_has_checker_and_evaluator():
         "DiagBi", "DiagBi2", "DiagBi3",
         "Prop3diag", "PropPower2", "PropK7", "PropPrime", "PropPairs",
     }
+
+
+# one query per theorem, at the sizes the evaluator tests above use
+QUERIES = [
+    BoundQuery("CDY", n=13, k=11),
+    BoundQuery("GeneralBound", n=13, k=11),
+    BoundQuery("GeneralBound", n=13, k=15),
+    BoundQuery("CDY2", n=97, k=11),
+    BoundQuery("CDY3", n=97, k=11),
+    BoundQuery("CDY4", n=45, k=19),
+    BoundQuery("CDY5", n=45, k=19),
+    BoundQuery("DiagBi", n=5, k=3),
+    BoundQuery("DiagBi2", n=123, k=5, subgroup_t=5),
+    BoundQuery("DiagBi3", n=123, k=11, subgroup_t=11),
+    BoundQuery("Prop3diag", n=7, k=3),
+    BoundQuery("PropPower2", n=21, k=5),
+    BoundQuery("PropK7", n=123, k=7),
+    BoundQuery("PropPrime", n=41, k=5),
+    BoundQuery("PropPairs", n=11, k=5, s1=2),
+]
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_queries_cover_every_theorem():
+    assert {q.theorem for q in QUERIES} == set(THEOREMS)
+
+
+@pytest.mark.parametrize("query", QUERIES, ids=lambda q: f"{q.theorem}-{q.k}")
+def test_output_is_strict_json(query):
+    # the CLI prints json.dumps of this dict, which writes NaN and Infinity bare
+    text = json.dumps(evaluate_bound(query).to_json_dict(), sort_keys=True)
+    json.loads(text, parse_constant=_reject_constant)
+
+
+def test_general_bound_reference_at_t2_is_null_with_a_note():
+    r = evaluate_bound(BoundQuery("GeneralBound", n=13, k=11))
+    assert r.asymptotic_reference is None
+    assert any("t = 2" in note for note in r.notes)
+
+
+def test_digit_check_refuses_only_unprintable_values():
+    # around the least digit limit, every refused value really has more
+    # digits than str() prints, and every value printed was computed
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        refused = 0
+        for n in range(9001, 25002, 800):
+            q = BoundQuery("PropPower2", n=n, k=5)
+            exact = 4 * math.comb(-(-n // 4), -(-n // 16))
+            try:
+                assert evaluate_bound(q, force=True).exact == exact
+            except TooLargeError:
+                refused += 1
+                with pytest.raises(ValueError):
+                    str(exact)
+        assert 0 < refused < 21
+    finally:
+        sys.set_int_max_str_digits(old)

@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import heffter
 from heffter.cli import main
 
 from conftest import fixture_path
@@ -372,6 +377,20 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, argv):
         assert "limit" in err
     if "--budget" in argv:
         assert "budget" in err
+
+
+@pytest.mark.parametrize("argv", [
+    "bounds --theorem PropPower2 --n 1000000001 --k 5",  # math.comb would run for minutes
+    "bounds --theorem CDY --n 13 --k 4000000003",  # so would derangements(10**9 - 2)
+])
+def test_huge_exact_value_is_refused_before_computing(argv):
+    src = str(Path(heffter.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-m", "heffter", *argv.split()],
+                          capture_output=True, text=True, timeout=5,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ") and "too large to print" in proc.stderr
 
 
 def test_huge_family_census_is_refused_before_building(capsys):

@@ -14,16 +14,28 @@ from heffter.embedding import (
     biembedding_report,
     build_embedding,
     build_rho0,
-    face_set_key,
     genus_formula,
     trace_faces,
-    translated_faces,
 )
 from heffter.iso import PRESERVING, verify_map
 from heffter.knight import enumerate_solutions
 from heffter.validation import cycle_from, orderings_from_orientations, search_heffter
 
 from conftest import cycles_table
+
+
+def face_set_key(faces):
+    return frozenset((f.vertices, f.color) for f in faces.faces)
+
+
+def translated_faces(faces, g):
+    """The face set shifted by x -> x+g, each face written from its least
+    rotation, the one trace_faces lists."""
+    out = set()
+    for f in faces.faces:
+        verts = tuple((x + g) % faces.v for x in f.vertices)
+        out.add((min(verts[i:] + verts[:i] for i in range(len(verts))), f.color))
+    return frozenset(out)
 
 
 def reference_faces(emb):

@@ -1,5 +1,6 @@
-"""The library runs on the standard library alone."""
+"""The library runs on the standard library alone, and every name in it is used."""
 
+import ast
 import json
 import subprocess
 import sys
@@ -29,3 +30,36 @@ def test_import_loads_no_numpy():
     assert {"heffter.cli", "heffter.embedding", "heffter.iso",
             "heffter.kernels"} <= set(child["loaded"])
     assert not child["numpy"]
+
+
+def _referenced_names(node) -> set[str]:
+    """Every name a piece of code uses: bare names, attributes, and imports."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def test_every_module_level_name_has_a_caller():
+    # a module-level function or class must be used somewhere in the package
+    # outside its own definition, or be exported by heffter/__init__.py;
+    # methods are left out, since a name alone does not say whose method it is
+    package = Path(heffter.__file__).resolve().parent
+    statements = []  # (module, top-level statement)
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        statements.extend((path.stem, stmt) for stmt in tree.body)
+    used = [(module, stmt, _referenced_names(stmt)) for module, stmt in statements]
+    dead = []
+    for module, stmt in statements:
+        if module == "__init__" or not isinstance(
+                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if not any(stmt.name in names for m, other, names in used if other is not stmt):
+            dead.append(f"{module}.{stmt.name}")
+    assert dead == []

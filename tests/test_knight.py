@@ -20,7 +20,6 @@ from heffter.knight import (
     prime_family,
     seven_diagonal_family,
     strip_criterion,
-    successor,
     swapped,
     three_diagonal_family,
     tour,
@@ -41,6 +40,17 @@ from heffter.validation import (
 from conftest import load_golden
 
 
+def successor(skel, rows_dir, cols_dir, cell):
+    """One step of the successor map, straight from its definition: along
+    row i in direction R_i to the next filled cell, landing in column j',
+    then along column j' in direction C_j' to the next filled cell."""
+    i, j = cell
+    cols = skel.row_columns(i)
+    j2 = cols[(cols.index(j) + rows_dir[i - 1]) % len(cols)]
+    rows = skel.column_rows(j2)
+    return rows[(rows.index(i) + cols_dir[j2 - 1]) % len(rows)], j2
+
+
 def all_column_vectors(n):
     """All ±1 vectors of length n in lexicographic order (+1 before -1)."""
     for mask in range(1 << n):
@@ -51,6 +61,13 @@ class TestSuccessor:
     def test_first_step_of_golden_tour(self, ex_array, ex_pair):
         skel = ex_array.skeleton()
         assert successor(skel, *ex_pair, (1, 1)) == (2, 2)
+
+    def test_tour_follows_the_successor_map(self, cr_skeleton):
+        dirs_r = (1, -1, 1, 1, -1, 1)
+        dirs_c = (-1, 1, 1, -1, 1, 1)
+        cells = tour(cr_skeleton, dirs_r, dirs_c, start=(1, 1)).cells
+        for a, b in zip(cells, cells[1:] + cells[:1]):
+            assert successor(cr_skeleton, dirs_r, dirs_c, a) == b
 
     def test_thirteen_steps(self, ex_array, ex_pair):
         skel = ex_array.skeleton()

@@ -3,11 +3,10 @@
 A permutation is a tuple indexed by element, -1 off its domain.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heffter.validation import are_compatible, compose, cycle_from, is_single_cycle
+from heffter.validation import compose, cycle_from, is_single_cycle
 
 from conftest import cycles_table, inverse
 
@@ -62,11 +61,6 @@ def test_compose_applies_right_factor_first():
     assert compose(a, b)[2] == a[b[2]] == a[3] == 3
     assert compose(b, a)[2] == b[1] == 1
     assert compose(a, b)[0] == -1  # off the domain
-
-
-def test_compose_requires_same_domain():
-    with pytest.raises(ValueError, match="ground sets"):
-        are_compatible(tuple(range(3)), tuple(range(4)))
 
 
 def test_cycle_through_and_single_cycle():

@@ -17,6 +17,21 @@ from heffter.pfarray import (
     parse_skeleton_json,
     signed,
 )
+from heffter.validation import validate_heffter
+
+from conftest import transpose
+
+
+def row_translated(skel, shift):
+    """Row i of the result is row i - shift of the square skeleton ``skel``."""
+    n = skel.n
+    return Skeleton(n, n, frozenset(((i - 1 + shift) % n + 1, j) for (i, j) in skel.filled))
+
+
+def scanned_diagonals(skel):
+    """The filled-cell count of each diagonal, from a scan of its n cells."""
+    return [sum(c in skel.filled for c in diagonal_cells(skel.n, d))
+            for d in range(1, skel.n + 1)]
 
 
 class TestParsing:
@@ -25,7 +40,7 @@ class TestParsing:
         assert (ex_array.v, ex_array.t, ex_array.fold) == (207, 9, 1)
         assert len(ex_array.entries()) == 99
         assert ex_array.entry(1, 1) == 10
-        assert ex_array.signed_entry(1, 4) == -90
+        assert signed(ex_array.entry(1, 4), ex_array.v) == -90
         assert ex_array.entry(1, 5) is None
 
     def test_lambda_header_spelling(self):
@@ -153,59 +168,59 @@ class TestTransforms:
     def test_transpose_matches_drawing(self, cr_skeleton):
         mid = {1: (1, 2, 3, 4), 2: (2, 3, 4, 5), 3: (3, 4, 5, 6),
                4: (1, 4, 5, 6), 5: (1, 2, 5, 6), 6: (1, 2, 3, 6)}
-        t = cr_skeleton.transpose()
+        t = transpose(cr_skeleton)
         assert all(t.row_columns(i) == mid[i] for i in range(1, 7))
 
     def test_translated_transpose_recovers_skeleton(self, cr_skeleton):
         # cyclically k-diagonal: shifting the transposed rows by k-1 restores it
-        assert cr_skeleton.transpose().row_translated(3) == cr_skeleton
+        assert row_translated(transpose(cr_skeleton), 3) == cr_skeleton
 
     def test_translated_transpose_on_other_sizes(self):
         for n, k in [(5, 3), (7, 5), (9, 3)]:
             skel = cyclic_diagonal_skeleton(n, k)
-            assert skel.transpose().row_translated(k - 1) == skel
+            assert row_translated(transpose(skel), k - 1) == skel
 
     def test_transpose_involution_array(self, ex_array):
-        assert ex_array.transpose().transpose() == ex_array
+        # the transpose of an H(m, n; h, k) is an H(n, m; k, h) on the same entries
+        t = transpose(ex_array)
+        assert transpose(t) == ex_array
+        assert sorted(t.entries()) == sorted(ex_array.entries())
+        assert validate_heffter(t).passed
 
     def test_row_translate_preserves_row_content(self, ex_array):
-        shifted = ex_array.row_translated(4)
-        rows_a = sorted(ex_array.row_values(i) for i in range(1, 12))
+        # a cyclic shift of the rows keeps every row and column sum and the support
+        a = ex_array
+        shifted = PartiallyFilledArray(a.m, a.n, a.v, a.t, a.fold,
+                                       a.cells[-4:] + a.cells[:-4])
+        rows_a = sorted(a.row_values(i) for i in range(1, 12))
         rows_b = sorted(shifted.row_values(i) for i in range(1, 12))
         assert rows_a == rows_b
-
-    def test_row_translate_needs_square(self):
-        a = PartiallyFilledArray(1, 2, 5, 1, 1, ((1, 2),))
-        with pytest.raises(ValueError):
-            a.row_translated(1)
+        assert validate_heffter(shifted).passed
 
 
 @st.composite
-def small_arrays(draw):
-    m = draw(st.integers(1, 4))
-    n = draw(st.integers(1, 4))
-    v = draw(st.integers(2, 40))
-    cells = tuple(
-        tuple(
-            draw(st.one_of(st.none(), st.integers(0, v - 1)))
-            for _ in range(n)
-        )
-        for _ in range(m)
-    )
-    return PartiallyFilledArray(m, n, v, 1, 1, cells)
+def square_skeletons(draw):
+    """Unions of full diagonals, sometimes with one cell added or removed."""
+    n = draw(st.integers(1, 9))
+    diagonals = draw(st.sets(st.integers(1, n), min_size=1))
+    filled = set(diagonal_skeleton(n, diagonals).filled)
+    cell = (draw(st.integers(1, n)), draw(st.integers(1, n)))
+    filled ^= draw(st.sampled_from([set(), {cell}]))
+    return Skeleton(n, n, frozenset(filled))
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_arrays())
-def test_transpose_preserves_entry_multiset(a):
-    assert sorted(a.transpose().entries()) == sorted(a.entries())
-    assert a.transpose().transpose() == a
-
-
-@settings(max_examples=60, deadline=None)
-@given(small_arrays(), st.integers(-6, 6))
-def test_row_translate_roundtrip(a, shift):
-    if a.m != a.n:
-        return
-    b = a.row_translated(shift).row_translated(-shift)
-    assert b == a
+@settings(max_examples=200, deadline=None)
+@given(square_skeletons())
+def test_diagonal_counts_match_a_scan_of_each_diagonal(skel):
+    hits = scanned_diagonals(skel)
+    partial = [d for d, h in enumerate(hits, 1) if 0 < h < skel.n]
+    if partial:
+        with pytest.raises(NotDiagonalError, match=f"diagonal {partial[0]} is partially"):
+            classify_diagonality(skel)
+    elif not any(hits):
+        with pytest.raises(NotDiagonalError, match="empty"):
+            classify_diagonality(skel)
+    else:
+        prof = classify_diagonality(skel)
+        assert prof.filled_diagonals == tuple(
+            d for d, h in enumerate(hits, 1) if h == skel.n)
