@@ -8,6 +8,7 @@ from .embedding import (
     FaceSet,
     biembedding_report,
     build_embedding,
+    build_embeddings,
     build_rho0,
     genus_formula,
     trace_faces,

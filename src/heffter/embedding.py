@@ -37,7 +37,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .pfarray import PartiallyFilledArray
 from .validation import (
@@ -183,6 +183,42 @@ def array_key(array: PartiallyFilledArray) -> str:
     return hashlib.sha256(array.to_text().encode()).hexdigest()[:16]
 
 
+def build_embeddings(
+    array: PartiallyFilledArray,
+    pairs: Iterable[tuple[Sequence[int], Sequence[int]]],
+) -> list[CombinatorialEmbedding]:
+    """Embeddings from a validated array and tour solutions (R, C), in order.
+
+    The array is validated, checked for fold 1 and hashed once for all pairs.
+    Raises ValueError when the array fails validation, is a lambda-fold array
+    with fold > 1 (those are validated but never embedded), or when the
+    orderings induced by some pair are not compatible, i.e. (R, C) does not
+    solve the tour problem of the array's skeleton.
+    """
+    report = validate_heffter(array)
+    if not report.passed:
+        raise ValueError("array fails validation; cannot embed")
+    if array.fold != 1:
+        raise ValueError("fold > 1 arrays are not embedded")
+    key = array_key(array)
+    entry_class = frozenset(array.entries())
+    out = []
+    for rows_dir, cols_dir in pairs:
+        rho0 = build_rho0(array, orderings_from_orientations(array, rows_dir, cols_dir))
+        source = EmbeddingSource(
+            array.m, array.n, report.h, report.k, key, tuple(rows_dir), tuple(cols_dir),
+        )
+        out.append(CombinatorialEmbedding(
+            v=array.v,
+            t=array.t,
+            connection=tuple(d for d, image in enumerate(rho0) if image >= 0),
+            rho0=rho0,
+            entry_class=entry_class,
+            source=source,
+        ))
+    return out
+
+
 def build_embedding(
     array: PartiallyFilledArray,
     rows_dir: Sequence[int],
@@ -190,29 +226,9 @@ def build_embedding(
 ) -> CombinatorialEmbedding:
     """Embedding from a validated array and a tour solution (R, C).
 
-    Raises ValueError when the array fails validation, is a lambda-fold array
-    with fold > 1 (those are validated but never embedded), or when the
-    induced orderings are not compatible, i.e. (R, C) does not solve the tour
-    problem of the array's skeleton.
+    The one-pair case of :func:`build_embeddings`, with its errors.
     """
-    report = validate_heffter(array)
-    if not report.passed:
-        raise ValueError("array fails validation; cannot embed")
-    if array.fold != 1:
-        raise ValueError("fold > 1 arrays are not embedded")
-    rho0 = build_rho0(array, orderings_from_orientations(array, rows_dir, cols_dir))
-    source = EmbeddingSource(
-        array.m, array.n, report.h, report.k, array_key(array),
-        tuple(rows_dir), tuple(cols_dir),
-    )
-    return CombinatorialEmbedding(
-        v=array.v,
-        t=array.t,
-        connection=tuple(d for d, image in enumerate(rho0) if image >= 0),
-        rho0=rho0,
-        entry_class=frozenset(array.entries()),
-        source=source,
-    )
+    return build_embeddings(array, [(rows_dir, cols_dir)])[0]
 
 
 # -- face tracing -------------------------------------------------------------------

@@ -14,20 +14,23 @@ of e2 and carries the one labelling onto the other, so it is the composite
 of the two labellings.
 
 :func:`canonical_code` writes the rotation system in the labels of each root,
-one row per vertex, and keeps the least; roots are dropped at their first
-row above the running minimum.  The roots that reach the end are one orbit
-of the stabilizer Aut_0, so they give :func:`stabilizer` and, between
-embeddings with equal codes, every isomorphism fixing 0
-(:func:`find_isomorphism`).  Each such map is checked by :func:`verify_map`
-on all oriented edges before it is returned.  :func:`classify` groups a
-family by code in one pass and takes its witnesses from the same roots.
+one row per vertex, and keeps the least.  Its row 1, the rotation at c read
+from 0, is picked column by column over the roots still tied, and is an
+isomorphism invariant on its own: a map fixing 0 sends roots to roots and
+keeps every row.  So every isomorphism fixing 0 carries a root tied on row 1
+onto a root tied on row 1, and the composites of their labellings, each
+checked by :func:`verify_map` on all oriented edges, are exactly the
+isomorphisms fixing 0 (:func:`find_isomorphism`) and, from an embedding to
+itself, its stabilizer Aut_0 (:func:`stabilizer`).  :func:`classify` buckets
+a family by row 1 and certifies each bucket as one class the same way; only
+a bucket that holds a second class is split by full codes.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .embedding import CombinatorialEmbedding
 from .knight import OrientationPair, is_solution
@@ -119,6 +122,13 @@ class _Root(NamedTuple):
     inv: tuple[int, ...]
 
 
+class _Screen(NamedTuple):
+    """The least row 1 over the roots, and the roots that attain it."""
+
+    row: tuple[int, ...]
+    roots: tuple[_Root, ...]
+
+
 class _CanonicalForm(NamedTuple):
     """The canonical code and the roots that attain it: one orbit of Aut_0."""
 
@@ -126,62 +136,86 @@ class _CanonicalForm(NamedTuple):
     roots: tuple[_Root, ...]
 
 
-def _canonical_form(emb: CombinatorialEmbedding) -> _CanonicalForm:
-    """The least root code, built row by row, and the roots that attain it."""
-    v, deg = emb.v, emb.degree()
-    fresh = (0, *range(deg + 1, v))  # labels of J, in the order row 1 meets it
-    ranks = [k % deg + 1 for k in range(2 * deg)]
+def _directions(emb: CombinatorialEmbedding) -> tuple[list[int], list[int]]:
+    """The cycle of rho0 from the first difference, and of rho0^{-1}."""
     cyc = cycle_from(emb.rho0, emb.connection[0])
+    return cyc, cyc[:1] + cyc[:0:-1]
 
-    # Screen every root on row 1, the rotation at c read from 0, without
-    # building its labelling: a vertex y outside J has label
-    # (pos[y] - pos[c]) % deg + 1.  The vertices of J take the fresh labels
-    # in the order the row meets them, so rows compare as they would with
-    # every vertex of J read as deg + 1.
-    best: list[int] | None = None
+
+def _screen(emb: CombinatorialEmbedding) -> _Screen:
+    """The least row 1, the rotation at c read from 0, and its tied roots.
+
+    Row 1 is picked column by column: entry i is computed only for the roots
+    still tied after entries 0..i-1.  It is read from positions on the cycle
+    of the root's direction, without a labelling: y outside J has label
+    (pos[y] - pos[c]) % degree + 1, and y in J compares as degree + 1, since
+    the vertices of J take the fresh labels 0, degree + 1, degree + 2, ... in
+    the order the row meets them.  Labellings are built for the tied roots
+    only.
+    """
+    v, deg = emb.v, emb.degree()
+    hole = deg + 1
+    # per root: its direction, the cycle written twice, the positions on it
+    # written twice (so c + d needs no reduction), c, and the positions of
+    # -c, where the row starts, and of c
     tied = []
-    for reverses, cycle in ((False, cyc), (True, cyc[:1] + cyc[:0:-1])):
+    for reverses, cycle in enumerate(_directions(emb)):
         pos = [-1] * v
         for i, d in enumerate(cycle):
             pos[d] = i
-        pos2 = pos + pos
-        twice = cycle + cycle
-        for c in emb.connection:
-            label = ranks[deg - pos[c]:2 * deg - pos[c]]
-            label.append(deg + 1)  # label[-1], read for J
-            around = twice[pos[v - c]:pos[v - c] + deg]
-            row = [label[pos2[c + d]] for d in around]
-            if best is None or row < best:
-                best, tied = row, []
-            if row == best:
-                tied.append((reverses, cycle, label, pos, around, c))
+        twice, pos2 = cycle + cycle, pos + pos
+        tied += [(reverses, twice, pos2, c, pos[v - c], pos[c]) for c in emb.connection]
+    row = [hole]  # entry 0 is the vertex 0 for every root
+    while len(row) < deg and len(tied) > 1:
+        i = len(row)
+        entries = [hole if (p := pos2[c + twice[start + i]]) < 0 else (p - pc) % deg + 1
+                   for _, twice, pos2, c, start, pc in tied]
+        low = min(entries)
+        tied = [root for root, x in zip(tied, entries) if x == low]
+        row.append(low)
+    _, twice, pos2, c, start, pc = tied[0]
+    row += [hole if (p := pos2[c + d]) < 0 else (p - pc) % deg + 1
+            for d in twice[start + len(row):start + deg]]
 
-    # Full labellings for the survivors only.  Row a is the rotation at the
-    # vertex labelled a, from its least label; a root leaves at its first
-    # row above the least one.
-    holes = [i for i, x in enumerate(best) if x > deg]
+    holes = [i for i, x in enumerate(row) if x == hole]
+    fresh = (0, *range(hole, v))
     for new, i in zip(fresh, holes):
-        best[i] = new
-    alive = []
-    for reverses, cycle, label, pos, around, c in tied:
-        lam = [label[q] for q in pos]
-        for new, i in zip(fresh, holes):
-            lam[(c + around[i]) % v] = new
-        alive.append((reverses, cycle, lam, lam + lam,
-                      sorted(range(v), key=lam.__getitem__)))
-    code = [*range(1, deg + 1), *best]
+        row[i] = new
+    roots = []
+    for reverses, twice, pos2, c, start, pc in tied:
+        subgroup = [(c + twice[start + i]) % v for i in holes]  # J in row order
+        lam = [(p - pc) % deg + 1 for p in pos2[:v]]
+        for new, x in zip(fresh, subgroup):
+            lam[x] = new
+        inv = (0, *twice[pc:pc + deg], *subgroup[1:])
+        roots.append(_Root(bool(reverses), tuple(lam), inv))
+    return _Screen(tuple(row), tuple(roots))
+
+
+def _canonical_form(emb: CombinatorialEmbedding) -> _CanonicalForm:
+    """The least root code, built row by row, and the roots that attain it.
+
+    Rows 0 and 1 come from :func:`_screen`.  Row a is the rotation at the
+    vertex labelled a, from its least label; a root leaves at its first row
+    above the least one.
+    """
+    v, deg = emb.v, emb.degree()
+    screen = _screen(emb)
+    cycles = _directions(emb)
+    alive = [(root, cycles[root.reverses], root.lam + root.lam) for root in screen.roots]
+    code = [*range(1, deg + 1), *screen.row]
     for a in range(2, v):
         rows = []
-        for _, cycle, _, lam2, inv in alive:
-            x = inv[a]
+        for root, cycle, lam2 in alive:
+            x = root.inv[a]
             labels = [lam2[x + d] for d in cycle]
             m = labels.index(min(labels))
             rows.append(labels[m:] + labels[:m])
         low = min(rows)
         alive = [root for root, row in zip(alive, rows) if row == low]
         code += low
-    return _CanonicalForm(array("i", code).tobytes(), tuple(
-        _Root(reverses, tuple(lam), tuple(inv)) for reverses, _, lam, _, inv in alive))
+    return _CanonicalForm(array("i", code).tobytes(),
+                          tuple(root for root, _, _ in alive))
 
 
 def canonical_code(emb: CombinatorialEmbedding) -> bytes:
@@ -198,15 +232,15 @@ def canonical_code(emb: CombinatorialEmbedding) -> bytes:
     row 1 is the rotation at c from 0.  The embedding's code is the least
     root code, rows compared in order, written as int32 bytes.
 
-    It is built row by row.  Row 1 of every root is read straight from the
-    positions of the vertices on the cycle of rho, without a labelling: y
-    outside J has label (pos[y] - pos[c]) % degree + 1, and the vertices of
-    J, whose fresh labels exceed degree and follow the order of the row,
-    compare as degree + 1.  Only the roots that tie on row 1 get a
-    labelling, and each later row is computed for the roots still tied,
-    dropping those whose row is above the least.  On the
-    embeddings of the tests and the benchmark, row 1 alone already leaves
-    only the roots that tie on the whole code.
+    It is built row by row.  Row 1 is picked column by column over the
+    roots still tied, and is read straight from the positions of the
+    vertices on the cycle of rho, without a labelling: y outside J has label
+    (pos[y] - pos[c]) % degree + 1, and the vertices of J, whose fresh labels
+    exceed degree and follow the order of the row, compare as degree + 1.
+    Only the roots that tie on row 1 get a labelling, and each later row is
+    computed for the roots still tied, dropping those whose row is above the
+    least.  Isomorphism tests and :func:`classify` stop at row 1; the whole
+    code splits a :func:`classify` bucket that holds two classes.
 
     Why equal codes mean isomorphic.  A map sigma fixing 0 from e1 onto e2
     sends the root (c, rho) of e1 to the root (sigma(c), rho') of e2, where
@@ -257,11 +291,11 @@ def _isomorphisms_between(
 ) -> Iterator[EmbeddingMap]:
     if e1.v != e2.v or e1.t != e2.t:
         return iter(())
-    form1 = _canonical_form(e1)
-    form2 = form1 if e2 is e1 else _canonical_form(e2)
-    if form1.code != form2.code:
+    screen1 = _screen(e1)
+    screen2 = screen1 if e2 is e1 else _screen(e2)
+    if screen1.row != screen2.row:
         return iter(())
-    return _isomorphisms(e1, form1.roots[0], e2, form2.roots)
+    return _isomorphisms(e1, screen1.roots[0], e2, screen2.roots)
 
 
 def find_isomorphism(
@@ -272,8 +306,9 @@ def find_isomorphism(
     The isomorphisms fixing 0 are listed by the index of sigma(1) in
     ``e2.connection``, preserving before reversing.  Complete for the
     translation-regular embeddings built here: if any isomorphism exists, one
-    fixing 0 exists (compose with a translation), and then the codes agree
-    and every such map carries a least root of e1 onto a least root of e2.
+    fixing 0 exists (compose with a translation), and then the least rows 1
+    agree and every such map carries a root of e1 tied on row 1 onto one of
+    e2; the composites of the other pairs fail :func:`verify_map`.
     """
     return next(_isomorphisms_between(e1, e2), None)
 
@@ -317,8 +352,8 @@ class StabilizerGroup:
 def stabilizer(emb: CombinatorialEmbedding) -> StabilizerGroup:
     """The vertex-0 stabilizer: one automorphism per root tied for the code.
 
-    Listed in :func:`find_isomorphism`'s order, each certified by
-    :func:`verify_map`.
+    Taken from the roots tied on row 1, listed in :func:`find_isomorphism`'s
+    order, each certified by :func:`verify_map`.
     """
     return StabilizerGroup(all_isomorphisms_fixing_zero(emb, emb), emb.degree())
 
@@ -370,23 +405,69 @@ class ClassificationResult:
         }
 
 
+class ClassificationError(RuntimeError):
+    """A class above its provable cap, or a member with no witness."""
+
+
+def _class(
+    embeddings: Sequence[CombinatorialEmbedding],
+    group: Sequence[int],
+    roots: Mapping[int, Sequence[_Root]],
+) -> IsomorphismClass:
+    """``group`` as one class, each member certified onto the representative.
+
+    The representative is the member with the least rotation table; its
+    Aut_0 and each member's witness come from its ``roots``.
+    Raises ClassificationError when the group is above its cap or a member
+    has no isomorphism onto the representative.
+    """
+    rep = min(group, key=lambda i: embeddings[i].rho0)
+    emb, tied = embeddings[rep], roots[rep]
+    deg = emb.degree()
+    aut0 = tuple(_isomorphisms(emb, tied[0], emb, tied))
+    cap = min(2 * len(aut0) * deg, 2 * deg * deg)
+    if len(group) > cap:
+        raise ClassificationError(
+            f"class of representative {rep} has {len(group)} members, above "
+            f"the provable cap {cap}: classification logic is broken"
+        )
+    wit = []
+    for i in group:
+        found = aut0[0] if i == rep else next(
+            _isomorphisms(embeddings[i], roots[i][0], emb, tied), None)
+        if found is None:
+            raise ClassificationError(
+                f"embedding {i} shares a canonical code with {rep} but no "
+                "isomorphism was found: classification logic is broken"
+            )
+        wit.append(found)
+    return IsomorphismClass(rep, tuple(group), tuple(wit), cap)
+
+
 def classify(embeddings: Sequence[CombinatorialEmbedding]) -> ClassificationResult:
-    """Partition distinct embeddings into isomorphism classes by canonical code.
+    """Partition distinct embeddings into isomorphism classes.
 
     Inputs must share (v, t); duplicates as rotation maps are rejected.
-    Embeddings with equal :func:`canonical_code` form one class; classes are
-    listed in the order of their first member in the input, and members in
-    input order.  Each class's representative is its member with the
-    lexicographically least serialized rotation map, so representatives do
-    not depend on the input order.  The representative's tied roots give
-    Aut_0(rep), and each member's witness onto it is the one
-    :func:`find_isomorphism` would return, taken from the same roots and
-    certified by :func:`verify_map`; a member without one means the code is
-    broken and aborts.  Every class size is checked against
-    min(2*|Aut_0(rep)|*degree, 2*degree^2), where 2*degree^2 (4*degree^2 in
-    general) holds because the translations preserve the orientation of
-    every embedding here: its rotation is the same table at each vertex.
-    Exceeding the cap indicates a logic error and aborts.
+    Classes are listed in the order of their first member in the input, and
+    members in input order.  Each class's representative is its member with
+    the lexicographically least serialized rotation map, so representatives
+    do not depend on the input order.
+
+    Embeddings are bucketed by their least row 1 (see
+    :func:`canonical_code`), an isomorphism invariant, in input order.  A bucket is one class when every
+    member maps onto its least member through the roots tied on row 1: a map
+    fixing 0 sends roots to roots and keeps every row, so these roots give
+    every isomorphism fixing 0 and :func:`verify_map` rejects the rest.  The
+    representative's maps are Aut_0(rep), and each member's witness is the
+    one :func:`find_isomorphism` would return.  A bucket holding a second
+    class is split by :func:`canonical_code`, and each code is one class,
+    certified the same way from the roots tied on the whole code; a member
+    without a witness there means the code is broken and aborts.  Every
+    class size is checked against min(2*|Aut_0(rep)|*degree, 2*degree^2),
+    where 2*degree^2 (4*degree^2 in general) holds because the translations
+    preserve the orientation of every embedding here: its rotation is the
+    same table at each vertex.  Exceeding the cap indicates a logic error
+    and aborts.
     """
     if not embeddings:
         return ClassificationResult(0, ())
@@ -396,34 +477,25 @@ def classify(embeddings: Sequence[CombinatorialEmbedding]) -> ClassificationResu
     if len({e.rho0 for e in embeddings}) != len(embeddings):
         raise ValueError("duplicate rotation maps: deduplicate before classify")
 
-    forms = [_canonical_form(emb) for emb in embeddings]
-    groups: dict[bytes, list[int]] = {}
-    for i, form in enumerate(forms):
-        groups.setdefault(form.code, []).append(i)
+    screens = [_screen(emb) for emb in embeddings]
+    buckets: dict[tuple[int, ...], list[int]] = {}
+    for i, screen in enumerate(screens):
+        buckets.setdefault(screen.row, []).append(i)
 
     classes = []
-    for group in groups.values():
-        rep = min(group, key=lambda i: embeddings[i].rho0)
-        emb, roots = embeddings[rep], forms[rep].roots
-        deg = emb.degree()
-        aut0 = tuple(_isomorphisms(emb, roots[0], emb, roots))
-        cap = min(2 * len(aut0) * deg, 2 * deg * deg)
-        if len(group) > cap:
-            raise RuntimeError(
-                f"class of representative {rep} has {len(group)} members, above "
-                f"the provable cap {cap}: classification logic is broken"
-            )
-        wit = []
-        for i in group:
-            found = aut0[0] if i == rep else next(
-                _isomorphisms(embeddings[i], forms[i].roots[0], emb, roots), None)
-            if found is None:
-                raise RuntimeError(
-                    f"embedding {i} shares a canonical code with {rep} but no "
-                    "isomorphism was found: classification logic is broken"
-                )
-            wit.append(found)
-        classes.append(IsomorphismClass(rep, tuple(group), tuple(wit), cap))
+    for bucket in buckets.values():
+        try:
+            classes.append(_class(embeddings, bucket,
+                                  {i: screens[i].roots for i in bucket}))
+        except ClassificationError:
+            # more than one class, or a fault the full codes show again
+            forms = {i: _canonical_form(embeddings[i]) for i in bucket}
+            groups: dict[bytes, list[int]] = {}
+            for i in bucket:
+                groups.setdefault(forms[i].code, []).append(i)
+            roots = {i: form.roots for i, form in forms.items()}
+            classes += (_class(embeddings, group, roots) for group in groups.values())
+    classes.sort(key=lambda c: c.members[0])
     return ClassificationResult(len(embeddings), tuple(classes))
 
 

@@ -290,13 +290,14 @@ class TestSearchBoundsPipeline:
 
     def test_pipeline(self, tmp_path, capsys):
         out = tmp_path / "run"
-        code, data = run_json(capsys, "pipeline", "--search", "5,5,3,3,1,cyclic",
-                              "--trivial-R", "--out", str(out))
+        code, text = run(capsys, "pipeline", "--search", "5,5,3,3,1,cyclic",
+                         "--trivial-R", "--out", str(out))
+        data = json.loads(text)
         assert code == 0
         assert data["solutions"] == 20
         assert data["distinct_rotations"] == 20
         assert data["reports_all_passed"]
-        assert (out / "summary.json").exists()
+        assert (out / "summary.json").read_text() == text
         assert len(list((out / "embeddings").glob("*.json"))) == 20
         manifest = data["manifest"]
         assert manifest["command"] == "pipeline"

@@ -13,6 +13,7 @@ from heffter.embedding import (
     FaceSet,
     biembedding_report,
     build_embedding,
+    build_embeddings,
     build_rho0,
     genus_formula,
     trace_faces,
@@ -164,6 +165,23 @@ class TestBuild:
     def test_fold_two_rejected(self, lambda2_array):
         with pytest.raises(ValueError, match="fold"):
             build_embedding(lambda2_array, (1, 1), (1,) * 5)
+
+    def test_many_pairs_validate_once(self, h33, lambda2_array, monkeypatch):
+        from heffter import embedding
+
+        sols = enumerate_solutions(h33.skeleton())
+        pairs = [(p.rows, p.cols) for p in sols]
+        one_at_a_time = [build_embedding(h33, *pair) for pair in pairs]
+        calls = []
+        validate = embedding.validate_heffter
+        monkeypatch.setattr(embedding, "validate_heffter",
+                            lambda a: calls.append(a) or validate(a))
+        assert build_embeddings(h33, pairs) == one_at_a_time
+        assert len(calls) == 1
+        with pytest.raises(ValueError, match="not compatible"):
+            build_embeddings(h33, pairs[:1] + [((1,) * 3, (1,) * 3)])
+        with pytest.raises(ValueError, match="fold"):
+            build_embeddings(lambda2_array, [])
 
     def test_provenance(self, ex_embedding):
         src = ex_embedding.source

@@ -1,12 +1,13 @@
 """Isomorphism testing, stabilizers, classification, distinctness certification."""
 
 import random
+from array import array
 from math import gcd
 
 import pytest
 
 from heffter import iso
-from heffter.embedding import CombinatorialEmbedding, build_embedding
+from heffter.embedding import CombinatorialEmbedding, build_embedding, build_embeddings
 from heffter.iso import (
     PRESERVING,
     REVERSING,
@@ -407,6 +408,30 @@ class TestFindIsomorphism:
                 assert (found is not None) == bool(sweep)
 
 
+class TestScreen:
+    def test_row_one_and_tied_roots(self, k31_family, z21_family):
+        # one of these random rotations ties two roots on row 1 that a later
+        # row separates
+        family = k31_family[:4] + z21_family[:4] + random_cayley_maps(12, 2, 12, seed=12)
+        wider = 0
+        for emb in family + [mirror(e) for e in family]:
+            deg = emb.degree()
+            screen, form = iso._screen(emb), iso._canonical_form(emb)
+            code = array("i")
+            code.frombytes(form.code)
+            assert list(code[:deg]) == list(range(1, deg + 1))
+            assert screen.row == tuple(code[deg:2 * deg])
+            assert set(form.roots) <= set(screen.roots)
+            wider += len(screen.roots) > len(form.roots)
+        assert wider > 0
+
+    def test_labellings_are_inverse_bijections(self, k19, z21_family):
+        for emb in (k19, z21_family[0], random_cayley_maps(12, 2, 1, seed=1)[0]):
+            for root in iso._screen(emb).roots:
+                assert sorted(root.lam) == list(range(emb.v))
+                assert all(root.inv[a] == x for x, a in enumerate(root.lam))
+
+
 class TestCanonicalCode:
     def test_invariant_under_unit_relabeling(self, k19):
         code = canonical_code(k19)
@@ -559,18 +584,53 @@ class TestClassify:
         assert result.to_json_dict() == pairwise_classify(family)
 
     def test_shared_code_without_witness_aborts(self, k31_family, monkeypatch):
-        # two non-isomorphic embeddings given one code, each keeping its roots
-        form = iso._canonical_form
+        # two non-isomorphic embeddings given one row 1 and one code, each
+        # keeping its roots: the bucket splits, and the code group aborts
+        screen, form = iso._screen, iso._canonical_form
+        monkeypatch.setattr(iso, "_screen", lambda emb: screen(emb)._replace(row=()))
         monkeypatch.setattr(iso, "_canonical_form",
                             lambda emb: form(emb)._replace(code=b""))
         with pytest.raises(RuntimeError, match="no isomorphism"):
             classify(k31_family[:2])
+
+    def test_bucket_with_two_classes_is_split_by_code(self, k31_family,
+                                                       z19_family, monkeypatch):
+        # one row 1 for every embedding: each bucket holds several classes,
+        # and the split by full codes certifies the same classes
+        a, b = k31_family[:2]
+        assert find_isomorphism(a, b) is None
+        families = ([a, b], z19_family)
+        expected = [classify(f).to_json_dict() for f in families]
+        screen, form = iso._screen, iso._canonical_form
+        coded = []
+        monkeypatch.setattr(iso, "_screen", lambda emb: screen(emb)._replace(row=()))
+        monkeypatch.setattr(iso, "_canonical_form",
+                            lambda emb: coded.append(emb) or form(emb))
+        for family, want in zip(families, expected):
+            coded.clear()
+            result = classify(family)
+            assert len(coded) == len(family)
+            assert result.to_json_dict() == want
+        assert expected[0]["class_count"] == 2
 
     def test_rejected_stabilizer_maps_abort(self, k31_family, monkeypatch):
         # with every derived map refused, no class fits under its cap
         monkeypatch.setattr(iso, "verify_map", lambda e1, e2, sigma: None)
         with pytest.raises(RuntimeError, match="above the provable cap"):
             classify(k31_family[:2])
+
+    def test_bundled_array_trivial_rows(self, ex_array):
+        # the 990 trivial-R embeddings over Z_207 are pairwise non-isomorphic
+        sols = enumerate_solutions(ex_array.skeleton(), trivial_rows=True)
+        family = build_embeddings(ex_array, [(p.rows, p.cols) for p in sols])
+        result = classify(family)
+        assert result.total == result.class_count == 990
+        assert all(c.members == (c.representative,) for c in result.classes)
+        # the cap min(2 * |Aut_0| * degree, 2 * degree^2) is 2 * degree
+        # exactly when Aut_0 is trivial
+        deg = family[0].degree()
+        assert {c.cap for c in result.classes} == {2 * deg}
+        assert {c.witnesses[0].sigma for c in result.classes} == {tuple(range(207))}
 
     def test_duplicates_rejected(self, k19):
         with pytest.raises(ValueError, match="duplicate"):
