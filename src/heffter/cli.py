@@ -13,6 +13,7 @@ import hashlib
 import itertools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
 
@@ -25,11 +26,48 @@ class UsageError(Exception):
     pass
 
 
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_LEAF = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: lambda x: _NONFINITE.get(float.__repr__(x)) or float.__repr__(x),
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _dumps(obj: object, pad: str = "\n") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.
+
+    CPython's ``json`` uses its C encoder only without ``indent``; this one
+    writes the leaves with the functions ``json`` uses and joins each
+    container once.  A list of plain ints, the common case here, is joined
+    in one pass.  Dict keys must be str, and a leaf must be exactly one of
+    the types in ``_LEAF``; anything else raises ``TypeError``.  ``pad`` is
+    the newline and indentation of the current level.
+    """
+    leaf = _LEAF.get(type(obj))
+    if leaf is not None:
+        return leaf(obj)
+    inner = pad + "  "
+    if type(obj) is dict:
+        items = [f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}"
+                 for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    if type(obj) is list or type(obj) is tuple:
+        if set(map(type, obj)) == {int}:
+            items = map(int.__repr__, obj)
+        else:
+            items = [_dumps(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if obj else "[]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _emit(data: dict, text: str | None, as_text: bool) -> None:
     if as_text and text is not None:
         print(text)
     else:
-        print(json.dumps(data, sort_keys=True, indent=2))
+        print(_dumps(data))
 
 
 def _read(path: str) -> str:
@@ -258,7 +296,7 @@ def cmd_faces(args: argparse.Namespace) -> int:
         "all_simple": faces.all_simple,
         "listed": len(listed),
         "faces": [
-            {"vertices": list(f.vertices), "color": f.color, "simple": f.simple}
+            {"vertices": f.vertices, "color": f.color, "simple": f.simple}
             for f in listed
         ],
     }
@@ -422,8 +460,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         "reports_all_passed": all_pass,
         "manifest": manifest,
     }
-    # encoded once: the indented encoder is pure Python and slow at this size
-    dumped = json.dumps(summary, sort_keys=True, indent=2)
+    dumped = _dumps(summary)
     _write(outdir / "summary.json", dumped + "\n")
     line = (f"solutions={len(sols)} classes={classification.class_count} "
             f"all_passed={all_pass}")

@@ -238,8 +238,7 @@ ROW = "row"
 COLUMN = "column"
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(NamedTuple):
     """A face boundary: vertex circuit in canonical rotation, fixed orientation."""
 
     vertices: tuple[int, ...]

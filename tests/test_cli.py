@@ -10,9 +10,11 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import heffter
-from heffter.cli import main
+from heffter.cli import _dumps, main
 
 from conftest import fixture_path
 
@@ -439,3 +441,48 @@ class TestDeterminism:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert capsys.readouterr().out.strip() == "0.1.0"
+
+
+_ints = st.integers() | st.integers(-10 ** 1000, 10 ** 1000)
+_text = st.text(max_size=6)  # the full alphabet; longer strings only cost time
+_json_values = st.recursive(
+    st.none() | st.booleans() | _ints | st.floats() | _text
+    | st.lists(_ints) | st.lists(_ints | st.booleans()),
+    lambda c: st.lists(c) | st.lists(c).map(tuple) | st.dictionaries(_text, c),
+    max_leaves=20,
+)
+
+
+class TestJsonEncoding:
+    @settings(max_examples=200, deadline=None)
+    @given(_json_values)
+    @example({"\x00\x1f\u00e9\u2603\U0001f600": [-10 ** 999, True, 1],
+              "": [[], {}, ()], "f": [float("nan"), -float("inf"), 0.1]})
+    def test_dumps_is_indented_json(self, value):
+        assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", [{1, 2}, object(), [1, {2}], {"a": object()}])
+    def test_dumps_rejects_what_json_rejects(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            _dumps(value)
+
+    @pytest.mark.parametrize("argv", [
+        "verify {array}",
+        "tour-enum {array} --trivial-R",
+        "embed --array {array} --solution {tmp}/sol.json",
+        "faces --array {array} --solution {tmp}/sol.json --all",
+        "tour {array} --C " + C_GOLDEN + " --cells",
+        "bounds --theorem CDY --n 13 --k 11",
+        "bounds --theorem PropPower2 --n 6001 --k 5",
+        "pipeline --search 5,5,3,3,1,cyclic --trivial-R --out {tmp}/run",
+    ])
+    def test_stdout_is_indented_json(self, tmp_path, capsys, argv):
+        (tmp_path / "sol.json").write_text(json.dumps({"R": [1] * 11,
+                                                       "C": [-1] + [1] * 10}))
+        code, out = run(capsys, *argv.format(array=ARRAY, tmp=tmp_path).split())
+        assert code == 0
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+        if argv.startswith("pipeline"):
+            assert (tmp_path / "run" / "summary.json").read_text() == out
