@@ -98,10 +98,15 @@ class TooLargeError(ValueError):
 
 def _check_digits(*log10_factors: float, den: int = 1) -> None:
     """Raise :class:`TooLargeError` when a product of factors with at least these
-    log10s, reduced over ``den``, is past the int-to-str digit limit (0: none).
-    A reduced numerator is at least numerator/den; one digit absorbs rounding."""
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # absent before 3.10.7
-    if limit and sum(log10_factors) - math.log10(abs(den) or 1) > limit + 1:
+    log10s, reduced over ``den``, is past the int-to-str digit limit.
+    A reduced numerator is at least numerator/den; one digit absorbs rounding.
+
+    A limit of 0 (or none, before 3.10.7) lets str() print any int, but the
+    value would still take unbounded time to compute, so the interpreter's
+    default limit applies then."""
+    limit = (getattr(sys, "get_int_max_str_digits", int)()
+             or getattr(sys.int_info, "default_max_str_digits", 4300))
+    if sum(log10_factors) - math.log10(abs(den) or 1) > limit + 1:
         raise TooLargeError(f"more than {limit} digits")
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Collection, Iterator, Sequence
 
 from .pfarray import PartiallyFilledArray, Skeleton, cyclic_diagonal_skeleton
@@ -334,10 +335,24 @@ def search_heffter(
     subtrees that hold no array, so it changes neither the arrays found nor
     their order.
 
-    ``budget`` bounds the search tree: every node (a free cell branched on,
+    The tree is searched only below first-cell values a that divide v; the
+    arrays with any other first cell are mapped from these by x -> u*x mod v
+    for a unit u of Z_v:
+
+    * A unit fixes J (the only subgroup of order t), permutes the ± classes
+      of Z_v \\ J and keeps every line sum 0, so it maps the Heffter arrays
+      on the skeleton one to one onto themselves, first cell a to u*a.
+    * u*b runs over {a : gcd(a, v) = gcd(b, v)} as u runs over the units,
+      so the arrays with first cell a are u times those with first cell
+      gcd(a, v), which divides v and, being at most a, is searched before a.
+    * x -> u*x does not keep the order of the row-major entries, so each
+      mapped group is sorted again before it is yielded.
+
+    ``budget`` bounds the searched tree: every node (a free cell branched on,
     or a completed array) counts one, and :class:`BudgetExceededError` is
-    raised when the count exceeds it.  ``limit`` (at least 1) caps the number
-    of arrays returned; the search stops once it is reached.
+    raised when the count exceeds it.  Mapped arrays cost no nodes.
+    ``limit`` (at least 1) caps the number of arrays returned; the search
+    stops once it is reached.
 
     ``skeleton`` may be an explicit :class:`Skeleton`, the string ``"cyclic"``
     (k consecutive diagonals, square arrays only), or None for the fully
@@ -402,6 +417,14 @@ def _search_iter(
     first_candidates = [x for x in candidates if x <= v // 2]
     nodes = 0
 
+    def count_node() -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(
+                f"search tree exceeds budget of {budget} nodes"
+            )
+
     # Requiring a line left with two free cells to still have two unused
     # classes a, b with a + b = -sum prunes more nodes, but it made the k = 3
     # searches slower overall, so it is not done.
@@ -448,20 +471,13 @@ def _search_iter(
                 sums[line] = (sums[line] - val) % v
                 left[line] += 1
 
-    def place(idx: int) -> Iterator[PartiallyFilledArray]:
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceededError(
-                f"search tree exceeds budget of {budget} nodes"
-            )
+    def place(idx: int) -> Iterator[tuple[int, ...]]:
+        """Row-major values of the completions of the cells from idx on."""
+        count_node()
         while idx < ncells and vals[idx] is not None:
             idx += 1
         if idx == ncells:
-            grid: list[list[int | None]] = [[None] * n for _ in range(m)]
-            for (i, j), val in zip(cells, vals):
-                grid[i - 1][j - 1] = val
-            yield PartiallyFilledArray(m, n, v, t, 1, tuple(map(tuple, grid)))
+            yield tuple(vals)
             return
         # every line through a free cell has two or more free cells here,
         # since a line left with one is closed at once by assign
@@ -470,7 +486,7 @@ def _search_iter(
         close_c = left[col] == 2
         rs, cs = sums[r], sums[col]
         mark = len(trail)
-        for val in first_candidates if idx == 0 else candidates:
+        for val in candidates:
             if used[val]:
                 continue
             # cheap rejections of a closing value before any state changes
@@ -486,4 +502,29 @@ def _search_iter(
                 yield from place(idx + 1)
             undo(mark)
 
-    return place(0)
+    def to_array(values: tuple[int, ...]) -> PartiallyFilledArray:
+        grid: list[list[int | None]] = [[None] * n for _ in range(m)]
+        for (i, j), val in zip(cells, values):
+            grid[i - 1][j - 1] = val
+        return PartiallyFilledArray(m, n, v, t, 1, tuple(map(tuple, grid)))
+
+    def arrays() -> Iterator[PartiallyFilledArray]:
+        count_node()  # the root, whose free cell is the first one
+        # every line through the first cell has h or k >= 3 free cells, so
+        # a first value never closes a line and never hits a used class
+        searched: dict[int, list[tuple[int, ...]]] = {}
+        for a in first_candidates:
+            g = gcd(a, v)  # at most a, and in J only when a is
+            if g == a:
+                group = searched[a] = []
+                assign(0, a)
+                for values in place(1):
+                    group.append(values)
+                    yield to_array(values)
+                undo(0)
+            else:
+                u = next(u for u in range(1, v) if u * g % v == a and gcd(u, v) == 1)
+                mapped = sorted(tuple(u * x % v for x in vs) for vs in searched[g])
+                yield from map(to_array, mapped)
+
+    return arrays()

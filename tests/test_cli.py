@@ -396,6 +396,18 @@ def test_huge_exact_value_is_refused_before_computing(argv):
     assert proc.stderr.startswith("error: ") and "too large to print" in proc.stderr
 
 
+def test_huge_exact_value_is_refused_with_the_digit_limit_off():
+    # 0 lets str() print any int, but math.comb would still run for minutes
+    src = str(Path(heffter.__file__).resolve().parent.parent)
+    argv = "bounds --theorem PropPower2 --n 1000000001 --k 5"
+    proc = subprocess.run([sys.executable, "-m", "heffter", *argv.split()],
+                          capture_output=True, text=True, timeout=5,
+                          env={**os.environ, "PYTHONPATH": src,
+                               "PYTHONINTMAXSTRDIGITS": "0"})
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "too large" in proc.stderr
+
+
 def test_huge_family_census_is_refused_before_building(capsys):
     # the 2000001 x 2000001 skeleton would need gigabytes; it is never built
     tracemalloc.start()

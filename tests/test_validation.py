@@ -263,6 +263,29 @@ class TestSearch:
         assert BudgetExceededError is knight.BudgetExceededError
         assert BudgetExceededError is heffter.BudgetExceededError
 
+    @pytest.mark.parametrize("n, least", [(5, 85), (7, 492)])
+    def test_first_array_budget(self, n, least):
+        # the first array has first cell 1, which is always searched
+        search_heffter(n, n, 3, 3, 1, skeleton="cyclic", budget=least)
+        with pytest.raises(BudgetExceededError):
+            search_heffter(n, n, 3, 3, 1, skeleton="cyclic", budget=least - 1)
+
+    def test_budget_counts_only_searched_subtrees(self):
+        # only first cells 1 and 5 of Z_25 are searched, in 3579 nodes;
+        # searching all twelve takes 21213
+        found = search_heffter(4, 4, 3, 3, 1, limit=1 << 30,
+                               skeleton=_relabelled_k3((3, 2, 4, 1)), budget=5000)
+        assert len(found) == 960
+
+    # 80 arrays per first cell: 123 ends in the group of 2 = 2 * 1 and 757
+    # in the group of 10 = 2 * 5, both mapped from a searched group
+    @pytest.mark.parametrize("limit", [123, 757])
+    def test_limit_inside_a_mapped_group_is_a_prefix(self, limit):
+        skel = _relabelled_k3((3, 2, 4, 1))
+        exhaustive = search_heffter(4, 4, 3, 3, 1, limit=1 << 30, skeleton=skel)
+        assert search_heffter(4, 4, 3, 3, 1, limit=limit,
+                              skeleton=skel) == exhaustive[:limit]
+
 
 def _unpruned_search_iter(
     m: int, n: int, v: int, t: int, skel: Skeleton
@@ -338,9 +361,11 @@ def _relabelled_k3(perm: tuple[int, ...]) -> Skeleton:
 @pytest.mark.parametrize("n, t, skel, limit", [
     (3, 1, Skeleton(3, 3, frozenset(itertools.product(range(1, 4), repeat=2))), 50),
     (5, 1, cyclic_diagonal_skeleton(5, 3), 100),
+    (4, 1, _relabelled_k3((3, 2, 4, 1)), 1 << 30),  # exhaustive: 960 arrays
+    (4, 2, _relabelled_k3((2, 4, 1, 3)), 1 << 30),  # exhaustive: 1920 arrays
     (4, 3, _relabelled_k3((3, 2, 4, 1)), 1 << 30),  # exhaustive: 432 arrays
     (4, 4, _relabelled_k3((4, 2, 3, 1)), 1 << 30),  # exhaustive: 864 arrays
-], ids=["3x3-full", "5x5-cyclic", "4x4-t3", "4x4-t4"])
+], ids=["3x3-full", "5x5-cyclic", "4x4-t1", "4x4-t2", "4x4-t3", "4x4-t4"])
 def test_pruned_search_matches_unpruned(n, t, skel, limit):
     found = search_heffter(n, n, 3, 3, t, limit=limit, skeleton=skel)
     oracle = list(itertools.islice(
