@@ -503,7 +503,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trivial-R", action="store_true", dest="trivial_R",
                    help="fix the row vector to all +1")
     p.add_argument("--budget", type=int, default=1 << 20,
-                   help="maximum number of pairs to scan")
+                   help="maximum number of orientation pairs traced; a square "
+                        "skeleton of full diagonals traces one pair per "
+                        "shift/negation orbit and needs 2^n <= budget")
     p.set_defaults(fn=cmd_tour_enum)
 
     p = add("tour-family", "generate certified solutions from a family")
@@ -567,7 +569,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--search", help="m,n,h,k,t[,cyclic] to search an array first")
     p.add_argument("--trivial-R", action="store_true", dest="trivial_R")
     p.add_argument("--budget", type=int, default=1 << 20,
-                   help="maximum search tree nodes and orientation pairs")
+                   help="maximum search tree nodes, and orientation pairs "
+                        "traced as in tour-enum")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(fn=cmd_pipeline)
 

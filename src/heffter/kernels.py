@@ -1,17 +1,19 @@
 """Hot integer loops: tour stepping and orientation scans.
 
 The loops are plain Python over tuples of ints and serial, so output order
-never depends on scheduling.  The kernels take an orientation pair as its two
-±1 direction vectors, rows then columns, the form the whole library uses.
+never depends on scheduling.  The kernels take and return an orientation pair
+as its two ±1 direction vectors, rows then columns, the form the whole
+library uses; the scan holds them as bit masks inside.
 Cell ids and line indices are 0-based; the public modules translate to and
 from 1-based grid positions.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
+
+from .validation import BudgetExceededError
 
 
 # -- scan tables -----------------------------------------------------------------
@@ -94,19 +96,109 @@ def tour_orbit(
 
 
 def scan_orientations(
-    t: ScanTables, trivial_rows: bool
+    t: ScanTables, trivial_rows: bool, budget: int
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The direction-vector pairs (R, C) whose tour covers every cell.
 
     Pairs come in lexicographic order over (R, C) with +1 before -1; with
-    ``trivial_rows`` R is all +1.
+    ``trivial_rows`` R is all +1.  A vector is held here as a bit mask, bit 1
+    for -1 and its first entry the most significant bit, so ascending
+    (R-mask, C-mask) is that order.
+
+    When the skeleton is square and its filled cells are closed under the
+    shift (i, j) -> (i+1, j+1) mod n (a union of full diagonals), the shift
+    maps each row and each column onto the next one, keeping the cyclic order
+    of the filled cells in every line.  So it conjugates the successor map of
+    (R, C) to that of the pair with both vectors rotated one place, and
+    (-R, -C) gives the inverse successor map up to conjugation: both keep the
+    orbit lengths, so they map solutions to solutions.  Let G be the n
+    shifts, times negation unless ``trivial_rows`` (negation would move the
+    trivial R).  Each pair (R, C) has an image (r, c) with r least in its
+    G-orbit and c least in its orbit under the stabilizer of r: move R to r
+    by some g, then c' = g(C) to c by an h fixing r.  Only those pairs are
+    traced, and each covering one is mapped through all of G, so every
+    solution is listed and nothing else; the set is sorted at the end.  Any
+    other skeleton is scanned pair by pair, by the same loop with G trivial.
+
+    Budget: the plain scan is refused when it has more than ``budget``
+    pairs.  The symmetric one is refused when its sieve of 2^n vectors is
+    larger than ``budget``, before anything of that size is allocated, and
+    raises once it has traced more than ``budget`` pairs.  Both raise
+    :class:`BudgetExceededError`.
     """
-    signs = (1, -1)
-    row_vectors = [(1,) * t.m] if trivial_rows else itertools.product(signs, repeat=t.m)
-    col_vectors = list(itertools.product(signs, repeat=t.n))
-    return [
-        (rows_dir, cols_dir)
-        for rows_dir in row_vectors
-        for cols_dir in col_vectors
-        if len(tour_orbit(t, rows_dir, cols_dir, 0)) == t.ncells
-    ]
+    m, n = t.m, t.n
+    symmetric = m == n and all(
+        ((i + 1) % n, (j + 1) % n) in t.index for i, j in zip(t.rows, t.cols)
+    )
+    if symmetric:
+        if 1 << n > budget:
+            raise BudgetExceededError(
+                f"symmetric scan sieve of {1 << n} vectors exceeds budget {budget}"
+            )
+        shifts = n
+        negations = (0,) if trivial_rows else (0, (1 << n) - 1)
+    else:
+        total = 1 << (n if trivial_rows else m + n)
+        if total > budget:
+            raise BudgetExceededError(
+                f"scan of {total} orientation pairs exceeds budget {budget}"
+            )
+        shifts, negations = 1, (0,)
+    group = [(s, e) for e in negations for s in range(shifts)]
+    top = n - 1
+
+    def rotations(x: int) -> list[int]:
+        """x rotated toward its end by 0, 1, ... places, one per shift."""
+        out = [x]
+        for _ in range(shifts - 1):
+            x = (x >> 1) | ((x & 1) << top)
+            out.append(x)
+        return out
+
+    rows, cols, ncells = t.rows, t.cols, t.ncells
+    found: set[tuple[int, int]] = set()
+    traced = 0
+    row_seen = bytearray(1 if trivial_rows else 1 << m)
+    for r in range(len(row_seen)):
+        if row_seen[r]:
+            continue
+        rr = rotations(r)
+        for s, e in group:
+            row_seen[rr[s] ^ e] = 1
+        stab = [(s, e) for s, e in group if rr[s] ^ e == r]
+        col_seen = bytearray(1 << n) if len(stab) > 1 else None
+        # the successor of cell x is fwd[x] or back[x] as bit[x] of the
+        # column mask (the column its row move under r lands in) is 0 or 1
+        mids = [t.row_prev[x] if r >> (m - 1 - rows[x]) & 1 else t.row_next[x]
+                for x in range(ncells)]
+        fwd = [t.col_next[x] for x in mids]
+        back = [t.col_prev[x] for x in mids]
+        bit = [1 << (top - cols[x]) for x in mids]
+        for c in range(1 << n):
+            if col_seen is not None:
+                if col_seen[c]:
+                    continue
+                cr = rotations(c)
+                for s, e in stab:
+                    col_seen[cr[s] ^ e] = 1
+            traced += 1
+            if traced > budget:
+                raise BudgetExceededError(
+                    f"scan traced more orientation pairs than its budget {budget}"
+                )
+            cur, length = 0, 1
+            while True:
+                cur = back[cur] if c & bit[cur] else fwd[cur]
+                if cur == 0:
+                    break
+                length += 1
+            if length == ncells:
+                cr = rotations(c)
+                found.update((rr[s] ^ e, cr[s] ^ e) for s, e in group)
+    row_vectors = {r: _vector(r, m) for r in {r for r, _ in found}}
+    return [(row_vectors[r], _vector(c, n)) for r, c in sorted(found)]
+
+
+def _vector(mask: int, length: int) -> tuple[int, ...]:
+    """The ±1 vector of a mask: bit 1 is -1, the first entry the top bit."""
+    return tuple(map({"0": 1, "1": -1}.__getitem__, format(mask, f"0{length}b")))

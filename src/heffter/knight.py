@@ -162,17 +162,23 @@ def enumerate_solutions(
 ) -> list[OrientationPair]:
     """All solutions, in lexicographic order over (R, C) with +1 before -1.
 
-    Raises :class:`BudgetExceededError` when the scan size (2^n with trivial
-    rows, else 2^(m+n)) exceeds ``budget``.
+    On a square skeleton made of full diagonals, the shift (i, j) ->
+    (i+1, j+1) mod n, applied to the cells and rotating R and C together,
+    maps solutions to solutions, and so does (R, C) -> (-R, -C).  The scan
+    traces one row vector per orbit of that group (per orbit of the shifts
+    with trivial rows), and for it one column vector per orbit of the row
+    vector's stabilizer; mapped through the whole group, the covering ones
+    give every solution (proof in :func:`kernels.scan_orientations`).  Any
+    other skeleton is scanned pair by pair.
+
+    Raises :class:`BudgetExceededError` when a pair-by-pair scan has more
+    than ``budget`` pairs (2^n with trivial rows, else 2^(m+n)), and on the
+    symmetric scan when its 2^n sieve is larger than ``budget`` or it traces
+    more than ``budget`` pairs.
     """
-    total = 1 << (skel.n if trivial_rows else skel.m + skel.n)
-    if total > budget:
-        raise BudgetExceededError(
-            f"scan of {total} orientation pairs exceeds budget {budget}"
-        )
     return [
         OrientationPair(rows, cols)
-        for rows, cols in kernels.scan_orientations(_tables(skel), trivial_rows)
+        for rows, cols in kernels.scan_orientations(_tables(skel), trivial_rows, budget)
     ]
 
 
@@ -484,10 +490,11 @@ def prime_family(n: int, k: int, r: int | None = None) -> SolutionFamily:
     The skeleton fills diagonals 1..k-3 and k-1, k, k+1 of a prime-size grid;
     E runs over r-subsets of the positions congruent to 1 mod 2k, r coprime to
     k-2 (default: the smallest prime in [n/8k, n/4k], which wants n > 8k).
-    No swap closure: the skeleton is not cyclically diagonal.
+    No swap closure: the skeleton is not cyclically diagonal.  k = 3 leaves
+    diagonal 1 empty, which the strip criterion certifying the family needs.
     """
-    if k < 3 or k % 2 == 0:
-        raise ValueError("needs odd k >= 3")
+    if k < 5 or k % 2 == 0:
+        raise ValueError("needs odd k >= 5")
     if not _is_prime(n):
         raise ValueError(f"needs prime n, got {n}")
     if n <= k + 1:

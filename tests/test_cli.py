@@ -334,6 +334,7 @@ class TestSearchBoundsPipeline:
     "search --m 3 --n 3 --h 3 --k 3 --t -1",
     "tour-family --family ThreeDiag --n 100001 --limit 1",
     "tour-family --family 3diag --n 5 --limit -1",
+    "tour-family --family prime --n 5 --k 3 --r 1 --limit 1",
     "bounds --theorem PropPower2 --n 100001 --k 5",
     "bounds --theorem CDY2 --n 3317044064679887385961981 --k 11",
     "search --m 3 --n 3 --h 3 --k 3 --limit -1",

@@ -380,6 +380,11 @@ class TestFamilies:
         for p in pairs:
             assert is_solution(fam.skeleton, p.rows, p.cols)
 
+    def test_prime_family_rejects_k3(self):
+        # diagonals 2, 3, 4 leave diagonal 1 empty: no strip criterion applies
+        with pytest.raises(ValueError, match="k >= 5"):
+            prime_family(5, 3, r=1)
+
     def test_prime_family_rejects_composite(self):
         with pytest.raises(ValueError, match="prime"):
             prime_family(39, 5)
