@@ -56,7 +56,6 @@ from .pfarray import (
     parse_skeleton_json,
 )
 from .validation import (
-    LineOrderingSet,
     ValidationReport,
     are_compatible,
     is_globally_simple,

@@ -151,6 +151,8 @@ def _load_solution(path: str, m: int, n: int) -> knight.OrientationPair:
         cols = tuple(int(x) for x in data["C"])
         if len(rows) != m or len(cols) != n:
             raise UsageError(f"{path}: solution shape does not match the array")
+        validation._check_directions(rows, m, "row")
+        validation._check_directions(cols, n, "column")
         return knight.OrientationPair(rows, cols)
     except (KeyError, OverflowError, RecursionError, TypeError, ValueError) as exc:
         raise UsageError(f"{path}: bad solution file: {exc}") from None
@@ -422,7 +424,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     _write(outdir / "solutions.json",
            json.dumps([p.to_json_dict() for p in sols], sort_keys=True) + "\n")
     if not sols:
-        raise MathFailure("no tour solutions within budget")
+        raise MathFailure("no tour solutions")
 
     emb_dir = _make_dir(outdir / "embeddings")
     embs = embedding.build_embeddings(array, [(p.rows, p.cols) for p in sols])

@@ -41,7 +41,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .pfarray import PartiallyFilledArray
 from .validation import (
-    LineOrderingSet,
     is_single_cycle,
     orderings_from_orientations,
     subgroup_members,
@@ -160,9 +159,13 @@ class CombinatorialEmbedding:
         return cls.from_json_dict(json.loads(text))
 
 
-def build_rho0(array: PartiallyFilledArray, ords: LineOrderingSet) -> tuple[int, ...]:
-    """The rotation table induced by a full set of line orderings:
-    rho0[a] = -(row successor of a) and rho0[-a] = column successor of a."""
+def build_rho0(
+    array: PartiallyFilledArray, ords: Sequence[Sequence[int]]
+) -> tuple[int, ...]:
+    """The rotation table rho0[a] = -(row successor of a), rho0[-a] = column
+    successor of a, from the tables (row_perm, col_perm) that
+    :func:`validation.orderings_from_orientations` returns.  Raises ValueError
+    when the array holds both a and -a."""
     v = array.v
     entries = set(array.entries())
     for a in array.entries():
@@ -171,7 +174,7 @@ def build_rho0(array: PartiallyFilledArray, ords: LineOrderingSet) -> tuple[int,
                 f"entries {a} and {(-a) % v} are negatives of each other: "
                 "the rotation construction needs one representative per pair"
             )
-    row_perm, col_perm = ords.row_perm, ords.col_perm
+    row_perm, col_perm = ords
     rho0 = [-1] * v
     for a in entries:
         rho0[a] = (-row_perm[a]) % v
@@ -191,9 +194,9 @@ def build_embeddings(
 
     The array is validated, checked for fold 1 and hashed once for all pairs.
     Raises ValueError when the array fails validation, is a lambda-fold array
-    with fold > 1 (those are validated but never embedded), or when the
-    orderings induced by some pair are not compatible, i.e. (R, C) does not
-    solve the tour problem of the array's skeleton.
+    with fold > 1 (those are validated but never embedded), or when some pair
+    is not ±1 of the array's shape or induces orderings that are not
+    compatible, i.e. (R, C) does not solve the tour problem of the skeleton.
     """
     report = validate_heffter(array)
     if not report.passed:
@@ -202,6 +205,7 @@ def build_embeddings(
         raise ValueError("fold > 1 arrays are not embedded")
     key = array_key(array)
     entry_class = frozenset(array.entries())
+    connection = tuple(sorted(entry_class | {(-a) % array.v for a in entry_class}))
     out = []
     for rows_dir, cols_dir in pairs:
         rho0 = build_rho0(array, orderings_from_orientations(array, rows_dir, cols_dir))
@@ -211,7 +215,7 @@ def build_embeddings(
         out.append(CombinatorialEmbedding(
             v=array.v,
             t=array.t,
-            connection=tuple(d for d, image in enumerate(rho0) if image >= 0),
+            connection=connection,
             rho0=rho0,
             entry_class=entry_class,
             source=source,

@@ -48,16 +48,10 @@ from .validation import (
 
 @dataclass(frozen=True)
 class OrientationPair:
-    """Direction vectors for rows and columns, entries in {+1, -1}."""
+    """Row and column direction vectors in {+1, -1}, checked where used, not here."""
 
     rows: tuple[int, ...]
     cols: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.rows or not self.cols:
-            raise ValueError("direction vectors must be nonempty")
-        _check_directions(self.rows, len(self.rows), "row")
-        _check_directions(self.cols, len(self.cols), "column")
 
     @property
     def minus_positions(self) -> tuple[int, ...]:

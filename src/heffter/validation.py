@@ -87,44 +87,13 @@ def is_simple_ordering(values: Sequence[int], v: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class LineOrderingSet:
-    """One ordering per row and per column, over an array's entry set.
-
-    Each line ordering is a cycle, and the row (column) permutation is the
-    table of their product, indexed by residue; that needs the entries to be
-    distinct residues mod v, which holds for every array validated here.
-    """
-
-    rows: tuple[tuple[int, ...], ...]
-    cols: tuple[tuple[int, ...], ...]
-    v: int
-
-    def __post_init__(self) -> None:
-        row_elems = [x for line in self.rows for x in line]
-        col_elems = [x for line in self.cols for x in line]
-        if sorted(row_elems) != sorted(col_elems):
-            raise ValueError("row and column orderings cover different entries")
-        if len(set(row_elems)) != len(row_elems) or any(
-                not 0 <= x < self.v for x in row_elems):
-            raise ValueError(
-                "array entries are not distinct residues: line permutations undefined"
-            )
-
-    @property
-    def row_perm(self) -> tuple[int, ...]:
-        return _lines_table(self.rows, self.v)
-
-    @property
-    def col_perm(self) -> tuple[int, ...]:
-        return _lines_table(self.cols, self.v)
-
-
-def _lines_table(lines: Sequence[Sequence[int]], v: int) -> tuple[int, ...]:
-    """The table of the product of the disjoint cycles ``lines`` on Z_v."""
+def _lines_table(
+    lines: Sequence[Sequence[int]], dirs: Sequence[int], v: int
+) -> tuple[int, ...]:
+    """Table on Z_v of the product of the cycles ``lines``, each read in its direction."""
     table = [-1] * v
-    for line in lines:
-        for a, b in zip(line, line[1:] + line[:1]):
+    for line, d in zip(lines, dirs):
+        for a, b in zip(line, line[d:] + line[:d]):
             table[a] = b
     return tuple(table)
 
@@ -133,21 +102,23 @@ def orderings_from_orientations(
     array: PartiallyFilledArray,
     rows_dir: Sequence[int],
     cols_dir: Sequence[int],
-) -> LineOrderingSet:
-    """Line orderings induced by direction vectors.
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The tables (row_perm, col_perm) of the line orderings direction vectors induce.
 
     Row i is read left-to-right when ``rows_dir[i-1]`` is +1 and right-to-left
     when -1; column j top-to-bottom when ``cols_dir[j-1]`` is +1, else
-    bottom-to-top.
+    bottom-to-top.  Raises ValueError unless the vectors are ±1 of the array's
+    shape and the entries distinct residues (true of every validated array).
     """
     _check_directions(rows_dir, array.m, "row")
     _check_directions(cols_dir, array.n, "column")
+    entries = array.entries()
+    if len(set(entries)) != len(entries):
+        raise ValueError(
+            "array entries are not distinct residues: line permutations undefined"
+        )
     rows, cols = _natural_lines(array)
-    return LineOrderingSet(
-        tuple(line if d == 1 else line[::-1] for line, d in zip(rows, rows_dir)),
-        tuple(line if d == 1 else line[::-1] for line, d in zip(cols, cols_dir)),
-        array.v,
-    )
+    return _lines_table(rows, rows_dir, array.v), _lines_table(cols, cols_dir, array.v)
 
 
 def _natural_lines(array: PartiallyFilledArray) -> tuple[list, list]:

@@ -34,6 +34,21 @@ def cycles_table(size: int, cycles) -> tuple[int, ...]:
     return tuple(table)
 
 
+def directed_lines(array, rows_dir, cols_dir) -> tuple[list, list]:
+    """The rows left to right and the columns top to bottom, each reversed
+    where its direction is -1: the line orderings, built line by line."""
+    rows = [array.row_values(i) for i in range(1, array.m + 1)]
+    cols = [array.column_values(j) for j in range(1, array.n + 1)]
+    return ([line if d == 1 else line[::-1] for line, d in zip(rows, rows_dir)],
+            [line if d == 1 else line[::-1] for line, d in zip(cols, cols_dir)])
+
+
+def reference_orderings(array, rows_dir, cols_dir) -> tuple[tuple[int, ...], ...]:
+    """(row_perm, col_perm) the reference way: reverse lines, then cycles_table."""
+    rows, cols = directed_lines(array, rows_dir, cols_dir)
+    return cycles_table(array.v, rows), cycles_table(array.v, cols)
+
+
 def inverse(table) -> tuple[int, ...]:
     """The inverse of a permutation table, -1 where the table is -1."""
     out = [-1] * len(table)

@@ -1,5 +1,6 @@
 """Exit codes, JSON determinism, and end-to-end subcommand behavior."""
 
+import hashlib
 import json
 import math
 import os
@@ -149,6 +150,17 @@ class TestEmbedFacesIso:
         p = tmp_path / "sol.json"
         p.write_text(json.dumps({"R": [1] * 11, "C": [1] * 11}))
         assert main(["embed", "--array", ARRAY, "--solution", str(p)]) == 1
+
+    @pytest.mark.parametrize("sol,message", [
+        ({"R": [0] + [1] * 10, "C": [1] * 11}, "row direction vector must be ±1"),
+        ({"R": [1] * 11, "C": [1] * 10}, "solution shape does not match the array"),
+        ({"R": [], "C": []}, "solution shape does not match the array"),
+    ], ids=["zero entry", "short C", "empty"])
+    def test_embed_malformed_pair_is_a_usage_error(self, tmp_path, capsys, sol, message):
+        p = tmp_path / "sol.json"
+        p.write_text(json.dumps(sol))
+        assert main(["embed", "--array", ARRAY, "--solution", str(p)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_faces_guarded(self, capsys, solution_file):
         code, data = run_json(capsys, "faces", "--array", ARRAY,
@@ -304,6 +316,34 @@ class TestSearchBoundsPipeline:
         manifest = data["manifest"]
         assert manifest["command"] == "pipeline"
         assert "summary.json" in manifest["outputs"]
+
+    def test_pipeline_full_scan_files_are_pinned(self, tmp_path, capsys):
+        # sha256 of the full 5x5 cyclic scan's files (320 solutions, 160
+        # classes): the bytes must not drift from one version to the next
+        out = tmp_path / "run"
+        assert main(["pipeline", "--search", "5,5,3,3,1,cyclic", "--out", str(out)]) == 0
+        capsys.readouterr()
+        embeddings = sorted((out / "embeddings").glob("*.json"))
+        assert len(embeddings) == 320
+        digests = {
+            name: hashlib.sha256(data).hexdigest() for name, data in [
+                ("solutions", (out / "solutions.json").read_bytes()),
+                ("classification", (out / "classification.json").read_bytes()),
+                ("embeddings", b"".join(p.read_bytes() for p in embeddings)),
+            ]
+        }
+        assert digests == {
+            "solutions": "04566e3f963042d3ef723e6c21cf062ad3f37790dc7b1c7294cbdcc9b1446437",
+            "classification":
+                "e3acdbb50d3b1f1874a724f7616b61acab98165900c67a16306066f05a0cc551",
+            "embeddings": "4fdce84fb8ffeb4d3150f91815b2fb280c8c462c96c31280218b416533927553",
+        }
+
+    def test_pipeline_without_solutions_exits_one(self, tmp_path, capsys):
+        # the 4x4 cyclic scan is complete and finds no covering pair
+        out = tmp_path / "run"
+        assert main(["pipeline", "--search", "4,4,3,3,1,cyclic", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "failed: no tour solutions\n"
 
     def test_pipeline_classify_dir(self, tmp_path, capsys):
         out = tmp_path / "run"

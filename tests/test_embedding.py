@@ -20,9 +20,10 @@ from heffter.embedding import (
 )
 from heffter.iso import PRESERVING, verify_map
 from heffter.knight import enumerate_solutions
+from heffter.pfarray import PartiallyFilledArray
 from heffter.validation import cycle_from, orderings_from_orientations, search_heffter
 
-from conftest import cycles_table
+from conftest import cycles_table, directed_lines
 
 
 def face_set_key(faces):
@@ -134,6 +135,13 @@ class TestRho0:
         assert rho0[(-10) % v] == 36   # column successor of 10
         assert len(cycle_from(rho0, 10)) == 198
         assert len(rho0) == v and sum(x >= 0 for x in rho0) == 198
+
+    def test_entry_and_its_negative_refused(self):
+        # 1 and 6 = -1 mod 7 both appear: rho0[6] would be set twice
+        array = PartiallyFilledArray(1, 3, 7, 1, 1, ((1, 6, 2),))
+        ords = orderings_from_orientations(array, (1,), (1, 1, 1))
+        with pytest.raises(ValueError, match="negatives of each other"):
+            build_rho0(array, ords)
 
     def test_square_never_fixes_a_point(self, ex_array, ex_pair):
         ords = orderings_from_orientations(ex_array, *ex_pair)
@@ -248,9 +256,8 @@ class TestFaces:
         # the difference sequence around a column face is a rotation of one
         # column's ordering cycle; each of the 11 cycles carries v faces
         v = ex_array.v
-        ords = orderings_from_orientations(ex_array, *ex_pair)
         canonical = {}
-        for cyc in ords.cols:
+        for cyc in directed_lines(ex_array, *ex_pair)[1]:
             lo = cyc.index(min(cyc))
             canonical[cyc[lo:] + cyc[:lo]] = 0
         assert len(canonical) == 11

@@ -28,7 +28,7 @@ def test_three_way_equivalence(h53_cyclic):
     for rows in all_vectors(5):
         for cols in all_vectors(5):
             ords = orderings_from_orientations(h53_cyclic, rows, cols)
-            compatible = are_compatible(ords.row_perm, ords.col_perm)
+            compatible = are_compatible(*ords)
             rho0 = build_rho0(h53_cyclic, ords)
             assert is_single_cycle(rho0, connection) == compatible
             assert compatible == is_solution(skel, rows, cols)

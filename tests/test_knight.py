@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heffter.embedding import build_embedding
 from heffter.knight import (
     BudgetExceededError,
     OrientationPair,
@@ -125,7 +126,7 @@ class TestTour:
         for rows in all_column_vectors(5):
             for cols in all_column_vectors(5):
                 ords = orderings_from_orientations(h53_cyclic, rows, cols)
-                ok = are_compatible(ords.row_perm, ords.col_perm)
+                ok = are_compatible(*ords)
                 assert ok == is_solution(skel, rows, cols)
                 if ok:
                     compatible.append(OrientationPair(rows, cols))
@@ -140,6 +141,26 @@ class TestTour:
         for cols in all_column_vectors(5):
             assert is_solution(skel, (1,) * 5, cols) == \
                 is_solution(other, (1,) * 5, cols)
+
+
+BAD_PAIRS = {
+    "zero entry": ((0,) + (1,) * 10, (1,) * 11),
+    "short C": ((1,) * 11, (1,) * 10),
+    "long R": ((1,) * 12, (1,) * 11),
+    "empty": ((), ()),
+}
+
+
+@pytest.mark.parametrize("rows,cols", BAD_PAIRS.values(), ids=BAD_PAIRS.keys())
+def test_bad_pair_is_refused_where_it_meets_a_shape(ex_array, rows, cols):
+    assert OrientationPair(rows, cols).rows == rows  # building a pair checks nothing
+    skel = ex_array.skeleton()
+    with pytest.raises(ValueError, match="direction vector"):
+        tour(skel, rows, cols)
+    with pytest.raises(ValueError, match="direction vector"):
+        is_solution(skel, rows, cols)
+    with pytest.raises(ValueError, match="direction vector"):
+        build_embedding(ex_array, rows, cols)
 
 
 class TestSymmetries:

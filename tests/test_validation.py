@@ -29,7 +29,13 @@ from heffter.validation import (
     validate_heffter,
 )
 
-from conftest import cycles_table, inverse, load_golden, transpose
+from conftest import (
+    cycles_table,
+    inverse,
+    load_golden,
+    reference_orderings,
+    transpose,
+)
 
 
 def natural_orderings(array):
@@ -145,43 +151,46 @@ def test_reversal_preserves_simplicity_for_zero_sum(params):
 
 class TestOrientationsAndCompatibility:
     def test_all_plus_is_natural(self, ex_array):
-        ords = orderings_from_orientations(ex_array, (1,) * 11, (1,) * 11)
-        assert ords.rows == tuple(ex_array.row_values(i) for i in range(1, 12))
-        assert ords.cols == tuple(ex_array.column_values(j) for j in range(1, 12))
+        row_perm, col_perm = orderings_from_orientations(ex_array, (1,) * 11, (1,) * 11)
+        v = ex_array.v
+        assert row_perm == cycles_table(
+            v, [ex_array.row_values(i) for i in range(1, 12)])
+        assert col_perm == cycles_table(
+            v, [ex_array.column_values(j) for j in range(1, 12)])
 
     def test_all_minus_inverts_row_perm(self, ex_array):
-        nat = natural_orderings(ex_array)
-        rev = orderings_from_orientations(ex_array, (-1,) * 11, (-1,) * 11)
-        assert rev.row_perm == inverse(nat.row_perm)
-        assert rev.col_perm == inverse(nat.col_perm)
+        nat_rows, nat_cols = natural_orderings(ex_array)
+        rev_rows, rev_cols = orderings_from_orientations(ex_array, (-1,) * 11, (-1,) * 11)
+        assert rev_rows == inverse(nat_rows)
+        assert rev_cols == inverse(nat_cols)
 
     def test_golden_orderings(self, ex_array, ex_pair):
         g = load_golden("orderings_11x11.json")
-        ords = orderings_from_orientations(ex_array, *ex_pair)
+        row_perm, col_perm = orderings_from_orientations(ex_array, *ex_pair)
         v = ex_array.v
         want_rows = cycles_table(v, [tuple(x % v for x in c) for c in g["row_cycles"]])
         want_cols = cycles_table(v, [tuple(x % v for x in c) for c in g["column_cycles"]])
-        assert ords.row_perm == want_rows
-        assert ords.col_perm == want_cols
+        assert row_perm == want_rows
+        assert col_perm == want_cols
 
     def test_golden_composition_cycle(self, ex_array, ex_pair):
         g = load_golden("orderings_11x11.json")
-        ords = orderings_from_orientations(ex_array, *ex_pair)
-        comp = compose(ords.col_perm, ords.row_perm)
-        assert are_compatible(ords.row_perm, ords.col_perm)
+        row_perm, col_perm = orderings_from_orientations(ex_array, *ex_pair)
+        comp = compose(col_perm, row_perm)
+        assert are_compatible(row_perm, col_perm)
         want = [x % ex_array.v for x in g["composition_cycle"]]
         assert cycle_from(comp, want[0]) == want
 
     def test_inverse_composition_is_identity(self, ex_array):
-        nat = natural_orderings(ex_array)
-        assert compose(nat.col_perm, inverse(nat.col_perm)) == cycles_table(
+        _, nat_cols = natural_orderings(ex_array)
+        assert compose(nat_cols, inverse(nat_cols)) == cycles_table(
             ex_array.v, [(x,) for x in ex_array.entries()])
-        assert not are_compatible(inverse(nat.col_perm), nat.col_perm)
+        assert not are_compatible(inverse(nat_cols), nat_cols)
 
     def test_ground_set_mismatch(self, ex_array, h33):
         with pytest.raises(ValueError):
-            are_compatible(natural_orderings(ex_array).row_perm,
-                           natural_orderings(h33).col_perm)
+            are_compatible(natural_orderings(ex_array)[0],
+                           natural_orderings(h33)[1])
 
     def test_lambda_fold_orderings_coincide(self, lambda2_array):
         # two different column direction vectors induce identical orderings:
@@ -189,15 +198,32 @@ class TestOrientationsAndCompatibility:
         r = (1, 1)
         o1 = orderings_from_orientations(lambda2_array, r, (1,) * 5)
         o2 = orderings_from_orientations(lambda2_array, r, (1, -1, -1, 1, -1))
-        assert o1.row_perm == o2.row_perm
-        assert o1.col_perm == o2.col_perm
-        assert are_compatible(o1.row_perm, o1.col_perm)
+        assert o1[0] == o2[0]
+        assert o1[1] == o2[1]
+        assert are_compatible(*o1)
 
     def test_direction_vector_validation(self, ex_array):
         with pytest.raises(ValueError):
             orderings_from_orientations(ex_array, (1,) * 10, (1,) * 11)
         with pytest.raises(ValueError):
             orderings_from_orientations(ex_array, (0,) + (1,) * 10, (1,) * 11)
+
+    def test_repeated_entry_refused(self):
+        # an unvalidated array with a repeated residue has no line permutation
+        array = PartiallyFilledArray(1, 3, 7, 1, 1, ((2, 2, 3),))
+        with pytest.raises(ValueError, match="distinct residues"):
+            orderings_from_orientations(array, (1,), (1, 1, 1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_reversed_lines_reference(self, ex_array, lambda2_array, data):
+        # the tables equal the reference construction: reverse each line, then tabulate
+        for array in (ex_array, lambda2_array):
+            dirs = st.sampled_from((1, -1))
+            rows = data.draw(st.tuples(*[dirs] * array.m))
+            cols = data.draw(st.tuples(*[dirs] * array.n))
+            assert orderings_from_orientations(array, rows, cols) == \
+                reference_orderings(array, rows, cols)
 
 
 class TestSearch:
