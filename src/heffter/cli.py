@@ -248,7 +248,7 @@ def cmd_tour_family(args: argparse.Namespace) -> int:
         raise UsageError("--limit must be >= 0")
     census = family.census()
     _check_printable(census, f"census of family {name} for n={args.n}")
-    pairs = list(itertools.islice(iter(family), args.limit)) if args.limit else list(family)
+    pairs = list(itertools.islice(family, args.limit))
     data = {
         "spec": family.spec.to_json_dict(),
         "census": census,
@@ -473,34 +473,19 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 # -- parser ----------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="heffter",
-        description="Validate arrays, solve crazy knight's tours, build and "
-                    "classify biembeddings, and evaluate counting bounds.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_)
-        p.add_argument("--text", action="store_true",
-                       help="brief text output instead of JSON")
-        return p
-
-    p = add("verify", "check the Heffter conditions of an array file")
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("array")
-    p.set_defaults(fn=cmd_verify)
 
-    p = add("tour", "trace one knight's tour orbit")
+
+def _tour_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("input", help="array file or skeleton JSON")
     p.add_argument("--R", help="row directions, e.g. 1,-1,1")
     p.add_argument("--C", help="column directions")
     p.add_argument("--start", help="start cell i,j (default: first filled)")
     p.add_argument("--cells", action="store_true", help="include the visited cells")
-    p.set_defaults(fn=cmd_tour)
 
-    p = add("tour-enum", "enumerate all covering orientation pairs")
+
+def _tour_enum_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("input", help="array file or skeleton JSON")
     p.add_argument("--trivial-R", action="store_true", dest="trivial_R",
                    help="fix the row vector to all +1")
@@ -508,9 +493,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="maximum number of orientation pairs traced; a square "
                         "skeleton of full diagonals traces one pair per "
                         "shift/negation orbit and needs 2^n <= budget")
-    p.set_defaults(fn=cmd_tour_enum)
 
-    p = add("tour-family", "generate certified solutions from a family")
+
+def _tour_family_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", required=True,
                    help="ThreeDiag | PowerTwo | KSeven | PrimeN | PairsGeneral")
     p.add_argument("--n", type=int, required=True)
@@ -519,31 +504,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s1", type=int)
     p.add_argument("--r", type=int, help="override the subset size")
     p.add_argument("--limit", type=int, help="emit at most this many pairs")
-    p.set_defaults(fn=cmd_tour_family)
 
-    p = add("embed", "build an embedding and report the biembedding checks")
+
+def _embed_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--array", required=True)
     p.add_argument("--solution", required=True, help='JSON {"R": [...], "C": [...]}')
     p.add_argument("--save", help="write the embedding JSON here")
-    p.set_defaults(fn=cmd_embed)
 
-    p = add("faces", "trace and dump face boundaries")
+
+def _faces_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--array", required=True)
     p.add_argument("--solution", required=True)
     p.add_argument("--max-faces", type=int, default=64, dest="max_faces")
     p.add_argument("--all", action="store_true", help="dump every face")
-    p.set_defaults(fn=cmd_faces)
 
-    p = add("iso", "decide isomorphism of two saved embeddings")
+
+def _iso_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("emb1")
     p.add_argument("emb2")
-    p.set_defaults(fn=cmd_iso)
 
-    p = add("classify", "partition a directory of embeddings into classes")
+
+def _classify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("directory")
-    p.set_defaults(fn=cmd_classify)
 
-    p = add("search", "backtracking search for small arrays")
+
+def _search_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--h", type=int, required=True)
@@ -554,9 +539,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=1 << 20,
                    help="maximum number of search tree nodes")
     p.add_argument("--out", help="write found arrays into this directory")
-    p.set_defaults(fn=cmd_search)
 
-    p = add("bounds", "evaluate a counting bound exactly")
+
+def _bounds_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theorem", required=True, help=", ".join(sorted(bounds.THEOREMS)))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
@@ -564,9 +549,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s1", type=int, help="strip step for the pairs pattern")
     p.add_argument("--force", action="store_true",
                    help="evaluate even when hypotheses fail")
-    p.set_defaults(fn=cmd_bounds)
 
-    p = add("pipeline", "array -> solutions -> embeddings -> classification")
+
+def _pipeline_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--array", help="input array file")
     p.add_argument("--search", help="m,n,h,k,t[,cyclic] to search an array first")
     p.add_argument("--trivial-R", action="store_true", dest="trivial_R")
@@ -574,8 +559,54 @@ def build_parser() -> argparse.ArgumentParser:
                    help="maximum search tree nodes, and orientation pairs "
                         "traced as in tour-enum")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(fn=cmd_pipeline)
 
+
+# name -> (help, argument adder, command), in the order `heffter --help` lists them
+COMMANDS = {
+    "verify": ("check the Heffter conditions of an array file",
+               _verify_arguments, cmd_verify),
+    "tour": ("trace one knight's tour orbit", _tour_arguments, cmd_tour),
+    "tour-enum": ("enumerate all covering orientation pairs",
+                  _tour_enum_arguments, cmd_tour_enum),
+    "tour-family": ("generate certified solutions from a family",
+                    _tour_family_arguments, cmd_tour_family),
+    "embed": ("build an embedding and report the biembedding checks",
+              _embed_arguments, cmd_embed),
+    "faces": ("trace and dump face boundaries", _faces_arguments, cmd_faces),
+    "iso": ("decide isomorphism of two saved embeddings", _iso_arguments, cmd_iso),
+    "classify": ("partition a directory of embeddings into classes",
+                 _classify_arguments, cmd_classify),
+    "search": ("backtracking search for small arrays", _search_arguments, cmd_search),
+    "bounds": ("evaluate a counting bound exactly", _bounds_arguments, cmd_bounds),
+    "pipeline": ("array -> solutions -> embeddings -> classification",
+                 _pipeline_arguments, cmd_pipeline),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser; with a ``command`` of ``COMMANDS``, only that subparser.
+
+    Each ``add_argument`` costs a help formatter and a terminal-size query,
+    so a call that names its command builds that command's arguments only.
+    Its usage line still names every command, through the subparsers'
+    metavar, so help and error text are the full parser's.  The full parser
+    leaves that metavar unset: a missing command is reported as ``command``.
+    """
+    parser = argparse.ArgumentParser(
+        prog="heffter",
+        description="Validate arrays, solve crazy knight's tours, build and "
+                    "classify biembeddings, and evaluate counting bounds.",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else (command,):
+        help_, add_arguments, fn = COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("--text", action="store_true",
+                       help="brief text output instead of JSON")
+        add_arguments(p)
+        p.set_defaults(fn=fn)
     return parser
 
 
@@ -599,7 +630,7 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = _merge_negative_values(list(sys.argv[1:] if argv is None else argv))
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -1,5 +1,6 @@
 """Exit codes, JSON determinism, and end-to-end subcommand behavior."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import heffter
-from heffter.cli import _dumps, main
+from heffter.cli import COMMANDS, _dumps, build_parser, main
 
 from conftest import fixture_path
 
@@ -112,6 +113,13 @@ class TestEnumAndFamilies:
                               "--n", "11", "--k", "5", "--i", "3", "--s1", "2",
                               "--limit", "5")
         assert code == 0 and data["emitted"] == 5
+
+    def test_family_limit_zero_emits_none(self, capsys):
+        code, data = run_json(capsys, "tour-family", "--family", "3diag",
+                              "--n", "9", "--limit", "0")
+        assert code == 0
+        assert data["census"] == 124 and data["emitted"] == 0
+        assert data["solutions"] == []
 
     def test_family_missing_param(self, capsys):
         assert main(["tour-family", "--family", "power2", "--n", "21"]) == 2
@@ -494,6 +502,96 @@ class TestDeterminism:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert capsys.readouterr().out.strip() == "0.1.0"
+
+
+# the least arguments each command parses; parsing reads no file
+PARSES = {
+    "verify": ["a.arr"],
+    "tour": ["a.arr"],
+    "tour-enum": ["a.arr"],
+    "tour-family": ["--family", "3diag", "--n", "9"],
+    "embed": ["--array", "a.arr", "--solution", "s.json"],
+    "faces": ["--array", "a.arr", "--solution", "s.json"],
+    "iso": ["e1.json", "e2.json"],
+    "classify": ["dir"],
+    "search": ["--m", "5", "--n", "5", "--h", "3", "--k", "3"],
+    "bounds": ["--theorem", "CDY", "--n", "13", "--k", "11"],
+    "pipeline": ["--out", "dir"],
+}
+
+
+def parse_with_full_parser(capsys, argv):
+    """Exit code, stdout and stderr of the full parser on ``argv``."""
+    try:
+        build_parser().parse_args(argv)
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParser:
+    """``main`` builds the named subcommand's parser only, with the same text."""
+
+    def test_parses_cover_every_command(self):
+        assert list(PARSES) == list(COMMANDS)
+        for name, rest in PARSES.items():
+            assert build_parser(name).parse_args([name, *rest]).fn is COMMANDS[name][2]
+
+    @pytest.mark.parametrize("columns", ["80", "33"])
+    @pytest.mark.parametrize("case", ["help", "missing", "unknown"])
+    @pytest.mark.parametrize("name", list(PARSES))
+    def test_subcommand_text_matches_full_parser(self, monkeypatch, capsys,
+                                                 name, case, columns):
+        monkeypatch.setenv("COLUMNS", columns)
+        argv, expected, text = {
+            "help": ([name, "--help"], 0, f"usage: heffter {name}"),
+            "missing": ([name], 2, "error: the following arguments are required: "),
+            "unknown": ([name, *PARSES[name], "--bogus"], 2,
+                        "{" + ",".join(COMMANDS) + "}"),
+        }[case]
+        code, out, err = parse_with_full_parser(capsys, argv)
+        assert code == expected
+        assert text in (out if case == "help" else err)
+        assert main(argv) == expected
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (out, err)
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["--help"], 0), (["--version"], 0), ([], 2), (["bogus"], 2),
+    ])
+    def test_top_level_text_matches_full_parser(self, monkeypatch, capsys,
+                                                argv, expected):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = parse_with_full_parser(capsys, argv)
+        assert code == expected and (out or err)
+        assert main(argv) == expected
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (out, err)
+
+    @pytest.mark.parametrize("argv, built", [
+        (["verify", ARRAY], ["verify"]),
+        (["embed", "--help"], ["embed"]),
+        (["--help"], list(COMMANDS)),
+        (["verif", ARRAY], list(COMMANDS)),
+    ])
+    def test_main_adds_only_the_named_subparser(self, monkeypatch, capsys,
+                                                argv, built):
+        added = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counting(self, name, **kwargs):
+            added.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+        main(argv)
+        assert added == built
+
+    def test_docstring_lists_the_command_table(self):
+        listed = heffter.cli.__doc__.split("Subcommands:")[1].split(".")[0]
+        assert [name.strip() for name in listed.split(",")] == list(COMMANDS)
 
 
 _ints = st.integers() | st.integers(-10 ** 1000, 10 ** 1000)
