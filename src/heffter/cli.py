@@ -12,10 +12,11 @@ import argparse
 import hashlib
 import itertools
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import __version__, bounds, embedding, iso, knight, pfarray, validation
 
@@ -41,8 +42,8 @@ def _dumps(obj: object, pad: str = "\n") -> str:
 
     CPython's ``json`` uses its C encoder only without ``indent``; this one
     writes the leaves with the functions ``json`` uses and joins each
-    container once.  A list of plain ints, the common case here, is joined
-    in one pass.  Dict keys must be str, and a leaf must be exactly one of
+    container once.  The items of a list are encoded together by
+    :func:`_cells`.  Dict keys must be str, and a leaf must be exactly one of
     the types in ``_LEAF``; anything else raises ``TypeError``.  ``pad`` is
     the newline and indentation of the current level.
     """
@@ -55,19 +56,75 @@ def _dumps(obj: object, pad: str = "\n") -> str:
                  for k, v in sorted(obj.items())]
         return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
     if type(obj) is list or type(obj) is tuple:
-        if set(map(type, obj)) == {int}:
-            items = map(int.__repr__, obj)
-        else:
-            items = [_dumps(x, inner) for x in obj]
-        return "[" + inner + ("," + inner).join(items) + pad + "]" if obj else "[]"
+        return "[" + inner + ("," + inner).join(_cells(obj, inner)) + pad + "]" if obj else "[]"
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _emit(data: dict, text: str | None, as_text: bool) -> None:
-    if as_text and text is not None:
+def _cells(values: Sequence, pad: str) -> Iterable[str]:
+    """The texts of ``values``, each as ``_dumps(value, pad)`` writes it.
+
+    The values are taken as one column where their shape allows it, so the
+    work per value runs in C: leaves of one type through one function (ints
+    through a table of their reprs when the range is no longer than the
+    column); non-empty dicts sharing one key set column by column, each
+    record assembled from its key prefixes; non-empty lists as the cells of
+    all their items, regrouped.  Anything else goes through ``_dumps`` one
+    value at a time.
+    """
+    types = set(map(type, values))
+    kind = next(iter(types)) if len(types) == 1 else None
+    if kind is int:
+        lo, hi = min(min(values), 0), max(max(values), -1)
+        if hi - lo < len(values):
+            # negative ints index from the end: table[x] = repr(x) for lo <= x <= hi
+            table = list(map(int.__repr__, itertools.chain(range(hi + 1), range(lo, 0))))
+            return map(table.__getitem__, values)
+    if kind in _LEAF:
+        return map(_LEAF[kind], values)
+    inner = pad + "  "
+    if kind is dict and values[0]:
+        keys = sorted(values[0])
+        try:
+            columns = [[d[key] for d in values] for key in keys]
+        except KeyError:
+            columns = []
+        # each record has every key, and by the count no other
+        if columns and sum(map(len, values)) == len(keys) * len(values):
+            parts, sep = [], "{"
+            for key, column in zip(keys, columns):
+                parts += [itertools.repeat(sep + inner + encode_basestring_ascii(key) + ": "),
+                          _cells(column, inner)]
+                sep = ","
+            parts.append(itertools.repeat(pad + "}"))
+            return map("".join, zip(*parts))
+    if types <= {list, tuple} and all(values):
+        items = iter(_cells(list(itertools.chain.from_iterable(values)), inner))
+        # each islice takes the next len(value) cells, in order, as map runs
+        joined = map(("," + inner).join, map(itertools.islice, itertools.repeat(items),
+                                                 map(len, values)))
+        return map("".join, zip(itertools.repeat("[" + inner), joined,
+                                itertools.repeat(pad + "]")))
+    return [_dumps(x, pad) for x in values]
+
+
+def _print(text: str) -> None:
+    """Print ``text``; when the reader has closed stdout, drop it quietly.
+
+    The rest of the output then goes to the null device, so the flush at
+    interpreter exit cannot raise either, and the command ends with its own
+    exit code.
+    """
+    try:
         print(text)
-    else:
-        print(_dumps(data))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
+def _emit(data: dict, text: str | None, as_text: bool) -> None:
+    _print(text if as_text and text is not None else _dumps(data))
 
 
 def _read(path: str) -> str:
@@ -288,21 +345,22 @@ def cmd_faces(args: argparse.Namespace) -> int:
     if args.max_faces < 0:
         raise UsageError("--max-faces must be >= 0")
     _, emb = _build_embedding_from_files(args.array, args.solution)
+    # the counts come from the difference cycles, without a pass over the faces
+    report = embedding.biembedding_report(emb)
     faces = embedding.trace_faces(emb)
-    limit = None if args.all else args.max_faces
-    listed = faces.faces if limit is None else faces.faces[:limit]
+    listed = faces.faces if args.all else faces.faces[:args.max_faces]
     data = {
-        "count": faces.count,
-        "row_faces": faces.count_color(embedding.ROW),
-        "column_faces": faces.count_color(embedding.COLUMN),
-        "all_simple": faces.all_simple,
+        "count": report.face_count,
+        "row_faces": report.row_faces,
+        "column_faces": report.column_faces,
+        "all_simple": report.simple,
         "listed": len(listed),
         "faces": [
             {"vertices": f.vertices, "color": f.color, "simple": f.simple}
             for f in listed
         ],
     }
-    _emit(data, f"count={faces.count} listed={len(listed)}", args.text)
+    _emit(data, f"count={report.face_count} listed={len(listed)}", args.text)
     return PASS
 
 
@@ -436,8 +494,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         raise MathFailure("distinct solutions produced equal rotation maps")
 
     classification = iso.classify(embs)
-    _write(outdir / "classification.json",
-           json.dumps(classification.to_json_dict(), sort_keys=True) + "\n")
+    classes = classification.to_json_dict()
+    _write(outdir / "classification.json", json.dumps(classes, sort_keys=True) + "\n")
 
     reports = [embedding.biembedding_report(e) for e in embs]
     all_pass = all(r.passed for r in reports)
@@ -458,7 +516,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         "solutions": len(sols),
         "embeddings": len(embs),
         "distinct_rotations": len(keys),
-        "classes": classification.to_json_dict(),
+        "classes": classes,
         "reports_all_passed": all_pass,
         "manifest": manifest,
     }
@@ -466,7 +524,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     _write(outdir / "summary.json", dumped + "\n")
     line = (f"solutions={len(sols)} classes={classification.class_count} "
             f"all_passed={all_pass}")
-    print(line if args.text else dumped)
+    _print(line if args.text else dumped)
     return PASS if all_pass else FAIL
 
 

@@ -34,9 +34,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from .pfarray import PartiallyFilledArray
@@ -335,13 +334,25 @@ def trace_faces(emb: CombinatorialEmbedding) -> FaceSet:
     to x + s - v, or at the least value when there is none; its key is that
     vertex times C plus the least difference index leaving x on the walk.  A
     value met twice, only on a non-simple face, takes the least rotation.
+
+    So, with the walk's values sorted, values[j] starts the translates s in
+    [v - values[j], v - values[j-1]) for j >= 1, and values[0] = 0, where the
+    walk starts, those in [0, v - values[-1]).  The values are a union of
+    cosets of the subgroup generated by ``translates`` (the walk is invariant
+    under adding its sum), so v - translates is one of them: the ranges of
+    the values above it, and of 0, tile [0, translates), and the others start
+    past it.  Over one range each coordinate of the face runs through
+    consecutive residues, a slice of 0 .. v-1 written twice, and the key
+    steps by C; so the range lifts as one ``zip`` of slices, placed into a
+    table indexed by key that lists the faces in order.
     """
     v = emb.v
     C = len(emb.connection)
     conn_pos = [-1] * v
     for i, d in enumerate(emb.connection):
         conn_pos[d] = i
-    keyed = []
+    residues = list(range(v)) * 2
+    by_key: list[Face | None] = [None] * (v * C)
     for cyc in _difference_cycles(emb):
         walk = cyc.walk
         twice = walk + walk
@@ -352,15 +363,21 @@ def trace_faces(emb: CombinatorialEmbedding) -> FaceSet:
         for i, x in enumerate(walk):
             at.setdefault(x, []).append(i)
         values = sorted(at)
-        rotations = [[twice[i:i + len(walk)] for i in at[x]] for x in values]
-        least_di = [min(edge_di[i] for i in at[x]) for x in values]
-        for s in range(cyc.translates):
-            j = bisect_left(values, v - s) % len(values)  # none: the least
-            verts = min(tuple([(y + s) % v for y in rot]) for rot in rotations[j])
-            key = ((values[j] + s) % v) * C + least_di[j]
-            keyed.append((key, Face(verts, cyc.color, cyc.simple)))
-    keyed.sort(key=lambda kf: kf[0])
-    return FaceSet(v, tuple(f for _, f in keyed))
+        for j, x in enumerate(values):
+            lo, hi = (v - x if j else 0), v - values[j - 1]
+            if lo >= cyc.translates:
+                continue
+            # one rotation per visit of x: a simple walk has one
+            lifted = [zip(*[residues[y + lo:y + hi] for y in twice[i:i + len(walk)]])
+                      for i in at[x]]
+            verts = map(min, zip(*lifted))
+            # the range's first translate starts at x + lo = 0 (mod v)
+            key = min(edge_di[i] for i in at[x])
+            # tuple.__new__ is what Face._make calls, without a Python frame per face
+            by_key[key:key + (hi - lo) * C:C] = map(
+                tuple.__new__, repeat(Face), zip(verts, repeat(cyc.color), repeat(cyc.simple))
+            )
+    return FaceSet(v, tuple(filter(None, by_key)))
 
 
 # -- genus and the full report ---------------------------------------------------------

@@ -182,6 +182,20 @@ class TestEmbedFacesIso:
         assert data["listed"] == 4554
         assert all(len(f["vertices"]) == 9 for f in data["faces"][:20])
 
+    def test_listings_are_pinned(self, capsys, solution_file):
+        # sha256 of the two long listings' stdout: the bytes must not drift
+        # from one version to the next
+        code, faces = run(capsys, "faces", "--array", ARRAY,
+                          "--solution", solution_file, "--all")
+        assert code == 0
+        code, solutions = run(capsys, "tour-enum", ARRAY, "--trivial-R")
+        assert code == 0
+        assert {name: hashlib.sha256(text.encode()).hexdigest()
+                for name, text in [("faces", faces), ("tour-enum", solutions)]} == {
+            "faces": "cd1438a73af6cd01d72ba21a2b6eda71fb03e4d07a43c704e5b09a8f4e6a8565",
+            "tour-enum": "775ffa34d3c43308cfa4ff575e4c2dfce04cc628ab01187f6dadb8f677f7be78",
+        }
+
 
 def k7_embedding(rho0) -> str:
     """An embedding file over Z_7 with the given rho0 pairs.
@@ -457,6 +471,37 @@ def test_huge_exact_value_is_refused_with_the_digit_limit_off():
     assert proc.stderr.startswith("error: ") and "too large" in proc.stderr
 
 
+@pytest.mark.parametrize("argv,read", [
+    # larger than a pipe's buffer: the command is still writing when the
+    # reader goes away
+    ("faces --array {array} --solution {tmp}/sol.json --all", 16),  # 900 KB
+    ("pipeline --search 5,5,3,3,1,cyclic --out {tmp}/run", 16),  # 248 KB, after its files
+    # gone before the first write: with buffering, print only fills the
+    # buffer and the flush fails
+    ("verify {array}", 0),
+])
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_ends_quietly(tmp_path, argv, read, unbuffered):
+    (tmp_path / "sol.json").write_text(json.dumps({"R": [1] * 11,
+                                                   "C": [-1] + [1] * 10}))
+    src = str(Path(heffter.__file__).resolve().parent.parent)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "heffter",
+                             *argv.format(array=ARRAY, tmp=tmp_path).split()],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**env, "PYTHONPATH": src})
+    head = proc.stdout.read(read)
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+    assert len(head) == read
+    if argv.startswith("pipeline"):
+        assert (tmp_path / "run" / "summary.json").read_bytes().startswith(head)
+
+
 def test_huge_family_census_is_refused_before_building(capsys):
     # the 2000001 x 2000001 skeleton would need gigabytes; it is never built
     tracemalloc.start()
@@ -604,6 +649,48 @@ _json_values = st.recursive(
 )
 
 
+# keys that a format string would misread, a NUL, and non-ASCII text
+_keys = st.sampled_from(["%", "%s", "{", "{0}", "}", '"', "\x00", "\u00e9", "\U0001f600", ""]) | _text
+_cell_kinds = [
+    _ints, st.booleans(), _ints | st.booleans(), st.floats(), _text, st.none(),
+    st.lists(_ints), st.lists(_ints, min_size=1).map(tuple), st.lists(_ints | st.booleans()),
+    st.just([]), st.just({}),
+]
+
+
+def _records(cells):
+    """Lists of dicts on one key set, each key's cells drawn from one of ``cells``."""
+    @st.composite
+    def records(draw):
+        keys = draw(st.lists(_keys, min_size=1, max_size=4, unique=True))
+        columns = [(key, draw(st.sampled_from(cells))) for key in keys]
+        return [{key: draw(cell) for key, cell in columns}
+                for _ in range(draw(st.integers(1, 5)))]
+    return records()
+
+
+# records nest: a column may hold lists of records, or single records
+_record_lists = st.recursive(
+    _records(_cell_kinds),
+    lambda inner: _records(_cell_kinds + [inner, inner.map(lambda rows: rows[0])]),
+    max_leaves=4,
+)
+
+
+@st.composite
+def _ragged_records(draw):
+    """Records on one key set but for one, which lacks a key or has one more."""
+    rows = draw(_record_lists)
+    i = draw(st.integers(0, len(rows) - 1))
+    row = dict(rows[i])
+    if draw(st.booleans()):
+        del row[draw(st.sampled_from(sorted(row)))]
+    else:
+        row[draw(_keys.filter(lambda key: key not in row))] = draw(_ints)
+    rows[i] = row
+    return rows
+
+
 class TestJsonEncoding:
     @settings(max_examples=200, deadline=None)
     @given(_json_values)
@@ -611,6 +698,14 @@ class TestJsonEncoding:
               "": [[], {}, ()], "f": [float("nan"), -float("inf"), 0.1]})
     def test_dumps_is_indented_json(self, value):
         assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_record_lists | _record_lists.map(tuple) | _ragged_records())
+    @example([{"%": 1, "{": [-1, 1, 0], '"': [], "\x00\u00e9": {"%s": [2, True]}},
+              {"%": True, "{": [1, -1], '"': [4], "\x00\u00e9": {}}])
+    def test_dumps_writes_records_as_json(self, records):
+        for value in (records, {"listed": records}):
+            assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
 
     @pytest.mark.parametrize("value", [{1, 2}, object(), [1, {2}], {"a": object()}])
     def test_dumps_rejects_what_json_rejects(self, value):

@@ -1,7 +1,7 @@
 """Rotation construction, face tracing, genus, and the biembedding report."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heffter.embedding import (
@@ -93,24 +93,31 @@ def assert_report_matches(emb, faces):
     assert {key: rep[key] for key in want} == want
 
 
-@st.composite
-def alternating_embeddings(draw):
-    """A rotation alternating a shuffled entry class with a shuffled list of
-    the negated entries: every difference cycle stays in one class, while its
+def alternating_embedding(v, t, entries, negated):
+    """The rotation alternating ``entries`` with ``negated``, a reordering of
+    their negatives: every difference cycle stays in one class, while its
     sum, and so the face length and simplicity, is arbitrary."""
-    v = draw(st.integers(3, 40))
-    # v/2 must lie in J, else it is its own negative and no entry class exists
-    t = draw(st.sampled_from([t for t in range(1, v)
-                              if v % t == 0 and (v % 2 or t % 2 == 0)]))
     conn = tuple(x for x in range(v) if x % (v // t))
-    entries = [x if draw(st.booleans()) else v - x for x in conn if x < v - x]
-    entries = draw(st.permutations(entries))
-    negated = draw(st.permutations([v - x for x in entries]))
     cycle = [d for pair in zip(entries, negated) for d in pair]
     # m = n = 1, k = 3 keeps the closed-form genus defined (it is 1)
     source = EmbeddingSource(1, 1, 3, 3, "random", (1,), (1,))
     return CombinatorialEmbedding(v, t, conn, cycles_table(v, [cycle]),
                                   frozenset(entries), source)
+
+
+@st.composite
+def alternating_embeddings(draw):
+    """An alternating embedding of a shuffled entry class and a shuffled list
+    of the negated entries."""
+    v = draw(st.integers(3, 40))
+    # v/2 must lie in J, else it is its own negative and no entry class exists
+    t = draw(st.sampled_from([t for t in range(1, v)
+                              if v % t == 0 and (v % 2 or t % 2 == 0)]))
+    entries = [x if draw(st.booleans()) else v - x
+               for x in range(1, (v + 1) // 2) if x % (v // t)]
+    entries = draw(st.permutations(entries))
+    negated = draw(st.permutations([v - x for x in entries]))
+    return alternating_embedding(v, t, entries, negated)
 
 
 @pytest.fixture(scope="module")
@@ -280,13 +287,23 @@ class TestFaces:
         assert trace_faces(emb) == reference_faces(emb)
 
     @settings(max_examples=150, deadline=None)
-    @given(alternating_embeddings(), st.data())
-    def test_random_rotations_match_reference(self, emb, data):
+    @given(alternating_embeddings(), st.integers(0, 39))
+    # two non-simple cycles of 2 translates, walks of 15 and 20 over Z_10
+    # meeting values twice; at some of them the first visit does not start
+    # the least rotation
+    @example(alternating_embedding(10, 2, [7, 1, 6, 2], [4, 3, 8, 9]), 0)
+    # a cycle with gcd(S, v) = 3 < 9 whose walk has two values above 9 - 3,
+    # so three ranges of translates, each of one
+    @example(alternating_embedding(9, 3, [1, 7, 4], [2, 5, 8]), 4)
+    # the walk 0, 2, 4 of gcd(S, v) = 2 has no value above 6 - 2: the range of
+    # its least value 0 holds both translates
+    @example(alternating_embedding(6, 2, [1, 4], [5, 2]), 5)
+    def test_random_rotations_match_reference(self, emb, g):
         faces = reference_faces(emb)
         assert trace_faces(emb) == faces
         assert_report_matches(emb, faces)
         # the report's z_v_regular, which it no longer checks at run time
-        g = data.draw(st.integers(0, emb.v - 1), label="g")
+        g %= emb.v
         tau_g = tuple((x + g) % emb.v for x in range(emb.v))
         assert verify_map(emb, emb, tau_g) == PRESERVING
 
