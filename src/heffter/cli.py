@@ -319,9 +319,10 @@ def cmd_tour_family(args: argparse.Namespace) -> int:
 def _build_embedding_from_files(array_path: str, solution_path: str):
     array = _load_array(array_path)
     pair = _load_solution(solution_path, array.m, array.n)
-    _validate(array, array_path)
     try:
-        return array, embedding.build_embedding(array, pair.rows, pair.cols)
+        return embedding.build_embedding(array, pair.rows, pair.cols)
+    except pfarray.ArrayFormatError as exc:  # v inconsistent with the weights
+        raise UsageError(f"{array_path}: {exc}") from None
     except ValueError as exc:
         raise MathFailure(str(exc)) from None
 
@@ -331,7 +332,7 @@ class MathFailure(Exception):
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
-    _, emb = _build_embedding_from_files(args.array, args.solution)
+    emb = _build_embedding_from_files(args.array, args.solution)
     report = embedding.biembedding_report(emb)
     if args.save:
         _write(Path(args.save), json.dumps(emb.to_json_dict(), sort_keys=True) + "\n")
@@ -344,7 +345,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
 def cmd_faces(args: argparse.Namespace) -> int:
     if args.max_faces < 0:
         raise UsageError("--max-faces must be >= 0")
-    _, emb = _build_embedding_from_files(args.array, args.solution)
+    emb = _build_embedding_from_files(args.array, args.solution)
     # the counts come from the difference cycles, without a pass over the faces
     report = embedding.biembedding_report(emb)
     faces = embedding.trace_faces(emb)

@@ -35,16 +35,12 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from .pfarray import PartiallyFilledArray
-from .validation import (
-    is_single_cycle,
-    orderings_from_orientations,
-    subgroup_members,
-    validate_heffter,
-)
+from .validation import cycle_from, orderings_from_orientations, validate_heffter
 
 
 @dataclass(frozen=True)
@@ -67,6 +63,13 @@ class EmbeddingSource:
         }
 
 
+@lru_cache(maxsize=16)
+def connection_set(v: int, t: int) -> tuple[int, ...]:
+    """Z_v \\ J in ascending order, one shared tuple per (v, t)."""
+    step = v // t
+    return tuple(d for d in range(v) if d % step)
+
+
 @dataclass(frozen=True)
 class CombinatorialEmbedding:
     """Vertex set Z_v, connection set Z_v \\ J, and the rotation table rho0.
@@ -75,39 +78,49 @@ class CombinatorialEmbedding:
     acts at every vertex x as x + d -> x + rho0[d]; it is -1 for d in J.
     Equal tables mean equal embeddings.  ``entry_class`` is the half of the
     connection set that appears as array entries; it fixes which faces are
-    called column faces.  Immutable and shareable.
+    called column faces.  The connection set is fixed by (v, t).  Immutable
+    and shareable.
     """
 
     v: int
     t: int
-    connection: tuple[int, ...]
     rho0: tuple[int, ...]
     entry_class: frozenset[int]
     source: EmbeddingSource | None = None
 
     def __post_init__(self) -> None:
-        if not (0 < self.t < self.v and self.v % self.t == 0):
+        v, t = self.v, self.t
+        if not (0 < t < v and v % t == 0):
             raise ValueError("t must be a proper divisor of v")
-        conn = set(self.connection)
-        # the length test first keeps a huge v from allocating range(v)
-        if (len(self.connection) != self.v - self.t
-                or conn != set(range(self.v)) - subgroup_members(self.v, self.t)):
-            raise ValueError("connection set must be the complement of the subgroup J")
         rho = self.rho0
-        if len(rho) != self.v or any(rho[j] != -1 for j in subgroup_members(self.v, self.t)):
+        step = v // t
+        if len(rho) != v or any(rho[j] != -1 for j in range(0, v, step)):
             raise ValueError("rho0 must be a table of length v with -1 on J")
-        if not is_single_cycle(rho, self.connection):
+        # the walk from 1 (not in J) only meets differences where rho0 is
+        # not -1, all distinct: v - t of them, closing at 1, are Z_v \ J
+        cyc = cycle_from(rho, 1)
+        if len(cyc) != v - t or rho[cyc[-1]] != 1:
             raise ValueError(
                 "rho0 must be a single cycle on the connection set "
                 "(orderings not compatible: (R, C) is not a tour solution)"
             )
-        if not self.entry_class <= conn:
-            raise ValueError("entry class must lie inside the connection set")
-        if {(-x) % self.v for x in self.entry_class} != conn - self.entry_class:
+        # inside Z_v \ J, no x with -x and half its size: one of each ± pair
+        ec = self.entry_class
+        paired = False
+        for x in ec:
+            if not (0 <= x < v and x % step):
+                raise ValueError("entry class must lie inside the connection set")
+            paired = paired or (-x) % v in ec
+        if paired or 2 * len(ec) != v - t:
             raise ValueError("entry class must contain one of each ± pair")
 
+    @property
+    def connection(self) -> tuple[int, ...]:
+        """Z_v \\ J in ascending order, the order faces and maps index it in."""
+        return connection_set(self.v, self.t)
+
     def degree(self) -> int:
-        return len(self.connection)
+        return self.v - self.t
 
     # -- serialization ------------------------------------------------------------
 
@@ -144,14 +157,13 @@ class CombinatorialEmbedding:
             if rho0[a] != -1:
                 raise ValueError(f"rho0 lists the difference {a} twice")
             rho0[a] = b
-        return cls(
-            v=v,
-            t=int(data["t"]),
-            connection=tuple(int(x) for x in data["connection"]),
-            rho0=tuple(rho0),
-            entry_class=frozenset(int(x) for x in data["entry_class"]),
-            source=source,
-        )
+        t = int(data["t"])
+        connection = sorted(int(x) for x in data["connection"])
+        entry_class = frozenset(int(x) for x in data["entry_class"])
+        # the list may come in any order; a bad t is the constructor's to report
+        if 0 < t < v and v % t == 0 and connection != list(connection_set(v, t)):
+            raise ValueError("connection set must be the complement of the subgroup J")
+        return cls(v, t, tuple(rho0), entry_class, source)
 
     @classmethod
     def from_json(cls, text: str) -> "CombinatorialEmbedding":
@@ -204,21 +216,13 @@ def build_embeddings(
         raise ValueError("fold > 1 arrays are not embedded")
     key = array_key(array)
     entry_class = frozenset(array.entries())
-    connection = tuple(sorted(entry_class | {(-a) % array.v for a in entry_class}))
     out = []
     for rows_dir, cols_dir in pairs:
         rho0 = build_rho0(array, orderings_from_orientations(array, rows_dir, cols_dir))
         source = EmbeddingSource(
             array.m, array.n, report.h, report.k, key, tuple(rows_dir), tuple(cols_dir),
         )
-        out.append(CombinatorialEmbedding(
-            v=array.v,
-            t=array.t,
-            connection=connection,
-            rho0=rho0,
-            entry_class=entry_class,
-            source=source,
-        ))
+        out.append(CombinatorialEmbedding(array.v, array.t, rho0, entry_class, source))
     return out
 
 
@@ -261,13 +265,6 @@ class FaceSet:
     @property
     def count(self) -> int:
         return len(self.faces)
-
-    def count_color(self, color: str) -> int:
-        return sum(1 for f in self.faces if f.color == color)
-
-    @property
-    def all_simple(self) -> bool:
-        return all(f.simple for f in self.faces)
 
 
 class _DifferenceCycle(NamedTuple):
@@ -475,7 +472,7 @@ def biembedding_report(emb: CombinatorialEmbedding) -> BiembeddingReport:
     col_faces = sum(c.translates for c in col_cycles)
 
     V = emb.v
-    E = emb.v * len(emb.connection) // 2
+    E = emb.v * emb.degree() // 2
     F = row_faces + col_faces
     chi = V - E + F
     if (2 - chi) % 2 != 0:

@@ -53,11 +53,6 @@ class OrientationPair:
     rows: tuple[int, ...]
     cols: tuple[int, ...]
 
-    @property
-    def minus_positions(self) -> tuple[int, ...]:
-        """Sorted 1-based positions of the -1 entries of the column vector."""
-        return tuple(j + 1 for j, d in enumerate(self.cols) if d == -1)
-
     def negated(self) -> "OrientationPair":
         """The pair (-R, -C); solutions are closed under this."""
         return OrientationPair(
@@ -68,7 +63,7 @@ class OrientationPair:
         return {
             "R": list(self.rows),
             "C": list(self.cols),
-            "E": list(self.minus_positions),
+            "E": [j for j, d in enumerate(self.cols, 1) if d == -1],  # 1-based, of C
         }
 
     @classmethod

@@ -23,12 +23,13 @@ domain.  :func:`cycle_from` is the one walk along such a table, and
 from __future__ import annotations
 
 import itertools
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Collection, Iterator, Sequence
 
-from .pfarray import PartiallyFilledArray, Skeleton, cyclic_diagonal_skeleton
+from .pfarray import ArrayFormatError, PartiallyFilledArray, Skeleton, cyclic_diagonal_skeleton
 
 
 class BudgetExceededError(ValueError):
@@ -210,8 +211,8 @@ def subgroup_members(v: int, t: int) -> frozenset[int]:
 def validate_heffter(array: PartiallyFilledArray) -> ValidationReport:
     """Check the Heffter conditions on ``array``.
 
-    Raises ValueError when v is inconsistent with 2nk/lambda + t (with k the
-    observed column weight), since then the support condition is ill-posed.
+    Raises ArrayFormatError when v is inconsistent with 2nk/lambda + t (with k
+    the observed column weight), since then the support condition is ill-posed.
     """
     v, t, lam = array.v, array.t, array.fold
 
@@ -225,7 +226,7 @@ def validate_heffter(array: PartiallyFilledArray) -> ValidationReport:
     h, k = row_w[0], col_w[0]
 
     if lam * (v - t) != 2 * array.n * k:
-        raise ValueError(
+        raise ArrayFormatError(
             f"v={v} inconsistent with 2nk/lambda + t = "
             f"{2 * array.n * k // lam + t} (n={array.n}, k={k}, lambda={lam})"
         )
@@ -362,7 +363,12 @@ def search_heffter(
         if len(skel.column_rows(j)) != k:
             raise ValueError(f"skeleton column {j} has weight != {k}")
 
-    return list(itertools.islice(_search_iter(m, n, v, t, skel, budget), limit))
+    try:
+        return list(itertools.islice(_search_iter(m, n, v, t, skel, budget), limit))
+    except RecursionError:  # the tree recurses once per free cell it fills
+        raise BudgetExceededError(
+            f"search tree is deeper than the recursion limit of {sys.getrecursionlimit()}"
+        ) from None
 
 
 def _search_iter(

@@ -124,9 +124,9 @@ def test_criterion_04_golden_embedding(ex_array, ex_pair):
         faces = trace_faces(emb)
         assert faces.count == 4554
         assert {f.length for f in faces.faces} == {9}
-        assert faces.all_simple
-        assert faces.count_color(ROW) == 2277
-        assert faces.count_color(COLUMN) == 2277
+        assert all(f.simple for f in faces.faces)
+        assert sum(f.color == ROW for f in faces.faces) == 2277
+        assert sum(f.color == COLUMN for f in faces.faces) == 2277
         rep = biembedding_report(emb)
         assert rep.two_colorable
         assert rep.genus_euler == rep.genus_closed_form == 7867

@@ -196,6 +196,18 @@ class TestEmbedFacesIso:
             "tour-enum": "775ffa34d3c43308cfa4ff575e4c2dfce04cc628ab01187f6dadb8f677f7be78",
         }
 
+    @pytest.mark.parametrize("command", ["embed", "faces"])
+    def test_array_is_validated_once(self, monkeypatch, capsys, solution_file, command):
+        from heffter import embedding, validation
+
+        calls = []
+        validate = validation.validate_heffter
+        for module in (validation, embedding):
+            monkeypatch.setattr(module, "validate_heffter",
+                                lambda a: calls.append(a) or validate(a))
+        assert main([command, "--array", ARRAY, "--solution", solution_file]) == 0
+        assert len(calls) == 1
+
 
 def k7_embedding(rho0) -> str:
     """An embedding file over Z_7 with the given rho0 pairs.
@@ -256,6 +268,31 @@ class TestIsoClassifyInput:
         good = tmp_path / "k7.json"
         good.write_text(k7_embedding(K7_RHO0))
         assert main(["iso", str(good), str(good)]) == 0
+
+    def test_connection_is_read_in_any_order(self, tmp_path, capsys, saved):
+        from heffter.embedding import CombinatorialEmbedding
+
+        path, data = saved
+        descending = tmp_path / "descending.json"
+        descending.write_text(json.dumps(dict(data, connection=data["connection"][::-1])))
+        back = CombinatorialEmbedding.from_json(descending.read_text())
+        assert back == CombinatorialEmbedding.from_json(path.read_text())
+        assert list(back.connection) == data["connection"] == sorted(data["connection"])
+        code, out = run_json(capsys, "iso", str(path), str(descending))
+        assert code == 0
+        assert out["map"] == {"kind": "preserving", "sigma": list(range(data["v"]))}
+
+    @pytest.mark.parametrize("connection", [
+        [1, 2, 3, 4, 5], [1, 2, 3, 4, 5, 6, 6], [0, 1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 7],
+    ], ids=["missing", "repeated", "with J", "past v"])
+    def test_connection_must_be_the_complement_of_j(self, tmp_path, capsys, connection):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(json.loads(k7_embedding(K7_RHO0)),
+                                       connection=connection)))
+        assert main(["iso", str(bad), str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: not an embedding file: ValueError: "
+            "connection set must be the complement of the subgroup J\n")
 
     def test_constructor_rejection(self, tmp_path, capsys, saved):
         data = dict(saved[1])
@@ -404,6 +441,7 @@ class TestSearchBoundsPipeline:
     "verify {tmp}/bad_v.arr",
     "embed --array {tmp}/bad_v.arr --solution {tmp}/sol.json",
     "faces --array {tmp}/bad_v.arr --solution {tmp}/sol.json",
+    "pipeline --array {tmp}/bad_v.arr --out {tmp}/run",
     "tour {array} --start 0,0",
     "search --m 3 --n 3 --h 3 --k 3 --out {tmp}/file.txt",
     "pipeline --search 3,3,3,3,1 --out {tmp}/file.txt",
@@ -418,6 +456,9 @@ class TestSearchBoundsPipeline:
     "verify {tmp}/nested_array.json",
     "tour {tmp}/nested.skel.json",
     "embed --array {array} --solution {tmp}/nested_sol.json",
+    # a tree deeper than the recursion limit, long before the node budget
+    "search --m 1200 --n 1200 --h 3 --k 3 --skeleton cyclic",
+    "pipeline --search 1200,1200,3,3,1,cyclic --out {tmp}/run",
 ])
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv):
     (tmp_path / "sol.json").write_text(json.dumps({"R": [1] * 11, "C": [-1] + [1] * 10}))
@@ -443,6 +484,11 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, argv):
         assert "limit" in err
     if "--budget" in argv:
         assert "budget" in err
+    if "1200" in argv:
+        assert "recursion limit" in err
+    if "bad_v.arr" in argv:
+        assert err == (f"error: {tmp_path}/bad_v.arr: v=216 inconsistent with "
+                       "2nk/lambda + t = 207 (n=11, k=9, lambda=1)\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,7 @@
 """Rotation construction, face tracing, genus, and the biembedding report."""
 
+import dataclasses
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -76,13 +78,13 @@ def reference_report_fields(emb, faces):
     V, E, F = emb.v, emb.v * len(emb.connection) // 2, faces.count
     return {
         "face_count": F,
-        "row_faces": faces.count_color(ROW),
-        "column_faces": faces.count_color(COLUMN),
+        "row_faces": sum(f.color == ROW for f in faces.faces),
+        "column_faces": sum(f.color == COLUMN for f in faces.faces),
         "row_lengths_ok": all(f.length == src.h for f in faces.faces
                               if f.color == ROW),
         "column_lengths_ok": all(f.length == src.k for f in faces.faces
                                  if f.color == COLUMN),
-        "simple": faces.all_simple,
+        "simple": all(f.simple for f in faces.faces),
         "genus_euler": (2 - (V - E + F)) // 2,
     }
 
@@ -97,11 +99,10 @@ def alternating_embedding(v, t, entries, negated):
     """The rotation alternating ``entries`` with ``negated``, a reordering of
     their negatives: every difference cycle stays in one class, while its
     sum, and so the face length and simplicity, is arbitrary."""
-    conn = tuple(x for x in range(v) if x % (v // t))
     cycle = [d for pair in zip(entries, negated) for d in pair]
     # m = n = 1, k = 3 keeps the closed-form genus defined (it is 1)
     source = EmbeddingSource(1, 1, 3, 3, "random", (1,), (1,))
-    return CombinatorialEmbedding(v, t, conn, cycles_table(v, [cycle]),
+    return CombinatorialEmbedding(v, t, cycles_table(v, [cycle]),
                                   frozenset(entries), source)
 
 
@@ -213,24 +214,50 @@ class TestBuild:
         table = list(cycles_table(19, [[x for x in conn if x > 2]]))
         table[1], table[2] = 2, 1  # the 2-cycle (1 2)
         with pytest.raises(ValueError, match="single cycle"):
-            CombinatorialEmbedding(19, 1, conn, tuple(table),
+            CombinatorialEmbedding(19, 1, tuple(table),
                                    k19_embedding.entry_class)
+
+    def test_connection_is_derived_from_v_and_t(self, k19_embedding, ex_embedding):
+        for e, step in [(k19_embedding, 19), (ex_embedding, 23)]:
+            assert e.connection == tuple(d for d in range(e.v) if d % step)
+            assert e.degree() == len(e.connection) == e.v - e.t
+        # one tuple, shared by every embedding of the same (v, t)
+        z21 = alternating_embedding(21, 3, [1, 2, 3, 4, 5, 6, 8, 9, 10],
+                                    [20, 19, 18, 17, 16, 15, 13, 12, 11])
+        assert z21.connection is alternating_embedding(
+            21, 3, [1, 2, 3, 4, 5, 6, 8, 9, 10], [11, 12, 13, 15, 16, 17, 18, 19, 20]).connection
+        assert "connection" not in {f.name for f in dataclasses.fields(CombinatorialEmbedding)}
+
+    @pytest.mark.parametrize("entries,message", [
+        ([1, 2, 3, 4, 5, 6, 8, 9, 20], "contain one of each ± pair"),  # 1 and -1
+        ([0, 2, 3, 4, 5, 6, 8, 9, 10], "lie inside the connection set"),
+        ([7, 2, 3, 4, 5, 6, 8, 9, 10], "lie inside the connection set"),  # J = {0, 7, 14}
+        ([22, 2, 3, 4, 5, 6, 8, 9, 10], "lie inside the connection set"),
+        ([-20, 2, 3, 4, 5, 6, 8, 9, 10], "lie inside the connection set"),
+        ([2, 3, 4, 5, 6, 8, 9, 10], "contain one of each ± pair"),
+        ([1, 2, 3, 4, 5, 6, 8, 9, 10, 11], "contain one of each ± pair"),
+    ], ids=["x and -x", "0 in J", "7 in J", ">= v", "negative", "too small", "too large"])
+    def test_rejects_entry_class(self, entries, message):
+        good = [1, 2, 3, 4, 5, 6, 8, 9, 10]
+        e = alternating_embedding(21, 3, good, [21 - x for x in good])
+        with pytest.raises(ValueError, match=f"^entry class must {message}$"):
+            CombinatorialEmbedding(21, 3, e.rho0, frozenset(entries), e.source)
 
 
 class TestFaces:
     def test_bundled_array_face_census(self, ex_embedding):
         faces = trace_faces(ex_embedding)
         assert faces.count == 4554 == 207 * (11 + 11)
-        assert faces.count_color(ROW) == 2277
-        assert faces.count_color(COLUMN) == 2277
+        assert sum(f.color == ROW for f in faces.faces) == 2277
+        assert sum(f.color == COLUMN for f in faces.faces) == 2277
         assert {f.length for f in faces.faces} == {9}
-        assert faces.all_simple
+        assert all(f.simple for f in faces.faces)
 
     def test_k19_triangles(self, k19_embedding):
         faces = trace_faces(k19_embedding)
         assert faces.count == 19 * 6
         assert {f.length for f in faces.faces} == {3}
-        assert faces.all_simple
+        assert all(f.simple for f in faces.faces)
 
     def test_boundary_differences_stay_in_class(self, k19_embedding):
         v = k19_embedding.v
@@ -312,7 +339,7 @@ class TestFaces:
         # entry 2 to the negated entry 18
         e = k19_embedding
         mixed = CombinatorialEmbedding(
-            e.v, e.t, e.connection, cycles_table(e.v, [e.connection]),
+            e.v, e.t, cycles_table(e.v, [e.connection]),
             frozenset(range(1, 10)), e.source)
         for trace in (trace_faces, reference_faces, biembedding_report):
             with pytest.raises(AssertionError, match="mixes"):
@@ -365,7 +392,7 @@ class TestGenusAndReport:
 
     def test_report_requires_source(self, k19_embedding):
         bare = CombinatorialEmbedding(
-            k19_embedding.v, k19_embedding.t, k19_embedding.connection,
+            k19_embedding.v, k19_embedding.t,
             k19_embedding.rho0, k19_embedding.entry_class, None)
         with pytest.raises(ValueError, match="source"):
             biembedding_report(bare)
@@ -374,7 +401,7 @@ class TestGenusAndReport:
         # m = 5 in place of 3 keeps h and k but gives closed-form genus 1
         e = k19_embedding
         wrong_m = CombinatorialEmbedding(
-            e.v, e.t, e.connection, e.rho0, e.entry_class,
+            e.v, e.t, e.rho0, e.entry_class,
             EmbeddingSource(5, 3, 3, 3, "wrong m", (1,) * 5, (1,) * 3))
         rep = biembedding_report(wrong_m)
         assert rep.row_lengths_ok and rep.column_lengths_ok

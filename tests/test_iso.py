@@ -77,8 +77,7 @@ def unit_relabeling(emb: CombinatorialEmbedding, u: int) -> CombinatorialEmbeddi
     for d in emb.connection:
         rho[(u * d) % v] = (u * emb.rho0[d]) % v
     entry = frozenset((u * e) % v for e in emb.entry_class)
-    return CombinatorialEmbedding(v, emb.t, emb.connection, tuple(rho),
-                                  entry, None)
+    return CombinatorialEmbedding(v, emb.t, tuple(rho), entry, None)
 
 
 def mirror(emb: CombinatorialEmbedding) -> CombinatorialEmbedding:
@@ -86,8 +85,7 @@ def mirror(emb: CombinatorialEmbedding) -> CombinatorialEmbedding:
     inverse = [-1] * emb.v
     for d in emb.connection:
         inverse[emb.rho0[d]] = d
-    return CombinatorialEmbedding(emb.v, emb.t, emb.connection,
-                                  tuple(inverse), emb.entry_class, None)
+    return CombinatorialEmbedding(emb.v, emb.t, tuple(inverse), emb.entry_class, None)
 
 
 def _propagate(rho1, rho2, cyc1, image_of_one):
@@ -144,9 +142,8 @@ def cayley_map(v: int, t: int, cycle) -> CombinatorialEmbedding:
     rho = [-1] * v
     for d, image in zip(cycle, cycle[1:] + cycle[:1]):
         rho[d] = image
-    connection = tuple(sorted(cycle))
-    entry = frozenset(d for d in connection if d < v - d)
-    return CombinatorialEmbedding(v, t, connection, tuple(rho), entry, None)
+    entry = frozenset(d for d in cycle if d < v - d)
+    return CombinatorialEmbedding(v, t, tuple(rho), entry, None)
 
 
 def random_cayley_maps(v: int, t: int, count: int, seed: int):

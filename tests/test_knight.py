@@ -194,7 +194,6 @@ class TestSymmetries:
 
     def test_minus_positions(self):
         p = OrientationPair((1, 1), (-1, 1, -1, 1))
-        assert p.minus_positions == (1, 3)
         assert p.to_json_dict() == {"R": [1, 1], "C": [-1, 1, -1, 1],
                                     "E": [1, 3]}
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import heffter
 from heffter import knight
 from heffter.pfarray import (
+    ArrayFormatError,
     PartiallyFilledArray,
     Skeleton,
     cyclic_diagonal_skeleton,
@@ -87,8 +88,9 @@ class TestValidate:
 
     def test_inconsistent_v_raises(self):
         a = PartiallyFilledArray(1, 1, 7, 1, 1, ((1,),))
-        with pytest.raises(ValueError, match="inconsistent"):
+        with pytest.raises(ArrayFormatError, match="inconsistent") as info:
             validate_heffter(a)
+        assert isinstance(info.value, ValueError)
 
     def test_nonuniform_weights_stop_early(self):
         a = PartiallyFilledArray(2, 2, 9, 1, 1, ((1, 2), (3, None)))
