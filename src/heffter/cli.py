@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -127,19 +128,39 @@ def _emit(data: dict, text: str | None, as_text: bool) -> None:
     _print(text if as_text and text is not None else _dumps(data))
 
 
-def _read(path: str) -> str:
+def _read_bytes(path: str) -> bytes:
     try:
-        content = Path(path).read_text()
+        return Path(path).read_bytes()
     except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from None
+
+
+def _decode(path: str, raw: bytes) -> str:
+    """``raw``, the bytes of ``path``, decoded as ``Path.read_text`` decodes a
+    file: in the locale's encoding, with universal newlines."""
+    try:
+        content = io.TextIOWrapper(io.BytesIO(raw)).read()
+    except UnicodeDecodeError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
     if not content.strip():
         raise UsageError(f"{path} is empty")
     return content
 
 
+def _read(path: str) -> str:
+    return _decode(path, _read_bytes(path))
+
+
 def _write(path: Path, text: str) -> None:
+    _write_lines(path, (text,))
+
+
+def _write_lines(path: Path, lines: Iterable[str]) -> None:
+    """Write the strings ``lines`` to ``path`` in turn, through one open file,
+    so that only one of them need be held at a time."""
     try:
-        path.write_text(text)
+        with path.open("w") as f:
+            f.writelines(lines)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}") from None
 
@@ -160,9 +181,10 @@ def _make_dir(path: Path) -> Path:
     return path
 
 
-def _load_array(path: str) -> pfarray.PartiallyFilledArray:
+def _load_array(path: str, raw: bytes | None = None) -> pfarray.PartiallyFilledArray:
+    """The array in the file ``path``; ``raw`` is its bytes when already read."""
     try:
-        return pfarray.parse_array(_read(path))
+        return pfarray.parse_array(_decode(path, _read_bytes(path) if raw is None else raw))
     except pfarray.ArrayFormatError as exc:
         raise UsageError(f"{path}: {exc}") from None
 
@@ -365,15 +387,18 @@ def cmd_faces(args: argparse.Namespace) -> int:
     return PASS
 
 
-def _load_embedding(path: str) -> embedding.CombinatorialEmbedding:
-    content = _read(path)
+def _parse_embedding(source: str, text: str) -> embedding.CombinatorialEmbedding:
     try:
-        return embedding.CombinatorialEmbedding.from_json(content)
+        return embedding.CombinatorialEmbedding.from_json(text)
     except (AttributeError, KeyError, OverflowError, RecursionError, TypeError,
             ValueError) as exc:
         raise UsageError(
-            f"{path}: not an embedding file: {type(exc).__name__}: {exc}"
+            f"{source}: not an embedding file: {type(exc).__name__}: {exc}"
         ) from None
+
+
+def _load_embedding(path: str) -> embedding.CombinatorialEmbedding:
+    return _parse_embedding(path, _read(path))
 
 
 def cmd_iso(args: argparse.Namespace) -> int:
@@ -388,16 +413,25 @@ def cmd_iso(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    paths = sorted(Path(args.directory).glob("*.json"))
-    if not paths:
-        raise UsageError(f"no *.json embeddings under {args.directory}")
-    embs = [_load_embedding(str(p)) for p in paths]
+    source = Path(args.path)
+    if source.is_dir():
+        paths = sorted(source.glob("*.json"))
+        if not paths:
+            raise UsageError(f"no *.json embeddings under {args.path}")
+        embs = [_load_embedding(str(p)) for p in paths]
+        files = [p.name for p in paths]
+    else:
+        # JSON lines: member i is the i-th non-empty line, named "<file>:<line>"
+        numbered = [(number, line) for number, line
+                    in enumerate(_read(args.path).split("\n"), 1) if line.strip()]
+        embs = [_parse_embedding(f"{args.path}:{number}", line) for number, line in numbered]
+        files = [f"{source.name}:{number}" for number, _ in numbered]
     try:
         result = iso.classify(embs)
     except ValueError as exc:
-        raise UsageError(f"{args.directory}: {exc}") from None
+        raise UsageError(f"{args.path}: {exc}") from None
     data = result.to_json_dict()
-    data["files"] = [p.name for p in paths]
+    data["files"] = files
     _emit(data, f"classes={result.class_count} of {result.total}", args.text)
     return PASS
 
@@ -447,10 +481,10 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     input_hashes: dict[str, str] = {}
 
     if args.array:
-        array = _load_array(args.array)
-        input_hashes[args.array] = hashlib.sha256(
-            Path(args.array).read_bytes()
-        ).hexdigest()
+        # the hash is of the bytes parsed: a pipe can be read only once
+        raw = _read_bytes(args.array)
+        array = _load_array(args.array, raw)
+        input_hashes[args.array] = hashlib.sha256(raw).hexdigest()
     elif args.search:
         fields = args.search.split(",")
         if len(fields) not in (5, 6):
@@ -485,11 +519,10 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     if not sols:
         raise MathFailure("no tour solutions")
 
-    emb_dir = _make_dir(outdir / "embeddings")
     embs = embedding.build_embeddings(array, [(p.rows, p.cols) for p in sols])
-    for idx, emb in enumerate(embs):
-        _write(emb_dir / f"embedding_{idx:04d}.json",
-               json.dumps(emb.to_json_dict(), sort_keys=True) + "\n")
+    # line i is embedding i
+    _write_lines(outdir / "embeddings.jsonl",
+                 (json.dumps(e.to_json_dict(), sort_keys=True) + "\n" for e in embs))
     keys = {e.rho0 for e in embs}
     if len(keys) != len(embs):
         raise MathFailure("distinct solutions produced equal rotation maps")
@@ -500,16 +533,14 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
     reports = [embedding.biembedding_report(e) for e in embs]
     all_pass = all(r.passed for r in reports)
-    outputs = sorted(
-        str(p.relative_to(outdir)) for p in outdir.rglob("*") if p.is_file()
-    )
     manifest = {
         "command": "pipeline",
         "arguments": list(args.raw_argv),
         "input_hashes": input_hashes,
         "version": __version__,
         "deterministic": "no randomness anywhere; rerunning reproduces bytes",
-        "outputs": outputs + ["summary.json"],
+        "outputs": ["array.arr", "classification.json", "embeddings.jsonl",
+                    "solutions.json", "summary.json"],
     }
     summary = {
         "array": array.to_json_dict(),
@@ -584,7 +615,8 @@ def _iso_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _classify_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("directory")
+    p.add_argument("path", help="a directory of *.json embedding files, or a "
+                                "JSON-lines file with one embedding per line")
 
 
 def _search_arguments(p: argparse.ArgumentParser) -> None:
@@ -633,7 +665,7 @@ COMMANDS = {
               _embed_arguments, cmd_embed),
     "faces": ("trace and dump face boundaries", _faces_arguments, cmd_faces),
     "iso": ("decide isomorphism of two saved embeddings", _iso_arguments, cmd_iso),
-    "classify": ("partition a directory of embeddings into classes",
+    "classify": ("partition saved embeddings into isomorphism classes",
                  _classify_arguments, cmd_classify),
     "search": ("backtracking search for small arrays", _search_arguments, cmd_search),
     "bounds": ("evaluate a counting bound exactly", _bounds_arguments, cmd_bounds),

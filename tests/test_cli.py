@@ -263,6 +263,21 @@ class TestIsoClassifyInput:
         assert "Traceback" not in err
         assert main(["classify", str(tmp_path)]) == 2
         assert capsys.readouterr().err.count("\n") == 1
+        lines = tmp_path / "embs.jsonl"
+        lines.write_text(saved[0].read_text() + "\n" + text + "\n")
+        assert main(["classify", str(lines)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {lines}:2: not an embedding file: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("raw", [b"", b"\n \n", b"\xff\n"],
+                             ids=["empty", "blank lines", "not utf-8"])
+    def test_unreadable_lines_file(self, tmp_path, capsys, raw):
+        lines = tmp_path / "embs.jsonl"
+        lines.write_bytes(raw)
+        assert main(["classify", str(lines)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(lines) in err and err.count("\n") == 1
 
     def test_k7_base_is_valid(self, tmp_path, capsys):
         good = tmp_path / "k7.json"
@@ -371,10 +386,42 @@ class TestSearchBoundsPipeline:
         assert data["distinct_rotations"] == 20
         assert data["reports_all_passed"]
         assert (out / "summary.json").read_text() == text
-        assert len(list((out / "embeddings").glob("*.json"))) == 20
+        assert len((out / "embeddings.jsonl").read_text().splitlines()) == 20
+        assert not (out / "embeddings").exists()
         manifest = data["manifest"]
         assert manifest["command"] == "pipeline"
-        assert "summary.json" in manifest["outputs"]
+        assert manifest["outputs"] == sorted(p.name for p in out.iterdir())
+
+    def test_pipeline_manifest_lists_only_this_runs_files(self, tmp_path, capsys):
+        out, fresh = tmp_path / "run", tmp_path / "fresh"
+        (out / "embeddings").mkdir(parents=True)
+        (out / "embeddings" / "embedding_0000.json").write_text("{}\n")
+        (out / "stale.txt").write_text("from an earlier run\n")
+        outputs = []
+        for argv in (["--search", "3,3,3,3,1", "--out", str(out)],
+                     ["--search", "3,3,3,3,1", "--trivial-R", "--out", str(out)],
+                     ["--search", "3,3,3,3,1", "--trivial-R", "--out", str(fresh)]):
+            code, data = run_json(capsys, "pipeline", *argv)
+            assert code == 0
+            outputs.append(data["manifest"]["outputs"])
+        assert outputs[0] == outputs[1] == outputs[2] == sorted(p.name for p in fresh.iterdir())
+
+    def test_pipeline_hashes_the_bytes_it_parsed(self, tmp_path, capsys):
+        # a pipe can be read only once: a second read for the hash sees nothing
+        from heffter.validation import search_heffter
+
+        raw = search_heffter(3, 3, 3, 3, 1, limit=1)[0].to_text().encode()
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, raw)  # the file fits in the pipe's buffer
+            os.close(write_end)
+            source = f"/dev/fd/{read_end}"
+            code, data = run_json(capsys, "pipeline", "--array", source,
+                                  "--out", str(tmp_path / "run"))
+        finally:
+            os.close(read_end)
+        assert code == 0
+        assert data["manifest"]["input_hashes"] == {source: hashlib.sha256(raw).hexdigest()}
 
     def test_pipeline_full_scan_files_are_pinned(self, tmp_path, capsys):
         # sha256 of the full 5x5 cyclic scan's files (320 solutions, 160
@@ -382,13 +429,14 @@ class TestSearchBoundsPipeline:
         out = tmp_path / "run"
         assert main(["pipeline", "--search", "5,5,3,3,1,cyclic", "--out", str(out)]) == 0
         capsys.readouterr()
-        embeddings = sorted((out / "embeddings").glob("*.json"))
-        assert len(embeddings) == 320
+        embeddings = (out / "embeddings.jsonl").read_bytes()
+        assert embeddings.count(b"\n") == 320
         digests = {
             name: hashlib.sha256(data).hexdigest() for name, data in [
                 ("solutions", (out / "solutions.json").read_bytes()),
                 ("classification", (out / "classification.json").read_bytes()),
-                ("embeddings", b"".join(p.read_bytes() for p in embeddings)),
+                # the 320 files embedding_NNNN.json that each held one line, in order
+                ("embeddings", embeddings),
             ]
         }
         assert digests == {
@@ -408,9 +456,12 @@ class TestSearchBoundsPipeline:
         out = tmp_path / "run"
         run_json(capsys, "pipeline", "--search", "5,5,3,3,1,cyclic",
                  "--trivial-R", "--out", str(out))
-        code, data = run_json(capsys, "classify", str(out / "embeddings"))
+        code, data = run_json(capsys, "classify", str(out / "embeddings.jsonl"))
         assert code == 0
         assert data["total"] == 20
+        assert data["files"] == [f"embeddings.jsonl:{i}" for i in range(1, 21)]
+        classes = json.loads((out / "classification.json").read_text())["classes"]
+        assert data["classes"] == classes
 
     def test_pipeline_needs_input(self, tmp_path):
         assert main(["pipeline", "--out", str(tmp_path / "x")]) == 2
@@ -439,6 +490,7 @@ class TestSearchBoundsPipeline:
     "search --m 3 --n 3 --h 3 --k 3 --limit -1",
     "faces --array {array} --solution {tmp}/sol.json --max-faces -1",
     "verify {tmp}/bad_v.arr",
+    "verify {tmp}/latin1.arr",
     "embed --array {tmp}/bad_v.arr --solution {tmp}/sol.json",
     "faces --array {tmp}/bad_v.arr --solution {tmp}/sol.json",
     "pipeline --array {tmp}/bad_v.arr --out {tmp}/run",
@@ -472,6 +524,7 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, argv):
     (tmp_path / "nested.skel.json").write_text('{"filled": ' + NESTED + "}")
     (tmp_path / "nested_sol.json").write_text('{"R": ' + NESTED + "}")
     (tmp_path / "file.txt").write_text("")  # an output path that is not a directory
+    (tmp_path / "latin1.arr").write_bytes("v=7 t=1\n1,\xe9\n".encode("latin-1"))
     # header v inconsistent with the weights: 2nk/lambda + t = 207
     (tmp_path / "bad_v.arr").write_text(
         fixture_path("h9_11_9.arr").read_text().replace("v=207", "v=216", 1))

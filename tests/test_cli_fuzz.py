@@ -2,8 +2,9 @@
 
 Integers are small, negative, or far past any size.  Files are missing,
 empty, a directory, malformed JSON or text, or valid files with one number
-replaced or the text cut short.  ``--budget`` and ``--limit`` stay at most
-1000 and every size is small, so no example starts a long exhaustive run.
+replaced or the text cut short (in a JSON-lines file, of one line).
+``--budget`` and ``--limit`` stay at most 1000 and every size is small, so
+no example starts a long exhaustive run.
 """
 
 import io
@@ -33,7 +34,7 @@ JSON = st.recursive(
     max_leaves=10,
 )
 FILES = ("array.arr", "solution.json", "skeleton.json",
-         "embs/a.json", "embs/b.json")
+         "embs/a.json", "embs/b.json", "embs.jsonl")
 NAMES = FILES + ("empty.json", "missing.json", "embs")
 PATHS = st.sampled_from(NAMES)
 PATH_FLAGS = ("--array", "--solution", "--save", "--out")
@@ -52,6 +53,7 @@ def seeds():
         "skeleton.json": json.dumps(array.skeleton().to_json_dict()),
         "embs/a.json": json.dumps(embs[0]),
         "embs/b.json": json.dumps(embs[1]),
+        "embs.jsonl": "".join(json.dumps(e) + "\n" for e in embs),
     }
 
 
@@ -125,7 +127,7 @@ COMMANDS = st.one_of(
            req("--solution", path("solution.json")),
            opt("--save", st.sampled_from(["out.json", "missing/out.json", "embs"]))),
     tokens(fixed("iso"), arg(path("embs/a.json")), arg(path("embs/b.json"))),
-    tokens(fixed("classify"), arg(path("embs"))),
+    tokens(fixed("classify"), arg(path("embs", "embs.jsonl"))),
     tokens(fixed("search"), req("--m", SMALL), req("--n", SMALL), req("--h", SMALL),
            req("--k", SMALL), opt("--t", INTS), req("--limit", BOUNDED),
            opt("--skeleton", SKELETONS), req("--budget", BOUNDED),
@@ -155,7 +157,14 @@ def test_drawn_command_lines_exit_cleanly(tmp_path_factory, seeds, data):
     (root / "empty.json").write_text("")
     for name in FILES:
         text = seeds[name]
-        (root / name).write_text(mutated(data, text) if name == damaged else text)
+        if name == damaged and name.endswith(".jsonl"):
+            lines = text.splitlines()
+            i = data.draw(st.integers(0, len(lines) - 1))
+            lines[i] = mutated(data, lines[i])
+            text = "".join(line + "\n" for line in lines)
+        elif name == damaged:
+            text = mutated(data, text)
+        (root / name).write_text(text)
     # file operands and path options name files in the example's directory
     for i in range(1, len(argv)):
         if argv[i] in NAMES or argv[i - 1] in PATH_FLAGS:
