@@ -1,6 +1,7 @@
 """Heffter arrays, crazy knight's tours, and biembeddings of K_{m x t}."""
 
-from .bounds import BoundQuery, BoundResult, binary_entropy, binom, derangements, evaluate_bound
+from typing import TYPE_CHECKING
+
 from .embedding import (
     BiembeddingReport,
     CombinatorialEmbedding,
@@ -66,3 +67,20 @@ from .validation import (
 )
 
 __version__ = "0.1.0"
+
+if TYPE_CHECKING:  # imported on first use by __getattr__ below
+    from .bounds import BoundQuery, BoundResult, binary_entropy, binom, derangements, evaluate_bound
+_FROM_BOUNDS = ("BoundQuery", "BoundResult", "binary_entropy", "binom", "derangements",
+                "evaluate_bound")
+
+
+def __getattr__(name: str):
+    """The names of :mod:`heffter.bounds` exported here, imported on first use
+    (PEP 562): only the ``bounds`` command needs that module.  Any other name,
+    such as a submodule that ``from heffter import cli`` looks up before
+    importing it, fails without importing it."""
+    if name not in _FROM_BOUNDS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import bounds
+
+    return getattr(bounds, name)

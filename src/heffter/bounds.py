@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd
-from typing import Callable
+from typing import Callable, NamedTuple
 
 
 def binary_entropy(p: float) -> float:
@@ -126,8 +125,7 @@ def _log10_derangements(m: int) -> float:
     return (math.lgamma(min(m, 10 ** 300) + 1) - 1 - math.log(2)) / math.log(10)
 
 
-@dataclass
-class BoundQuery:
+class BoundQuery(NamedTuple):
     """A theorem id plus its parameters.
 
     ``n`` and ``k`` are always required; ``subgroup_t`` only matters for the
@@ -151,14 +149,13 @@ class BoundQuery:
         return (self.k - 3) // 4 if (self.k - 3) % 4 == 0 else None
 
 
-@dataclass
-class BoundResult:
+class BoundResult(NamedTuple):
     theorem: str
     exact: int | Fraction | None
     approx: float | None
     asymptotic_reference: float | None
     hypotheses: dict[str, bool]
-    notes: tuple[str, ...] = field(default=())
+    notes: tuple[str, ...] = ()
 
     @property
     def hypotheses_ok(self) -> bool:

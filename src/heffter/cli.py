@@ -19,7 +19,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from . import __version__, bounds, embedding, iso, knight, pfarray, validation
+from . import __version__, embedding, iso, knight, pfarray, validation
 
 PASS, FAIL, USAGE = 0, 1, 2
 
@@ -457,6 +457,11 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
+    from . import bounds
+
+    for name, value in (("n", args.n), ("k", args.k), ("subgroup order t", args.t)):
+        if value < 1:
+            raise UsageError(f"{name}={value} must be >= 1")
     query = bounds.BoundQuery(
         theorem=args.theorem, n=args.n, k=args.k,
         subgroup_t=args.t, s1=args.s1,
@@ -633,6 +638,8 @@ def _search_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _bounds_arguments(p: argparse.ArgumentParser) -> None:
+    from . import bounds
+
     p.add_argument("--theorem", required=True, help=", ".join(sorted(bounds.THEOREMS)))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)

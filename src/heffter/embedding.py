@@ -34,17 +34,22 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from .pfarray import PartiallyFilledArray
-from .validation import cycle_from, orderings_from_orientations, validate_heffter
+from .validation import (
+    _check_directions,
+    _lines_table,
+    _natural_lines,
+    cycle_from,
+    validate_heffter,
+)
 
 
-@dataclass(frozen=True)
-class EmbeddingSource:
+class EmbeddingSource(NamedTuple):
     """Provenance of an embedding: the array and orientation pair it came from."""
 
     m: int
@@ -70,8 +75,8 @@ def connection_set(v: int, t: int) -> tuple[int, ...]:
     return tuple(d for d in range(v) if d % step)
 
 
-@dataclass(frozen=True)
-class CombinatorialEmbedding:
+class CombinatorialEmbedding(
+        namedtuple("CombinatorialEmbedding", "v t rho0 entry_class source")):
     """Vertex set Z_v, connection set Z_v \\ J, and the rotation table rho0.
 
     ``rho0[d]`` is the image of the difference d under the rotation, which
@@ -82,37 +87,33 @@ class CombinatorialEmbedding:
     and shareable.
     """
 
-    v: int
-    t: int
-    rho0: tuple[int, ...]
-    entry_class: frozenset[int]
-    source: EmbeddingSource | None = None
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self) -> None:
-        v, t = self.v, self.t
+    def __new__(cls, v: int, t: int, rho0: tuple[int, ...], entry_class: frozenset[int],
+                source: EmbeddingSource | None = None) -> "CombinatorialEmbedding":
         if not (0 < t < v and v % t == 0):
             raise ValueError("t must be a proper divisor of v")
-        rho = self.rho0
         step = v // t
-        if len(rho) != v or any(rho[j] != -1 for j in range(0, v, step)):
+        if len(rho0) != v or any(rho0[j] != -1 for j in range(0, v, step)):
             raise ValueError("rho0 must be a table of length v with -1 on J")
         # the walk from 1 (not in J) only meets differences where rho0 is
         # not -1, all distinct: v - t of them, closing at 1, are Z_v \ J
-        cyc = cycle_from(rho, 1)
-        if len(cyc) != v - t or rho[cyc[-1]] != 1:
+        cyc = cycle_from(rho0, 1)
+        if len(cyc) != v - t or rho0[cyc[-1]] != 1:
             raise ValueError(
                 "rho0 must be a single cycle on the connection set "
                 "(orderings not compatible: (R, C) is not a tour solution)"
             )
         # inside Z_v \ J, no x with -x and half its size: one of each ± pair
-        ec = self.entry_class
         paired = False
-        for x in ec:
+        for x in entry_class:
             if not (0 <= x < v and x % step):
                 raise ValueError("entry class must lie inside the connection set")
-            paired = paired or (-x) % v in ec
-        if paired or 2 * len(ec) != v - t:
+            paired = paired or (-x) % v in entry_class
+        if paired or 2 * len(entry_class) != v - t:
             raise ValueError("entry class must contain one of each ± pair")
+        return super().__new__(cls, v, t, rho0, entry_class, source)
 
     @property
     def connection(self) -> tuple[int, ...]:
@@ -185,7 +186,12 @@ def build_rho0(
                 f"entries {a} and {(-a) % v} are negatives of each other: "
                 "the rotation construction needs one representative per pair"
             )
-    row_perm, col_perm = ords
+    return _rho0(v, entries, *ords)
+
+
+def _rho0(v: int, entries: Iterable[int], row_perm: Sequence[int],
+          col_perm: Sequence[int]) -> tuple[int, ...]:
+    """:func:`build_rho0`'s table, for entries known to hold no ± pair."""
     rho0 = [-1] * v
     for a in entries:
         rho0[a] = (-row_perm[a]) % v
@@ -203,7 +209,11 @@ def build_embeddings(
 ) -> list[CombinatorialEmbedding]:
     """Embeddings from a validated array and tour solutions (R, C), in order.
 
-    The array is validated, checked for fold 1 and hashed once for all pairs.
+    The array is validated, checked for fold 1, hashed and read into its
+    lines once for all pairs.  Validation with fold 1 leaves each ± class of
+    Z_v \\ J exactly one entry, so the entries are distinct residues and hold
+    no ± pair, which :func:`build_rho0` and
+    :func:`validation.orderings_from_orientations` check for other callers.
     Raises ValueError when the array fails validation, is a lambda-fold array
     with fold > 1 (those are validated but never embedded), or when some pair
     is not ±1 of the array's shape or induces orderings that are not
@@ -215,14 +225,19 @@ def build_embeddings(
     if array.fold != 1:
         raise ValueError("fold > 1 arrays are not embedded")
     key = array_key(array)
-    entry_class = frozenset(array.entries())
+    v = array.v
+    entries = array.entries()
+    entry_class = frozenset(entries)
+    rows, cols = _natural_lines(array)
     out = []
     for rows_dir, cols_dir in pairs:
-        rho0 = build_rho0(array, orderings_from_orientations(array, rows_dir, cols_dir))
+        _check_directions(rows_dir, array.m, "row")
+        _check_directions(cols_dir, array.n, "column")
+        rho0 = _rho0(v, entries, _lines_table(rows, rows_dir, v), _lines_table(cols, cols_dir, v))
         source = EmbeddingSource(
             array.m, array.n, report.h, report.k, key, tuple(rows_dir), tuple(cols_dir),
         )
-        out.append(CombinatorialEmbedding(array.v, array.t, rho0, entry_class, source))
+        out.append(CombinatorialEmbedding(v, array.t, rho0, entry_class, source))
     return out
 
 
@@ -257,8 +272,7 @@ class Face(NamedTuple):
         return len(self.vertices)
 
 
-@dataclass(frozen=True)
-class FaceSet:
+class FaceSet(NamedTuple):
     v: int
     faces: tuple[Face, ...]
 
@@ -292,6 +306,7 @@ def _difference_cycles(emb: CombinatorialEmbedding) -> list[_DifferenceCycle]:
     """
     v = emb.v
     rho = emb.rho0
+    entry_class = emb.entry_class
     seen = bytearray(v)
     cycles = []
     for d0 in emb.connection:
@@ -303,7 +318,7 @@ def _difference_cycles(emb: CombinatorialEmbedding) -> list[_DifferenceCycle]:
             seen[d] = 1
             diffs.append(d)
             d = rho[v - d]
-        in_entry = [d in emb.entry_class for d in diffs]
+        in_entry = [d in entry_class for d in diffs]
         if all(in_entry):
             color = COLUMN
         elif not any(in_entry):
@@ -392,8 +407,7 @@ def genus_formula(m: int, n: int, k: int, t: int) -> int:
     return 1 + num // 2
 
 
-@dataclass(frozen=True)
-class BiembeddingReport:
+class BiembeddingReport(NamedTuple):
     v: int
     face_count: int
     row_faces: int

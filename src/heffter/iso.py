@@ -29,7 +29,6 @@ a bucket that holds a second class is split by full codes.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .embedding import CombinatorialEmbedding
@@ -41,8 +40,7 @@ PRESERVING = "preserving"
 REVERSING = "reversing"
 
 
-@dataclass(frozen=True)
-class EmbeddingMap:
+class EmbeddingMap(NamedTuple):
     """A vertex bijection certified as an embedding isomorphism."""
 
     sigma: tuple[int, ...]
@@ -320,8 +318,7 @@ def all_isomorphisms_fixing_zero(
     return tuple(_isomorphisms_between(e1, e2))
 
 
-@dataclass(frozen=True)
-class StabilizerGroup:
+class StabilizerGroup(NamedTuple):
     """All embedding automorphisms fixing the vertex 0."""
 
     elements: tuple[EmbeddingMap, ...]
@@ -361,8 +358,7 @@ def stabilizer(emb: CombinatorialEmbedding) -> StabilizerGroup:
 # -- classification ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IsomorphismClass:
+class IsomorphismClass(NamedTuple):
     """One class: members are certified isomorphic to the representative.
 
     ``witnesses[i]`` is a verified map from member ``members[i]`` onto the
@@ -379,8 +375,7 @@ class IsomorphismClass:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
+class ClassificationResult(NamedTuple):
     total: int
     classes: tuple[IsomorphismClass, ...]
 

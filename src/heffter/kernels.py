@@ -10,8 +10,7 @@ from 1-based grid positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .validation import BudgetExceededError
 
@@ -19,8 +18,7 @@ from .validation import BudgetExceededError
 # -- scan tables -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScanTables:
+class ScanTables(NamedTuple):
     """Per-cell successor lookup tables for a fixed skeleton.
 
     ``row_next[c]``/``row_prev[c]`` give the cell id of the next filled cell in
@@ -156,6 +154,7 @@ def scan_orientations(
         return out
 
     rows, cols, ncells = t.rows, t.cols, t.ncells
+    row_next, row_prev, col_next, col_prev = t.row_next, t.row_prev, t.col_next, t.col_prev
     found: set[tuple[int, int]] = set()
     traced = 0
     row_seen = bytearray(1 if trivial_rows else 1 << m)
@@ -169,10 +168,10 @@ def scan_orientations(
         col_seen = bytearray(1 << n) if len(stab) > 1 else None
         # the successor of cell x is fwd[x] or back[x] as bit[x] of the
         # column mask (the column its row move under r lands in) is 0 or 1
-        mids = [t.row_prev[x] if r >> (m - 1 - rows[x]) & 1 else t.row_next[x]
+        mids = [row_prev[x] if r >> (m - 1 - rows[x]) & 1 else row_next[x]
                 for x in range(ncells)]
-        fwd = [t.col_next[x] for x in mids]
-        back = [t.col_prev[x] for x in mids]
+        fwd = [col_next[x] for x in mids]
+        back = [col_prev[x] for x in mids]
         bit = [1 << (top - cols[x]) for x in mids]
         for c in range(1 << n):
             if col_seen is not None:

@@ -23,13 +23,11 @@ library's one permutation form, and it tests their composition with
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import comb, gcd
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import kernels
-from .bounds import _is_prime
 from .pfarray import (
     Skeleton,
     classify_diagonality,
@@ -46,8 +44,7 @@ from .validation import (
 # -- orientation pairs -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrientationPair:
+class OrientationPair(NamedTuple):
     """Row and column direction vectors in {+1, -1}, checked where used, not here."""
 
     rows: tuple[int, ...]
@@ -93,8 +90,7 @@ def swapped(pair: OrientationPair, skel: Skeleton) -> OrientationPair:
 # -- successor map and tours ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TourResult:
+class TourResult(NamedTuple):
     start: tuple[int, int]
     cells: tuple[tuple[int, int], ...]
     covers_all: bool
@@ -261,8 +257,7 @@ def _positions(n: int, minus_positions: Sequence[int]) -> list[int]:
 # -- constructive families ----------------------------------------------------------
 
 
-@dataclass
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """Parameters and admissibility diagnostics of a solution family."""
 
     family: str
@@ -270,7 +265,7 @@ class FamilySpec:
     k: int
     r: int | None
     diagonals: tuple[int, ...]
-    admissibility: dict[str, bool] = field(default_factory=dict)
+    admissibility: dict[str, bool]
 
     def to_json_dict(self) -> dict:
         return {
@@ -283,7 +278,6 @@ class FamilySpec:
         }
 
 
-@dataclass
 class SolutionFamily:
     """A lazily generated, deterministic stream of certified solutions.
 
@@ -294,10 +288,12 @@ class SolutionFamily:
     cyclically diagonal skeletons, else by the strip criterion.
     """
 
-    spec: FamilySpec
-    swap_closed: bool
-    base_count: int
-    _bases: Callable[[], Iterator[tuple[int, ...]]]
+    def __init__(self, spec: FamilySpec, swap_closed: bool, base_count: int,
+                 bases: Callable[[], Iterator[tuple[int, ...]]]) -> None:
+        self.spec = spec
+        self.swap_closed = swap_closed
+        self.base_count = base_count
+        self._bases = bases
 
     @cached_property
     def skeleton(self) -> Skeleton:
@@ -343,6 +339,8 @@ class SolutionFamily:
 def _default_prime_r(lo_num: int, lo_den: int, hi_num: int, hi_den: int,
                      coprime_to: int, what: str) -> int:
     """Smallest prime in the rational interval [lo, hi] coprime to ``coprime_to``."""
+    from .bounds import _is_prime
+
     lo = -(-lo_num // lo_den)
     hi = hi_num // hi_den
     for p in range(max(lo, 2), hi + 1):
@@ -451,8 +449,8 @@ def seven_diagonal_family(n: int, r: int | None = None) -> SolutionFamily:
     g = gcd(n, 6)
     if g == 1:
         fam = power_two_family(n, 7, r)
-        fam.spec.family = "KSeven"
-        fam.spec.admissibility["gcd(n,6)=1"] = True
+        fam.spec = fam.spec._replace(
+            family="KSeven", admissibility={**fam.spec.admissibility, "gcd(n,6)=1": True})
         return fam
 
     residues = _congruent_positions(n, 6, 3)
@@ -482,6 +480,8 @@ def prime_family(n: int, k: int, r: int | None = None) -> SolutionFamily:
     No swap closure: the skeleton is not cyclically diagonal.  k = 3 leaves
     diagonal 1 empty, which the strip criterion certifying the family needs.
     """
+    from .bounds import _is_prime
+
     if k < 5 or k % 2 == 0:
         raise ValueError("needs odd k >= 5")
     if not _is_prime(n):

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 class ArrayFormatError(ValueError):
@@ -34,20 +34,19 @@ def signed(x: int, v: int) -> int:
     return x if x <= v // 2 else x - v
 
 
-@dataclass(frozen=True)
-class Skeleton:
+class Skeleton(namedtuple("Skeleton", "m n filled")):
     """The set of filled positions of an array (1-based)."""
 
-    m: int
-    n: int
-    filled: frozenset[tuple[int, int]]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self) -> None:
-        if self.m < 1 or self.n < 1:
+    def __new__(cls, m: int, n: int, filled: frozenset[tuple[int, int]]) -> "Skeleton":
+        if m < 1 or n < 1:
             raise ValueError("skeleton dimensions must be positive")
-        for (i, j) in self.filled:
-            if not (1 <= i <= self.m and 1 <= j <= self.n):
-                raise ValueError(f"position {(i, j)} outside {self.m}x{self.n} grid")
+        for (i, j) in filled:
+            if not (1 <= i <= m and 1 <= j <= n):
+                raise ValueError(f"position {(i, j)} outside {m}x{n} grid")
+        return super().__new__(cls, m, n, filled)
 
     def positions(self) -> tuple[tuple[int, int], ...]:
         """Filled positions sorted row-major."""
@@ -63,8 +62,7 @@ class Skeleton:
         return {"m": self.m, "n": self.n, "filled": [list(p) for p in self.positions()]}
 
 
-@dataclass(frozen=True)
-class PartiallyFilledArray:
+class PartiallyFilledArray(namedtuple("PartiallyFilledArray", "m n v t fold cells")):
     """An m x n grid over Z_v with empty cells.
 
     ``t`` is the order of the distinguished subgroup J of Z_v (the subgroup of
@@ -72,26 +70,24 @@ class PartiallyFilledArray:
     support (1 for ordinary arrays).
     """
 
-    m: int
-    n: int
-    v: int
-    t: int
-    fold: int
-    cells: tuple[tuple[int | None, ...], ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self) -> None:
-        if self.m < 1 or self.n < 1:
+    def __new__(cls, m: int, n: int, v: int, t: int, fold: int,
+                cells: tuple[tuple[int | None, ...], ...]) -> "PartiallyFilledArray":
+        if m < 1 or n < 1:
             raise ValueError("array dimensions must be positive")
-        if self.v < 1 or self.t < 1 or self.fold < 1:
+        if v < 1 or t < 1 or fold < 1:
             raise ValueError("v, t and fold must be positive")
-        if self.v % self.t != 0:
-            raise ValueError(f"t={self.t} does not divide v={self.v}")
-        if len(self.cells) != self.m or any(len(r) != self.n for r in self.cells):
+        if v % t != 0:
+            raise ValueError(f"t={t} does not divide v={v}")
+        if len(cells) != m or any(len(r) != n for r in cells):
             raise ValueError("cell grid does not match declared dimensions")
-        for row in self.cells:
+        for row in cells:
             for x in row:
-                if x is not None and not (0 <= x < self.v):
-                    raise ValueError(f"entry {x} outside [0, {self.v - 1}]")
+                if x is not None and not (0 <= x < v):
+                    raise ValueError(f"entry {x} outside [0, {v - 1}]")
+        return super().__new__(cls, m, n, v, t, fold, cells)
 
     # -- cell access (1-based) --------------------------------------------------
 
@@ -260,8 +256,7 @@ def parse_skeleton_json(text: str) -> Skeleton:
 # -- diagonal structure -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiagonalProfile:
+class DiagonalProfile(NamedTuple):
     """Exact diagonal structure of a square skeleton.
 
     ``strip_widths`` lists the widths of the maximal runs of empty diagonals in

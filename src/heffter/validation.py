@@ -25,9 +25,8 @@ from __future__ import annotations
 import itertools
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
 from math import gcd
-from typing import Collection, Iterator, Sequence
+from typing import Collection, Iterator, NamedTuple, Sequence
 
 from .pfarray import ArrayFormatError, PartiallyFilledArray, Skeleton, cyclic_diagonal_skeleton
 
@@ -154,8 +153,7 @@ def is_globally_simple(array: PartiallyFilledArray) -> bool:
 # -- validation ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Outcome of the Heffter conditions, one flag per condition.
 
     Flags are None when a prerequisite condition already failed.  ``h`` and
@@ -171,9 +169,9 @@ class ValidationReport:
     support_ok: bool | None
     rows_sum_zero: bool | None
     cols_sum_zero: bool | None
-    bad_rows: tuple[int, ...] = field(default=())
-    bad_cols: tuple[int, ...] = field(default=())
-    support_errors: tuple[str, ...] = field(default=())
+    bad_rows: tuple[int, ...] = ()
+    bad_cols: tuple[int, ...] = ()
+    support_errors: tuple[str, ...] = ()
 
     @property
     def passed(self) -> bool:

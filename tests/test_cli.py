@@ -472,7 +472,17 @@ class TestSearchBoundsPipeline:
         assert not out.exists()
 
 
+# bounds parameters below 1, refused in search's words before evaluation
+BELOW_ONE = {
+    "bounds --theorem DiagBi --n 13 --k 3 --t -5 --force": "subgroup order t=-5",
+    "bounds --theorem Prop3diag --n 13 --k 3 --t 0 --force": "subgroup order t=0",
+    "bounds --theorem CDY --n -1 --k 3": "n=-1",
+    "bounds --theorem CDY --n 13 --k 0": "k=0",
+}
+
+
 @pytest.mark.parametrize("argv", [
+    *BELOW_ONE,
     "pipeline --search 7,7,3,3,1,foo --out {tmp}/run",
     "pipeline --search 7,7,3,x,1 --out {tmp}/run",
     "pipeline --search 5,5,3,3,1,cyclic --budget 2 --out {tmp}/run",
@@ -542,6 +552,8 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, argv):
     if "bad_v.arr" in argv:
         assert err == (f"error: {tmp_path}/bad_v.arr: v=216 inconsistent with "
                        "2nk/lambda + t = 207 (n=11, k=9, lambda=1)\n")
+    if argv in BELOW_ONE:
+        assert err == f"error: {BELOW_ONE[argv]} must be >= 1\n"
 
 
 @pytest.mark.parametrize("argv", [
