@@ -18,7 +18,6 @@ from .iso import (
     EmbeddingMap,
     StabilizerGroup,
     canonical_code,
-    certify_distinct,
     classify,
     find_isomorphism,
     stabilizer,

@@ -463,6 +463,9 @@ THEOREMS: dict[str, _Spec] = {
             "gcd(n,2)=1": gcd(q.n, 2) == 1,
             "gcd(n,s1)=1": q.s1 is not None and gcd(q.n, q.s1) == 1,
             "gcd(n,k+s1-1)=1": q.s1 is not None and gcd(q.n, q.k + q.s1 - 1) == 1,
+            # the strip pattern's own conditions, as pairs_family checks them
+            "s1>=2": q.s1 is not None and q.s1 >= 2,
+            "k+s1<=n": q.s1 is not None and q.k + q.s1 <= q.n,
         },
         _eval_ppairs,
         "tour solution count of the two-element strip pattern",

@@ -9,7 +9,6 @@ Exit codes: 0 = pass, 1 = mathematical failure, 2 = usage error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import io
 import itertools
 import json
@@ -486,6 +485,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     input_hashes: dict[str, str] = {}
 
     if args.array:
+        import hashlib  # only pipeline hashes its input
+
         # the hash is of the bytes parsed: a pipe can be read only once
         raw = _read_bytes(args.array)
         array = _load_array(args.array, raw)

@@ -31,7 +31,6 @@ statistics therefore cost O(C), not O(v * C).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from collections import namedtuple
@@ -200,6 +199,8 @@ def _rho0(v: int, entries: Iterable[int], row_perm: Sequence[int],
 
 
 def array_key(array: PartiallyFilledArray) -> str:
+    import hashlib  # here, so that commands which never hash do not load it
+
     return hashlib.sha256(array.to_text().encode()).hexdigest()[:16]
 
 

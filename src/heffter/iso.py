@@ -32,9 +32,7 @@ from array import array
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .embedding import CombinatorialEmbedding
-from .knight import OrientationPair, is_solution
-from .pfarray import PartiallyFilledArray, classify_diagonality, diagonal_cells
-from .validation import cycle_from, is_globally_simple, validate_heffter
+from .validation import cycle_from
 
 PRESERVING = "preserving"
 REVERSING = "reversing"
@@ -45,9 +43,6 @@ class EmbeddingMap(NamedTuple):
 
     sigma: tuple[int, ...]
     kind: str
-
-    def __call__(self, x: int) -> int:
-        return self.sigma[x]
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "sigma": list(self.sigma)}
@@ -332,18 +327,6 @@ class StabilizerGroup(NamedTuple):
     def size_preserving(self) -> int:
         return sum(1 for m in self.elements if m.kind == PRESERVING)
 
-    @property
-    def bound(self) -> int:
-        """The cap 2 * degree on the stabilizer size."""
-        return 2 * self.degree
-
-    def to_json_dict(self) -> dict:
-        return {
-            "size": self.size,
-            "size_preserving": self.size_preserving,
-            "degree": self.degree,
-            "bound": self.bound,
-        }
 
 
 def stabilizer(emb: CombinatorialEmbedding) -> StabilizerGroup:
@@ -493,58 +476,3 @@ def classify(embeddings: Sequence[CombinatorialEmbedding]) -> ClassificationResu
     classes.sort(key=lambda c: c.members[0])
     return ClassificationResult(len(embeddings), tuple(classes))
 
-
-# -- distinctness certification without building embeddings ------------------------------
-
-
-def certify_distinct(
-    batch: Sequence[tuple[PartiallyFilledArray, OrientationPair]],
-) -> int:
-    """Number of distinct embeddings a batch of (array, solution) pairs induces.
-
-    Applies the coincident-diagonal criterion: for globally simple
-    diagonal-structured arrays sharing entries, skeleton, and a common fully
-    filled diagonal on which all arrays agree, distinct (array, solution)
-    pairs give distinct rotation maps.  Hypotheses are verified; violations
-    raise ValueError.  Acceptance criterion 9 checks the lemma against the
-    rotation maps of a searched array's embeddings.
-    """
-    if not batch:
-        return 0
-    arrays = [a for a, _ in batch]
-    first = arrays[0]
-    profile = classify_diagonality(first)
-    skel = first.skeleton()
-    entries = frozenset(first.entries())
-    for a in arrays:
-        if a.fold != 1:
-            raise ValueError("certification applies to fold-1 arrays only")
-        if not validate_heffter(a).passed:
-            raise ValueError("batch contains an invalid array")
-        if not is_globally_simple(a):
-            raise ValueError("batch contains a non-globally-simple array")
-        if a.skeleton() != skel:
-            raise ValueError("batch skeletons differ")
-        if frozenset(a.entries()) != entries:
-            raise ValueError("batch supports differ")
-
-    common = None
-    for d in profile.filled_diagonals:
-        cells = diagonal_cells(first.n, d)
-        if all(
-            all(a.entry(i, j) == first.entry(i, j) for (i, j) in cells)
-            for a in arrays
-        ):
-            common = d
-            break
-    if common is None:
-        raise ValueError("no common filled diagonal on which all arrays coincide")
-
-    for a, pair in batch:
-        if not is_solution(a.skeleton(), pair.rows, pair.cols):
-            raise ValueError("batch contains a non-solution orientation pair")
-
-    distinct = {
-        (a.cells, pair.rows, pair.cols) for a, pair in batch
-    }
-    return len(distinct)

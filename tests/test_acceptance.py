@@ -18,7 +18,7 @@ from heffter.embedding import (
     genus_formula,
     trace_faces,
 )
-from heffter.iso import certify_distinct, classify, stabilizer, verify_map
+from heffter.iso import classify, stabilizer, verify_map
 from heffter.knight import (
     OrientationPair,
     cyclic_criterion,
@@ -242,8 +242,6 @@ def test_criterion_09_distinctness_and_classification(h53_cyclic):
         embs = [build_embedding(h53_cyclic, p.rows, p.cols) for p in sols]
         keys = {e.rho0 for e in embs}
         assert len(keys) == len(embs)  # pairwise distinct rotation maps
-        assert certify_distinct(
-            [(h53_cyclic, p) for p in sols]) == len(sols)
         result = classify(embs)
         degree = embs[0].degree()
         cap = 2 * degree * degree

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -165,6 +166,20 @@ class TestConsistencyWithFamilies:
         fam = pairs_family(11, 5, 3, 2)
         bound = evaluate_bound(BoundQuery("PropPairs", n=11, k=5, s1=2)).exact
         assert fam.census() >= bound
+
+    @pytest.mark.parametrize("s1, failed", [(1, "s1>=2"), (-3, "s1>=2"), (11, "k+s1<=n")])
+    def test_pairs_strip_step_refused_as_the_family_refuses_it(self, s1, failed):
+        from heffter.knight import pairs_family
+
+        # gcd(13, s1) = gcd(13, 5 + s1 - 1) = 1: only the strip conditions fail
+        with pytest.raises(ValueError, match="s1 >= 2|k \\+ s1 <= n"):
+            pairs_family(13, 5, 3, s1)
+        query = BoundQuery("PropPairs", n=13, k=5, s1=s1)
+        with pytest.raises(HypothesisError, match=f"hypotheses failed: {re.escape(failed)}$"):
+            evaluate_bound(query)
+        forced = evaluate_bound(query, force=True)
+        assert forced.exact == 156
+        assert [name for name, ok in forced.hypotheses.items() if not ok] == [failed]
 
     def test_prime_census(self):
         from heffter.knight import prime_family

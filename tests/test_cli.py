@@ -63,6 +63,29 @@ class TestVerify:
         code, data = run_json(capsys, "verify", str(p))
         assert code == 1 and not data["passed"]
 
+    def test_support_errors(self, tmp_path, capsys):
+        # lambda = 1: -55 in place of 10 uses the class ±55 twice and ±10 not at all
+        lines = Path(ARRAY).read_text().splitlines()
+        assert lines[1].startswith("10,55,")
+        lines[1] = "-55" + lines[1][2:]
+        p = tmp_path / "twice.arr"
+        p.write_text("\n".join(lines) + "\n")
+        code, data = run_json(capsys, "verify", str(p))
+        assert code == 1 and data["support_ok"] is False
+        assert data["support_errors"] == ["class ±10: appears 0 times, expected 1",
+                                          "class ±55: appears 2 times, expected 1"]
+        # lambda = 2: the bundled file passes; -4 in place of -5 hits 4 and 7
+        # three times and 5 and 6 once
+        code, data = run_json(capsys, "verify", str(fixture_path("lambda2_2x5.arr")))
+        assert code == 0 and data["support_errors"] == []
+        p = tmp_path / "fold2.arr"
+        p.write_text("v=11 t=1 lambda=2 m=2 n=5\n1,-2,3,4,5\n-1,2,-3,-4,-4\n")
+        code, data = run_json(capsys, "verify", str(p))
+        assert code == 1
+        assert data["support_errors"] == [
+            f"element {x}: signed support hits it {n} times, expected 2"
+            for x, n in ((4, 3), (5, 1), (6, 1), (7, 3))]
+
 
 class TestTour:
     def test_golden_pair(self, capsys):
@@ -346,6 +369,21 @@ class TestSearchBoundsPipeline:
         code, data = run_json(capsys, "bounds", "--theorem", "CDY",
                               "--n", "14", "--k", "11")
         assert code == 1 and "error" in data
+
+    @pytest.mark.parametrize("s1, refusal, failed", [
+        ("1", "needs strip step s1 >= 2", "s1>=2"),
+        ("-3", "needs strip step s1 >= 2", "s1>=2"),
+        ("11", "needs k + s1 <= n", "k+s1<=n"),
+    ])
+    def test_bounds_pairs_strip_step(self, capsys, s1, refusal, failed):
+        # bounds refuses the strip steps that tour-family --family pairs refuses
+        argv = ["--n", "13", "--k", "5", "--s1", s1]
+        assert main(["tour-family", "--family", "pairs", "--i", "3", *argv]) == 2
+        assert refusal in capsys.readouterr().err
+        code, data = run_json(capsys, "bounds", "--theorem", "PropPairs", *argv)
+        assert code == 1 and data["error"] == f"PropPairs: hypotheses failed: {failed}"
+        code, data = run_json(capsys, "bounds", "--theorem", "PropPairs", *argv, "--force")
+        assert code == 0 and data["exact"] == 156 and not data["hypotheses_ok"]
 
     def test_bounds_force(self, capsys):
         code, data = run_json(capsys, "bounds", "--theorem", "CDY",

@@ -77,7 +77,7 @@ import json, subprocess, sys
 sys.path.insert(0, {src!r})
 # heffter.cli by the lookup that ``from heffter import cli`` makes first
 from heffter import cli, embedding, iso, kernels, knight, pfarray, validation
-loaded = sorted(m for m in ("dataclasses", "heffter.bounds") if m in sys.modules)
+loaded = sorted(m for m in ("dataclasses", "hashlib", "heffter.bounds") if m in sys.modules)
 import heffter
 from heffter import BoundQuery
 result = heffter.evaluate_bound(BoundQuery("CDY", 13, 11))
@@ -93,7 +93,8 @@ print(json.dumps({{"loaded": loaded, "exact": result.exact, "exported": exported
 
 def test_cli_starts_without_dataclasses_or_bounds():
     # only the bounds command needs heffter.bounds, which the package's
-    # __getattr__ and the command import on first use
+    # __getattr__ and the command import on first use; hashlib is imported
+    # by the two functions that hash
     src = str(Path(heffter.__file__).resolve().parent.parent)
     proc = subprocess.run([sys.executable, "-c", STARTUP.format(src=src)],
                           capture_output=True, text=True, timeout=60)
@@ -115,6 +116,17 @@ def test_no_module_imports_dataclasses():
         or isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
     ]
     assert importers == []
+
+
+def test_iso_imports_only_embedding_and_validation():
+    # iso works on built embeddings: it reads no array, skeleton or solution
+    tree = ast.parse((Path(heffter.__file__).resolve().parent / "iso.py").read_text())
+    package_imports = {node.module for node in ast.walk(tree)
+                       if isinstance(node, ast.ImportFrom) and node.level}
+    assert package_imports == {"embedding", "validation"}
+    assert not any(isinstance(node, ast.Import) and any(a.name.startswith("heffter")
+                                                        for a in node.names)
+                   for node in ast.walk(tree))
 
 
 def test_records_are_immutable(ex_array, ex_pair):
