@@ -17,7 +17,6 @@ from .embedding import (
 from .iso import (
     EmbeddingMap,
     StabilizerGroup,
-    canonical_code,
     classify,
     find_isomorphism,
     stabilizer,

@@ -16,7 +16,7 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import __version__, embedding, iso, knight, pfarray, validation
 
@@ -107,15 +107,33 @@ def _cells(values: Sequence, pad: str) -> Iterable[str]:
     return [_dumps(x, pad) for x in values]
 
 
-def _print(text: str) -> None:
-    """Print ``text``; when the reader has closed stdout, drop it quietly.
+def _list_text(values: Iterable, pad: str, chunk: int = 4096) -> Iterator[str]:
+    """``_dumps(list(values), pad)`` in pieces, ``chunk`` values at a time.
+
+    Only one chunk of ``values`` is held at once, so a long stream prints in
+    bounded memory.
+    """
+    inner = pad + "  "
+    values = iter(values)
+    sep = "[" + inner
+    for block in iter(lambda: list(itertools.islice(values, chunk)), []):
+        yield sep + ("," + inner).join(_cells(block, inner))
+        sep = "," + inner
+    yield "[]" if sep[0] == "[" else pad + "]"
+
+
+def _print(chunks: Iterable[str]) -> None:
+    """Print ``chunks`` as one text and a newline, writing each as it comes;
+    when the reader has closed stdout, drop the rest quietly.
 
     The rest of the output then goes to the null device, so the flush at
     interpreter exit cannot raise either, and the command ends with its own
     exit code.
     """
     try:
-        print(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+        sys.stdout.write("\n")
         sys.stdout.flush()
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
@@ -124,7 +142,7 @@ def _print(text: str) -> None:
 
 
 def _emit(data: dict, text: str | None, as_text: bool) -> None:
-    _print(text if as_text and text is not None else _dumps(data))
+    _print([text if as_text and text is not None else _dumps(data)])
 
 
 def _read_bytes(path: str) -> bytes:
@@ -326,14 +344,20 @@ def cmd_tour_family(args: argparse.Namespace) -> int:
         raise UsageError("--limit must be >= 0")
     census = family.census()
     _check_printable(census, f"census of family {name} for n={args.n}")
-    pairs = list(itertools.islice(family, args.limit))
-    data = {
-        "spec": family.spec.to_json_dict(),
-        "census": census,
-        "emitted": len(pairs),
-        "solutions": [p.to_json_dict() for p in pairs],
-    }
-    _emit(data, f"census={census} emitted={len(pairs)}", args.text)
+    emitted = census if args.limit is None else min(census, args.limit)
+    pairs = itertools.islice(family, emitted)
+    if args.text:
+        for _ in pairs:  # each pair is still generated and certified
+            pass
+        _print([f"census={census} emitted={emitted}"])
+        return PASS
+    # the solutions stream between the other keys, as _dumps would place them
+    data = {"spec": family.spec.to_json_dict(), "census": census, "emitted": emitted,
+            "solutions": []}
+    head, tail = _dumps(data).split('"solutions": []', 1)
+    _print(itertools.chain([head + '"solutions": '],
+                           _list_text(map(knight.OrientationPair.to_json_dict, pairs), "\n  "),
+                           [tail]))
     return PASS
 
 
@@ -562,7 +586,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     _write(outdir / "summary.json", dumped + "\n")
     line = (f"solutions={len(sols)} classes={classification.class_count} "
             f"all_passed={all_pass}")
-    _print(line if args.text else dumped)
+    _print([line if args.text else dumped])
     return PASS if all_pass else FAIL
 
 

@@ -6,30 +6,36 @@ isomorphism sigma satisfies sigma∘rho = rho'∘sigma on every oriented edge
 
 For the translation-regular embeddings built here every question reduces to
 roots.  Translations are automorphisms, so any isomorphism composes with one
-to a map fixing 0.  A root is a neighbor c of 0 with a direction rho, one of
-rho0 and rho0^{-1}: 2 * degree roots in all.  Its labelling numbers 0, then
-the rotation at 0 walked from c, then the vertices still unnumbered on the
-rotation at c walked from 0.  A map fixing 0 sends each root of e1 to a root
-of e2 and carries the one labelling onto the other, so it is the composite
-of the two labellings.
+to a map fixing 0.  A root (c, rho) is a neighbor c of 0 with a direction
+rho, one of rho0 and rho0^{-1}: 2 * degree roots in all.  Its labelling
+lambda numbers 0 as 0, the vertices met walking the rotation at 0 from c as
+1, ..., degree, and then those not yet numbered met walking the rotation at
+c from 0.  The first walk numbers the connection set Z_v \\ J; the rest,
+J \\ {0}, misses c + J and so lies among the neighbors of c.  The root's
+row 1 is the rotation at c read from 0, in labels.
 
-:func:`canonical_code` writes the rotation system in the labels of each root,
-one row per vertex, and keeps the least.  Its row 1, the rotation at c read
-from 0, is picked column by column over the roots still tied, and is an
-isomorphism invariant on its own: a map fixing 0 sends roots to roots and
-keeps every row.  So every isomorphism fixing 0 carries a root tied on row 1
-onto a root tied on row 1, and the composites of their labellings, each
-checked by :func:`verify_map` on all oriented edges, are exactly the
-isomorphisms fixing 0 (:func:`find_isomorphism`) and, from an embedding to
-itself, its stabilizer Aut_0 (:func:`stabilizer`).  :func:`classify` buckets
-a family by row 1 and certifies each bucket as one class the same way; only
-a bucket that holds a second class is split by full codes.
+Why the least row 1 is an invariant.  A map sigma fixing 0 from e1 onto e2
+sends the root (c, rho) of e1 to the root (sigma(c), rho') of e2, where rho'
+turns the same way as rho when sigma preserves orientation and the other way
+when it reverses it.  It carries both walks of the first root onto those of
+the second, so lambda' ∘ sigma = lambda and both roots read the same row 1.
+So isomorphic embeddings have the same rows 1 and the same least one.
+
+Why the roots tied on it give every isomorphism fixing 0.  By the same
+argument sigma sends a root of e1 tied on the least row 1 onto a root of e2
+tied on it, and lambda' ∘ sigma = lambda makes sigma the composite
+lambda'^{-1} ∘ lambda of their labellings.  The composites from one tied
+root of e1 onto each tied root of e2, each checked by :func:`verify_map` on
+all oriented edges, are thus exactly the isomorphisms fixing 0
+(:func:`find_isomorphism`) and, from an embedding to itself, its stabilizer
+Aut_0 (:func:`stabilizer`).  :func:`classify` buckets a family by the least
+row 1 and splits each bucket the same way: the members certified onto the
+representative form its class, and the rest are certified onto the next.
 """
 
 from __future__ import annotations
 
-from array import array
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .embedding import CombinatorialEmbedding
 from .validation import cycle_from
@@ -122,13 +128,6 @@ class _Screen(NamedTuple):
     roots: tuple[_Root, ...]
 
 
-class _CanonicalForm(NamedTuple):
-    """The canonical code and the roots that attain it: one orbit of Aut_0."""
-
-    code: bytes
-    roots: tuple[_Root, ...]
-
-
 def _directions(emb: CombinatorialEmbedding) -> tuple[list[int], list[int]]:
     """The cycle of rho0 from the first difference, and of rho0^{-1}."""
     cyc = cycle_from(emb.rho0, emb.connection[0])
@@ -137,6 +136,12 @@ def _directions(emb: CombinatorialEmbedding) -> tuple[list[int], list[int]]:
 
 def _screen(emb: CombinatorialEmbedding) -> _Screen:
     """The least row 1, the rotation at c read from 0, and its tied roots.
+
+    An isomorphism sigma fixing 0 sends each root to one that reads the same
+    row 1 (lambda' ∘ sigma = lambda; see the module docstring), so the least
+    row is an isomorphism invariant and sigma carries the tied roots onto the
+    tied roots: from one of them, the composites onto them give every
+    isomorphism fixing 0.
 
     Row 1 is picked column by column: entry i is computed only for the roots
     still tied after entries 0..i-1.  It is read from positions on the cycle
@@ -183,77 +188,6 @@ def _screen(emb: CombinatorialEmbedding) -> _Screen:
         inv = (0, *twice[pc:pc + deg], *subgroup[1:])
         roots.append(_Root(bool(reverses), tuple(lam), inv))
     return _Screen(tuple(row), tuple(roots))
-
-
-def _canonical_form(emb: CombinatorialEmbedding) -> _CanonicalForm:
-    """The least root code, built row by row, and the roots that attain it.
-
-    Rows 0 and 1 come from :func:`_screen`.  Row a is the rotation at the
-    vertex labelled a, from its least label; a root leaves at its first row
-    above the least one.
-    """
-    v, deg = emb.v, emb.degree()
-    screen = _screen(emb)
-    cycles = _directions(emb)
-    alive = [(root, cycles[root.reverses], root.lam + root.lam) for root in screen.roots]
-    code = [*range(1, deg + 1), *screen.row]
-    for a in range(2, v):
-        rows = []
-        for root, cycle, lam2 in alive:
-            x = root.inv[a]
-            labels = [lam2[x + d] for d in cycle]
-            m = labels.index(min(labels))
-            rows.append(labels[m:] + labels[:m])
-        low = min(rows)
-        alive = [root for root, row in zip(alive, rows) if row == low]
-        code += low
-    return _CanonicalForm(array("i", code).tobytes(),
-                          tuple(root for root, _, _ in alive))
-
-
-def canonical_code(emb: CombinatorialEmbedding) -> bytes:
-    """A code that is equal for two embeddings exactly when they are isomorphic.
-
-    A root (c, rho) is a neighbor c of 0 and rho one of rho0 and rho0^{-1}.
-    Its labelling lambda numbers 0 as 0, the vertices met walking the
-    rotation at 0 from c as 1, ..., degree, and then those not yet numbered
-    met walking the rotation at c from 0.  The first walk numbers the
-    connection set Z_v \\ J; the rest, J \\ {0}, misses c + J and so lies
-    among the neighbors of c.  The root's code has one row per label a: the
-    rotation at lambda^{-1}(a) in the direction rho, in labels, written as a
-    cycle from its least label.  Row 0 is 1, ..., degree for every root, and
-    row 1 is the rotation at c from 0.  The embedding's code is the least
-    root code, rows compared in order, written as int32 bytes.
-
-    It is built row by row.  Row 1 is picked column by column over the
-    roots still tied, and is read straight from the positions of the
-    vertices on the cycle of rho, without a labelling: y outside J has label
-    (pos[y] - pos[c]) % degree + 1, and the vertices of J, whose fresh labels
-    exceed degree and follow the order of the row, compare as degree + 1.
-    Only the roots that tie on row 1 get a labelling, and each later row is
-    computed for the roots still tied, dropping those whose row is above the
-    least.  Isomorphism tests and :func:`classify` stop at row 1; the whole
-    code splits a :func:`classify` bucket that holds two classes.
-
-    Why equal codes mean isomorphic.  A map sigma fixing 0 from e1 onto e2
-    sends the root (c, rho) of e1 to the root (sigma(c), rho') of e2, where
-    rho' turns the same way as rho when sigma preserves orientation and the
-    other way when it reverses it.  It carries both walks of the first root
-    onto those of the second, so lambda' ∘ sigma = lambda and the two codes
-    agree.  Isomorphic embeddings thus have the same root codes and the same
-    least one.  Conversely a code lists the rotation at every vertex, so if a
-    root of e1 and a root of e2 give equal codes then lambda'^{-1} ∘ lambda
-    carries each rotation of e1 onto the matching rotation of e2: it is an
-    isomorphism, preserving when rho and rho' turn the same way.
-
-    Why the tied roots are one orbit of Aut_0.  Taking e1 = e2, the roots
-    whose code is the least are mapped onto one another by the maps
-    lambda_s^{-1} ∘ lambda_r, which are automorphisms fixing 0; an
-    automorphism fixing 0 maps a least root to a root with the same code.
-    An automorphism fixing 0 is determined by the root it sends a given root
-    to, so |Aut_0| is the number of tied roots.
-    """
-    return _canonical_form(emb).code
 
 
 def _isomorphisms(
@@ -328,13 +262,10 @@ class StabilizerGroup(NamedTuple):
         return sum(1 for m in self.elements if m.kind == PRESERVING)
 
 
-
 def stabilizer(emb: CombinatorialEmbedding) -> StabilizerGroup:
-    """The vertex-0 stabilizer: one automorphism per root tied for the code.
-
-    Taken from the roots tied on row 1, listed in :func:`find_isomorphism`'s
-    order, each certified by :func:`verify_map`.
-    """
+    """The vertex-0 stabilizer Aut_0: of the maps from one root tied on row 1
+    onto each, those :func:`verify_map` certifies, in :func:`find_isomorphism`'s
+    order."""
     return StabilizerGroup(all_isomorphisms_fixing_zero(emb, emb), emb.degree())
 
 
@@ -384,42 +315,46 @@ class ClassificationResult(NamedTuple):
 
 
 class ClassificationError(RuntimeError):
-    """A class above its provable cap, or a member with no witness."""
+    """A class above its provable cap."""
 
 
 def _class(
     embeddings: Sequence[CombinatorialEmbedding],
-    group: Sequence[int],
-    roots: Mapping[int, Sequence[_Root]],
-) -> IsomorphismClass:
-    """``group`` as one class, each member certified onto the representative.
+    bucket: Sequence[int],
+    screens: Sequence[_Screen],
+) -> tuple[IsomorphismClass, list[int]]:
+    """The class of the member with the least rotation table, and the rest.
 
-    The representative is the member with the least rotation table; its
-    Aut_0 and each member's witness come from its ``roots``.
-    Raises ClassificationError when the group is above its cap or a member
-    has no isomorphism onto the representative.
+    Each member's witness is its first map onto the representative from the
+    roots tied on row 1, the one :func:`find_isomorphism` would return; a
+    member without one is left over.  Both keep the order of ``bucket``.
+    Raises ClassificationError when the class is above its cap.
     """
-    rep = min(group, key=lambda i: embeddings[i].rho0)
-    emb, tied = embeddings[rep], roots[rep]
+    rep = min(bucket, key=lambda i: embeddings[i].rho0)
+    emb, tied = embeddings[rep], screens[rep].roots
     deg = emb.degree()
     aut0 = tuple(_isomorphisms(emb, tied[0], emb, tied))
-    cap = min(2 * len(aut0) * deg, 2 * deg * deg)
-    if len(group) > cap:
+    if not aut0:
         raise ClassificationError(
-            f"class of representative {rep} has {len(group)} members, above "
+            f"representative {rep} has no certified automorphism, so its class "
+            "is above the provable cap 0: classification logic is broken"
+        )
+    cap = min(2 * len(aut0) * deg, 2 * deg * deg)
+    members, wit, rest = [], [], []
+    for i in bucket:
+        found = aut0[0] if i == rep else next(
+            _isomorphisms(embeddings[i], screens[i].roots[0], emb, tied), None)
+        if found is None:
+            rest.append(i)
+        else:
+            members.append(i)
+            wit.append(found)
+    if len(members) > cap:
+        raise ClassificationError(
+            f"class of representative {rep} has {len(members)} members, above "
             f"the provable cap {cap}: classification logic is broken"
         )
-    wit = []
-    for i in group:
-        found = aut0[0] if i == rep else next(
-            _isomorphisms(embeddings[i], roots[i][0], emb, tied), None)
-        if found is None:
-            raise ClassificationError(
-                f"embedding {i} shares a canonical code with {rep} but no "
-                "isomorphism was found: classification logic is broken"
-            )
-        wit.append(found)
-    return IsomorphismClass(rep, tuple(group), tuple(wit), cap)
+    return IsomorphismClass(rep, tuple(members), tuple(wit), cap), rest
 
 
 def classify(embeddings: Sequence[CombinatorialEmbedding]) -> ClassificationResult:
@@ -431,21 +366,18 @@ def classify(embeddings: Sequence[CombinatorialEmbedding]) -> ClassificationResu
     the lexicographically least serialized rotation map, so representatives
     do not depend on the input order.
 
-    Embeddings are bucketed by their least row 1 (see
-    :func:`canonical_code`), an isomorphism invariant, in input order.  A bucket is one class when every
-    member maps onto its least member through the roots tied on row 1: a map
-    fixing 0 sends roots to roots and keeps every row, so these roots give
-    every isomorphism fixing 0 and :func:`verify_map` rejects the rest.  The
-    representative's maps are Aut_0(rep), and each member's witness is the
-    one :func:`find_isomorphism` would return.  A bucket holding a second
-    class is split by :func:`canonical_code`, and each code is one class,
-    certified the same way from the roots tied on the whole code; a member
-    without a witness there means the code is broken and aborts.  Every
-    class size is checked against min(2*|Aut_0(rep)|*degree, 2*degree^2),
-    where 2*degree^2 (4*degree^2 in general) holds because the translations
-    preserve the orientation of every embedding here: its rotation is the
-    same table at each vertex.  Exceeding the cap indicates a logic error
-    and aborts.
+    Embeddings are bucketed by their least row 1, an isomorphism invariant
+    (see the module docstring), in input order.  A bucket is split by
+    certification alone: the members that map onto its least member through
+    the roots tied on row 1 are one class, since these roots give every
+    isomorphism fixing 0 and :func:`verify_map` rejects the rest; the members
+    left over are split the same way.  The representative's maps are
+    Aut_0(rep), and each member's witness is the one :func:`find_isomorphism`
+    would return.  Every class size is checked against
+    min(2*|Aut_0(rep)|*degree, 2*degree^2), where 2*degree^2 (4*degree^2 in
+    general) holds because the translations preserve the orientation of every
+    embedding here: its rotation is the same table at each vertex.  Exceeding
+    the cap, or an empty Aut_0(rep), indicates a logic error and aborts.
     """
     if not embeddings:
         return ClassificationResult(0, ())
@@ -462,17 +394,8 @@ def classify(embeddings: Sequence[CombinatorialEmbedding]) -> ClassificationResu
 
     classes = []
     for bucket in buckets.values():
-        try:
-            classes.append(_class(embeddings, bucket,
-                                  {i: screens[i].roots for i in bucket}))
-        except ClassificationError:
-            # more than one class, or a fault the full codes show again
-            forms = {i: _canonical_form(embeddings[i]) for i in bucket}
-            groups: dict[bytes, list[int]] = {}
-            for i in bucket:
-                groups.setdefault(forms[i].code, []).append(i)
-            roots = {i: form.roots for i, form in forms.items()}
-            classes += (_class(embeddings, group, roots) for group in groups.values())
+        while bucket:
+            cls, bucket = _class(embeddings, bucket, screens)
+            classes.append(cls)
     classes.sort(key=lambda c: c.members[0])
     return ClassificationResult(len(embeddings), tuple(classes))
-

@@ -2,12 +2,14 @@
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+import shlex
 import tracemalloc
 from pathlib import Path
 
@@ -16,7 +18,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import heffter
-from heffter.cli import COMMANDS, _dumps, build_parser, main
+from heffter import knight
+from heffter.cli import COMMANDS, _dumps, _list_text, build_parser, main
 
 from conftest import fixture_path
 
@@ -143,6 +146,38 @@ class TestEnumAndFamilies:
         assert code == 0
         assert data["census"] == 124 and data["emitted"] == 0
         assert data["solutions"] == []
+
+    @pytest.mark.parametrize("limit", [None, 0, 1, 5])
+    def test_family_streams_the_bytes_of_dumps(self, capsys, limit):
+        # 8188 pairs, more than one chunk of the listing
+        argv = ["tour-family", "--family", "3diag", "--n", "21"]
+        code, out = run(capsys, *argv, *([] if limit is None else ["--limit", str(limit)]))
+        family = knight.build_family("ThreeDiag", n=21)
+        assert family.census() == 8188
+        pairs = list(itertools.islice(family, limit))
+        data = {"spec": family.spec.to_json_dict(), "census": family.census(),
+                "emitted": len(pairs), "solutions": [p.to_json_dict() for p in pairs]}
+        assert code == 0 and out == _dumps(data) + "\n"
+
+    def test_family_text_counts_without_listing(self, capsys):
+        assert run(capsys, "tour-family", "--family", "3diag", "--n", "9", "--text") == \
+            (0, "census=124 emitted=124\n")
+        assert run(capsys, "tour-family", "--family", "3diag", "--n", "9", "--text",
+                   "--limit", "200") == (0, "census=124 emitted=124\n")
+
+    def test_family_prints_in_bounded_memory(self):
+        # 65532 pairs, 56 MB of JSON: the whole text would take several times that
+        src = str(Path(heffter.__file__).resolve().parent.parent)
+        script = ("import resource, sys\n"
+                  "from heffter.cli import main\n"
+                  "code = main(['tour-family', '--family', '3diag', '--n', '27'])\n"
+                  "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+                  "print(code, peak, file=sys.stderr)\n")
+        proc = subprocess.run([sys.executable, "-c", script], stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+        code, peak_kb = map(int, proc.stderr.split())
+        assert code == 0 and peak_kb < 100 * 1024
 
     def test_family_missing_param(self, capsys):
         assert main(["tour-family", "--family", "power2", "--n", "21"]) == 2
@@ -625,6 +660,7 @@ def test_huge_exact_value_is_refused_with_the_digit_limit_off():
     # reader goes away
     ("faces --array {array} --solution {tmp}/sol.json --all", 16),  # 900 KB
     ("pipeline --search 5,5,3,3,1,cyclic --out {tmp}/run", 16),  # 248 KB, after its files
+    ("tour-family --family 3diag --n 17", 16),  # 1.1 MB, written as it is generated
     # gone before the first write: with buffering, print only fills the
     # buffer and the flush fails
     ("verify {array}", 0),
@@ -663,6 +699,26 @@ def test_huge_family_census_is_refused_before_building(capsys):
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert peak < 100 * 2 ** 20
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    # each line of README's CLI block, in order, from a fresh directory
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    data = f"{fixture_path('h9_11_9.arr').parent}/"
+    monkeypatch.chdir(tmp_path)
+    ran = []
+    for line in block.splitlines():
+        argv = shlex.split(line.replace("src/heffter/data/", data))
+        if argv[0] == "echo":
+            assert argv[2:] == [">", "sol.json"]
+            (tmp_path / "sol.json").write_text(argv[1] + "\n")
+        else:
+            assert argv[0] == "heffter"
+            assert main(argv[1:]) == 0, line
+            ran.append(argv[1])
+    capsys.readouterr()
+    assert len(ran) == 12 and "pipeline" in ran and "classify" in ran
 
 
 class TestTextOutput:
@@ -855,6 +911,12 @@ class TestJsonEncoding:
     def test_dumps_writes_records_as_json(self, records):
         for value in (records, {"listed": records}):
             assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_record_lists, st.integers(1, 3))
+    def test_list_text_joins_to_dumps(self, records, chunk):
+        for pad in ("\n", "\n  "):
+            assert "".join(_list_text(records, pad, chunk)) == _dumps(records, pad)
 
     @pytest.mark.parametrize("value", [{1, 2}, object(), [1, {2}], {"a": object()}])
     def test_dumps_rejects_what_json_rejects(self, value):

@@ -1,7 +1,8 @@
 """Isomorphism testing, stabilizers, classification, distinctness certification."""
 
+import itertools
 import random
-from array import array
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -13,7 +14,6 @@ from heffter.iso import (
     REVERSING,
     EmbeddingMap,
     all_isomorphisms_fixing_zero,
-    canonical_code,
     classify,
     find_isomorphism,
     stabilizer,
@@ -232,7 +232,6 @@ class TestAgainstPropagation:
         for emb in (build_embedding(ex_array, *ex_pair), z21_family[0]):
             assert emb.t > 1
             for other in (unit_relabeling(emb, 2), mirror(unit_relabeling(emb, 5))):
-                assert canonical_code(other) == canonical_code(emb)
                 self.assert_maps_match(other, emb)
 
     def test_reflexible_rotation(self):
@@ -252,9 +251,7 @@ class TestAgainstPropagation:
         for v, t in ((9, 3), (12, 2), (13, 1)):
             family = random_cayley_maps(v, t, 12, seed=v)
             for emb in family:
-                tied = len(iso._canonical_form(emb).roots)
                 assert stabilizer(emb).elements == reference_isomorphisms(emb, emb)
-                assert tied == len(stabilizer(emb).elements)
                 for other in (unit_relabeling(emb, 5), mirror(emb)):
                     assert self.assert_maps_match(other, emb)
             for a in family:
@@ -270,7 +267,7 @@ class TestAgainstPropagation:
                                              z21_family):
         sizes = {}
         for emb in k31_family + z19_family + z21_family:
-            tied = len(iso._canonical_form(emb).roots)
+            tied = len(stabilizer(emb).elements)
             assert tied == len(reference_isomorphisms(emb, emb))
             sizes.setdefault(emb.v, set()).add(tied)
         assert sizes == {31: {1}, 19: {1, 3}, 21: {1, 3}}
@@ -404,44 +401,58 @@ class TestFindIsomorphism:
                 assert (found is not None) == bool(sweep)
 
 
+def reference_rows_one(emb) -> dict:
+    """Oracle: row 1 of each of the 2 * degree roots, keyed (reverses, lambda).
+
+    The labelling of the root (c, rho) numbers 0, then the vertices met
+    walking the rotation at 0 from c, then those not yet numbered met walking
+    the rotation at c from 0; row 1 is that second walk in labels.
+    """
+    v, deg = emb.v, emb.degree()
+    rows = {}
+    for reverses, rho in ((False, emb.rho0), (True, mirror(emb).rho0)):
+        for c in emb.connection:
+            lam = [-1] * v
+            lam[0] = 0
+            d = c
+            for label in range(1, deg + 1):
+                lam[d] = label
+                d = rho[d]
+            fresh = deg + 1
+            walk, d = [], (-c) % v
+            for _ in range(deg):
+                y = (c + d) % v
+                if lam[y] < 0:
+                    lam[y], fresh = fresh, fresh + 1
+                walk.append(y)
+                d = rho[d]
+            assert -1 not in lam and fresh == v
+            rows[reverses, tuple(lam)] = tuple(lam[y] for y in walk)
+    return rows
+
+
 class TestScreen:
     def test_row_one_and_tied_roots(self, k31_family, z21_family):
-        # one of these random rotations ties two roots on row 1 that a later
-        # row separates
-        family = k31_family[:4] + z21_family[:4] + random_cayley_maps(12, 2, 12, seed=12)
-        wider = 0
+        # some random rotations tie several roots on row 1
+        family = (k31_family[:4] + z21_family[:4] + random_cayley_maps(12, 2, 12, seed=12)
+                  + random_cayley_maps(13, 1, 12, seed=13))
+        several = 0
         for emb in family + [mirror(e) for e in family]:
-            deg = emb.degree()
-            screen, form = iso._screen(emb), iso._canonical_form(emb)
-            code = array("i")
-            code.frombytes(form.code)
-            assert list(code[:deg]) == list(range(1, deg + 1))
-            assert screen.row == tuple(code[deg:2 * deg])
-            assert set(form.roots) <= set(screen.roots)
-            wider += len(screen.roots) > len(form.roots)
-        assert wider > 0
+            rows = reference_rows_one(emb)
+            least = min(rows.values())
+            screen = iso._screen(emb)
+            assert screen.row == least
+            assert {(r.reverses, r.lam) for r in screen.roots} == \
+                {root for root, row in rows.items() if row == least}
+            assert len(screen.roots) == len({r.lam for r in screen.roots})
+            several += len(screen.roots) > 1
+        assert several > 0
 
     def test_labellings_are_inverse_bijections(self, k19, z21_family):
         for emb in (k19, z21_family[0], random_cayley_maps(12, 2, 1, seed=1)[0]):
             for root in iso._screen(emb).roots:
                 assert sorted(root.lam) == list(range(emb.v))
                 assert all(root.inv[a] == x for x, a in enumerate(root.lam))
-
-
-class TestCanonicalCode:
-    def test_invariant_under_unit_relabeling(self, k19):
-        code = canonical_code(k19)
-        for u in (2, 3, 7):
-            assert canonical_code(unit_relabeling(k19, u)) == code
-
-    def test_invariant_under_mirroring(self, k19, k31_family):
-        for emb in (k19, k31_family[0]):
-            assert canonical_code(mirror(emb)) == canonical_code(emb)
-
-    def test_differs_on_non_isomorphic_pair(self, k31_family):
-        a, b = k31_family[0], k31_family[1]
-        assert find_isomorphism(a, b) is None
-        assert canonical_code(a) != canonical_code(b)
 
 
 class TestStabilizer:
@@ -579,35 +590,42 @@ class TestClassify:
         assert max(c.size for c in result.classes) > 1
         assert result.to_json_dict() == pairwise_classify(family)
 
-    def test_shared_code_without_witness_aborts(self, k31_family, monkeypatch):
-        # two non-isomorphic embeddings given one row 1 and one code, each
-        # keeping its roots: the bucket splits, and the code group aborts
-        screen, form = iso._screen, iso._canonical_form
-        monkeypatch.setattr(iso, "_screen", lambda emb: screen(emb)._replace(row=()))
-        monkeypatch.setattr(iso, "_canonical_form",
-                            lambda emb: form(emb)._replace(code=b""))
-        with pytest.raises(RuntimeError, match="no isomorphism"):
-            classify(k31_family[:2])
-
-    def test_bucket_with_two_classes_is_split_by_code(self, k31_family,
-                                                       z19_family, monkeypatch):
+    def test_bucket_with_two_classes_is_split_by_certification(self, k31_family,
+                                                               z19_family, monkeypatch):
         # one row 1 for every embedding: each bucket holds several classes,
-        # and the split by full codes certifies the same classes
+        # and one round of certification per class splits them the same way
         a, b = k31_family[:2]
         assert find_isomorphism(a, b) is None
         families = ([a, b], z19_family)
         expected = [classify(f).to_json_dict() for f in families]
-        screen, form = iso._screen, iso._canonical_form
-        coded = []
+        screen, one_class = iso._screen, iso._class
+        rounds = []
         monkeypatch.setattr(iso, "_screen", lambda emb: screen(emb)._replace(row=()))
-        monkeypatch.setattr(iso, "_canonical_form",
-                            lambda emb: coded.append(emb) or form(emb))
+        monkeypatch.setattr(iso, "_class",
+                            lambda *args: rounds.append(args[1]) or one_class(*args))
         for family, want in zip(families, expected):
-            coded.clear()
+            rounds.clear()
             result = classify(family)
-            assert len(coded) == len(family)
             assert result.to_json_dict() == want
+            assert len(rounds) == want["class_count"]
+            assert rounds[0] == list(range(len(family)))
         assert expected[0]["class_count"] == 2
+
+    def test_buckets_holding_several_classes(self):
+        # every Cayley map of Z_7 and of Z_8 with t = 2: some least rows 1
+        # are shared by non-isomorphic maps
+        for v, t, shared in ((7, 1, 2), (8, 2, 4)):
+            connection = [d for d in range(v) if d % (v // t)]
+            family = [cayley_map(v, t, [connection[0], *rest])
+                      for rest in itertools.permutations(connection[1:])]
+            assert len(family) == 120
+            result = classify(family)
+            assert result.to_json_dict() == pairwise_classify(family)
+            row = [iso._screen(emb).row for emb in family]
+            rows_of_classes = [{row[i] for i in c.members} for c in result.classes]
+            assert all(len(rows) == 1 for rows in rows_of_classes)
+            classes_per_row = Counter(rows.pop() for rows in rows_of_classes)
+            assert sum(n > 1 for n in classes_per_row.values()) == shared
 
     def test_rejected_stabilizer_maps_abort(self, k31_family, monkeypatch):
         # with every derived map refused, no class fits under its cap
