@@ -342,8 +342,12 @@ def cmd_tour_family(args: argparse.Namespace) -> int:
         raise UsageError(str(exc)) from None
     if args.limit is not None and args.limit < 0:
         raise UsageError("--limit must be >= 0")
-    census = family.census()
-    _check_printable(census, f"census of family {name} for n={args.n}")
+    what = f"census of family {name} for n={args.n}"
+    try:
+        census = family.census()
+    except ValueError:  # bounds.TooLargeError, raised before the census is computed
+        raise UsageError(f"{what} is too large to print") from None
+    _check_printable(census, what)
     emitted = census if args.limit is None else min(census, args.limit)
     pairs = itertools.islice(family, emitted)
     if args.text:
@@ -549,7 +553,10 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     if not sols:
         raise MathFailure("no tour solutions")
 
-    embs = embedding.build_embeddings(array, [(p.rows, p.cols) for p in sols])
+    try:
+        embs = embedding.build_embeddings(array, [(p.rows, p.cols) for p in sols])
+    except ValueError as exc:  # a fold > 1 array
+        raise MathFailure(str(exc)) from None
     # line i is embedding i
     _write_lines(outdir / "embeddings.jsonl",
                  (json.dumps(e.to_json_dict(), sort_keys=True) + "\n" for e in embs))

@@ -1,100 +1,69 @@
 """Hot integer loops: tour stepping and orientation scans.
 
 The loops are plain Python over tuples of ints and serial, so output order
-never depends on scheduling.  The kernels take and return an orientation pair
-as its two ±1 direction vectors, rows then columns, the form the whole
-library uses; the scan holds them as bit masks inside.
-Cell ids and line indices are 0-based; the public modules translate to and
-from 1-based grid positions.
+never depends on scheduling.  The kernels take a :class:`Skeleton`, its
+1-based cells and an orientation pair as its two ±1 direction vectors, rows
+then columns, the form the whole library uses; the scan holds the vectors as
+bit masks inside.  Both step through one cached table of each filled cell's
+neighbours along its row and its column.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from functools import lru_cache
+from typing import Sequence
 
+from .pfarray import Skeleton
 from .validation import BudgetExceededError
 
 
-# -- scan tables -----------------------------------------------------------------
-
-
-class ScanTables(NamedTuple):
-    """Per-cell successor lookup tables for a fixed skeleton.
-
-    ``row_next[c]``/``row_prev[c]`` give the cell id of the next filled cell in
-    c's row scanning right/left (cyclically; a single-cell line wraps to
-    itself), ``col_next``/``col_prev`` the same along columns.  ``rows`` and
-    ``cols`` are 0-based coordinates per cell id; ids are row-major.
-    """
-
-    m: int
-    n: int
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
-    row_next: tuple[int, ...]
-    row_prev: tuple[int, ...]
-    col_next: tuple[int, ...]
-    col_prev: tuple[int, ...]
-    index: dict  # (row, col) 0-based -> cell id
-
-    @property
-    def ncells(self) -> int:
-        return len(self.rows)
-
-
-def build_scan_tables(m: int, n: int, filled: list[tuple[int, int]]) -> ScanTables:
-    """Build :class:`ScanTables` from 0-based filled positions (row-major sorted)."""
-    cells = sorted(filled)
+@lru_cache(maxsize=128)
+def _neighbours(skel: Skeleton) -> tuple[tuple, ...]:
+    """The filled cells in row-major order, then four tables over their
+    places x in it: the place of the next filled cell after cell x along its
+    row (to the right), the previous one, the next along its column
+    (downwards), and the previous one.  Lines wrap cyclically, and a line
+    with one cell wraps to itself."""
+    cells = skel.positions()
     if not cells:
         raise ValueError("empty skeleton")
-    idx = {pos: c for c, pos in enumerate(cells)}
-    rows, cols = zip(*cells)
     row_next, row_prev, col_next, col_prev = ([0] * len(cells) for _ in range(4))
-
     by_row: dict[int, list[int]] = {}
     by_col: dict[int, list[int]] = {}
-    for (i, j) in cells:
-        by_row.setdefault(i, []).append(j)
-        by_col.setdefault(j, []).append(i)
-    for i, js in by_row.items():
-        L = len(js)
-        for a, j in enumerate(js):
-            row_next[idx[(i, j)]] = idx[(i, js[(a + 1) % L])]
-            row_prev[idx[(i, j)]] = idx[(i, js[(a - 1) % L])]
-    for j, is_ in by_col.items():
-        L = len(is_)
-        for a, i in enumerate(is_):
-            col_next[idx[(i, j)]] = idx[(is_[(a + 1) % L], j)]
-            col_prev[idx[(i, j)]] = idx[(is_[(a - 1) % L], j)]
-    return ScanTables(m, n, rows, cols, tuple(row_next), tuple(row_prev),
-                      tuple(col_next), tuple(col_prev), idx)
-
-
-# -- kernels ----------------------------------------------------------------------
+    for x, (i, j) in enumerate(cells):
+        by_row.setdefault(i, []).append(x)
+        by_col.setdefault(j, []).append(x)
+    for lines, nxt, prev in ((by_row, row_next, row_prev), (by_col, col_next, col_prev)):
+        for line in lines.values():
+            for a, x in enumerate(line):
+                nxt[x] = line[(a + 1) % len(line)]
+                prev[x] = line[a - 1]
+    return cells, tuple(row_next), tuple(row_prev), tuple(col_next), tuple(col_prev)
 
 
 def tour_orbit(
-    t: ScanTables, rows_dir: Sequence[int], cols_dir: Sequence[int], start: int
-) -> list[int]:
-    """Cell ids of the successor orbit from ``start``, in visiting order.
+    skel: Skeleton, rows_dir: Sequence[int], cols_dir: Sequence[int], start: tuple[int, int]
+) -> list[tuple[int, int]]:
+    """The cells of the successor orbit from the filled cell ``start``, in visiting order.
 
-    ``rows_dir[i]`` is +1 when row i scans left-to-right and -1 when it scans
-    right-to-left; ``cols_dir[j]`` is +1 top-to-bottom and -1 bottom-to-top.
+    ``rows_dir[i - 1]`` is +1 when row i scans left-to-right and -1 when it
+    scans right-to-left; ``cols_dir[j - 1]`` is +1 top-to-bottom and -1
+    bottom-to-top.
     """
-    rows, cols = t.rows, t.cols
-    row_next, row_prev, col_next, col_prev = t.row_next, t.row_prev, t.col_next, t.col_prev
+    cells, row_next, row_prev, col_next, col_prev = _neighbours(skel)
     orbit = []
-    cur = start
+    first = cur = cells.index(start)
     while True:
-        orbit.append(cur)
-        mid = row_prev[cur] if rows_dir[rows[cur]] < 0 else row_next[cur]
-        cur = col_prev[mid] if cols_dir[cols[mid]] < 0 else col_next[mid]
-        if cur == start:
+        cell = cells[cur]
+        orbit.append(cell)
+        mid = row_prev[cur] if rows_dir[cell[0] - 1] < 0 else row_next[cur]
+        cur = col_prev[mid] if cols_dir[cells[mid][1] - 1] < 0 else col_next[mid]
+        if cur == first:
             return orbit
 
 
 def scan_orientations(
-    t: ScanTables, trivial_rows: bool, budget: int
+    skel: Skeleton, trivial_rows: bool, budget: int
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The direction-vector pairs (R, C) whose tour covers every cell.
 
@@ -124,10 +93,10 @@ def scan_orientations(
     raises once it has traced more than ``budget`` pairs.  Both raise
     :class:`BudgetExceededError`.
     """
-    m, n = t.m, t.n
-    symmetric = m == n and all(
-        ((i + 1) % n, (j + 1) % n) in t.index for i, j in zip(t.rows, t.cols)
-    )
+    cells, row_next, row_prev, col_next, col_prev = _neighbours(skel)
+    m, n, filled = skel
+    ncells = len(cells)
+    symmetric = m == n and all((i % n + 1, j % n + 1) in filled for i, j in filled)
     if symmetric:
         if 1 << n > budget:
             raise BudgetExceededError(
@@ -153,8 +122,6 @@ def scan_orientations(
             out.append(x)
         return out
 
-    rows, cols, ncells = t.rows, t.cols, t.ncells
-    row_next, row_prev, col_next, col_prev = t.row_next, t.row_prev, t.col_next, t.col_prev
     found: set[tuple[int, int]] = set()
     traced = 0
     row_seen = bytearray(1 if trivial_rows else 1 << m)
@@ -168,11 +135,11 @@ def scan_orientations(
         col_seen = bytearray(1 << n) if len(stab) > 1 else None
         # the successor of cell x is fwd[x] or back[x] as bit[x] of the
         # column mask (the column its row move under r lands in) is 0 or 1
-        mids = [row_prev[x] if r >> (m - 1 - rows[x]) & 1 else row_next[x]
-                for x in range(ncells)]
+        mids = [row_prev[x] if r >> (m - i) & 1 else row_next[x]
+                for x, (i, _) in enumerate(cells)]
         fwd = [col_next[x] for x in mids]
         back = [col_prev[x] for x in mids]
-        bit = [1 << (top - cols[x]) for x in mids]
+        bit = [1 << (n - cells[x][1]) for x in mids]
         for c in range(1 << n):
             if col_seen is not None:
                 if col_seen[c]:

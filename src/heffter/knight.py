@@ -7,8 +7,10 @@ next filled cell, landing in column j'; then move within column j', in
 direction C_{j'}, to the next filled cell.  The map is a bijection, so the
 question "does the orbit cover every filled cell?" does not depend on the
 start cell; a covering pair (R, C) is called a solution for the skeleton.
-R and C are held as ±1 vectors everywhere, and the kernels in
-:mod:`heffter.kernels` take them as they are.
+R and C are held as ±1 vectors everywhere.  The walk and the orientation
+scan are in :mod:`heffter.kernels`, which takes the skeleton, its 1-based
+cells and the vectors as they are; this module checks the inputs and wraps
+the results.
 
 Besides direct orbit tracing (the oracle) this module implements two exact
 characterizations of the trivial-R solutions of diagonal-structured square
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property, lru_cache
-from math import comb, gcd
+from math import comb, gcd, log10
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import kernels
@@ -100,13 +102,6 @@ class TourResult(NamedTuple):
 _profile = lru_cache(maxsize=None)(classify_diagonality)
 
 
-@lru_cache(maxsize=128)
-def _tables(skel: Skeleton) -> kernels.ScanTables:
-    return kernels.build_scan_tables(
-        skel.m, skel.n, [(i - 1, j - 1) for (i, j) in skel.filled]
-    )
-
-
 def tour(
     skel: Skeleton,
     rows_dir: Sequence[int],
@@ -122,21 +117,15 @@ def tour(
         start = min(skel.filled)
     if start not in skel.filled:
         raise ValueError(f"start cell {start} is not filled")
-    t = _tables(skel)
-    start_id = t.index[(start[0] - 1, start[1] - 1)]
-    orbit = kernels.tour_orbit(t, rows_dir, cols_dir, start_id)
-    cells = tuple((t.rows[c] + 1, t.cols[c] + 1) for c in orbit)
-    return TourResult(start, cells, len(orbit) == t.ncells, len(orbit))
+    orbit = kernels.tour_orbit(skel, rows_dir, cols_dir, start)
+    return TourResult(start, tuple(orbit), len(orbit) == len(skel.filled), len(orbit))
 
 
 def is_solution(
     skel: Skeleton, rows_dir: Sequence[int], cols_dir: Sequence[int]
 ) -> bool:
     """Does the successor orbit cover every filled cell?  Start-independent."""
-    _check_directions(rows_dir, skel.m, "row")
-    _check_directions(cols_dir, skel.n, "column")
-    t = _tables(skel)
-    return len(kernels.tour_orbit(t, rows_dir, cols_dir, 0)) == t.ncells
+    return tour(skel, rows_dir, cols_dir).covers_all
 
 
 def enumerate_solutions(
@@ -163,7 +152,7 @@ def enumerate_solutions(
     """
     return [
         OrientationPair(rows, cols)
-        for rows, cols in kernels.scan_orientations(_tables(skel), trivial_rows, budget)
+        for rows, cols in kernels.scan_orientations(skel, trivial_rows, budget)
     ]
 
 
@@ -288,12 +277,17 @@ class SolutionFamily:
     cyclically diagonal skeletons, else by the strip criterion.
     """
 
-    def __init__(self, spec: FamilySpec, swap_closed: bool, base_count: int,
+    def __init__(self, spec: FamilySpec, swap_closed: bool, count: Callable[[], int],
                  bases: Callable[[], Iterator[tuple[int, ...]]]) -> None:
         self.spec = spec
         self.swap_closed = swap_closed
-        self.base_count = base_count
+        self._count = count
         self._bases = bases
+
+    @cached_property
+    def base_count(self) -> int:
+        """The number of base sets E, counted on first read."""
+        return self._count()
 
     @cached_property
     def skeleton(self) -> Skeleton:
@@ -332,7 +326,11 @@ class SolutionFamily:
                 yield sw.negated()
 
     def census(self) -> int:
-        """Exact number of pairs the stream yields (all distinct)."""
+        """Exact number of pairs the stream yields (all distinct).
+
+        Raises :class:`bounds.TooLargeError`, before computing it, when a
+        3-diagonal census has more digits than str() prints.
+        """
         return self.base_count * (4 if self.swap_closed else 2)
 
 
@@ -370,7 +368,14 @@ def three_diagonal_family(n: int) -> SolutionFamily:
         "ThreeDiag", n, 3, None, (1, 2, 3),
         {"n_odd": n % 2 == 1, "n_at_least_3": n >= 3},
     )
-    return SolutionFamily(spec, True, (1 << len(odds)) - 1, bases)
+
+    def count() -> int:
+        from .bounds import _check_digits
+
+        _check_digits((len(odds) - 1) * log10(2))  # 2^h - 1 >= 2^(h-1)
+        return (1 << len(odds)) - 1
+
+    return SolutionFamily(spec, True, count, bases)
 
 
 def _congruent_positions(n: int, modulus: int, residue: int) -> tuple[int, ...]:
@@ -399,7 +404,7 @@ def _subset_family(
             yield prefix + combo
 
     spec = FamilySpec(family_id, n, k, r, diagonals, admissibility)
-    return SolutionFamily(spec, swap_closed, comb(len(residues), pick), bases)
+    return SolutionFamily(spec, swap_closed, lambda: comb(len(residues), pick), bases)
 
 
 def power_two_family(n: int, k: int, r: int | None = None) -> SolutionFamily:
@@ -531,7 +536,7 @@ def pairs_family(n: int, k: int, i: int, s1: int) -> SolutionFamily:
         yield from itertools.combinations(range(1, n + 1), 2)
 
     spec = FamilySpec("PairsGeneral", n, k, 2, diagonals, checks)
-    return SolutionFamily(spec, False, comb(n, 2), bases)
+    return SolutionFamily(spec, False, lambda: comb(n, 2), bases)
 
 
 FAMILY_BUILDERS = {

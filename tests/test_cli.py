@@ -525,6 +525,13 @@ class TestSearchBoundsPipeline:
         assert main(["pipeline", "--search", "4,4,3,3,1,cyclic", "--out", str(out)]) == 1
         assert capsys.readouterr().err == "failed: no tour solutions\n"
 
+    def test_pipeline_fold_two_array_exits_one(self, tmp_path, capsys):
+        # the 2 x 5 array passes validation and has tour solutions, but a
+        # fold > 1 array is not embedded: embed and faces fail the same way
+        lambda2 = str(fixture_path("lambda2_2x5.arr"))
+        assert main(["pipeline", "--array", lambda2, "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == "failed: fold > 1 arrays are not embedded\n"
+
     def test_pipeline_classify_dir(self, tmp_path, capsys):
         out = tmp_path / "run"
         run_json(capsys, "pipeline", "--search", "5,5,3,3,1,cyclic",
@@ -699,6 +706,23 @@ def test_huge_family_census_is_refused_before_building(capsys):
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert peak < 100 * 2 ** 20
+
+
+@pytest.mark.parametrize("n", ["99999999999", "2000000001"])
+def test_huge_family_census_is_refused_before_computing(n):
+    # 2^((n+1)/2) would take gigabytes, or 125 MB at n = 2000000001
+    src = str(Path(heffter.__file__).resolve().parent.parent)
+    script = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))\n"
+              "from heffter.cli import main\n"
+              f"code = main(['tour-family', '--family', '3diag', '--n', '{n}', '--text'])\n"
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+              "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=30, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 2 and int(proc.stdout) < 100 * 1024  # peak RSS in KB
+    assert proc.stderr == (f"error: census of family ThreeDiag for n={n} "
+                           "is too large to print\n")
 
 
 def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):

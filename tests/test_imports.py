@@ -38,14 +38,12 @@ from heffter import (
 )
 from heffter.embedding import EmbeddingSource
 from heffter.iso import ClassificationResult, IsomorphismClass
-from heffter.kernels import ScanTables, build_scan_tables
 
 # every public record type but SolutionFamily, a plain mutable class
 RECORD_TYPES = {
     BiembeddingReport, BoundQuery, BoundResult, ClassificationResult, CombinatorialEmbedding,
     DiagonalProfile, EmbeddingMap, EmbeddingSource, FaceSet, FamilySpec, IsomorphismClass,
-    OrientationPair, PartiallyFilledArray, ScanTables, Skeleton, StabilizerGroup, TourResult,
-    ValidationReport,
+    OrientationPair, PartiallyFilledArray, Skeleton, StabilizerGroup, TourResult, ValidationReport,
 }
 
 CHILD = """
@@ -137,7 +135,7 @@ def test_records_are_immutable(ex_array, ex_pair):
     result = classify([emb])
     records = [
         skel, ex_array, classify_diagonality(skel), validate_heffter(ex_array),
-        build_scan_tables(2, 2, [(0, 0), (1, 1)]), OrientationPair(*ex_pair),
+        OrientationPair(*ex_pair),
         tour(skel, *ex_pair), three_diagonal_family(9).spec, emb.source, emb,
         trace_faces(emb), biembedding_report(emb), group, group.elements[0],
         result, result.classes[0],

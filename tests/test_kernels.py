@@ -1,4 +1,5 @@
-"""Scan tables, and the orientation scan against a naive pair-by-pair oracle."""
+"""Tours against the successor map's definition, and the orientation scan
+against a naive pair-by-pair oracle."""
 
 import hashlib
 import itertools
@@ -7,42 +8,59 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heffter
-from heffter import kernels
 from heffter.cli import main
-from heffter.knight import OrientationPair, enumerate_solutions, is_solution
-from heffter.pfarray import cyclic_diagonal_skeleton, diagonal_skeleton
+from heffter.knight import OrientationPair, enumerate_solutions, is_solution, tour
+from heffter.pfarray import Skeleton, cyclic_diagonal_skeleton, diagonal_skeleton
 from heffter.validation import BudgetExceededError
 
 from conftest import fixture_path
+from test_knight import successor
 
 
-def tables(n, k):
-    skel = cyclic_diagonal_skeleton(n, k)
-    return kernels.build_scan_tables(
-        n, n, [(i - 1, j - 1) for (i, j) in skel.filled]
-    )
+def oracle_orbit(skel, rows_dir, cols_dir, start):
+    """The orbit of ``start`` under the successor map's definition."""
+    orbit = [start]
+    while (cell := successor(skel, rows_dir, cols_dir, orbit[-1])) != start:
+        orbit.append(cell)
+    return orbit
 
 
-def test_scan_tables_shape():
-    t = tables(5, 3)
-    assert t.ncells == 15
-    tabs = (t.rows, t.cols, t.row_next, t.row_prev, t.col_next, t.col_prev)
-    assert all(type(a) is tuple and len(a) == 15 for a in tabs)
-    assert all(type(x) is int for a in tabs for x in a)
-    cells = range(t.ncells)
-    # every cell's row-next stays in its row, its column-next in its column
-    assert all(t.rows[t.row_next[c]] == t.rows[c] for c in cells)
-    assert all(t.cols[t.col_next[c]] == t.cols[c] for c in cells)
-    # prev undoes next
-    assert all(t.row_prev[t.row_next[c]] == c for c in cells)
-    assert all(t.col_prev[t.col_next[c]] == c for c in cells)
+@st.composite
+def skeletons_with_pairs(draw):
+    """A nonempty m x n skeleton of any shape, so some lines hold one cell
+    and most skeletons are not unions of diagonals, and a random pair."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = st.tuples(st.integers(1, m), st.integers(1, n))
+    skel = Skeleton(m, n, frozenset(draw(st.sets(cells, min_size=1))))
+    signs = st.sampled_from((1, -1))
+    rows = draw(st.lists(signs, min_size=m, max_size=m))
+    cols = draw(st.lists(signs, min_size=n, max_size=n))
+    return skel, tuple(rows), tuple(cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(skeletons_with_pairs())
+def test_tour_matches_the_successor_map(case):
+    skel, rows, cols = case
+    covers_all = len(oracle_orbit(skel, rows, cols, min(skel.filled))) == len(skel.filled)
+    assert is_solution(skel, rows, cols) == covers_all
+    for start in skel.filled:
+        result = tour(skel, rows, cols, start)
+        assert list(result.cells) == oracle_orbit(skel, rows, cols, start)
+        assert result.covers_all == covers_all
 
 
 def test_empty_skeleton_rejected():
-    with pytest.raises(ValueError):
-        kernels.build_scan_tables(2, 2, [])
+    empty = Skeleton(2, 2, frozenset())
+    calls = [lambda: tour(empty, (1, 1), (1, 1)), lambda: is_solution(empty, (1, 1), (1, 1)),
+             lambda: enumerate_solutions(empty), lambda: enumerate_solutions(empty, trivial_rows=True)]
+    for call in calls:
+        with pytest.raises(ValueError, match="^empty skeleton$"):
+            call()
 
 
 # -- the orientation scan ------------------------------------------------------------
