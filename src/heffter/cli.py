@@ -384,7 +384,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
     emb = _build_embedding_from_files(args.array, args.solution)
     report = embedding.biembedding_report(emb)
     if args.save:
-        _write(Path(args.save), json.dumps(emb.to_json_dict(), sort_keys=True) + "\n")
+        _write(Path(args.save), next(embedding.json_lines([emb])))
     data = report.to_json_dict()
     _emit(data, f"passed={report.passed} faces={report.face_count} "
                 f"genus={report.genus_euler}", args.text)
@@ -558,8 +558,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     except ValueError as exc:  # a fold > 1 array
         raise MathFailure(str(exc)) from None
     # line i is embedding i
-    _write_lines(outdir / "embeddings.jsonl",
-                 (json.dumps(e.to_json_dict(), sort_keys=True) + "\n" for e in embs))
+    _write_lines(outdir / "embeddings.jsonl", embedding.json_lines(embs))
     keys = {e.rho0 for e in embs}
     if len(keys) != len(embs):
         raise MathFailure("distinct solutions produced equal rotation maps")

@@ -35,17 +35,12 @@ import json
 import math
 from collections import namedtuple
 from functools import lru_cache
-from itertools import accumulate, repeat
-from typing import Iterable, NamedTuple, Sequence
+from itertools import accumulate, chain, repeat
+from operator import getitem
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .pfarray import PartiallyFilledArray
-from .validation import (
-    _check_directions,
-    _lines_table,
-    _natural_lines,
-    cycle_from,
-    validate_heffter,
-)
+from .validation import _check_directions, _natural_lines, validate_heffter
 
 
 class EmbeddingSource(NamedTuple):
@@ -74,6 +69,24 @@ def connection_set(v: int, t: int) -> tuple[int, ...]:
     return tuple(d for d in range(v) if d % step)
 
 
+@lru_cache(maxsize=16)
+def _check_entry_class(v: int, t: int, entry_class: frozenset[int]) -> None:
+    """Raise ValueError unless ``entry_class`` holds one of each ± pair of Z_v \\ J.
+
+    Cached, so the class that every embedding of an array shares is checked
+    once; a call that raises leaves nothing in the cache.
+    """
+    step = v // t
+    # inside Z_v \ J, no x with -x and half its size: one of each ± pair
+    paired = False
+    for x in entry_class:
+        if not (0 <= x < v and x % step):
+            raise ValueError("entry class must lie inside the connection set")
+        paired = paired or (-x) % v in entry_class
+    if paired or 2 * len(entry_class) != v - t:
+        raise ValueError("entry class must contain one of each ± pair")
+
+
 class CombinatorialEmbedding(
         namedtuple("CombinatorialEmbedding", "v t rho0 entry_class source")):
     """Vertex set Z_v, connection set Z_v \\ J, and the rotation table rho0.
@@ -96,22 +109,23 @@ class CombinatorialEmbedding(
         step = v // t
         if len(rho0) != v or any(rho0[j] != -1 for j in range(0, v, step)):
             raise ValueError("rho0 must be a table of length v with -1 on J")
-        # the walk from 1 (not in J) only meets differences where rho0 is
-        # not -1, all distinct: v - t of them, closing at 1, are Z_v \ J
-        cyc = cycle_from(rho0, 1)
-        if len(cyc) != v - t or rho0[cyc[-1]] != 1:
+        # a counted walk from 1 (not in J): x_0 = 1, x_1 = rho0[1], ...  If
+        # x_i = x_j with i < j < v - t, the walk repeats with period j - i
+        # from x_i on, so x_{v-t-(j-i)} = x_{v-t} = 1 at a step in (0, v - t);
+        # a walk that first returns to 1 at step v - t has therefore met v - t
+        # distinct differences, each outside J (rho0 is -1 there, and each
+        # image is checked to lie in Z_v), which are all of Z_v \ J
+        d, steps = rho0[1], 1
+        while 0 <= d < v and d != 1 and steps < v - t:
+            d = rho0[d]
+            steps += 1
+        if d != 1 or steps != v - t:
             raise ValueError(
                 "rho0 must be a single cycle on the connection set "
                 "(orderings not compatible: (R, C) is not a tour solution)"
             )
-        # inside Z_v \ J, no x with -x and half its size: one of each ± pair
-        paired = False
-        for x in entry_class:
-            if not (0 <= x < v and x % step):
-                raise ValueError("entry class must lie inside the connection set")
-            paired = paired or (-x) % v in entry_class
-        if paired or 2 * len(entry_class) != v - t:
-            raise ValueError("entry class must contain one of each ± pair")
+        entry_class = frozenset(entry_class)
+        _check_entry_class(v, t, entry_class)
         return super().__new__(cls, v, t, rho0, entry_class, source)
 
     @property
@@ -170,6 +184,28 @@ class CombinatorialEmbedding(
         return cls.from_json_dict(json.loads(text))
 
 
+def json_lines(embs: Iterable[CombinatorialEmbedding]) -> Iterator[str]:
+    """``json.dumps(e.to_json_dict(), sort_keys=True) + "\\n"`` for each embedding.
+
+    The keys sort as connection, entry_class, rho0, source, t, v.  So a line
+    is the text of its (v, t, entry_class), made once: the connection set,
+    the entry class and the rho0 pairs with a %d for each image; then the
+    images, the source and the (t, v) tail.  The images print as JSON writes
+    them, since every table built from an array holds ints.
+    """
+    texts: dict = {}
+    for e in embs:
+        key = (e.v, e.t, e.entry_class)
+        if key not in texts:
+            pairs = ", ".join(f"[{a}, %d]" for a in e.connection)
+            texts[key] = (f'{{"connection": {list(e.connection)}, '
+                          f'"entry_class": {sorted(e.entry_class)}, "rho0": [{pairs}], '
+                          '"source": ', f', "t": {e.t}, "v": {e.v}}}\n')
+        head, tail = texts[key]
+        source = "null" if e.source is None else json.dumps(e.source.to_json_dict(), sort_keys=True)
+        yield head % tuple(map(e.rho0.__getitem__, e.connection)) + source + tail
+
+
 def build_rho0(
     array: PartiallyFilledArray, ords: Sequence[Sequence[int]]
 ) -> tuple[int, ...]:
@@ -185,12 +221,7 @@ def build_rho0(
                 f"entries {a} and {(-a) % v} are negatives of each other: "
                 "the rotation construction needs one representative per pair"
             )
-    return _rho0(v, entries, *ords)
-
-
-def _rho0(v: int, entries: Iterable[int], row_perm: Sequence[int],
-          col_perm: Sequence[int]) -> tuple[int, ...]:
-    """:func:`build_rho0`'s table, for entries known to hold no ± pair."""
+    row_perm, col_perm = ords
     rho0 = [-1] * v
     for a in entries:
         rho0[a] = (-row_perm[a]) % v
@@ -227,19 +258,46 @@ def build_embeddings(
         raise ValueError("fold > 1 arrays are not embedded")
     key = array_key(array)
     v = array.v
-    entries = array.entries()
-    entry_class = frozenset(entries)
+    entry_class = frozenset(array.entries())
     rows, cols = _natural_lines(array)
-    out = []
+    pairs = [(tuple(rows_dir), tuple(cols_dir)) for rows_dir, cols_dir in pairs]
     for rows_dir, cols_dir in pairs:
         _check_directions(rows_dir, array.m, "row")
         _check_directions(cols_dir, array.n, "column")
-        rho0 = _rho0(v, entries, _lines_table(rows, rows_dir, v), _lines_table(cols, cols_dir, v))
-        source = EmbeddingSource(
-            array.m, array.n, report.h, report.k, key, tuple(rows_dir), tuple(cols_dir),
-        )
-        out.append(CombinatorialEmbedding(v, array.t, rho0, entry_class, source))
+    # rho0 in line order: the rows give it on the entries (the negated
+    # successor, which is the successor on the negated row), the columns on
+    # their negatives; ``at[x]`` is where x is in that order, and J reads the
+    # -1 put after the last line
+    order = [*chain.from_iterable(rows), *((-a) % v for col in cols for a in col)]
+    at = [len(order)] * v
+    for i, x in enumerate(order):
+        at[x] = i
+    row_parts = _line_parts([[(-b) % v for b in row] for row in rows], [r for r, _ in pairs])
+    col_parts = _line_parts(cols, [c for _, c in pairs])
+    out = []
+    for rows_dir, cols_dir in pairs:
+        values = [*chain.from_iterable(map(getitem, row_parts, rows_dir)),
+                  *chain.from_iterable(map(getitem, col_parts, cols_dir)), -1]
+        source = EmbeddingSource(array.m, array.n, report.h, report.k, key, rows_dir, cols_dir)
+        out.append(CombinatorialEmbedding(
+            v, array.t, tuple(map(values.__getitem__, at)), entry_class, source))
     return out
+
+
+def _line_parts(lines: Sequence[Sequence[int]], dirs: Sequence[Sequence[int]]) -> list[list]:
+    """Per line, the successor of each of its values, in line order, when it
+    is read in each direction that some vector of ``dirs`` gives it.
+
+    ``part[1]`` and ``part[-1]`` read the line forwards and backwards; a
+    direction no vector uses is left None.
+    """
+    parts = []
+    for line, used in zip(lines, map(set, zip(*dirs))):
+        part: list = [None, None, None]
+        for d in used:
+            part[d] = [*line[d:], *line[:d]]
+        parts.append(part)
+    return parts
 
 
 def build_embedding(
@@ -282,34 +340,23 @@ class FaceSet(NamedTuple):
         return len(self.faces)
 
 
-class _DifferenceCycle(NamedTuple):
-    """A cycle of d -> rho0(-d) and the faces it lifts to.
-
-    ``walk`` is the vertex circuit of the face through the oriented edge
-    (0, d0), d0 the cycle's first element; the other faces are its translates
-    by 1 .. ``translates`` - 1.
-    """
-
-    color: str
-    walk: tuple[int, ...]
-    simple: bool
-    translates: int
-
-
-def _difference_cycles(emb: CombinatorialEmbedding) -> list[_DifferenceCycle]:
-    """The cycles of d -> rho0(-d), each started at its first element in
-    connection order.
+def _difference_cycles(emb: CombinatorialEmbedding) -> Iterator[list[int]]:
+    """The cycles of d -> rho0(-d), each as its list of differences, started
+    at its first element in connection order.
 
     A cycle of length L and sum S returns to (x + S, d0) from (x, d0), so its
     face closes after ord(S) = v / gcd(S, v) laps and the cycle's v * L
-    oriented edges form gcd(S, v) faces.  Each cycle's differences are
-    asserted to stay inside one sign class, which determines its color.
+    oriented edges form gcd(S, v) faces.  The map is a permutation of
+    Z_v \\ J (negation, then rho0), so it keeps each cycle inside one sign
+    class exactly when it maps the entry class into itself, which is checked
+    first (else AssertionError); a cycle's color is that of any element.
     """
     v = emb.v
     rho = emb.rho0
     entry_class = emb.entry_class
+    if not entry_class.issuperset([rho[v - d] for d in entry_class]):
+        raise AssertionError("face boundary mixes entry and negated-entry differences")
     seen = bytearray(v)
-    cycles = []
     for d0 in emb.connection:
         if seen[d0]:
             continue
@@ -319,22 +366,7 @@ def _difference_cycles(emb: CombinatorialEmbedding) -> list[_DifferenceCycle]:
             seen[d] = 1
             diffs.append(d)
             d = rho[v - d]
-        in_entry = [d in entry_class for d in diffs]
-        if all(in_entry):
-            color = COLUMN
-        elif not any(in_entry):
-            color = ROW
-        else:
-            raise AssertionError(
-                "face boundary mixes entry and negated-entry differences"
-            )
-        translates = math.gcd(sum(diffs), v)
-        laps = v // translates
-        walk = tuple(x % v for x in accumulate(diffs * laps, initial=0))[:-1]
-        cycles.append(
-            _DifferenceCycle(color, walk, len(set(walk)) == len(walk), translates)
-        )
-    return cycles
+        yield diffs
 
 
 def trace_faces(emb: CombinatorialEmbedding) -> FaceSet:
@@ -366,8 +398,12 @@ def trace_faces(emb: CombinatorialEmbedding) -> FaceSet:
         conn_pos[d] = i
     residues = list(range(v)) * 2
     by_key: list[Face | None] = [None] * (v * C)
-    for cyc in _difference_cycles(emb):
-        walk = cyc.walk
+    entry_class = emb.entry_class
+    for diffs in _difference_cycles(emb):
+        translates = math.gcd(sum(diffs), v)
+        walk = tuple(x % v for x in accumulate(diffs * (v // translates), initial=0))[:-1]
+        color = COLUMN if diffs[0] in entry_class else ROW
+        simple = len(set(walk)) == len(walk)
         twice = walk + walk
         # connection index of each edge's difference walk[i+1] - walk[i]
         # (a negative difference indexes from the end, at its residue)
@@ -378,7 +414,7 @@ def trace_faces(emb: CombinatorialEmbedding) -> FaceSet:
         values = sorted(at)
         for j, x in enumerate(values):
             lo, hi = (v - x if j else 0), v - values[j - 1]
-            if lo >= cyc.translates:
+            if lo >= translates:
                 continue
             # one rotation per visit of x: a simple walk has one
             lifted = [zip(*[residues[y + lo:y + hi] for y in twice[i:i + len(walk)]])
@@ -388,7 +424,7 @@ def trace_faces(emb: CombinatorialEmbedding) -> FaceSet:
             key = min(edge_di[i] for i in at[x])
             # tuple.__new__ is what Face._make calls, without a Python frame per face
             by_key[key:key + (hi - lo) * C:C] = map(
-                tuple.__new__, repeat(Face), zip(verts, repeat(cyc.color), repeat(cyc.simple))
+                tuple.__new__, repeat(Face), zip(verts, repeat(color), repeat(simple))
             )
     return FaceSet(v, tuple(filter(None, by_key)))
 
@@ -477,14 +513,24 @@ def biembedding_report(emb: CombinatorialEmbedding) -> BiembeddingReport:
     if emb.source is None:
         raise ValueError("report needs source parameters (m, n, h, k)")
     src = emb.source
-    cycles = _difference_cycles(emb)
-
-    row_cycles = [c for c in cycles if c.color == ROW]
-    col_cycles = [c for c in cycles if c.color == COLUMN]
-    row_ok = all(len(c.walk) == src.h for c in row_cycles)
-    col_ok = all(len(c.walk) == src.k for c in col_cycles)
-    row_faces = sum(c.translates for c in row_cycles)
-    col_faces = sum(c.translates for c in col_cycles)
+    v = emb.v
+    entry_class = emb.entry_class
+    row_ok = col_ok = simple = True
+    row_faces = col_faces = 0
+    for diffs in _difference_cycles(emb):
+        translates = math.gcd(sum(diffs), v)
+        length = len(diffs) * (v // translates)
+        if diffs[0] in entry_class:
+            col_ok = col_ok and length == src.k
+            col_faces += translates
+        else:
+            row_ok = row_ok and length == src.h
+            row_faces += translates
+        # the face's walk is the partial sums p_i of one lap plus multiples of
+        # the sum, which generate the subgroup translates * Z_v: so its
+        # vertices are distinct exactly when the p_i are distinct mod translates
+        lap = {p % translates for p in accumulate(diffs[:-1], initial=0)}
+        simple = simple and len(lap) == len(diffs)
 
     V = emb.v
     E = emb.v * emb.degree() // 2
@@ -502,7 +548,7 @@ def biembedding_report(emb: CombinatorialEmbedding) -> BiembeddingReport:
         column_faces=col_faces,
         row_lengths_ok=row_ok,
         column_lengths_ok=col_ok,
-        simple=all(c.simple for c in cycles),
+        simple=simple,
         genus_euler=genus_euler,
         genus_closed_form=genus_closed,
         euler_consistent=genus_euler == genus_closed,

@@ -25,8 +25,9 @@ Why the roots tied on it give every isomorphism fixing 0.  By the same
 argument sigma sends a root of e1 tied on the least row 1 onto a root of e2
 tied on it, and lambda' ∘ sigma = lambda makes sigma the composite
 lambda'^{-1} ∘ lambda of their labellings.  The composites from one tied
-root of e1 onto each tied root of e2, each checked by :func:`verify_map` on
-all oriented edges, are thus exactly the isomorphisms fixing 0
+root of e1 onto each tied root of e2, each checked by :func:`verify_map`
+(on all oriented edges, or at 0 for a multiplier), are thus exactly the
+isomorphisms fixing 0
 (:func:`find_isomorphism`) and, from an embedding to itself, its stabilizer
 Aut_0 (:func:`stabilizer`).  :func:`classify` buckets a family by the least
 row 1 and splits each bucket the same way: the members certified onto the
@@ -38,7 +39,6 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple, Sequence
 
 from .embedding import CombinatorialEmbedding
-from .validation import cycle_from
 
 PRESERVING = "preserving"
 REVERSING = "reversing"
@@ -71,9 +71,16 @@ def verify_map(
     """Classify sigma as preserving, reversing, or not an isomorphism.
 
     sigma must be a bijection of Z_v.  The identity between equal rotation
-    tables is preserving at once; any other map is checked on all v * degree
-    oriented edges, one difference d of e1 at a time: the images of x + d
-    and x + rho1(d) over all x, as list slices of sigma written twice.
+    tables is preserving at once.  A multiplier x -> u*x (u a unit, since
+    sigma is a bijection) is decided at the vertex 0 alone: it sends the
+    edge (x, d) to (u*x, u*d) and the rotation at x, x + d -> x + rho1(d),
+    to u*x + u*d -> u*x + u*rho1(d), so it is preserving exactly when
+    rho2(u*d) = u*rho1(d) for every d in the connection set, whatever x is,
+    since both embeddings are translation invariant; reversing likewise with
+    rho2^{-1}.  A unit fixes J, the subgroup of order t, so u*d stays in the
+    connection set.  Any other map is checked on all v * degree oriented
+    edges, one difference d of e1 at a time: the images of x + d and
+    x + rho1(d) over all x, as list slices of sigma written twice.
     """
     if e1.v != e2.v:
         raise ValueError(f"mismatched moduli: {e1.v} != {e2.v}")
@@ -86,6 +93,15 @@ def verify_map(
         return None
     if S == identity and e1.rho0 == e2.rho0:
         return PRESERVING
+    u = S[1]
+    if S == [u * x % v for x in identity]:
+        images = [u * e1.rho0[d] % v for d in e1.connection]
+        moved = [u * d % v for d in e1.connection]
+        if list(map(e2.rho0.__getitem__, moved)) == images:
+            return PRESERVING
+        if list(map(_inverse(e2.rho0).__getitem__, moved)) == images:
+            return REVERSING
+        return None
 
     # wrap[i] is i mod v for 0 <= i < 2v and -1 above; a difference in J
     # rotates to 2v, so a non-edge image fails both comparisons below
@@ -122,16 +138,53 @@ class _Root(NamedTuple):
 
 
 class _Screen(NamedTuple):
-    """The least row 1 over the roots, and the roots that attain it."""
+    """The least row 1 over the roots, and the roots that attain it.
+
+    ``cycle`` is the cycle of rho0 from 1, ``tied`` each tied root as its
+    direction (1 for rho0^{-1}) and c, and ``holes`` the indices of J on the
+    row.  The labellings are built by :meth:`root` and :attr:`roots`, only
+    when a certificate needs them.
+    """
 
     row: tuple[int, ...]
-    roots: tuple[_Root, ...]
+    cycle: list[int]
+    tied: tuple[tuple[int, int], ...]
+    holes: tuple[int, ...]
+
+    def root(self, i: int) -> _Root:
+        return self._labellings(self.tied[i:i + 1])[0]
+
+    @property
+    def roots(self) -> tuple[_Root, ...]:
+        return self._labellings(self.tied)
+
+    def _labellings(self, tied: Sequence[tuple[int, int]]) -> tuple[_Root, ...]:
+        """The labellings of ``tied``, from one position table per direction."""
+        deg = len(self.cycle)
+        v = deg + len(self.holes)  # c + d is in J for the t differences d in -c + J
+        directions = {r: _direction(self.cycle, r, v) for r in {r for r, _ in tied}}
+        roots = []
+        for reverses, c in tied:
+            cycle, pos = directions[reverses]
+            start, pc = pos[v - c], pos[c]
+            subgroup = [(c + cycle[(start + j) % deg]) % v for j in self.holes]  # J in row order
+            lam = [(p - pc) % deg + 1 for p in pos]
+            for new, x in zip((0, *range(deg + 1, v)), subgroup):
+                lam[x] = new
+            inv = (0, *cycle[pc:], *cycle[:pc], *subgroup[1:])
+            roots.append(_Root(bool(reverses), tuple(lam), inv))
+        return tuple(roots)
 
 
-def _directions(emb: CombinatorialEmbedding) -> tuple[list[int], list[int]]:
-    """The cycle of rho0 from the first difference, and of rho0^{-1}."""
-    cyc = cycle_from(emb.rho0, emb.connection[0])
-    return cyc, cyc[:1] + cyc[:0:-1]
+def _direction(cycle: list[int], reverses: int, v: int) -> tuple[list[int], list[int]]:
+    """The cycle of rho0 from 1, or of rho0^{-1} when ``reverses``, and the
+    position of each difference on it, -1 on J."""
+    if reverses:
+        cycle = cycle[:1] + cycle[:0:-1]
+    pos = [-1] * v
+    for i, d in enumerate(cycle):
+        pos[d] = i
+    return cycle, pos
 
 
 def _screen(emb: CombinatorialEmbedding) -> _Screen:
@@ -148,20 +201,24 @@ def _screen(emb: CombinatorialEmbedding) -> _Screen:
     of the root's direction, without a labelling: y outside J has label
     (pos[y] - pos[c]) % degree + 1, and y in J compares as degree + 1, since
     the vertices of J take the fresh labels 0, degree + 1, degree + 2, ... in
-    the order the row meets them.  Labellings are built for the tied roots
-    only.
+    the order the row meets them.  The cycle is the walk of rho0 from 1, the
+    first difference, which the constructor checked to be one cycle through
+    the whole connection set.
     """
-    v, deg = emb.v, emb.degree()
+    v, deg, rho0 = emb.v, emb.degree(), emb.rho0
     hole = deg + 1
+    cycle = [1]
+    d = 1
+    for _ in range(deg - 1):
+        d = rho0[d]
+        cycle.append(d)
     # per root: its direction, the cycle written twice, the positions on it
     # written twice (so c + d needs no reduction), c, and the positions of
     # -c, where the row starts, and of c
     tied = []
-    for reverses, cycle in enumerate(_directions(emb)):
-        pos = [-1] * v
-        for i, d in enumerate(cycle):
-            pos[d] = i
-        twice, pos2 = cycle + cycle, pos + pos
+    for reverses in (0, 1):
+        cyc, pos = _direction(cycle, reverses, v)
+        twice, pos2 = cyc + cyc, pos + pos
         tied += [(reverses, twice, pos2, c, pos[v - c], pos[c]) for c in emb.connection]
     row = [hole]  # entry 0 is the vertex 0 for every root
     while len(row) < deg and len(tied) > 1:
@@ -175,19 +232,10 @@ def _screen(emb: CombinatorialEmbedding) -> _Screen:
     row += [hole if (p := pos2[c + d]) < 0 else (p - pc) % deg + 1
             for d in twice[start + len(row):start + deg]]
 
-    holes = [i for i, x in enumerate(row) if x == hole]
-    fresh = (0, *range(hole, v))
-    for new, i in zip(fresh, holes):
+    holes = tuple(i for i, x in enumerate(row) if x == hole)
+    for new, i in zip((0, *range(hole, v)), holes):
         row[i] = new
-    roots = []
-    for reverses, twice, pos2, c, start, pc in tied:
-        subgroup = [(c + twice[start + i]) % v for i in holes]  # J in row order
-        lam = [(p - pc) % deg + 1 for p in pos2[:v]]
-        for new, x in zip(fresh, subgroup):
-            lam[x] = new
-        inv = (0, *twice[pc:pc + deg], *subgroup[1:])
-        roots.append(_Root(bool(reverses), tuple(lam), inv))
-    return _Screen(tuple(row), tuple(roots))
+    return _Screen(tuple(row), cycle, tuple((root[0], root[3]) for root in tied), holes)
 
 
 def _isomorphisms(
@@ -222,7 +270,7 @@ def _isomorphisms_between(
     screen2 = screen1 if e2 is e1 else _screen(e2)
     if screen1.row != screen2.row:
         return iter(())
-    return _isomorphisms(e1, screen1.roots[0], e2, screen2.roots)
+    return _isomorphisms(e1, screen1.root(0), e2, screen2.roots)
 
 
 def find_isomorphism(
@@ -343,7 +391,7 @@ def _class(
     members, wit, rest = [], [], []
     for i in bucket:
         found = aut0[0] if i == rep else next(
-            _isomorphisms(embeddings[i], screens[i].roots[0], emb, tied), None)
+            _isomorphisms(embeddings[i], screens[i].root(0), emb, tied), None)
         if found is None:
             rest.append(i)
         else:

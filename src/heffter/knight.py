@@ -378,8 +378,9 @@ def three_diagonal_family(n: int) -> SolutionFamily:
     return SolutionFamily(spec, True, count, bases)
 
 
-def _congruent_positions(n: int, modulus: int, residue: int) -> tuple[int, ...]:
-    return tuple(x for x in range(1, n + 1) if x % modulus == residue % modulus)
+def _congruent_positions(n: int, modulus: int, residue: int) -> range:
+    """The positions x in [1, n] with x = residue mod modulus, without listing them."""
+    return range(residue % modulus or modulus, n + 1, modulus)
 
 
 def _subset_family(
@@ -387,7 +388,7 @@ def _subset_family(
     n: int,
     k: int,
     r: int,
-    residues: tuple[int, ...],
+    residues: Sequence[int],
     prefix: tuple[int, ...],
     swap_closed: bool,
     admissibility: dict[str, bool],

@@ -16,8 +16,10 @@ permutations of the filled entries, and a pair of such permutations is
 
 Every permutation here is held as the rotation rho0 of an embedding is: a
 tuple indexed by element, holding the element's image, with -1 off the
-domain.  :func:`cycle_from` is the one walk along such a table, and
-:func:`is_single_cycle` the one single-cycle test built on it.
+domain.  :func:`cycle_from` walks such a table when nothing is known of it,
+and :func:`is_single_cycle` is the single-cycle test built on it; the
+embedding constructor counts its own walk, and code holding a checked
+embedding walks its rotation directly.
 """
 
 from __future__ import annotations

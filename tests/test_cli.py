@@ -725,6 +725,20 @@ def test_huge_family_census_is_refused_before_computing(n):
                            "is too large to print\n")
 
 
+def test_huge_power_two_census_lists_no_positions():
+    # the n/2 positions = 1 mod k-1 are counted, not listed
+    src = str(Path(heffter.__file__).resolve().parent.parent)
+    script = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))\n"
+              "from heffter.cli import main\n"
+              "sys.exit(main('tour-family --family power2 --n 99999999999 --k 3 --r 3 "
+              "--text --limit 0'.split()))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=30, env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "census=83333333328333333333400000000000 emitted=0\n"
+
+
 def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
     # each line of README's CLI block, in order, from a fresh directory
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

@@ -1,5 +1,9 @@
 """Rotation construction, face tracing, genus, and the biembedding report."""
 
+import json
+import signal
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,6 +20,7 @@ from heffter.embedding import (
     build_embeddings,
     build_rho0,
     genus_formula,
+    json_lines,
     trace_faces,
 )
 from heffter.iso import PRESERVING, verify_map
@@ -117,6 +122,28 @@ def alternating_embeddings(draw):
     entries = draw(st.permutations(entries))
     negated = draw(st.permutations([v - x for x in entries]))
     return alternating_embedding(v, t, entries, negated)
+
+
+@contextmanager
+def within(seconds):
+    """Fail with TimeoutError when the block runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def rho0_pairs_dict(v, t, table, entry_class):
+    """The JSON dict of an embedding file listing the pairs where ``table`` is not -1."""
+    return {"v": v, "t": t, "connection": [d for d in range(v) if d % (v // t)],
+            "rho0": [[a, b] for a, b in enumerate(table) if b != -1],
+            "entry_class": sorted(entry_class), "source": None}
 
 
 @pytest.fixture(scope="module")
@@ -240,6 +267,60 @@ class TestBuild:
         e = alternating_embedding(21, 3, good, [21 - x for x in good])
         with pytest.raises(ValueError, match=f"^entry class must {message}$"):
             CombinatorialEmbedding(21, 3, e.rho0, frozenset(entries), e.source)
+
+
+    # Z_7 \ J = 1..6; each table sends 1 to 2
+    @pytest.mark.parametrize("table", [
+        (-1, 2, 3, 4, 2, 6, 5),  # 1 2 3 4 2 ...: a cycle that misses 1
+        (-1, 2, 1, 4, 5, 6, 3),  # (1 2)(3 4 5 6): the walk closes after 2 steps
+        (-1, 2, 3, 9, 5, 6, 1),  # 3 -> 9, outside Z_7
+        (-1, 2, 3, -1, 5, 6, 1),  # 3 -> -1
+        (-1, 2, 3, 0, 5, 6, 1),  # 3 -> 0 in J, where rho0 is -1
+    ], ids=["trapped", "two cycles", "out of range", "to -1", "into J"])
+    def test_counted_walk_refuses(self, table):
+        with within(5):
+            with pytest.raises(ValueError, match="single cycle"):
+                CombinatorialEmbedding(7, 1, table, frozenset({1, 2, 3}))
+            # the file lists no image where the table is -1, and refuses 9 itself
+            with pytest.raises(ValueError, match="single cycle|not in Z_7"):
+                CombinatorialEmbedding.from_json_dict(rho0_pairs_dict(7, 1, table, {1, 2, 3}))
+
+    def test_refused_entry_class_is_not_cached(self):
+        cycle = (-1, 2, 3, 4, 5, 6, 1)
+        good = CombinatorialEmbedding(7, 1, cycle, frozenset({1, 2, 3}))
+        for bad, message in (({1, 2, 6}, "one of each"), ({1, 2}, "one of each"),
+                             ({1, 2, 7}, "inside")):
+            for _ in range(2):  # refused again after the first refusal
+                with pytest.raises(ValueError, match=message):
+                    CombinatorialEmbedding(7, 1, cycle, frozenset(bad))
+                with pytest.raises(ValueError, match=message):
+                    CombinatorialEmbedding.from_json_dict(rho0_pairs_dict(7, 1, cycle, bad))
+            assert CombinatorialEmbedding(7, 1, cycle, frozenset({1, 2, 3})) == good
+
+    def test_rotation_tables_match_the_line_orderings(self, h33, h53_cyclic):
+        # full scans read every line both ways; against the table from the orderings
+        for array in (h33, h53_cyclic):
+            pairs = [(p.rows, p.cols) for p in enumerate_solutions(array.skeleton())]
+            assert {-1, 1} <= {d for rows_dir, _ in pairs for d in rows_dir}
+            for emb, (rows_dir, cols_dir) in zip(build_embeddings(array, pairs), pairs):
+                ords = orderings_from_orientations(array, rows_dir, cols_dir)
+                assert emb.rho0 == build_rho0(array, ords)
+                assert (emb.source.rows, emb.source.cols) == (rows_dir, cols_dir)
+
+    def test_json_lines_are_json_dumps(self, k19_embedding, ex_embedding):
+        z21 = alternating_embedding(21, 3, [1, 2, 3, 4, 5, 6, 8, 9, 10],
+                                    [20, 19, 18, 17, 16, 15, 13, 12, 11])
+        z21_other = alternating_embedding(21, 3, [1, 2, 3, 4, 5, 6, 8, 9, 11],
+                                          [20, 19, 18, 17, 16, 15, 13, 12, 10])
+        # a source read from a file may hold anything JSON does
+        odd = CombinatorialEmbedding.from_json_dict(
+            {**k19_embedding.to_json_dict(),
+             "source": {"m": 3, "n": 3, "h": 3, "k": 3.0, "array_key": 'a "key"',
+                        "R": [True, 1, 1], "C": [1, None, "x"]}})
+        stream = [k19_embedding, k19_embedding._replace(source=None), z21, z21_other, z21,
+                  odd, ex_embedding]
+        assert "".join(json_lines(stream)) == "".join(
+            json.dumps(e.to_json_dict(), sort_keys=True) + "\n" for e in stream)
 
 
 class TestFaces:

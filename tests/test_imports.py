@@ -121,7 +121,7 @@ def test_iso_imports_only_embedding_and_validation():
     tree = ast.parse((Path(heffter.__file__).resolve().parent / "iso.py").read_text())
     package_imports = {node.module for node in ast.walk(tree)
                        if isinstance(node, ast.ImportFrom) and node.level}
-    assert package_imports == {"embedding", "validation"}
+    assert package_imports <= {"embedding", "validation"}
     assert not any(isinstance(node, ast.Import) and any(a.name.startswith("heffter")
                                                         for a in node.names)
                    for node in ast.walk(tree))

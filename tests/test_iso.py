@@ -6,6 +6,8 @@ from collections import Counter
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heffter import iso
 from heffter.embedding import CombinatorialEmbedding, build_embedding, build_embeddings
@@ -302,6 +304,40 @@ def naive_verify_map(e1, e2, sigma):
     return PRESERVING if pres else REVERSING if rev else None
 
 
+def general_verify_map(e1, e2, sigma):
+    """Oracle for ``verify_map``'s multiplier path: the check it makes of any
+    other map, on all v * degree oriented edges."""
+    v = e1.v
+    S = list(sigma)
+    identity = list(range(v))
+    wrap = [*identity, *identity, *[-1] * v]
+    rho2 = [2 * v if r < 0 else r for r in e2.rho0]
+    rho2_inv = [2 * v if r < 0 else r for r in inverse(e2.rho0)]
+    S2 = S + S
+    pres = rev = True
+    for d in e1.connection:
+        ends = S2[d:d + v]
+        r = e1.rho0[d]
+        lhs = S2[r:r + v]
+        if pres and lhs != [wrap[b + rho2[wrap[a - b + v]]] for a, b in zip(ends, S)]:
+            pres = False
+        if rev and lhs != [wrap[b + rho2_inv[wrap[a - b + v]]] for a, b in zip(ends, S)]:
+            rev = False
+    return PRESERVING if pres else REVERSING if rev else None
+
+
+@st.composite
+def multiplier_cases(draw):
+    """An embedding e1, a unit u of Z_v, a shift s != 0, and e2: e1 relabelled
+    by u, that relabelling's mirror, or an unrelated embedding."""
+    v, t = draw(st.sampled_from([(7, 1), (9, 3), (12, 2), (13, 1), (19, 1), (21, 3)]))
+    e1, other = random_cayley_maps(v, t, 2, seed=draw(st.integers(0, 10 ** 6)))
+    u = draw(st.sampled_from([u for u in range(1, v) if gcd(u, v) == 1]))
+    relabelled = unit_relabeling(e1, u)
+    e2 = draw(st.sampled_from([relabelled, mirror(relabelled), other]))
+    return e1, e2, u, draw(st.integers(1, v - 1))
+
+
 class TestVerifyMap:
     def test_matches_naive_oracle(self, k19, z19_family, z21_family, k31_family):
         rng = random.Random(8)
@@ -338,6 +374,34 @@ class TestVerifyMap:
                 assert verify_map(e1, e2, sigma) == want
                 verdicts.add(want)
         assert verdicts == {PRESERVING, REVERSING, None}
+
+    @settings(max_examples=150, deadline=None)
+    @given(multiplier_cases())
+    def test_multipliers_match_the_general_check(self, case):
+        e1, e2, u, s = case
+        v = e1.v
+        multiplier = tuple(u * x % v for x in range(v))
+        want = general_verify_map(e1, e2, multiplier)
+        assert verify_map(e1, e2, multiplier) == want
+        if e2.rho0 == unit_relabeling(e1, u).rho0:
+            assert want == PRESERVING
+        elif e2.rho0 == mirror(unit_relabeling(e1, u)).rho0:
+            assert want == REVERSING
+        # an affine map with s != 0 moves 0, so it is not a multiplier and
+        # takes the general path; a translation keeps it an isomorphism
+        affine = tuple((u * x + s) % v for x in range(v))
+        assert verify_map(e1, e2, affine) == general_verify_map(e1, e2, affine) \
+            == naive_verify_map(e1, e2, affine)
+
+    def test_multiplier_verdicts_on_the_bundled_array(self, ex_array, ex_pair):
+        # u = -1 maps the embedding onto its negation partner, reversing
+        emb = build_embedding(ex_array, *ex_pair)
+        v = emb.v
+        for u in (1, 2, v - 1):
+            sigma = tuple(u * x % v for x in range(v))
+            for other in (unit_relabeling(emb, u), mirror(unit_relabeling(emb, u))):
+                assert verify_map(emb, other, sigma) == general_verify_map(emb, other, sigma) \
+                    == (PRESERVING if other.rho0 == unit_relabeling(emb, u).rho0 else REVERSING)
 
     def test_translations_preserve(self, k19):
         for g in range(k19.v):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heffter import knight
 from heffter.embedding import build_embedding
 from heffter.knight import (
     BudgetExceededError,
@@ -339,6 +340,25 @@ class TestFamilies:
             power_two_family(10, 5)
         with pytest.raises(ValueError, match="4k-3"):
             power_two_family(13, 5)  # default r needs n >= 4k-3
+
+    def test_congruent_positions_match_the_listing(self):
+        for n in range(40):
+            for modulus in range(1, 9):
+                for residue in range(2 * modulus + 1):
+                    want = [x for x in range(1, n + 1) if x % modulus == residue % modulus]
+                    assert list(knight._congruent_positions(n, modulus, residue)) == want
+
+    def test_subset_families_list_the_same_bases(self, monkeypatch):
+        # the families against their positions listed one by one, as a tuple
+        def families():
+            return [power_two_family(21, 5), power_two_family(13, 5, r=2),
+                    power_two_family(15, 3, r=3), seven_diagonal_family(27, r=4),
+                    seven_diagonal_family(125), prime_family(41, 5)]
+
+        got = [(fam.census(), list(itertools.islice(fam, 400))) for fam in families()]
+        monkeypatch.setattr(knight, "_congruent_positions", lambda n, modulus, residue: tuple(
+            x for x in range(1, n + 1) if x % modulus == residue % modulus))
+        assert got == [(fam.census(), list(itertools.islice(fam, 400))) for fam in families()]
 
     def test_k7_gcd3_branch(self):
         fam = seven_diagonal_family(123)
