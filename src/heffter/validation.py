@@ -130,7 +130,8 @@ def _natural_lines(array: PartiallyFilledArray) -> tuple[list, list]:
 
 
 def _check_directions(vec: Sequence[int], length: int, what: str) -> None:
-    if len(vec) != length or any(d not in (1, -1) for d in vec):
+    # 1.0 and True compare equal to 1, but only an int ±1 is a direction
+    if len(vec) != length or any(type(d) is not int or d not in (1, -1) for d in vec):
         raise ValueError(f"{what} direction vector must be ±1 of length {length}")
 
 
@@ -318,9 +319,30 @@ def search_heffter(
     * x -> u*x does not keep the order of the row-major entries, so each
       mapped group is sorted again before it is yielded.
 
+    A searched group a is itself searched only up to its stabilizer
+    G = {u unit : u*a = a}, along a stabilizer chain (orderly generation):
+    at a branched cell, with G_i the units that fix every value branched so
+    far, only values least in their G_i-orbit are tried, and G_{i+1} is
+    {u in G_i : u*val = val}.  The images under G of the completions found
+    are deduplicated and sorted, like a mapped group.  This is exact:
+
+    * Which cells are branched on depends only on the skeleton, since a line
+      is closed when its count of free cells reaches one, and the branched
+      values B determine the array.  G maps the group onto itself.
+    * The member of a G-orbit whose B is lexicographically least passes every
+      test, and no other member does: if u*B is less than B, first differing
+      at index i, then u fixes B's first i values, so u is in G_i and B's
+      value at i was not least in its G_i-orbit.
+
+    When G is {1} (for a = 1 always, so for every first array) the group is
+    searched in full and yielded lazily, as it is found; otherwise it is
+    searched to the end before its first array is yielded.  For a prime v
+    only a = 1 is searched, so nothing is quotiented.
+
     ``budget`` bounds the searched tree: every node (a free cell branched on,
     or a completed array) counts one, and :class:`BudgetExceededError` is
-    raised when the count exceeds it.  Mapped arrays cost no nodes.
+    raised when the count exceeds it.  Mapped arrays, and the images under
+    a stabilizer, cost no nodes.
     ``limit`` (at least 1) caps the number of arrays returned; the search
     stops once it is reached.
 
@@ -446,8 +468,13 @@ def _search_iter(
                 sums[line] = (sums[line] - val) % v
                 left[line] += 1
 
-    def place(idx: int) -> Iterator[tuple[int, ...]]:
-        """Row-major values of the completions of the cells from idx on."""
+    def place(idx: int, stab: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        """Row-major values of the completions of the cells from idx on.
+
+        ``stab`` holds the units u != 1 that fix every value branched on so
+        far; only completions whose branched values are least in their orbit
+        under those units are yielded.
+        """
         count_node()
         while idx < ncells and vals[idx] is not None:
             idx += 1
@@ -473,8 +500,13 @@ def _search_iter(
                 x = (-cs - val) % v
                 if used[x] or x == val or x == v - val:
                     continue
-            if assign(idx, val):
-                yield from place(idx + 1)
+            if stab:
+                if any(u * val % v < val for u in stab):
+                    continue
+                if assign(idx, val):
+                    yield from place(idx + 1, tuple(u for u in stab if u * val % v == val))
+            elif assign(idx, val):
+                yield from place(idx + 1, stab)
             undo(mark)
 
     def to_array(values: tuple[int, ...]) -> PartiallyFilledArray:
@@ -491,11 +523,18 @@ def _search_iter(
         for a in first_candidates:
             g = gcd(a, v)  # at most a, and in J only when a is
             if g == a:
-                group = searched[a] = []
+                stab = tuple(u for u in range(2, v) if u * a % v == a and gcd(u, v) == 1)
                 assign(0, a)
-                for values in place(1):
-                    group.append(values)
-                    yield to_array(values)
+                if stab:
+                    group = searched[a] = sorted({tuple(u * x % v for x in vs)
+                                                  for vs in place(1, stab)
+                                                  for u in (1, *stab)})
+                    yield from map(to_array, group)
+                else:
+                    group = searched[a] = []
+                    for values in place(1, stab):
+                        group.append(values)
+                        yield to_array(values)
                 undo(0)
             else:
                 u = next(u for u in range(1, v) if u * g % v == a and gcd(u, v) == 1)

@@ -149,6 +149,10 @@ BAD_PAIRS = {
     "short C": ((1,) * 11, (1,) * 10),
     "long R": ((1,) * 12, (1,) * 11),
     "empty": ((), ()),
+    # equal to the solution (1,...,1), (-1, 1,...,1) of the array, but not ints
+    "float R": ((1.0,) + (1,) * 10, (-1,) + (1,) * 10),
+    "float C": ((1,) * 11, (-1.0,) + (1,) * 10),
+    "bool R": ((True,) * 11, (-1,) + (1,) * 10),
 }
 
 
@@ -162,6 +166,8 @@ def test_bad_pair_is_refused_where_it_meets_a_shape(ex_array, rows, cols):
         is_solution(skel, rows, cols)
     with pytest.raises(ValueError, match="direction vector"):
         build_embedding(ex_array, rows, cols)
+    with pytest.raises(ValueError, match="direction vector"):
+        orderings_from_orientations(ex_array, rows, cols)
 
 
 class TestSymmetries:

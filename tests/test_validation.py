@@ -1,6 +1,7 @@
 """Heffter conditions, simple orderings, compatibility, and the array search."""
 
 import itertools
+from math import gcd
 from typing import Iterator
 
 import pytest
@@ -299,15 +300,29 @@ class TestSearch:
             search_heffter(n, n, 3, 3, 1, skeleton="cyclic", budget=least - 1)
 
     def test_budget_counts_only_searched_subtrees(self):
-        # only first cells 1 and 5 of Z_25 are searched, in 3579 nodes;
-        # searching all twelve takes 21213
+        # only first cells 1 and 5 of Z_25 are searched, 5 up to the units
+        # 1, 6, 11, 16, 21 that fix it, in 2123 nodes; searching 5 in full
+        # takes 3579, and searching all twelve first cells 21213
         found = search_heffter(4, 4, 3, 3, 1, limit=1 << 30,
                                skeleton=_relabelled_k3((3, 2, 4, 1)), budget=5000)
         assert len(found) == 960
 
+    # the four exhaustive 4x4 searches of test_pruned_search_matches_unpruned;
+    # Stab(2) in Z_26 is {1}, so the t = 2 tree is not quotiented
+    @pytest.mark.parametrize("t, perm, least", [
+        (1, (3, 2, 4, 1), 2123), (2, (2, 4, 1, 3), 3193),
+        (3, (3, 2, 4, 1), 1643), (4, (4, 2, 3, 1), 2185),
+    ])
+    def test_exhaustive_4x4_budget(self, t, perm, least):
+        skel = _relabelled_k3(perm)
+        search_heffter(4, 4, 3, 3, t, limit=1 << 30, skeleton=skel, budget=least)
+        with pytest.raises(BudgetExceededError):
+            search_heffter(4, 4, 3, 3, t, limit=1 << 30, skeleton=skel, budget=least - 1)
+
     # 80 arrays per first cell: 123 ends in the group of 2 = 2 * 1 and 757
-    # in the group of 10 = 2 * 5, both mapped from a searched group
-    @pytest.mark.parametrize("limit", [123, 757])
+    # in the group of 10 = 2 * 5, both mapped from a searched group; 350 ends
+    # in the group of 5, searched up to the units that fix 5
+    @pytest.mark.parametrize("limit", [123, 350, 757])
     def test_limit_inside_a_mapped_group_is_a_prefix(self, limit):
         skel = _relabelled_k3((3, 2, 4, 1))
         exhaustive = search_heffter(4, 4, 3, 3, 1, limit=1 << 30, skeleton=skel)
@@ -400,6 +415,23 @@ def test_pruned_search_matches_unpruned(n, t, skel, limit):
         _unpruned_search_iter(n, n, 6 * n + t, t, skel), limit))
     assert len(found) == min(limit, len(oracle))
     assert found == oracle
+
+
+def test_exhaustive_5x5_cyclic_t5_is_closed_under_the_units():
+    # v = 35: first cells 5 and 7 are searched up to their stabilizers, the
+    # units u = 1 mod 7 and u = 1 mod 5, and every other group is mapped
+    found = search_heffter(5, 5, 3, 3, 5, limit=1 << 30, skeleton="cyclic")
+    assert len(found) == 1680
+    v = 35
+    rows = [a.entries() for a in found]
+    assert rows == sorted(rows)  # so each first-cell group is sorted
+    listed = set(rows)
+    assert len(listed) == len(rows)
+    for u in (u for u in range(1, v) if gcd(u, v) == 1):
+        for entries in rows:
+            image = tuple(u * x % v for x in entries)
+            assert image in listed or tuple(-x % v for x in image) in listed
+    assert all(validate_heffter(a).passed for a in found)
 
 
 def test_validation_matches_skeleton_weights(h53_cyclic):
