@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -107,19 +108,69 @@ def _cells(values: Sequence, pad: str) -> Iterable[str]:
     return [_dumps(x, pad) for x in values]
 
 
-def _list_text(values: Iterable, pad: str, chunk: int = 4096) -> Iterator[str]:
-    """``_dumps(list(values), pad)`` in pieces, ``chunk`` values at a time.
+def _records_text(names: Sequence[str], columns: Iterable[Iterable], pad: str,
+                  chunk: int = 4096) -> Iterator[str]:
+    """``_dumps(records, pad)`` in pieces, ``chunk`` records at a time, where
+    record i maps each of ``names`` to item i of its column in ``columns``.
 
-    Only one chunk of ``values`` is held at once, so a long stream prints in
-    bounded memory.
+    The records are never built, and only one chunk of ``columns`` is held
+    at a time.  Each column holds tuples of ints or leaves of ``_LEAF`` only,
+    as the library's records do: the first item of a chunk says which, and
+    no other item's type is looked at, so a mixed column is written wrong
+    (``True`` and ``1`` share one text).
     """
-    inner = pad + "  "
-    values = iter(values)
-    sep = "[" + inner
-    for block in iter(lambda: list(itertools.islice(values, chunk)), []):
-        yield sep + ("," + inner).join(_cells(block, inner))
-        sep = "," + inner
-    yield "[]" if sep[0] == "[" else pad + "]"
+    fields = sorted(zip(names, map(iter, columns)))
+    opening = "["
+    while True:
+        block = [(name, list(itertools.islice(column, chunk))) for name, column in fields]
+        if not block or not block[0][1]:
+            break
+        yield _chunk_text(block, opening, pad + "  ")
+        opening = ","
+    yield "[]" if opening == "[" else pad + "]"
+
+
+def _chunk_text(block: list[tuple[str, list]], opening: str, pad: str) -> str:
+    """``opening``, then the records of ``block``, a list of (name, column),
+    each at ``pad`` and each but the first after a comma.
+
+    Each distinct value of a column is written once.  Each record's pieces
+    go into one list by strided slice assignment, joined once; only that
+    text outlives the call.
+    """
+    count, field = len(block[0][1]), pad + "  "
+    pieces, sep = [], "," + pad + "{" + field
+    for name, column in block:
+        pieces.append([sep + encode_basestring_ascii(name) + ": "] * count)
+        if type(column[0]) is tuple:
+            pieces.append(_int_lists(column, field))
+        else:
+            memo = {x: _dumps(x) for x in set(column)}
+            pieces.append(map(memo.__getitem__, column))
+        sep = "," + field
+    pieces.append([pad + "}"] * count)
+    tokens = [""] * (len(pieces) * count)
+    for i, texts in enumerate(pieces):
+        tokens[i::len(pieces)] = texts
+    tokens[0] = opening + tokens[0][1:]
+    return "".join(tokens)
+
+
+def _int_lists(column: list[tuple[int, ...]], pad: str) -> Iterable[str]:
+    """``_dumps(list(t), pad)`` for each tuple of ints ``t`` of ``column``.
+
+    Each distinct tuple is written once, from a table of the reprs of the
+    column's ints.  ``itemgetter(*t)`` takes a tuple's reprs from it in one
+    call, about twice as fast as a ``map``; it returns a lone repr unwrapped,
+    so a tuple of one int goes by ``map``.
+    """
+    distinct = dict.fromkeys(column)
+    ints = set(itertools.chain.from_iterable(distinct))
+    table = dict(zip(ints, map(int.__repr__, ints)))
+    start, sep, end = "[" + pad + "  ", "," + pad + "  ", pad + "]"
+    texts = {t: start + sep.join(itemgetter(*t)(table) if len(t) > 1 else map(table.__getitem__, t))
+             + end if t else "[]" for t in distinct}
+    return texts.values() if len(texts) == len(column) else map(texts.__getitem__, column)
 
 
 def _print(chunks: Iterable[str]) -> None:
@@ -302,14 +353,11 @@ def cmd_tour_enum(args: argparse.Namespace) -> int:
         )
     except knight.BudgetExceededError as exc:
         raise UsageError(str(exc)) from None
-    data = {
-        "m": skel.m,
-        "n": skel.n,
-        "trivial_rows": args.trivial_R,
-        "count": len(sols),
-        "solutions": [p.to_json_dict() for p in sols],
-    }
-    _emit(data, f"count={len(sols)}", args.text)
+    if args.text:
+        _print([f"count={len(sols)}"])
+    else:
+        _print_listing({"m": skel.m, "n": skel.n, "trivial_rows": args.trivial_R,
+                        "count": len(sols)}, "solutions", *_pair_columns(sols))
     return PASS if sols else FAIL
 
 
@@ -355,14 +403,23 @@ def cmd_tour_family(args: argparse.Namespace) -> int:
             pass
         _print([f"census={census} emitted={emitted}"])
         return PASS
-    # the solutions stream between the other keys, as _dumps would place them
-    data = {"spec": family.spec.to_json_dict(), "census": census, "emitted": emitted,
-            "solutions": []}
-    head, tail = _dumps(data).split('"solutions": []', 1)
-    _print(itertools.chain([head + '"solutions": '],
-                           _list_text(map(knight.OrientationPair.to_json_dict, pairs), "\n  "),
-                           [tail]))
+    _print_listing({"spec": family.spec.to_json_dict(), "census": census,
+                    "emitted": emitted}, "solutions", *_pair_columns(pairs))
     return PASS
+
+
+def _pair_columns(pairs: Iterable[knight.OrientationPair]) -> tuple[tuple, tuple]:
+    """The names and lazy columns of ``OrientationPair.to_json_dict`` over ``pairs``."""
+    rows, cols, minus = itertools.tee(pairs, 3)
+    return ("R", "C", "E"), (map(itemgetter(0), rows), map(itemgetter(1), cols),
+                             map(attrgetter("minus_positions"), minus))
+
+
+def _print_listing(data: dict, key: str, names: Sequence[str], columns: Iterable) -> None:
+    """Print ``_dumps(data)`` with the records of ``names`` and ``columns`` as
+    its ``key``, written by :func:`_records_text` as the columns stream."""
+    head, tail = _dumps({**data, key: []}).split(f'"{key}": []', 1)
+    _print(itertools.chain([f'{head}"{key}": '], _records_text(names, columns, "\n  "), [tail]))
 
 
 def _build_embedding_from_files(array_path: str, solution_path: str):
@@ -397,20 +454,15 @@ def cmd_faces(args: argparse.Namespace) -> int:
     emb = _build_embedding_from_files(args.array, args.solution)
     # the counts come from the difference cycles, without a pass over the faces
     report = embedding.biembedding_report(emb)
-    faces = embedding.trace_faces(emb)
-    listed = faces.faces if args.all else faces.faces[:args.max_faces]
-    data = {
-        "count": report.face_count,
-        "row_faces": report.row_faces,
-        "column_faces": report.column_faces,
-        "all_simple": report.simple,
-        "listed": len(listed),
-        "faces": [
-            {"vertices": f.vertices, "color": f.color, "simple": f.simple}
-            for f in listed
-        ],
-    }
-    _emit(data, f"count={report.face_count} listed={len(listed)}", args.text)
+    count = report.face_count
+    listed = count if args.all else min(args.max_faces, count)
+    if args.text:
+        _print([f"count={count} listed={listed}"])
+        return PASS
+    _print_listing({"count": count, "row_faces": report.row_faces,
+                    "column_faces": report.column_faces, "all_simple": report.simple,
+                    "listed": listed}, "faces", embedding.Face._fields,
+                   zip(*embedding.trace_faces(emb).faces[:listed]))
     return PASS
 
 

@@ -416,10 +416,11 @@ def trace_faces(emb: CombinatorialEmbedding) -> FaceSet:
             lo, hi = (v - x if j else 0), v - values[j - 1]
             if lo >= translates:
                 continue
-            # one rotation per visit of x: a simple walk has one
+            # one rotation per visit of x, taken as it is when there is one
+            # (every value of a simple walk); else each face is the least
             lifted = [zip(*[residues[y + lo:y + hi] for y in twice[i:i + len(walk)]])
                       for i in at[x]]
-            verts = map(min, zip(*lifted))
+            verts = lifted[0] if len(lifted) == 1 else map(min, zip(*lifted))
             # the range's first translate starts at x + lo = 0 (mod v)
             key = min(edge_di[i] for i in at[x])
             # tuple.__new__ is what Face._make calls, without a Python frame per face

@@ -58,12 +58,13 @@ class OrientationPair(NamedTuple):
             tuple(-d for d in self.rows), tuple(-d for d in self.cols)
         )
 
+    @property
+    def minus_positions(self) -> tuple[int, ...]:
+        """E: the 1-based positions of the -1 entries of C."""
+        return tuple(j for j, d in enumerate(self.cols, 1) if d == -1)
+
     def to_json_dict(self) -> dict:
-        return {
-            "R": list(self.rows),
-            "C": list(self.cols),
-            "E": [j for j, d in enumerate(self.cols, 1) if d == -1],  # 1-based, of C
-        }
+        return {"R": list(self.rows), "C": list(self.cols), "E": list(self.minus_positions)}
 
     @classmethod
     def from_minus_positions(

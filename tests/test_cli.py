@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 import heffter
 from heffter import knight
-from heffter.cli import COMMANDS, _dumps, _list_text, build_parser, main
+from heffter.cli import COMMANDS, _dumps, _pair_columns, _records_text, build_parser, main
+from heffter.embedding import Face
 
 from conftest import fixture_path
 
@@ -257,6 +258,27 @@ class TestEmbedFacesIso:
             "faces": "cd1438a73af6cd01d72ba21a2b6eda71fb03e4d07a43c704e5b09a8f4e6a8565",
             "tour-enum": "775ffa34d3c43308cfa4ff575e4c2dfce04cc628ab01187f6dadb8f677f7be78",
         }
+
+    def test_faces_text_traces_no_faces(self, monkeypatch, capsys, solution_file):
+        from heffter import embedding
+
+        def refuse(emb):
+            raise AssertionError("faces --text traced the faces")
+
+        monkeypatch.setattr(embedding, "trace_faces", refuse)
+        for flags, line in [(["--all"], "count=4554 listed=4554\n"),
+                            ([], "count=4554 listed=64\n"),
+                            (["--max-faces", "5000"], "count=4554 listed=4554\n"),
+                            (["--max-faces", "0"], "count=4554 listed=0\n")]:
+            assert run(capsys, "faces", "--array", ARRAY, "--solution", solution_file,
+                       "--text", *flags) == (0, line)
+
+    def test_tour_enum_text_builds_no_records(self, monkeypatch, capsys):
+        def refuse(pairs):
+            raise AssertionError("tour-enum --text built the records")
+
+        monkeypatch.setattr(heffter.cli, "_pair_columns", refuse)
+        assert run(capsys, "tour-enum", ARRAY, "--trivial-R", "--text") == (0, "count=990\n")
 
     @pytest.mark.parametrize("command", ["embed", "faces"])
     def test_array_is_validated_once(self, monkeypatch, capsys, solution_file, command):
@@ -939,6 +961,45 @@ def _ragged_records(draw):
     return rows
 
 
+def _vectors(length):
+    return st.lists(st.sampled_from([1, -1]), min_size=length, max_size=length).map(tuple)
+
+
+@st.composite
+def _pair_pools(draw):
+    """A few distinct pairs for one m x n shape, C all +1 (E empty) and all -1
+    (E full) among the choices, and fewer row vectors, so R repeats."""
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rows = draw(st.lists(_vectors(m), min_size=1, max_size=2))
+    cols = _vectors(n) | st.just((1,) * n) | st.just((-1,) * n)
+    return [knight.OrientationPair(draw(st.sampled_from(rows)), draw(cols))
+            for _ in range(draw(st.integers(1, 5)))]
+
+
+@st.composite
+def _face_pools(draw):
+    """A few faces over one Z_v with lengths h and k, of both colours, simple
+    or not."""
+    v = draw(st.integers(1, 300))
+    lengths = draw(st.lists(st.integers(1, 12), min_size=1, max_size=2))
+    return [Face(tuple(draw(st.lists(st.integers(0, v - 1), min_size=h, max_size=h))),
+                 draw(st.sampled_from(["row", "column"])), draw(st.booleans()))
+            for h in draw(st.lists(st.sampled_from(lengths), min_size=1, max_size=5))]
+
+
+@st.composite
+def _chunked(draw, pools):
+    """(records, chunk): a pool repeated to a length at or near a multiple of
+    the chunk, or to 0."""
+    pool, chunk = draw(pools), draw(st.sampled_from([1, 2, 4096]))
+    length = draw(st.sampled_from([0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1]))
+    return list(itertools.islice(itertools.cycle(pool), length)), chunk
+
+
+def _face_columns(faces):
+    return Face._fields, zip(*faces)
+
+
 class TestJsonEncoding:
     @settings(max_examples=200, deadline=None)
     @given(_json_values)
@@ -956,10 +1017,37 @@ class TestJsonEncoding:
             assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
 
     @settings(max_examples=100, deadline=None)
-    @given(_record_lists, st.integers(1, 3))
-    def test_list_text_joins_to_dumps(self, records, chunk):
+    @given(_pair_pools() | _face_pools(), st.integers(1, 3))
+    def test_records_text_joins_to_dumps(self, pool, chunk):
+        records = [p.to_json_dict() if type(p) is knight.OrientationPair else p._asdict()
+                   for p in pool]
+        columns = _pair_columns if type(pool[0]) is knight.OrientationPair else _face_columns
         for pad in ("\n", "\n  "):
-            assert "".join(_list_text(records, pad, chunk)) == _dumps(records, pad)
+            assert "".join(_records_text(*columns(pool), pad, chunk)) == _dumps(records, pad)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_chunked(_pair_pools()))
+    @example(([], 4096))
+    def test_pair_records_are_indented_json(self, listing):
+        pairs, chunk = listing
+        dicts = [p.to_json_dict() for p in pairs]
+        text = "".join(_records_text(*_pair_columns(pairs), "\n", chunk))
+        assert text == json.dumps(dicts, sort_keys=True, indent=2)
+        text = "".join(_records_text(*_pair_columns(pairs), "\n  ", chunk))
+        assert '{\n  "solutions": ' + text + "\n}" == \
+            json.dumps({"solutions": dicts}, sort_keys=True, indent=2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_chunked(_face_pools()))
+    @example(([], 4096))
+    def test_face_records_are_indented_json(self, listing):
+        faces, chunk = listing
+        dicts = [{"vertices": f.vertices, "color": f.color, "simple": f.simple} for f in faces]
+        text = "".join(_records_text(*_face_columns(faces), "\n", chunk))
+        assert text == json.dumps(dicts, sort_keys=True, indent=2)
+        text = "".join(_records_text(*_face_columns(faces), "\n  ", chunk))
+        assert '{\n  "faces": ' + text + "\n}" == \
+            json.dumps({"faces": dicts}, sort_keys=True, indent=2)
 
     @pytest.mark.parametrize("value", [{1, 2}, object(), [1, {2}], {"a": object()}])
     def test_dumps_rejects_what_json_rejects(self, value):
