@@ -220,15 +220,8 @@ def _read(path: str) -> str:
 
 
 def _write(path: Path, text: str) -> None:
-    _write_lines(path, (text,))
-
-
-def _write_lines(path: Path, lines: Iterable[str]) -> None:
-    """Write the strings ``lines`` to ``path`` in turn, through one open file,
-    so that only one of them need be held at a time."""
     try:
-        with path.open("w") as f:
-            f.writelines(lines)
+        path.write_text(text)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}") from None
 
@@ -370,20 +363,18 @@ def cmd_tour_family(args: argparse.Namespace) -> int:
     name = alias.get(args.family.lower())
     if name is None:
         raise UsageError(f"unknown family {args.family!r}")
+    # the options each family takes beside --n; each but --r is required
+    takes = {"ThreeDiag": (), "PowerTwo": ("k", "r"), "KSeven": ("r",),
+             "PrimeN": ("k", "r"), "PairsGeneral": ("k", "i", "s1")}[name]
     params: dict = {"n": args.n}
-    if name in ("PowerTwo", "PrimeN", "PairsGeneral"):
-        if args.k is None:
-            raise UsageError(f"family {name} needs --k")
-        params["k"] = args.k
-    if name == "PairsGeneral":
-        if args.i is None or args.s1 is None:
-            raise UsageError("the pairs family needs --i and --s1")
-        params["i"] = args.i
-        params["s1"] = args.s1
-    if args.r is not None:
-        if name not in ("PowerTwo", "KSeven", "PrimeN"):
-            raise UsageError(f"family {name} does not take --r")
-        params["r"] = args.r
+    for option in ("k", "i", "s1", "r"):
+        value = getattr(args, option)
+        if value is not None and option not in takes:
+            raise UsageError(f"family {name} does not take --{option}")
+        if value is None and option in takes and option != "r":
+            raise UsageError(f"family {name} needs --{option}")
+        if value is not None:
+            params[option] = value
     try:
         family = knight.build_family(name, **params)
     except ValueError as exc:
@@ -441,7 +432,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
     emb = _build_embedding_from_files(args.array, args.solution)
     report = embedding.biembedding_report(emb)
     if args.save:
-        _write(Path(args.save), next(embedding.json_lines([emb])))
+        _write(Path(args.save), json.dumps(emb.to_json_dict(), sort_keys=True) + "\n")
     data = report.to_json_dict()
     _emit(data, f"passed={report.passed} faces={report.face_count} "
                 f"genus={report.genus_euler}", args.text)
@@ -466,18 +457,15 @@ def cmd_faces(args: argparse.Namespace) -> int:
     return PASS
 
 
-def _parse_embedding(source: str, text: str) -> embedding.CombinatorialEmbedding:
+def _load_embedding(path: str) -> embedding.CombinatorialEmbedding:
+    text = _read(path)
     try:
         return embedding.CombinatorialEmbedding.from_json(text)
     except (AttributeError, KeyError, OverflowError, RecursionError, TypeError,
             ValueError) as exc:
         raise UsageError(
-            f"{source}: not an embedding file: {type(exc).__name__}: {exc}"
+            f"{path}: not an embedding file: {type(exc).__name__}: {exc}"
         ) from None
-
-
-def _load_embedding(path: str) -> embedding.CombinatorialEmbedding:
-    return _parse_embedding(path, _read(path))
 
 
 def cmd_iso(args: argparse.Namespace) -> int:
@@ -491,24 +479,45 @@ def cmd_iso(args: argparse.Namespace) -> int:
     return PASS if m is not None else FAIL
 
 
+def _load_run(run: Path) -> list[embedding.CombinatorialEmbedding]:
+    """The embeddings that the ``array.arr`` and ``solutions.json`` of the
+    pipeline run directory ``run`` induce, in the order of the solutions."""
+    array_path, solutions_path = str(run / "array.arr"), str(run / "solutions.json")
+    array = _load_array(array_path)
+    if not _validate(array, array_path).passed or array.fold != 1:
+        raise UsageError(f"{array_path}: not a Heffter array of fold 1")
+    try:
+        solutions = json.loads(_read(solutions_path))
+        pairs = [(s["R"], s["C"]) for s in solutions]
+        if any(s["E"] != [j for j, d in enumerate(s["C"], 1) if d == -1] for s in solutions):
+            raise ValueError("E is not the positions of -1 in C")
+        return embedding.build_embeddings(array, pairs)
+    except (KeyError, RecursionError, TypeError, ValueError) as exc:
+        raise UsageError(f"{solutions_path}: not tour solutions of {array_path}: "
+                         f"{type(exc).__name__}: {exc}") from None
+
+
 def cmd_classify(args: argparse.Namespace) -> int:
     source = Path(args.path)
-    if source.is_dir():
+    # os.path, unlike Path, answers False for any path it cannot stat
+    if os.path.exists(source / "array.arr") or os.path.exists(source / "solutions.json"):
+        # a pipeline run: member i is solution i
+        where = str(source / "solutions.json")
+        embs = _load_run(source)
+        files = [f"solutions.json:{i}" for i in range(len(embs))]
+    else:
+        where = args.path
+        if not os.path.isdir(source):
+            raise UsageError(f"{args.path} is not a directory")
         paths = sorted(source.glob("*.json"))
         if not paths:
             raise UsageError(f"no *.json embeddings under {args.path}")
         embs = [_load_embedding(str(p)) for p in paths]
         files = [p.name for p in paths]
-    else:
-        # JSON lines: member i is the i-th non-empty line, named "<file>:<line>"
-        numbered = [(number, line) for number, line
-                    in enumerate(_read(args.path).split("\n"), 1) if line.strip()]
-        embs = [_parse_embedding(f"{args.path}:{number}", line) for number, line in numbered]
-        files = [f"{source.name}:{number}" for number, _ in numbered]
     try:
         result = iso.classify(embs)
     except ValueError as exc:
-        raise UsageError(f"{args.path}: {exc}") from None
+        raise UsageError(f"{where}: {exc}") from None
     data = result.to_json_dict()
     data["files"] = files
     _emit(data, f"classes={result.class_count} of {result.total}", args.text)
@@ -564,14 +573,14 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def cmd_pipeline(args: argparse.Namespace) -> int:
     input_hashes: dict[str, str] = {}
 
-    if args.array:
+    if args.array is not None:
         import hashlib  # only pipeline hashes its input
 
         # the hash is of the bytes parsed: a pipe can be read only once
         raw = _read_bytes(args.array)
         array = _load_array(args.array, raw)
         input_hashes[args.array] = hashlib.sha256(raw).hexdigest()
-    elif args.search:
+    else:
         fields = args.search.split(",")
         if len(fields) not in (5, 6):
             raise UsageError("--search wants m,n,h,k,t[,cyclic]")
@@ -585,8 +594,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         if not found:
             raise MathFailure("search found no array")
         array = found[0]
-    else:
-        raise UsageError("pipeline needs --array or --search")
 
     report = _validate(array, args.array or "--search")
     if not report.passed:
@@ -609,15 +616,13 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         embs = embedding.build_embeddings(array, [(p.rows, p.cols) for p in sols])
     except ValueError as exc:  # a fold > 1 array
         raise MathFailure(str(exc)) from None
-    # line i is embedding i
-    _write_lines(outdir / "embeddings.jsonl", embedding.json_lines(embs))
     keys = {e.rho0 for e in embs}
     if len(keys) != len(embs):
         raise MathFailure("distinct solutions produced equal rotation maps")
 
     classification = iso.classify(embs)
-    classes = classification.to_json_dict()
-    _write(outdir / "classification.json", json.dumps(classes, sort_keys=True) + "\n")
+    _write(outdir / "classification.json",
+           json.dumps(classification.to_json_dict(), sort_keys=True) + "\n")
 
     reports = [embedding.biembedding_report(e) for e in embs]
     all_pass = all(r.passed for r in reports)
@@ -627,8 +632,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         "input_hashes": input_hashes,
         "version": __version__,
         "deterministic": "no randomness anywhere; rerunning reproduces bytes",
-        "outputs": ["array.arr", "classification.json", "embeddings.jsonl",
-                    "solutions.json", "summary.json"],
+        "outputs": ["array.arr", "classification.json", "solutions.json", "summary.json"],
     }
     summary = {
         "array": array.to_json_dict(),
@@ -636,7 +640,9 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         "solutions": len(sols),
         "embeddings": len(embs),
         "distinct_rotations": len(keys),
-        "classes": classes,
+        # classification.json holds the classes themselves
+        "classes": {"class_count": classification.class_count,
+                    "total": classification.total},
         "reports_all_passed": all_pass,
         "manifest": manifest,
     }
@@ -703,8 +709,8 @@ def _iso_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _classify_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("path", help="a directory of *.json embedding files, or a "
-                                "JSON-lines file with one embedding per line")
+    p.add_argument("path", help="a pipeline run directory, or a directory of "
+                                "*.json embedding files")
 
 
 def _search_arguments(p: argparse.ArgumentParser) -> None:
@@ -733,8 +739,9 @@ def _bounds_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _pipeline_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--array", help="input array file")
-    p.add_argument("--search", help="m,n,h,k,t[,cyclic] to search an array first")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--array", help="input array file")
+    source.add_argument("--search", help="m,n,h,k,t[,cyclic] to search an array first")
     p.add_argument("--trivial-R", action="store_true", dest="trivial_R")
     p.add_argument("--budget", type=int, default=1 << 20,
                    help="maximum search tree nodes, and orientation pairs "

@@ -184,28 +184,6 @@ class CombinatorialEmbedding(
         return cls.from_json_dict(json.loads(text))
 
 
-def json_lines(embs: Iterable[CombinatorialEmbedding]) -> Iterator[str]:
-    """``json.dumps(e.to_json_dict(), sort_keys=True) + "\\n"`` for each embedding.
-
-    The keys sort as connection, entry_class, rho0, source, t, v.  So a line
-    is the text of its (v, t, entry_class), made once: the connection set,
-    the entry class and the rho0 pairs with a %d for each image; then the
-    images, the source and the (t, v) tail.  The images print as JSON writes
-    them, since every table built from an array holds ints.
-    """
-    texts: dict = {}
-    for e in embs:
-        key = (e.v, e.t, e.entry_class)
-        if key not in texts:
-            pairs = ", ".join(f"[{a}, %d]" for a in e.connection)
-            texts[key] = (f'{{"connection": {list(e.connection)}, '
-                          f'"entry_class": {sorted(e.entry_class)}, "rho0": [{pairs}], '
-                          '"source": ', f', "t": {e.t}, "v": {e.v}}}\n')
-        head, tail = texts[key]
-        source = "null" if e.source is None else json.dumps(e.source.to_json_dict(), sort_keys=True)
-        yield head % tuple(map(e.rho0.__getitem__, e.connection)) + source + tail
-
-
 def build_rho0(
     array: PartiallyFilledArray, ords: Sequence[Sequence[int]]
 ) -> tuple[int, ...]:

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import shlex
+import shutil
 import tracemalloc
 from pathlib import Path
 
@@ -20,7 +21,9 @@ from hypothesis import strategies as st
 import heffter
 from heffter import knight
 from heffter.cli import COMMANDS, _dumps, _pair_columns, _records_text, build_parser, main
-from heffter.embedding import Face
+from heffter.embedding import Face, build_embeddings
+from heffter.iso import stabilizer, verify_map
+from heffter.pfarray import parse_array
 
 from conftest import fixture_path
 
@@ -42,6 +45,42 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv)
     return code, json.loads(out)
+
+
+def rebuilt_embeddings(run: Path) -> list:
+    """The embeddings of a pipeline run, rebuilt by the library from its
+    ``array.arr`` and ``solutions.json``."""
+    array = parse_array((run / "array.arr").read_text())
+    solutions = json.loads((run / "solutions.json").read_text())
+    return build_embeddings(array, [(s["R"], s["C"]) for s in solutions])
+
+
+def recertify(run: Path) -> None:
+    """Check the classification of a pipeline run from its files alone.
+
+    Every witness must pass ``verify_map`` onto its representative with its
+    recorded kind, each class must keep within its cap, recomputed from the
+    representative's stabilizer, and the members must partition the
+    embeddings.  Raises AssertionError naming what fails.
+    """
+    embs = rebuilt_embeddings(run)
+    data = json.loads((run / "classification.json").read_text())
+    summary = json.loads((run / "summary.json").read_text())
+    members = []
+    for c in data["classes"]:
+        rep = embs[c["representative"]]
+        deg = rep.degree()
+        cap = min(2 * stabilizer(rep).size * deg, 2 * deg * deg)
+        assert len(c["members"]) == len(c["witnesses"]) == c["size"] <= c["cap"] == cap, \
+            f"class of representative {c['representative']} breaks its cap"
+        for i, witness in zip(c["members"], c["witnesses"]):
+            assert verify_map(embs[i], rep, witness["sigma"]) == witness["kind"], \
+                f"witness of member {i} is not certified"
+        members += c["members"]
+    assert sorted(members) == list(range(data["total"])) and data["total"] == len(embs), \
+        "the members do not partition the embeddings"
+    assert data["class_count"] == len(data["classes"]) == summary["classes"]["class_count"], \
+        "class counts differ"
 
 
 class TestVerify:
@@ -192,6 +231,23 @@ class TestEnumAndFamilies:
                      "--r", "2"]) == 2
         assert main(["tour-family", "--family", "bogus", "--n", "5"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        "--family 3diag --n 9 --k 5",
+        "--family 3diag --n 9 --i 3",
+        "--family 3diag --n 9 --s1 2",
+        "--family k7 --n 9 --k 5",
+        "--family power2 --n 21 --k 5 --i 3",
+        "--family prime --n 41 --k 5 --s1 2",
+        "--family pairs --n 11 --k 5 --i 3 --s1 2 --r 2",
+    ])
+    def test_family_rejects_options_it_does_not_take(self, capsys, argv):
+        assert main(["tour-family", *argv.split(), "--text"]) == 2
+        captured = capsys.readouterr()
+        option = argv.split()[-2]
+        assert captured.out == ""
+        assert captured.err.endswith(f" does not take {option}\n")
+        assert captured.err.count("\n") == 1
+
 
 class TestEmbedFacesIso:
     @pytest.fixture()
@@ -212,7 +268,10 @@ class TestEmbedFacesIso:
         saved = tmp_path / "emb.json"
         code, _ = run_json(capsys, "embed", "--array", ARRAY,
                            "--solution", solution_file, "--save", str(saved))
-        assert code == 0 and saved.exists()
+        assert code == 0
+        # one line of compact JSON, sorted keys: the bytes must not drift
+        assert hashlib.sha256(saved.read_bytes()).hexdigest() == \
+            "d3acf07b46a30858457e828ed5b6c735e0a6f55105b36a2df0f44462eb859e7a"
         code, data = run_json(capsys, "iso", str(saved), str(saved))
         assert code == 0 and data["isomorphic"]
         assert data["map"]["sigma"][:3] == [0, 1, 2]
@@ -346,22 +405,80 @@ class TestIsoClassifyInput:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
         assert main(["classify", str(tmp_path)]) == 2
-        assert capsys.readouterr().err.count("\n") == 1
-        lines = tmp_path / "embs.jsonl"
-        lines.write_text(saved[0].read_text() + "\n" + text + "\n")
-        assert main(["classify", str(lines)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {lines}:2: not an embedding file: ")
+        assert err.startswith(f"error: {bad}: not an embedding file: ")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("raw", [b"", b"\n \n", b"\xff\n"],
-                             ids=["empty", "blank lines", "not utf-8"])
-    def test_unreadable_lines_file(self, tmp_path, capsys, raw):
-        lines = tmp_path / "embs.jsonl"
-        lines.write_bytes(raw)
-        assert main(["classify", str(lines)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(lines) in err and err.count("\n") == 1
+    @pytest.fixture(scope="class")
+    def run_dir(self, tmp_path_factory):
+        """A pipeline run: the 3x3 array over Z_19 and its 24 tour solutions."""
+        out = tmp_path_factory.mktemp("pipeline") / "run"
+        assert main(["pipeline", "--search", "3,3,3,3,1", "--out", str(out)]) == 0
+        return out
+
+    def classify_damaged(self, capsys, run_dir, tmp_path, name, raw):
+        """Exit code and stderr of classify on a copy of ``run_dir`` whose file
+        ``name`` holds ``raw``, or is missing when ``raw`` is None."""
+        run = tmp_path / "run"
+        shutil.copytree(run_dir, run)
+        if raw is None:
+            (run / name).unlink()
+        else:
+            (run / name).write_bytes(raw)
+        capsys.readouterr()
+        code = main(["classify", str(run)])
+        return code, capsys.readouterr().err
+
+    def test_run_dir_is_classified_as_pipeline_did(self, capsys, run_dir):
+        code, data = run_json(capsys, "classify", str(run_dir))
+        assert code == 0
+        classification = json.loads((run_dir / "classification.json").read_text())
+        assert {key: data[key] for key in classification} == classification
+        assert data["files"] == [f"solutions.json:{i}" for i in range(24)]
+
+    @pytest.mark.parametrize("name,text,message", [
+        ("solutions.json", "{not json", "JSONDecodeError"),
+        ("solutions.json", '{"R": [1, 1, 1]}', "TypeError"),
+        ("solutions.json", "[1, 2, 3]", "TypeError"),
+        ("solutions.json", '[{"R": [1, 1, 1], "E": []}]', "KeyError: 'C'"),
+        ("solutions.json", '[{"R": [1, 1, 1], "C": 3, "E": []}]', "TypeError"),
+        ("solutions.json", '[{"R": [1, 1], "C": [1, 1, -1], "E": [3]}]',
+         "row direction vector must be ±1 of length 3"),
+        ("solutions.json", '[{"R": [1, 1, 1], "C": [1, 1, -1, 1], "E": [3]}]',
+         "column direction vector must be ±1 of length 3"),
+        ("solutions.json", '[{"R": [1, 0, 1], "C": [1, 1, -1], "E": [3]}]',
+         "row direction vector must be ±1"),
+        ("solutions.json", '[{"R": [1, 1, 1.0], "C": [1, 1, -1], "E": [3]}]',
+         "row direction vector must be ±1"),
+        ("solutions.json", '[{"R": [1, 1, 1], "C": [1, 1, 1], "E": []}]',
+         "(R, C) is not a tour solution"),
+        ("solutions.json", '[{"R": [1, 1, 1], "C": [1, 1, -1], "E": []}]',
+         "E is not the positions of -1 in C"),
+        ("solutions.json", '[{"R": [1, 1, 1], "C": [1, 1, -1], "E": [3]}, '
+                           '{"R": [1, 1, 1], "C": [1, 1, -1], "E": [3]}]', "duplicate"),
+        ("solutions.json", NESTED, "RecursionError"),
+        ("array.arr", "v=19 t=1 lambda=1 m=3 n=3\n1,3\n", ""),
+        ("array.arr", "v=19 t=1 lambda=1 m=3 n=3\n1,3,4\n7,2,-9\n-8,-5,-6\n",
+         "not a Heffter array of fold 1"),
+    ], ids=["not json", "not a list", "not records", "no C", "C not a list", "short R",
+            "long C", "zero entry", "float entry", "not a solution", "E not C's",
+            "duplicate", "nested-past-recursion-limit", "array not parsed",
+            "array not Heffter"])
+    def test_malformed_run_dir(self, tmp_path, capsys, run_dir, name, text, message):
+        code, err = self.classify_damaged(capsys, run_dir, tmp_path, name, text.encode())
+        assert code == 2
+        assert err.startswith(f"error: {tmp_path / 'run' / name}: ") and err.count("\n") == 1
+        assert message in err
+
+    @pytest.mark.parametrize("name,raw", [
+        ("solutions.json", b""), ("solutions.json", b"\n \n"), ("solutions.json", b"\xff\n"),
+        ("solutions.json", None), ("array.arr", None),
+    ], ids=["empty", "blank lines", "not utf-8", "no solutions", "no array"])
+    def test_unreadable_run_file(self, tmp_path, capsys, run_dir, name, raw):
+        code, err = self.classify_damaged(capsys, run_dir, tmp_path, name, raw)
+        assert code == 2
+        assert err.startswith("error: ") and str(tmp_path / "run" / name) in err
+        assert err.count("\n") == 1
 
     def test_k7_base_is_valid(self, tmp_path, capsys):
         good = tmp_path / "k7.json"
@@ -485,11 +602,13 @@ class TestSearchBoundsPipeline:
         assert data["distinct_rotations"] == 20
         assert data["reports_all_passed"]
         assert (out / "summary.json").read_text() == text
-        assert len((out / "embeddings.jsonl").read_text().splitlines()) == 20
-        assert not (out / "embeddings").exists()
         manifest = data["manifest"]
         assert manifest["command"] == "pipeline"
-        assert manifest["outputs"] == sorted(p.name for p in out.iterdir())
+        assert manifest["outputs"] == sorted(p.name for p in out.iterdir()) == [
+            "array.arr", "classification.json", "solutions.json", "summary.json"]
+        # the classes themselves are in classification.json alone
+        classification = json.loads((out / "classification.json").read_text())
+        assert data["classes"] == {"class_count": classification["class_count"], "total": 20}
 
     def test_pipeline_manifest_lists_only_this_runs_files(self, tmp_path, capsys):
         out, fresh = tmp_path / "run", tmp_path / "fresh"
@@ -522,19 +641,26 @@ class TestSearchBoundsPipeline:
         assert code == 0
         assert data["manifest"]["input_hashes"] == {source: hashlib.sha256(raw).hexdigest()}
 
-    def test_pipeline_full_scan_files_are_pinned(self, tmp_path, capsys):
-        # sha256 of the full 5x5 cyclic scan's files (320 solutions, 160
-        # classes): the bytes must not drift from one version to the next
-        out = tmp_path / "run"
+    @pytest.fixture(scope="class")
+    def full_scan(self, tmp_path_factory):
+        """The pipeline run of the full 5x5 cyclic scan: 320 solutions, 160 classes."""
+        out = tmp_path_factory.mktemp("pipeline") / "run"
         assert main(["pipeline", "--search", "5,5,3,3,1,cyclic", "--out", str(out)]) == 0
-        capsys.readouterr()
-        embeddings = (out / "embeddings.jsonl").read_bytes()
+        return out
+
+    def test_pipeline_full_scan_files_are_pinned(self, full_scan):
+        # sha256 of the full 5x5 cyclic scan's files: the bytes must not
+        # drift from one version to the next
+        out = full_scan
+        embeddings = "".join(json.dumps(e.to_json_dict(), sort_keys=True) + "\n"
+                             for e in rebuilt_embeddings(out)).encode()
         assert embeddings.count(b"\n") == 320
         digests = {
             name: hashlib.sha256(data).hexdigest() for name, data in [
                 ("solutions", (out / "solutions.json").read_bytes()),
                 ("classification", (out / "classification.json").read_bytes()),
-                # the 320 files embedding_NNNN.json that each held one line, in order
+                # the lines of the embeddings file that earlier versions
+                # wrote, and before that the 320 files embedding_NNNN.json
                 ("embeddings", embeddings),
             ]
         }
@@ -558,19 +684,63 @@ class TestSearchBoundsPipeline:
         assert main(["pipeline", "--array", lambda2, "--out", str(tmp_path / "run")]) == 1
         assert capsys.readouterr().err == "failed: fold > 1 arrays are not embedded\n"
 
-    def test_pipeline_classify_dir(self, tmp_path, capsys):
+    def test_pipeline_classify_dir(self, tmp_path, capsys, full_scan):
         out = tmp_path / "run"
         run_json(capsys, "pipeline", "--search", "5,5,3,3,1,cyclic",
                  "--trivial-R", "--out", str(out))
-        code, data = run_json(capsys, "classify", str(out / "embeddings.jsonl"))
-        assert code == 0
-        assert data["total"] == 20
-        assert data["files"] == [f"embeddings.jsonl:{i}" for i in range(1, 21)]
-        classes = json.loads((out / "classification.json").read_text())["classes"]
-        assert data["classes"] == classes
+        for run, total in ((out, 20), (full_scan, 320)):
+            code, data = run_json(capsys, "classify", str(run))
+            assert code == 0
+            assert data["total"] == total
+            assert data["files"] == [f"solutions.json:{i}" for i in range(total)]
+            classes = json.loads((run / "classification.json").read_text())["classes"]
+            assert data["classes"] == classes
+
+    def test_saved_run_is_recertified(self, tmp_path, capsys, full_scan):
+        recertify(full_scan)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--search", "5,5,3,3,1,cyclic", "--trivial-R",
+                     "--out", str(out)]) == 0
+        recertify(out)
+
+    def test_recertify_refuses_a_swapped_sigma(self, tmp_path, full_scan):
+        run = tmp_path / "run"
+        shutil.copytree(full_scan, run)
+        data = json.loads((run / "classification.json").read_text())
+        member, witness = next((c["members"][1], c["witnesses"][1])
+                               for c in data["classes"] if c["size"] > 1)
+        sigma = witness["sigma"]
+        sigma[1], sigma[2] = sigma[2], sigma[1]
+        (run / "classification.json").write_text(json.dumps(data))
+        with pytest.raises(AssertionError, match=f"witness of member {member} "):
+            recertify(run)
+
+    def test_recertify_refuses_a_moved_member(self, tmp_path, full_scan):
+        run = tmp_path / "run"
+        shutil.copytree(full_scan, run)
+        data = json.loads((run / "classification.json").read_text())
+        source, target = data["classes"][:2]
+        i = source["members"].index(next(m for m in source["members"]
+                                         if m != source["representative"]))
+        member = source["members"].pop(i)
+        target["members"].append(member)
+        target["witnesses"].append(source["witnesses"].pop(i))
+        source["size"] -= 1
+        target["size"] += 1
+        (run / "classification.json").write_text(json.dumps(data))
+        with pytest.raises(AssertionError, match=f"witness of member {member} "):
+            recertify(run)
 
     def test_pipeline_needs_input(self, tmp_path):
         assert main(["pipeline", "--out", str(tmp_path / "x")]) == 2
+        assert not (tmp_path / "x").exists()
+
+    def test_pipeline_takes_one_input(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["pipeline", "--array", ARRAY, "--search", "5,5,3,3,1,cyclic",
+                     "--out", str(out)]) == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_pipeline_usage_error_creates_no_output(self, tmp_path):
         out = tmp_path / "run"
@@ -627,6 +797,9 @@ BELOW_ONE = {
     # a tree deeper than the recursion limit, long before the node budget
     "search --m 1200 --n 1200 --h 3 --k 3 --skeleton cyclic",
     "pipeline --search 1200,1200,3,3,1,cyclic --out {tmp}/run",
+    # classify reads a directory: not a file, and not a name too long to stat
+    "classify {tmp}/sol.json",
+    "classify {tmp}/" + "x" * 300,
 ])
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv):
     (tmp_path / "sol.json").write_text(json.dumps({"R": [1] * 11, "C": [-1] + [1] * 10}))
@@ -692,8 +865,9 @@ def test_huge_exact_value_is_refused_with_the_digit_limit_off():
     # larger than a pipe's buffer: the command is still writing when the
     # reader goes away
     ("faces --array {array} --solution {tmp}/sol.json --all", 16),  # 900 KB
-    ("pipeline --search 5,5,3,3,1,cyclic --out {tmp}/run", 16),  # 248 KB, after its files
     ("tour-family --family 3diag --n 17", 16),  # 1.1 MB, written as it is generated
+    # 1.4 KB, within the buffer, printed after the run's files are written
+    ("pipeline --search 5,5,3,3,1,cyclic --out {tmp}/run", 16),
     # gone before the first write: with buffering, print only fills the
     # buffer and the flush fails
     ("verify {array}", 0),
@@ -831,7 +1005,7 @@ PARSES = {
     "classify": ["dir"],
     "search": ["--m", "5", "--n", "5", "--h", "3", "--k", "3"],
     "bounds": ["--theorem", "CDY", "--n", "13", "--k", "11"],
-    "pipeline": ["--out", "dir"],
+    "pipeline": ["--array", "a.arr", "--out", "dir"],
 }
 
 

@@ -2,7 +2,8 @@
 
 Integers are small, negative, or far past any size.  Files are missing,
 empty, a directory, malformed JSON or text, or valid files with one number
-replaced or the text cut short (in a JSON-lines file, of one line).
+replaced or the text cut short.  ``classify`` reads a directory of saved
+embeddings or a pipeline run directory, either of which may hold such a file.
 ``--budget`` and ``--limit`` stay at most 1000 and every size is small, so
 no example starts a long exhaustive run.
 """
@@ -34,8 +35,9 @@ JSON = st.recursive(
     max_leaves=10,
 )
 FILES = ("array.arr", "solution.json", "skeleton.json",
-         "embs/a.json", "embs/b.json", "embs.jsonl")
-NAMES = FILES + ("empty.json", "missing.json", "embs")
+         "embs/a.json", "embs/b.json", "saved/array.arr", "saved/solutions.json")
+DIRS = ("embs", "saved")  # a directory of saved embeddings, and a pipeline run
+NAMES = FILES + DIRS + ("empty.json", "missing.json")
 PATHS = st.sampled_from(NAMES)
 PATH_FLAGS = ("--array", "--solution", "--save", "--out")
 FAMILIES = st.sampled_from(["3diag", "PowerTwo", "k7", "prime", "pairs", "bogus"])
@@ -53,7 +55,9 @@ def seeds():
         "skeleton.json": json.dumps(array.skeleton().to_json_dict()),
         "embs/a.json": json.dumps(embs[0]),
         "embs/b.json": json.dumps(embs[1]),
-        "embs.jsonl": "".join(json.dumps(e) + "\n" for e in embs),
+        # the files of a pipeline run that classify reads
+        "saved/array.arr": array.to_text(),
+        "saved/solutions.json": json.dumps([p.to_json_dict() for p in pairs], sort_keys=True),
     }
 
 
@@ -127,7 +131,7 @@ COMMANDS = st.one_of(
            req("--solution", path("solution.json")),
            opt("--save", st.sampled_from(["out.json", "missing/out.json", "embs"]))),
     tokens(fixed("iso"), arg(path("embs/a.json")), arg(path("embs/b.json"))),
-    tokens(fixed("classify"), arg(path("embs", "embs.jsonl"))),
+    tokens(fixed("classify"), arg(path(*DIRS))),
     tokens(fixed("search"), req("--m", SMALL), req("--n", SMALL), req("--h", SMALL),
            req("--k", SMALL), opt("--t", INTS), req("--limit", BOUNDED),
            opt("--skeleton", SKELETONS), req("--budget", BOUNDED),
@@ -149,20 +153,15 @@ COMMANDS = st.one_of(
 def test_drawn_command_lines_exit_cleanly(tmp_path_factory, seeds, data):
     argv = data.draw(COMMANDS)
     # at most one of the files the command reads is damaged
-    read = [name for name in FILES
-            if name in argv or (name.startswith("embs/") and "embs" in argv)]
+    read = [name for name in FILES if name in argv or name.split("/")[0] in argv]
     damaged = data.draw(st.sampled_from(read + [None]))
     root = tmp_path_factory.mktemp("fuzz")
-    (root / "embs").mkdir()
+    for name in DIRS:
+        (root / name).mkdir()
     (root / "empty.json").write_text("")
     for name in FILES:
         text = seeds[name]
-        if name == damaged and name.endswith(".jsonl"):
-            lines = text.splitlines()
-            i = data.draw(st.integers(0, len(lines) - 1))
-            lines[i] = mutated(data, lines[i])
-            text = "".join(line + "\n" for line in lines)
-        elif name == damaged:
+        if name == damaged:
             text = mutated(data, text)
         (root / name).write_text(text)
     # file operands and path options name files in the example's directory

@@ -1,6 +1,5 @@
 """Rotation construction, face tracing, genus, and the biembedding report."""
 
-import json
 import signal
 from contextlib import contextmanager
 
@@ -20,7 +19,6 @@ from heffter.embedding import (
     build_embeddings,
     build_rho0,
     genus_formula,
-    json_lines,
     trace_faces,
 )
 from heffter.iso import PRESERVING, verify_map
@@ -306,21 +304,6 @@ class TestBuild:
                 ords = orderings_from_orientations(array, rows_dir, cols_dir)
                 assert emb.rho0 == build_rho0(array, ords)
                 assert (emb.source.rows, emb.source.cols) == (rows_dir, cols_dir)
-
-    def test_json_lines_are_json_dumps(self, k19_embedding, ex_embedding):
-        z21 = alternating_embedding(21, 3, [1, 2, 3, 4, 5, 6, 8, 9, 10],
-                                    [20, 19, 18, 17, 16, 15, 13, 12, 11])
-        z21_other = alternating_embedding(21, 3, [1, 2, 3, 4, 5, 6, 8, 9, 11],
-                                          [20, 19, 18, 17, 16, 15, 13, 12, 10])
-        # a source read from a file may hold anything JSON does
-        odd = CombinatorialEmbedding.from_json_dict(
-            {**k19_embedding.to_json_dict(),
-             "source": {"m": 3, "n": 3, "h": 3, "k": 3.0, "array_key": 'a "key"',
-                        "R": [True, 1, 1], "C": [1, None, "x"]}})
-        stream = [k19_embedding, k19_embedding._replace(source=None), z21, z21_other, z21,
-                  odd, ex_embedding]
-        assert "".join(json_lines(stream)) == "".join(
-            json.dumps(e.to_json_dict(), sort_keys=True) + "\n" for e in stream)
 
 
 class TestFaces:
