@@ -287,8 +287,7 @@ def _parse_direction(text: str | None, length: int, what: str) -> tuple[int, ...
 def _load_solution(path: str, m: int, n: int) -> knight.OrientationPair:
     try:
         data = json.loads(_read(path))
-        rows = tuple(int(x) for x in data["R"])
-        cols = tuple(int(x) for x in data["C"])
+        rows, cols = tuple(data["R"]), tuple(data["C"])  # entries checked below
         if len(rows) != m or len(cols) != n:
             raise UsageError(f"{path}: solution shape does not match the array")
         validation._check_directions(rows, m, "row")

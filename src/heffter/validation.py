@@ -28,7 +28,8 @@ import itertools
 import sys
 from collections import Counter
 from math import gcd
-from typing import Collection, Iterator, NamedTuple, Sequence
+from operator import itemgetter
+from typing import Callable, Collection, Iterator, NamedTuple, Sequence
 
 from .pfarray import ArrayFormatError, PartiallyFilledArray, Skeleton, cyclic_diagonal_skeleton
 
@@ -306,25 +307,58 @@ def search_heffter(
     subtrees that hold no array, so it changes neither the arrays found nor
     their order.
 
-    The tree is searched only below first-cell values a that divide v; the
-    arrays with any other first cell are mapped from these by x -> u*x mod v
-    for a unit u of Z_v:
+    The tree is searched in full only below first cell 1, giving the group
+    A1; every array with another first cell is an image of A1, or of a tree
+    below a first cell a > 1 that divides v, under these symmetries of the
+    Heffter arrays on the skeleton:
 
-    * A unit fixes J (the only subgroup of order t), permutes the ± classes
-      of Z_v \\ J and keeps every line sum 0, so it maps the Heffter arrays
-      on the skeleton one to one onto themselves, first cell a to u*a.
-    * u*b runs over {a : gcd(a, v) = gcd(b, v)} as u runs over the units,
-      so the arrays with first cell a are u times those with first cell
-      gcd(a, v), which divides v and, being at most a, is searched before a.
-    * x -> u*x does not keep the order of the row-major entries, so each
-      mapped group is sorted again before it is yielded.
+    * A unit u of Z_v, by x -> u*x: it fixes J (the only subgroup of order
+      t), permutes the ± classes of Z_v \\ J and keeps every line sum 0.  A
+      cell holds a unit exactly when it does after x -> u*x.
+    * A line automorphism g, a row and a column permutation that send the
+      filled cells onto themselves, by B = A.g (B holds at cell Y what A
+      holds at g(Y)): each row and column of B is one of A.
 
-    A searched group a is itself searched only up to its stabilizer
+    Let O be cell 0's orbit under the line automorphisms, with a map g_X for
+    each X in O that sends X to cell 0 (:func:`_line_transversal`; g_0 is
+    the identity).  For A in A1 and X in O, A.g_X holds 1 at X; it is kept
+    when X is the least cell of O at which it holds a unit, and then its
+    multiples u*(A.g_X) are made, one for each pair ±u of units, signed so
+    that the first cell lies in [1, v/2].
+
+    * Every array C (first cell in [1, v/2]) holding a unit on O is made
+      exactly once.  Let X be the least cell of O at which C holds a unit w.
+      Then A = w^-1 * C.g_X^-1 holds 1 at cell 0, so it is in A1, and
+      C = w * A.g_X is made from (A, X, ±w).  Any (A', X', ±u) that makes C
+      has X' = X, the least cell of O holding a unit in C, and u = ±w,
+      since A'.g_X holds 1 at X; so A' = A.
+    * The other arrays hold non-units from distinct ± classes at every cell
+      of O.  There are none when |O| exceeds the number of non-unit ± classes
+      of Z_v \\ J, and the trees below a > 1 are then skipped; otherwise they
+      are searched, and what they find holding a unit on O is dropped, since
+      it was made above.  A non-unit first cell b has d = gcd(b, v) > 1
+      dividing v, so such an array is u times one with first cell d, for
+      the unit u with u*d = b: exactly as below.
+    * Neither bullet needs O to be a whole orbit: any set of cells that holds
+      cell 0, each with a map to cell 0, splits the arrays the same way.
+
+    The arrays are grouped by first cell.  An image with first cell c goes
+    to the group of a = gcd(c, v), times each unit u with u*c = a (one of
+    each pair ±u); the group of a first cell b that does not divide v is u
+    times the group of gcd(b, v), for a unit u with u*gcd(b, v) = b, since
+    u*d runs over {b : gcd(b, v) = gcd(d, v)} as u runs over the units.
+    x -> u*x does not keep the order of the row-major entries, so each group
+    is sorted before it is yielded, and the arrays and their order are those
+    of a full search.  When Z_v \\ J has no non-unit (a prime v, say) every
+    array holds a unit at cell 0, so O = {cell 0} is used without searching
+    for automorphisms, and each group is A1 times a unit.
+
+    A tree below a > 1 is searched only up to its stabilizer
     G = {u unit : u*a = a}, along a stabilizer chain (orderly generation):
     at a branched cell, with G_i the units that fix every value branched so
     far, only values least in their G_i-orbit are tried, and G_{i+1} is
     {u in G_i : u*val = val}.  The images under G of the completions found
-    are deduplicated and sorted, like a mapped group.  This is exact:
+    are deduplicated.  This is exact:
 
     * Which cells are branched on depends only on the skeleton, since a line
       is closed when its count of free cells reaches one, and the branched
@@ -334,15 +368,15 @@ def search_heffter(
       at index i, then u fixes B's first i values, so u is in G_i and B's
       value at i was not least in its G_i-orbit.
 
-    When G is {1} (for a = 1 always, so for every first array) the group is
-    searched in full and yielded lazily, as it is found; otherwise it is
-    searched to the end before its first array is yielded.  For a prime v
-    only a = 1 is searched, so nothing is quotiented.
+    A1 is yielded lazily, as it is found, and its images are made once it is
+    complete, so a ``limit`` within A1 never searches for automorphisms.  A
+    tree below a > 1 is searched when its group comes, to its end before the
+    group's first array is yielded.
 
-    ``budget`` bounds the searched tree: every node (a free cell branched on,
-    or a completed array) counts one, and :class:`BudgetExceededError` is
-    raised when the count exceeds it.  Mapped arrays, and the images under
-    a stabilizer, cost no nodes.
+    ``budget`` bounds the work: every node of a searched tree (a free cell
+    branched on, or a completed array) and of the automorphism search counts
+    one, and :class:`BudgetExceededError` is raised when the count exceeds
+    it.  Images under units and line automorphisms cost no nodes.
     ``limit`` (at least 1) caps the number of arrays returned; the search
     stops once it is reached.
 
@@ -389,6 +423,88 @@ def search_heffter(
         raise BudgetExceededError(
             f"search tree is deeper than the recursion limit of {sys.getrecursionlimit()}"
         ) from None
+
+
+def _line_transversal(
+    skel: Skeleton, count_node: Callable[[], None]
+) -> list[tuple[int, tuple[int, ...]]]:
+    """Cell 0's orbit under the skeleton's line automorphisms, with a map per cell.
+
+    A line automorphism is a pair of a row and a column permutation sending
+    the filled cells onto themselves; on cells it is a permutation g of the
+    indices of ``skel.positions()``.  The result lists (x, g), one for each
+    cell x of the orbit of cell 0 in ascending order, with g[x] = 0, starting
+    with (0, identity).
+
+    Cells are tried in ascending order.  A cell x not reached yet from the
+    maps found so far gets a depth-first search over row images: x's row
+    first, sent to cell 0's row, then the other rows in ascending order, each
+    sent to a free row, least first, such that the columns' incidence
+    signatures (the set of rows placed so far that meet a column, x's column
+    marked on one side and cell 0's on the other) agree as multisets.  The column
+    permutation then pairs the columns by signature.  Each map is checked to
+    send the filled cells onto themselves before it is used, and every
+    search node calls ``count_node``.  A found map joins the generators,
+    whose preimages of the cells known to reach cell 0 close the orbit.
+    """
+    cells = skel.positions()
+    ncells = len(cells)
+    index = {p: c for c, p in enumerate(cells)}
+    filled, m, n = skel.filled, skel.m, skel.n
+    rows, cols = range(1, m + 1), range(1, n + 1)
+    row0, col0 = cells[0]
+    mark = 1 << m  # the bit of the marked column; bit d is the row placed d-th
+
+    def search(x: int) -> tuple[int, ...] | None:
+        row, col = cells[x]
+        order = [row, *(r for r in rows if r != row)]
+        full = [sum(1 << d for d, r in enumerate(order) if (r, c) in filled) | (c == col) * mark
+                for c in cols]
+        wanted = [sorted(f & ((1 << d) - 1 | mark) for f in full) for d in range(m + 1)]
+        image: list[int] = []
+
+        def extend(sigs: list[int]) -> list[int] | None:
+            count_node()
+            d = len(image)
+            if d == m:
+                return sigs
+            for r in (row0,) if d == 0 else rows:
+                if r not in image:
+                    new = [s | ((r, c) in filled) << d for c, s in zip(cols, sigs)]
+                    if sorted(new) == wanted[d + 1]:
+                        image.append(r)
+                        found = extend(new)
+                        if found is not None:
+                            return found
+                        image.pop()
+            return None
+
+        sigs = extend([(c == col0) * mark for c in cols])
+        if sigs is None:
+            return None
+        sigma = dict(zip(order, image))
+        tau = dict(zip(sorted(cols, key=lambda c: full[c - 1]),
+                       sorted(cols, key=lambda c: sigs[c - 1])))
+        # sigma and tau are one to one, so g is when every image is filled
+        g = tuple(index.get((sigma[r], tau[c]), -1) for r, c in cells)
+        return None if -1 in g else g
+
+    maps: dict[int, tuple[int, ...]] = {0: tuple(range(ncells))}
+    gens: list[tuple[tuple[int, ...], list[int]]] = []
+    for x in range(1, ncells):
+        g = None if x in maps else search(x)
+        if g is None:
+            continue
+        gens.append((g, sorted(range(ncells), key=g.__getitem__)))  # g and its inverse
+        todo = list(maps)
+        while todo:  # y = h^-1(z) goes to 0 by maps[z] after h
+            z = todo.pop()
+            for h, h_inv in gens:
+                y = h_inv[z]
+                if y not in maps:
+                    maps[y] = tuple(maps[z][d] for d in h)
+                    todo.append(y)
+    return sorted(maps.items())
 
 
 def _search_iter(
@@ -509,36 +625,62 @@ def _search_iter(
                 yield from place(idx + 1, stab)
             undo(mark)
 
+    # row i picks its cells' values from the values with None appended (at
+    # index ncells) for its empty cells; n >= 3, so each picks a tuple
+    index = {p: c for c, p in enumerate(cells)}
+    row_getters = [itemgetter(*(index.get((i, j), ncells) for j in range(1, n + 1)))
+                   for i in range(1, m + 1)]
+
     def to_array(values: tuple[int, ...]) -> PartiallyFilledArray:
-        grid: list[list[int | None]] = [[None] * n for _ in range(m)]
-        for (i, j), val in zip(cells, values):
-            grid[i - 1][j - 1] = val
-        return PartiallyFilledArray(m, n, v, t, 1, tuple(map(tuple, grid)))
+        padded = (*values, None)
+        return PartiallyFilledArray(m, n, v, t, 1, tuple([row(padded) for row in row_getters]))
 
     def arrays() -> Iterator[PartiallyFilledArray]:
         count_node()  # the root, whose free cell is the first one
         # every line through the first cell has h or k >= 3 free cells, so
         # a first value never closes a line and never hits a used class
-        searched: dict[int, list[tuple[int, ...]]] = {}
-        for a in first_candidates:
+        first = []
+        assign(0, 1)
+        for values in place(1, ()):
+            first.append(values)
+            yield to_array(values)
+        undo(0)
+        nonunit = bytearray(gcd(x, v) > 1 for x in range(v))
+        units = [u for u in range(1, v) if not nonunit[u]]
+        # the images A.g_x kept, by the gcd of their first cell with v
+        images: dict[int, list[tuple[int, ...]]] = {
+            a: [] for a in first_candidates if a > 1 and v % a == 0}
+        # with no non-unit outside J, every array holds a unit at cell 0
+        orbit = (_line_transversal(skel, count_node) if images
+                 else [(0, tuple(range(ncells)))])
+        for x, g in orbit[1:]:
+            before = [g[y] for y, _ in orbit if y < x]  # cell 0's first
+            for values in first:
+                if all(nonunit[values[d]] for d in before):
+                    image = tuple(values[d] for d in g)
+                    images[gcd(image[0], v)].append(image)
+        orbit_cells = [x for x, _ in orbit]
+        # with more orbit cells than non-unit classes, every array holds a
+        # unit on the orbit, so no tree below a > 1 has anything to add
+        trees = len(orbit) <= sum(nonunit[a] for a in first_candidates)
+        groups = {1: first}
+        for a in first_candidates[1:]:
             g = gcd(a, v)  # at most a, and in J only when a is
-            if g == a:
-                stab = tuple(u for u in range(2, v) if u * a % v == a and gcd(u, v) == 1)
-                assign(0, a)
-                if stab:
-                    group = searched[a] = sorted({tuple(u * x % v for x in vs)
-                                                  for vs in place(1, stab)
-                                                  for u in (1, *stab)})
-                    yield from map(to_array, group)
-                else:
-                    group = searched[a] = []
-                    for values in place(1, stab):
-                        group.append(values)
-                        yield to_array(values)
-                undo(0)
+            if g != a:
+                u = next(u for u in units if u * g % v == a)
+                times_u = [u * x % v for x in range(v)].__getitem__
+                group = [tuple(map(times_u, values)) for values in groups[g]]
             else:
-                u = next(u for u in range(1, v) if u * g % v == a and gcd(u, v) == 1)
-                mapped = sorted(tuple(u * x % v for x in vs) for vs in searched[g])
-                yield from map(to_array, mapped)
+                group = groups[a] = [tuple(u * y % v for y in image) for image in images[a]
+                                     for u in units if u * image[0] % v == a]
+                if trees:
+                    stab = tuple(u for u in units if u > 1 and u * a % v == a)
+                    assign(0, a)
+                    found = {tuple(u * y % v for y in values)
+                             for values in place(1, stab) for u in (1, *stab)}
+                    undo(0)
+                    group.extend(values for values in found
+                                 if all(nonunit[values[y]] for y in orbit_cells))
+            yield from map(to_array, sorted(group))
 
     return arrays()

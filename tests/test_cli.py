@@ -292,6 +292,18 @@ class TestEmbedFacesIso:
         assert main(["embed", "--array", ARRAY, "--solution", str(p)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["embed", "faces"])
+    @pytest.mark.parametrize("rows, what", [([1.9] + [1] * 9 + ["1"], "row"),
+                                            ([1] * 11, "column")])
+    def test_solution_entries_are_int_directions(self, tmp_path, capsys, command, rows, what):
+        # 1.9, "1", -1.5 and true are not directions, though int() takes them
+        p = tmp_path / "sol.json"
+        p.write_text(json.dumps({"R": rows, "C": [-1.5] + [1] * 9 + [True]}))
+        assert main([command, "--array", ARRAY, "--solution", str(p), "--text"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"bad solution file: {what} direction vector must be ±1" in captured.err
+
     def test_faces_guarded(self, capsys, solution_file):
         code, data = run_json(capsys, "faces", "--array", ARRAY,
                               "--solution", solution_file)
@@ -647,6 +659,18 @@ class TestSearchBoundsPipeline:
         out = tmp_path_factory.mktemp("pipeline") / "run"
         assert main(["pipeline", "--search", "5,5,3,3,1,cyclic", "--out", str(out)]) == 0
         return out
+
+    @pytest.mark.parametrize("t, class_count, size", [(1, 160, 2), (2, 160, 2), (3, 80, 4)])
+    def test_pipeline_full_scan_classes(self, tmp_path, capsys, full_scan, t, class_count, size):
+        # the 320 embeddings of the full 5x5 cyclic scan over Z_{30+t}
+        out = full_scan
+        if t > 1:
+            out = tmp_path / "run"
+            assert main(["pipeline", "--search", f"5,5,3,3,{t},cyclic", "--out", str(out)]) == 0
+        data = json.loads((out / "classification.json").read_text())
+        assert data["total"] == 320
+        assert data["class_count"] == class_count
+        assert {c["size"] for c in data["classes"]} == {size}
 
     def test_pipeline_full_scan_files_are_pinned(self, full_scan):
         # sha256 of the full 5x5 cyclic scan's files: the bytes must not

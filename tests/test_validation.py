@@ -1,15 +1,16 @@
 """Heffter conditions, simple orderings, compatibility, and the array search."""
 
+import hashlib
 import itertools
 from math import gcd
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heffter
-from heffter import knight
+from heffter import knight, validation
 from heffter.pfarray import (
     ArrayFormatError,
     PartiallyFilledArray,
@@ -300,18 +301,22 @@ class TestSearch:
             search_heffter(n, n, 3, 3, 1, skeleton="cyclic", budget=least - 1)
 
     def test_budget_counts_only_searched_subtrees(self):
-        # only first cells 1 and 5 of Z_25 are searched, 5 up to the units
-        # 1, 6, 11, 16, 21 that fix it, in 2123 nodes; searching 5 in full
-        # takes 3579, and searching all twelve first cells 21213
+        # only first cell 1 of Z_25 is searched, in 1758 nodes, and the
+        # automorphism search takes 10: the 12 cells of cell 0's orbit
+        # outnumber the 2 non-unit classes {±5, ±10}, so every array is an
+        # image and the tree below 5 is skipped
         found = search_heffter(4, 4, 3, 3, 1, limit=1 << 30,
                                skeleton=_relabelled_k3((3, 2, 4, 1)), budget=5000)
         assert len(found) == 960
 
-    # the four exhaustive 4x4 searches of test_pruned_search_matches_unpruned;
-    # Stab(2) in Z_26 is {1}, so the t = 2 tree is not quotiented
+    # the four exhaustive 4x4 searches of test_pruned_search_matches_unpruned:
+    # first cell 1's tree (1758, 1674, 1218 and 1148 nodes) and the
+    # automorphism search (10, 15, 10 and 10).  Cell 0's orbit has 12 cells,
+    # more than the non-unit classes of Z_25, ..., Z_28 outside J (2, 6, 3
+    # and 6), so no tree below a first cell a > 1 is searched
     @pytest.mark.parametrize("t, perm, least", [
-        (1, (3, 2, 4, 1), 2123), (2, (2, 4, 1, 3), 3193),
-        (3, (3, 2, 4, 1), 1643), (4, (4, 2, 3, 1), 2185),
+        (1, (3, 2, 4, 1), 1768), (2, (2, 4, 1, 3), 1689),
+        (3, (3, 2, 4, 1), 1228), (4, (4, 2, 3, 1), 1158),
     ])
     def test_exhaustive_4x4_budget(self, t, perm, least):
         skel = _relabelled_k3(perm)
@@ -320,8 +325,9 @@ class TestSearch:
             search_heffter(4, 4, 3, 3, t, limit=1 << 30, skeleton=skel, budget=least - 1)
 
     # 80 arrays per first cell: 123 ends in the group of 2 = 2 * 1 and 757
-    # in the group of 10 = 2 * 5, both mapped from a searched group; 350 ends
-    # in the group of 5, searched up to the units that fix 5
+    # in the group of 10 = 2 * 5, both mapped by a unit from another group;
+    # 350 ends in the group of 5, made of images of first cell 1's group
+    # under line automorphisms
     @pytest.mark.parametrize("limit", [123, 350, 757])
     def test_limit_inside_a_mapped_group_is_a_prefix(self, limit):
         skel = _relabelled_k3((3, 2, 4, 1))
@@ -418,8 +424,9 @@ def test_pruned_search_matches_unpruned(n, t, skel, limit):
 
 
 def test_exhaustive_5x5_cyclic_t5_is_closed_under_the_units():
-    # v = 35: first cells 5 and 7 are searched up to their stabilizers, the
-    # units u = 1 mod 7 and u = 1 mod 5, and every other group is mapped
+    # v = 35: only first cell 1 is searched; the groups of 5 and 7 are
+    # images of it under line automorphisms, multiplied by the units that
+    # send their first cells to 5 and 7, and every other group is mapped
     found = search_heffter(5, 5, 3, 3, 5, limit=1 << 30, skeleton="cyclic")
     assert len(found) == 1680
     v = 35
@@ -432,6 +439,84 @@ def test_exhaustive_5x5_cyclic_t5_is_closed_under_the_units():
             image = tuple(u * x % v for x in entries)
             assert image in listed or tuple(-x % v for x in image) in listed
     assert all(validate_heffter(a).passed for a in found)
+
+
+def _digest(arrays: Iterable[list[PartiallyFilledArray]]) -> str:
+    h = hashlib.sha256()
+    for found in arrays:
+        h.update(repr([a.cells for a in found]).encode())
+    return h.hexdigest()[:16]
+
+
+# digests of the arrays, in order, that the search found when every first
+# cell dividing v was searched (and each unit multiple mapped from those)
+@pytest.mark.parametrize("t, digest", [
+    (1, "b446ff3637602273"), (2, "6f52e21121326b59"),
+    (3, "5c4028453bfc0edc"), (4, "6eb0fe35046594f4"),
+])
+def test_every_4x4_relabelling_is_searched_as_before(t, digest):
+    assert _digest(search_heffter(4, 4, 3, 3, t, limit=1 << 30, skeleton=_relabelled_k3(perm))
+                   for perm in itertools.permutations(range(1, 5))) == digest
+
+
+@pytest.mark.parametrize("t, count, digest", [
+    (1, 3300, "dc5b94b004f273b1"), (3, 2180, "245e5fea2ef2299a"),
+    (5, 1680, "bb18c1d48f7b0454"),
+])
+def test_exhaustive_5x5_cyclic_is_searched_as_before(t, count, digest):
+    found = search_heffter(5, 5, 3, 3, t, limit=1 << 30, skeleton="cyclic")
+    assert len(found) == count
+    assert _digest([found]) == digest
+
+
+def _grid_skeleton(*rows: str) -> Skeleton:
+    return Skeleton(len(rows), len(rows[0]), frozenset(
+        (i, j) for i, row in enumerate(rows, 1) for j, x in enumerate(row, 1) if x == "1"))
+
+
+@pytest.mark.parametrize("skel, size", [
+    (Skeleton(3, 3, frozenset(itertools.product(range(1, 4), repeat=2))), 9),
+    (_relabelled_k3((3, 2, 4, 1)), 12),
+    (cyclic_diagonal_skeleton(5, 3), 10),
+    (_grid_skeleton("11100", "10011", "10011", "01110", "01101"), 3),
+    (_grid_skeleton("01101", "10110", "11001", "01110", "10011"), 5),
+    (_grid_skeleton("11100", "01011", "10011", "11100", "00111"), 6),
+], ids=["3x3-full", "4x4", "5x5-cyclic", "5x5-orbit-3", "5x5-orbit-5", "5x5-orbit-6"])
+def test_line_transversal_is_the_orbit_of_cell_0(skel, size):
+    cells = skel.positions()
+    orbit = set()  # every line automorphism, by brute force
+    for rows in itertools.permutations(range(1, skel.m + 1)):
+        for cols in itertools.permutations(range(1, skel.n + 1)):
+            if all((rows[i - 1], cols[j - 1]) in skel.filled for i, j in skel.filled):
+                orbit.add(cells.index((rows.index(cells[0][0]) + 1,
+                                       cols.index(cells[0][1]) + 1)))
+    nodes = []
+    found = validation._line_transversal(skel, lambda: nodes.append(1))
+    assert [x for x, _ in found] == sorted(orbit) and len(orbit) == size
+    assert 0 < len(nodes) < 100
+    for x, g in found:
+        assert g[x] == 0 and sorted(g) == list(range(len(cells)))
+        for c, d in itertools.combinations(range(len(cells)), 2):
+            for line in (0, 1):  # rows go to rows, columns to columns
+                assert (cells[c][line] == cells[d][line]) == \
+                    (cells[g[c]][line] == cells[g[d]][line])
+
+
+@pytest.mark.parametrize("t, perm", [
+    (1, (3, 2, 4, 1)), (2, (2, 4, 1, 3)), (3, (3, 2, 4, 1)), (4, (4, 2, 3, 1)),
+])
+def test_partial_transversal_matches_unpruned(monkeypatch, t, perm):
+    # any cells holding cell 0, each with a map to it, split the arrays the
+    # same way: with at most as many cells as non-unit classes (2, 6, 3 and
+    # 6 of Z_25, ..., Z_28) the trees below a > 1 run and their arrays
+    # holding a unit on those cells are dropped
+    skel = _relabelled_k3(perm)
+    oracle = list(_unpruned_search_iter(4, 4, 24 + t, t, skel))
+    full = validation._line_transversal
+    for cut in (slice(1), slice(2), slice(0, None, 5), slice(0, None, 2)):
+        monkeypatch.setattr(validation, "_line_transversal",
+                            lambda skel, count_node: full(skel, count_node)[cut])
+        assert search_heffter(4, 4, 3, 3, t, limit=1 << 30, skeleton=skel) == oracle
 
 
 def test_validation_matches_skeleton_weights(h53_cyclic):
