@@ -19,7 +19,7 @@ from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from . import __version__, embedding, iso, knight, pfarray, validation
+from . import __version__, embedding, iso, knight, pfarray, pipeline, validation
 
 PASS, FAIL, USAGE = 0, 1, 2
 
@@ -420,11 +420,7 @@ def _build_embedding_from_files(array_path: str, solution_path: str):
     except pfarray.ArrayFormatError as exc:  # v inconsistent with the weights
         raise UsageError(f"{array_path}: {exc}") from None
     except ValueError as exc:
-        raise MathFailure(str(exc)) from None
-
-
-class MathFailure(Exception):
-    pass
+        raise pipeline.MathFailure(str(exc)) from None
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
@@ -478,19 +474,18 @@ def cmd_iso(args: argparse.Namespace) -> int:
     return PASS if m is not None else FAIL
 
 
-def _load_run(run: Path) -> list[embedding.CombinatorialEmbedding]:
-    """The embeddings that the ``array.arr`` and ``solutions.json`` of the
-    pipeline run directory ``run`` induce, in the order of the solutions."""
+def _load_run(run: Path) -> pipeline.PipelineResult:
+    """The pipeline core run again on the ``array.arr`` and ``solutions.json``
+    of the pipeline run directory ``run``."""
     array_path, solutions_path = str(run / "array.arr"), str(run / "solutions.json")
     array = _load_array(array_path)
     if not _validate(array, array_path).passed or array.fold != 1:
         raise UsageError(f"{array_path}: not a Heffter array of fold 1")
     try:
         solutions = json.loads(_read(solutions_path))
-        pairs = [(s["R"], s["C"]) for s in solutions]
         if any(s["E"] != [j for j, d in enumerate(s["C"], 1) if d == -1] for s in solutions):
             raise ValueError("E is not the positions of -1 in C")
-        return embedding.build_embeddings(array, pairs)
+        return pipeline.run_pipeline(array, ((s["R"], s["C"]) for s in solutions))
     except (KeyError, RecursionError, TypeError, ValueError) as exc:
         raise UsageError(f"{solutions_path}: not tour solutions of {array_path}: "
                          f"{type(exc).__name__}: {exc}") from None
@@ -501,22 +496,19 @@ def cmd_classify(args: argparse.Namespace) -> int:
     # os.path, unlike Path, answers False for any path it cannot stat
     if os.path.exists(source / "array.arr") or os.path.exists(source / "solutions.json"):
         # a pipeline run: member i is solution i
-        where = str(source / "solutions.json")
-        embs = _load_run(source)
-        files = [f"solutions.json:{i}" for i in range(len(embs))]
+        result = _load_run(source).classification
+        files = [f"solutions.json:{i}" for i in range(result.total)]
     else:
-        where = args.path
         if not os.path.isdir(source):
             raise UsageError(f"{args.path} is not a directory")
         paths = sorted(source.glob("*.json"))
         if not paths:
             raise UsageError(f"no *.json embeddings under {args.path}")
-        embs = [_load_embedding(str(p)) for p in paths]
         files = [p.name for p in paths]
-    try:
-        result = iso.classify(embs)
-    except ValueError as exc:
-        raise UsageError(f"{where}: {exc}") from None
+        try:
+            result = iso.classify([_load_embedding(str(p)) for p in paths])
+        except ValueError as exc:
+            raise UsageError(f"{args.path}: {exc}") from None
     data = result.to_json_dict()
     data["files"] = files
     _emit(data, f"classes={result.class_count} of {result.total}", args.text)
@@ -591,12 +583,12 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise UsageError(f"--search: {exc}") from None
         if not found:
-            raise MathFailure("search found no array")
+            raise pipeline.MathFailure("search found no array")
         array = found[0]
 
     report = _validate(array, args.array or "--search")
     if not report.passed:
-        raise MathFailure("input array fails validation")
+        raise pipeline.MathFailure("input array fails validation")
     outdir = _make_dir(Path(args.out))
     _write(outdir / "array.arr", array.to_text())
 
@@ -608,23 +600,14 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         raise UsageError(str(exc)) from None
     _write(outdir / "solutions.json",
            json.dumps([p.to_json_dict() for p in sols], sort_keys=True) + "\n")
-    if not sols:
-        raise MathFailure("no tour solutions")
-
     try:
-        embs = embedding.build_embeddings(array, [(p.rows, p.cols) for p in sols])
+        result = pipeline.run_pipeline(array, sols)
     except ValueError as exc:  # a fold > 1 array
-        raise MathFailure(str(exc)) from None
-    keys = {e.rho0 for e in embs}
-    if len(keys) != len(embs):
-        raise MathFailure("distinct solutions produced equal rotation maps")
-
-    classification = iso.classify(embs)
+        raise pipeline.MathFailure(str(exc)) from None
     _write(outdir / "classification.json",
-           json.dumps(classification.to_json_dict(), sort_keys=True) + "\n")
+           json.dumps(result.classification.to_json_dict(), sort_keys=True) + "\n")
 
-    reports = [embedding.biembedding_report(e) for e in embs]
-    all_pass = all(r.passed for r in reports)
+    all_pass = result.reports_passed
     manifest = {
         "command": "pipeline",
         "arguments": list(args.raw_argv),
@@ -637,17 +620,17 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         "array": array.to_json_dict(),
         "validation": report.to_json_dict(),
         "solutions": len(sols),
-        "embeddings": len(embs),
-        "distinct_rotations": len(keys),
+        "embeddings": len(result.embeddings),
+        "distinct_rotations": len(result.embeddings),
         # classification.json holds the classes themselves
-        "classes": {"class_count": classification.class_count,
-                    "total": classification.total},
+        "classes": {"class_count": result.classification.class_count,
+                    "total": result.classification.total},
         "reports_all_passed": all_pass,
         "manifest": manifest,
     }
     dumped = _dumps(summary)
     _write(outdir / "summary.json", dumped + "\n")
-    line = (f"solutions={len(sols)} classes={classification.class_count} "
+    line = (f"solutions={len(sols)} classes={result.classification.class_count} "
             f"all_passed={all_pass}")
     _print([line if args.text else dumped])
     return PASS if all_pass else FAIL
@@ -829,7 +812,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
-    except MathFailure as exc:
+    except pipeline.MathFailure as exc:
         print(f"failed: {exc}", file=sys.stderr)
         return FAIL
 

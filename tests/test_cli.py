@@ -24,6 +24,7 @@ from heffter.cli import COMMANDS, _dumps, _pair_columns, _records_text, build_pa
 from heffter.embedding import Face, build_embeddings
 from heffter.iso import stabilizer, verify_map
 from heffter.pfarray import parse_array
+from heffter.pipeline import MathFailure, run_pipeline
 
 from conftest import fixture_path
 
@@ -672,6 +673,24 @@ class TestSearchBoundsPipeline:
         assert data["class_count"] == class_count
         assert {c["size"] for c in data["classes"]} == {size}
 
+    @pytest.mark.parametrize("t, class_count", [(1, 160), (3, 80)])
+    def test_core_classifies_as_pipeline_writes(self, tmp_path, full_scan, t, class_count):
+        # the library's pipeline core, fed the full scan as a one-shot generator
+        out = full_scan
+        if t > 1:
+            out = tmp_path / "run"
+            assert main(["pipeline", "--search", f"5,5,3,3,{t},cyclic", "--out", str(out)]) == 0
+        array = parse_array((out / "array.arr").read_text())
+        pairs = (pair for pair in knight.enumerate_solutions(array.skeleton()))
+        result = run_pipeline(array, pairs)
+        assert len(result.embeddings) == 320
+        assert result.classification.class_count == class_count
+        assert (json.dumps(result.classification.to_json_dict(), sort_keys=True) + "\n"
+                == (out / "classification.json").read_text())
+        assert result.reports_passed
+        with pytest.raises(MathFailure, match="^no tour solutions$"):
+            run_pipeline(array, (pair for pair in ()))
+
     def test_pipeline_full_scan_files_are_pinned(self, full_scan):
         # sha256 of the full 5x5 cyclic scan's files: the bytes must not
         # drift from one version to the next
@@ -696,10 +715,15 @@ class TestSearchBoundsPipeline:
         }
 
     def test_pipeline_without_solutions_exits_one(self, tmp_path, capsys):
-        # the 4x4 cyclic scan is complete and finds no covering pair
+        # the 4x4 cyclic scan is complete and finds no covering pair; classify
+        # on the run directory it leaves fails the same way
         out = tmp_path / "run"
         assert main(["pipeline", "--search", "4,4,3,3,1,cyclic", "--out", str(out)]) == 1
         assert capsys.readouterr().err == "failed: no tour solutions\n"
+        assert (out / "solutions.json").read_text() == "[]\n"
+        for text in ([], ["--text"]):
+            assert main(["classify", str(out), *text]) == 1
+            assert capsys.readouterr() == ("", "failed: no tour solutions\n")
 
     def test_pipeline_fold_two_array_exits_one(self, tmp_path, capsys):
         # the 2 x 5 array passes validation and has tour solutions, but a
@@ -708,10 +732,15 @@ class TestSearchBoundsPipeline:
         assert main(["pipeline", "--array", lambda2, "--out", str(tmp_path / "run")]) == 1
         assert capsys.readouterr().err == "failed: fold > 1 arrays are not embedded\n"
 
-    def test_pipeline_classify_dir(self, tmp_path, capsys, full_scan):
+    def test_pipeline_classify_dir(self, tmp_path, capsys, monkeypatch, full_scan):
         out = tmp_path / "run"
         run_json(capsys, "pipeline", "--search", "5,5,3,3,1,cyclic",
                  "--trivial-R", "--out", str(out))
+
+        def refuse(emb):
+            raise AssertionError("classify built a report it does not print")
+
+        monkeypatch.setattr(heffter.embedding, "biembedding_report", refuse)
         for run, total in ((out, 20), (full_scan, 320)):
             code, data = run_json(capsys, "classify", str(run))
             assert code == 0

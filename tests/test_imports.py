@@ -38,12 +38,14 @@ from heffter import (
 )
 from heffter.embedding import EmbeddingSource
 from heffter.iso import ClassificationResult, IsomorphismClass
+from heffter.pipeline import PipelineResult, run_pipeline
 
 # every public record type but SolutionFamily, a plain mutable class
 RECORD_TYPES = {
     BiembeddingReport, BoundQuery, BoundResult, ClassificationResult, CombinatorialEmbedding,
     DiagonalProfile, EmbeddingMap, EmbeddingSource, FaceSet, FamilySpec, IsomorphismClass,
-    OrientationPair, PartiallyFilledArray, Skeleton, StabilizerGroup, TourResult, ValidationReport,
+    OrientationPair, PartiallyFilledArray, PipelineResult, Skeleton, StabilizerGroup,
+    TourResult, ValidationReport,
 }
 
 CHILD = """
@@ -116,15 +118,29 @@ def test_no_module_imports_dataclasses():
     assert importers == []
 
 
+def package_imports(module: str) -> set[str]:
+    """The modules of the package that ``module`` imports; it must import
+    them relatively (``from .x import ...`` or ``from . import x``)."""
+    tree = ast.parse((Path(heffter.__file__).resolve().parent / f"{module}.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names.update([node.module] if node.module else [a.name for a in node.names])
+        assert not (isinstance(node, ast.Import)
+                    and any(a.name.startswith("heffter") for a in node.names))
+    return names
+
+
 def test_iso_imports_only_embedding_and_validation():
     # iso works on built embeddings: it reads no array, skeleton or solution
-    tree = ast.parse((Path(heffter.__file__).resolve().parent / "iso.py").read_text())
-    package_imports = {node.module for node in ast.walk(tree)
-                       if isinstance(node, ast.ImportFrom) and node.level}
-    assert package_imports <= {"embedding", "validation"}
-    assert not any(isinstance(node, ast.Import) and any(a.name.startswith("heffter")
-                                                        for a in node.names)
-                   for node in ast.walk(tree))
+    assert package_imports("iso") <= {"embedding", "validation"}
+
+
+def test_pipeline_core_imports_only_embedding_and_iso():
+    # the core reaches the layers through their modules, and the CLI runs
+    # pipeline and classify on a run directory through it
+    assert package_imports("pipeline") == {"embedding", "iso"}
+    assert "pipeline" in package_imports("cli")
 
 
 def test_records_are_immutable(ex_array, ex_pair):
@@ -138,7 +154,7 @@ def test_records_are_immutable(ex_array, ex_pair):
         OrientationPair(*ex_pair),
         tour(skel, *ex_pair), three_diagonal_family(9).spec, emb.source, emb,
         trace_faces(emb), biembedding_report(emb), group, group.elements[0],
-        result, result.classes[0],
+        result, result.classes[0], run_pipeline(ex_array, [ex_pair]),
         BoundQuery("CDY", 13, 11), evaluate_bound(BoundQuery("CDY", 13, 11)),
     ]
     assert {type(r) for r in records} == RECORD_TYPES
