@@ -589,6 +589,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     report = _validate(array, args.array or "--search")
     if not report.passed:
         raise pipeline.MathFailure("input array fails validation")
+    if array.fold != 1:
+        raise pipeline.MathFailure("fold > 1 arrays are not embedded")
     outdir = _make_dir(Path(args.out))
     _write(outdir / "array.arr", array.to_text())
 
@@ -600,10 +602,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         raise UsageError(str(exc)) from None
     _write(outdir / "solutions.json",
            json.dumps([p.to_json_dict() for p in sols], sort_keys=True) + "\n")
-    try:
-        result = pipeline.run_pipeline(array, sols)
-    except ValueError as exc:  # a fold > 1 array
-        raise pipeline.MathFailure(str(exc)) from None
+    result = pipeline.run_pipeline(array, sols)
     _write(outdir / "classification.json",
            json.dumps(result.classification.to_json_dict(), sort_keys=True) + "\n")
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 import sys
 from collections import Counter
+from heapq import heappop, heappush
 from math import gcd
 from operator import itemgetter
 from typing import Callable, Collection, Iterator, NamedTuple, Sequence
@@ -307,10 +308,11 @@ def search_heffter(
     subtrees that hold no array, so it changes neither the arrays found nor
     their order.
 
-    The tree is searched in full only below first cell 1, giving the group
-    A1; every array with another first cell is an image of A1, or of a tree
-    below a first cell a > 1 that divides v, under these symmetries of the
-    Heffter arrays on the skeleton:
+    Cell 0 is the first filled cell.  The tree below first cell 1 is always
+    searched (up to moves, below), giving the group A1 of arrays with 1 at
+    cell 0; every array with another first cell is an image of A1, or of a
+    tree below a first cell a > 1 that divides v, under these symmetries of
+    the Heffter arrays on the skeleton:
 
     * A unit u of Z_v, by x -> u*x: it fixes J (the only subgroup of order
       t), permutes the ± classes of Z_v \\ J and keeps every line sum 0.  A
@@ -350,8 +352,43 @@ def search_heffter(
     x -> u*x does not keep the order of the row-major entries, so each group
     is sorted before it is yielded, and the arrays and their order are those
     of a full search.  When Z_v \\ J has no non-unit (a prime v, say) every
-    array holds a unit at cell 0, so O = {cell 0} is used without searching
-    for automorphisms, and each group is A1 times a unit.
+    array holds a unit at cell 0, so the images use O = {cell 0} alone, and
+    each group is A1 times a unit.
+
+    A1 itself is searched only up to moves, and the rest of it is rebuilt
+    (orderly generation again).  A move is a map g_X of the transversal
+    (X != 0) or the inverse of one.  It applies to A in A1 when A holds a
+    unit w at g[0], and it sends A to w^-1 * A.g.  "Smaller" is in the order
+    of the row-major entries, the order in which the tree completes arrays.
+
+    * The image is in A1: A.g holds w at cell 0, so w^-1 * A.g holds 1 there,
+      and both symmetries keep the Heffter arrays on the skeleton.
+    * Moves are reversible: B = w^-1 * A.g holds the unit w^-1 at g^-1[0],
+      and g^-1 sends B to w * B.g^-1 = A.  So the arrays that moves connect
+      fall into components, and every move's inverse is a move.
+    * Each node carries the moves still undecided, with the index up to which
+      A and its image agree (cell Y of the image is w^-1 times cell g[Y] of
+      A).  After each placement the comparison resumes over the cells filled
+      on both sides.  Those cells keep their values in every completion of
+      the node, so an image that is smaller there is smaller in every
+      completion, and the branch is cut; an image larger there is larger in
+      every completion, and the move is dropped for the subtree, as is one
+      whose g[0] holds a non-unit.  So the tree completes exactly the arrays
+      of A1 that no move makes smaller (the first array, completed before the
+      moves are known, is the least of A1).
+    * Every array of A1 descends by moves, each image smaller, to one that no
+      move makes smaller, which is completed; so every component has a
+      completed member.  Its least member is made smaller by no move (the
+      image would be in the component), so it is the first member the tree
+      completes.  That completion is yielded, and its component is walked by
+      moves: the other members go to a set of those seen and to a heap.  A
+      completion already seen is skipped, so each array of A1 is yielded once.
+    * A member of the heap is yielded at the first node whose filled row-major
+      prefix is above its own, or at the first completion not below it, or
+      when the tree ends.  Every later completion is above it, and so is
+      every later member of the heap, which comes from a component whose
+      least member is completed later.  So A1 is yielded in ascending order,
+      as the whole tree yields it.
 
     A tree below a > 1 is searched only up to its stabilizer
     G = {u unit : u*a = a}, along a stabilizer chain (orderly generation):
@@ -369,14 +406,20 @@ def search_heffter(
       value at i was not least in its G_i-orbit.
 
     A1 is yielded lazily, as it is found, and its images are made once it is
-    complete, so a ``limit`` within A1 never searches for automorphisms.  A
-    tree below a > 1 is searched when its group comes, to its end before the
-    group's first array is yielded.
+    complete.  The automorphisms are searched once the first array has been
+    taken, so ``limit = 1`` never searches for them.  A tree below a > 1 is
+    searched when its group comes, to its end before the group's first array
+    is yielded.
 
     ``budget`` bounds the work: every node of a searched tree (a free cell
     branched on, or a completed array) and of the automorphism search counts
     one, and :class:`BudgetExceededError` is raised when the count exceeds
-    it.  Images under units and line automorphisms cost no nodes.
+    it.  Images under units and line automorphisms cost no nodes, nor do the
+    arrays of A1 rebuilt by moves, and a cut branch is not entered.  So the
+    first L arrays take at most the nodes that the uncut tree below first
+    cell 1 takes to reach its L-th completion, plus the automorphism search
+    for L >= 2.  Each node also compares the moves, so a small ``limit``
+    inside A1 can take longer than the uncut tree needs for it.
     ``limit`` (at least 1) caps the number of arrays returned; the search
     stops once it is reached.
 
@@ -528,7 +571,17 @@ def _search_iter(
         used[x] = 1
     candidates = [x for x in range(1, v) if not used[x]]
     first_candidates = [x for x in candidates if x <= v // 2]
+    nonunit = bytearray(gcd(x, v) > 1 for x in range(v))
     nodes = 0
+    # while A1 is searched: the line transversal once found; the moves, each
+    # as its start state (g, index compared up to, w^-1 or 0 while g[0] is
+    # empty); the arrays of A1 made or yielded (None after A1); and the made
+    # ones not yet yielded
+    orbit: list[tuple[int, tuple[int, ...]]] | None = None
+    moves: tuple[tuple[tuple[int, ...], int, int], ...] | None = None
+    seen: set[tuple[int, ...]] | None = set()
+    heap: list[tuple[int, ...]] = []
+    inverse: list[int] = []  # w^-1 for a unit w, 0 for a non-unit; made with the moves
 
     def count_node() -> None:
         nonlocal nodes
@@ -584,19 +637,85 @@ def _search_iter(
                 sums[line] = (sums[line] - val) % v
                 left[line] += 1
 
-    def place(idx: int, stab: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    def compare(undecided: tuple) -> tuple | None:
+        """The moves still undecided on the filled cells, or None if one makes A smaller."""
+        kept = []
+        for move in undecided:
+            g, pos, inv = move
+            if not inv:
+                w = vals[g[0]]
+                if w is None:
+                    kept.append(move)
+                    continue
+                inv = inverse[w]
+                if not inv:
+                    continue
+            while pos < ncells:
+                a, b = vals[pos], vals[g[pos]]
+                if a is None or b is None:
+                    kept.append((g, pos, inv))
+                    break
+                b = inv * b % v
+                if b != a:
+                    if b < a:
+                        return None
+                    break
+                pos += 1
+        return tuple(kept)
+
+    def rebuild(values: tuple[int, ...]) -> None:
+        """Put the arrays of A1 that moves reach from values in seen and the heap."""
+        nonlocal orbit, moves
+        if moves is None:  # values is the first array, and it has been taken
+            orbit = _line_transversal(skel, count_node)
+            maps = {g for _, g in orbit[1:]}
+            maps |= {tuple(sorted(range(ncells), key=g.__getitem__)) for g in maps}
+            moves = tuple((g, 1, 0) for g in sorted(maps))
+            inverse[:] = [0 if nonunit[w] else pow(w, -1, v) for w in range(v)]
+        getters = [(g[0], itemgetter(*g)) for g, _, _ in moves]
+        seen.add(values)
+        todo = [values]
+        while todo:
+            a = todo.pop()
+            for g0, get in getters:
+                inv = inverse[a[g0]]
+                if inv:
+                    image = tuple([inv * x % v for x in get(a)])
+                    if image not in seen:
+                        seen.add(image)
+                        heappush(heap, image)
+                        todo.append(image)
+
+    def place(
+        idx: int, stab: tuple[int, ...], undecided: tuple | None
+    ) -> Iterator[tuple[int, ...]]:
         """Row-major values of the completions of the cells from idx on.
 
         ``stab`` holds the units u != 1 that fix every value branched on so
         far; only completions whose branched values are least in their orbit
-        under those units are yielded.
+        under those units are yielded.  In A1, ``undecided`` holds the moves
+        whose image is not yet known to be larger (None before the moves are
+        found), and the arrays made by moves are yielded in order among the
+        completions.
         """
         count_node()
         while idx < ncells and vals[idx] is not None:
             idx += 1
         if idx == ncells:
-            yield tuple(vals)
+            values = tuple(vals)
+            if seen is None:
+                yield values
+                return
+            while heap and heap[0] <= values:
+                yield heappop(heap)
+            if values not in seen:
+                yield values
+                rebuild(values)
             return
+        if heap:  # every completion from here on is above this prefix
+            prefix = tuple(vals[:idx])
+            while heap and heap[0] < prefix:
+                yield heappop(heap)
         # every line through a free cell has two or more free cells here,
         # since a line left with one is closed at once by assign
         r, col = lines_of[idx]
@@ -620,9 +739,15 @@ def _search_iter(
                 if any(u * val % v < val for u in stab):
                     continue
                 if assign(idx, val):
-                    yield from place(idx + 1, tuple(u for u in stab if u * val % v == val))
+                    yield from place(idx + 1, tuple(u for u in stab if u * val % v == val), None)
             elif assign(idx, val):
-                yield from place(idx + 1, stab)
+                pending = moves if undecided is None else undecided
+                if not pending:
+                    yield from place(idx + 1, stab, pending)
+                else:
+                    child = compare(pending)
+                    if child is not None:
+                        yield from place(idx + 1, stab, child)
             undo(mark)
 
     # row i picks its cells' values from the values with None appended (at
@@ -636,23 +761,30 @@ def _search_iter(
         return PartiallyFilledArray(m, n, v, t, 1, tuple([row(padded) for row in row_getters]))
 
     def arrays() -> Iterator[PartiallyFilledArray]:
+        nonlocal orbit, moves, seen
         count_node()  # the root, whose free cell is the first one
         # every line through the first cell has h or k >= 3 free cells, so
         # a first value never closes a line and never hits a used class
         first = []
         assign(0, 1)
-        for values in place(1, ()):
+        for values in place(1, (), None):
             first.append(values)
             yield to_array(values)
         undo(0)
-        nonunit = bytearray(gcd(x, v) > 1 for x in range(v))
+        rest = sorted(heap)  # the arrays made above the last completion
+        heap.clear()
+        moves = seen = None
+        first += rest
+        yield from map(to_array, rest)
         units = [u for u in range(1, v) if not nonunit[u]]
         # the images A.g_x kept, by the gcd of their first cell with v
         images: dict[int, list[tuple[int, ...]]] = {
             a: [] for a in first_candidates if a > 1 and v % a == 0}
         # with no non-unit outside J, every array holds a unit at cell 0
-        orbit = (_line_transversal(skel, count_node) if images
-                 else [(0, tuple(range(ncells)))])
+        if not images:
+            orbit = [(0, tuple(range(ncells)))]
+        elif orbit is None:
+            orbit = _line_transversal(skel, count_node)
         for x, g in orbit[1:]:
             before = [g[y] for y, _ in orbit if y < x]  # cell 0's first
             for values in first:
@@ -677,7 +809,7 @@ def _search_iter(
                     stab = tuple(u for u in units if u > 1 and u * a % v == a)
                     assign(0, a)
                     found = {tuple(u * y % v for y in values)
-                             for values in place(1, stab) for u in (1, *stab)}
+                             for values in place(1, stab, None) for u in (1, *stab)}
                     undo(0)
                     group.extend(values for values in found
                                  if all(nonunit[values[y]] for y in orbit_cells))

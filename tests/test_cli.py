@@ -727,10 +727,12 @@ class TestSearchBoundsPipeline:
 
     def test_pipeline_fold_two_array_exits_one(self, tmp_path, capsys):
         # the 2 x 5 array passes validation and has tour solutions, but a
-        # fold > 1 array is not embedded: embed and faces fail the same way
+        # fold > 1 array is not embedded: embed and faces fail the same way,
+        # and pipeline refuses it before it makes the output directory
         lambda2 = str(fixture_path("lambda2_2x5.arr"))
         assert main(["pipeline", "--array", lambda2, "--out", str(tmp_path / "run")]) == 1
         assert capsys.readouterr().err == "failed: fold > 1 arrays are not embedded\n"
+        assert not (tmp_path / "run").exists()
 
     def test_pipeline_classify_dir(self, tmp_path, capsys, monkeypatch, full_scan):
         out = tmp_path / "run"

@@ -301,28 +301,60 @@ class TestSearch:
             search_heffter(n, n, 3, 3, 1, skeleton="cyclic", budget=least - 1)
 
     def test_budget_counts_only_searched_subtrees(self):
-        # only first cell 1 of Z_25 is searched, in 1758 nodes, and the
-        # automorphism search takes 10: the 12 cells of cell 0's orbit
-        # outnumber the 2 non-unit classes {±5, ±10}, so every array is an
-        # image and the tree below 5 is skipped
+        # only first cell 1 of Z_25 is searched, and only up to its moves:
+        # its pruned tree takes 342 nodes and the automorphism search 10
+        # (the arrays rebuilt by moves cost none).  The 12 cells of cell 0's
+        # orbit outnumber the 2 non-unit classes {±5, ±10}, so every other
+        # array is an image and the tree below 5 is skipped
         found = search_heffter(4, 4, 3, 3, 1, limit=1 << 30,
                                skeleton=_relabelled_k3((3, 2, 4, 1)), budget=5000)
         assert len(found) == 960
 
     # the four exhaustive 4x4 searches of test_pruned_search_matches_unpruned:
-    # first cell 1's tree (1758, 1674, 1218 and 1148 nodes) and the
-    # automorphism search (10, 15, 10 and 10).  Cell 0's orbit has 12 cells,
-    # more than the non-unit classes of Z_25, ..., Z_28 outside J (2, 6, 3
-    # and 6), so no tree below a first cell a > 1 is searched
+    # first cell 1's tree, cut where a move makes the array smaller (342,
+    # 503, 299 and 390 nodes, from 1758, 1674, 1218 and 1148 unpruned), and
+    # the automorphism search that finds the moves (10, 15, 10 and 10).
+    # Cell 0's orbit has 12 cells, more than the non-unit classes of Z_25,
+    # ..., Z_28 outside J (2, 6, 3 and 6), so no tree below a first cell
+    # a > 1 is searched
     @pytest.mark.parametrize("t, perm, least", [
-        (1, (3, 2, 4, 1), 1768), (2, (2, 4, 1, 3), 1689),
-        (3, (3, 2, 4, 1), 1228), (4, (4, 2, 3, 1), 1158),
+        (1, (3, 2, 4, 1), 352), (2, (2, 4, 1, 3), 518),
+        (3, (3, 2, 4, 1), 309), (4, (4, 2, 3, 1), 400),
     ])
     def test_exhaustive_4x4_budget(self, t, perm, least):
         skel = _relabelled_k3(perm)
         search_heffter(4, 4, 3, 3, t, limit=1 << 30, skeleton=skel, budget=least)
         with pytest.raises(BudgetExceededError):
             search_heffter(4, 4, 3, 3, t, limit=1 << 30, skeleton=skel, budget=least - 1)
+
+    # the least budgets of the first L arrays in the uncut tree below first
+    # cell 1; cutting it never needs more nodes, beyond those of the
+    # automorphism search once a second array is asked for: an array rebuilt
+    # by moves is yielded at the first node past it
+    @pytest.mark.parametrize("n, automorphism_nodes, unpruned", [
+        (4, 10, [(1, 39), (5, 72), (9, 230), (13, 279), (81, 1768)]),
+        (5, 27, [(2, 133), (10, 827), (50, 3602)]),
+    ], ids=["4x4", "5x5-cyclic"])
+    def test_first_arrays_fit_the_unpruned_budget(self, n, automorphism_nodes, unpruned):
+        skeleton = _relabelled_k3((3, 2, 4, 1)) if n == 4 else "cyclic"
+        for limit, least in unpruned:
+            found = search_heffter(n, n, 3, 3, 1, limit=limit, skeleton=skeleton,
+                                   budget=least + automorphism_nodes)
+            assert len(found) == limit
+
+    @pytest.mark.parametrize("n, t", [(4, 1), (5, 1), (5, 2)])
+    def test_first_array_finds_no_moves(self, monkeypatch, n, t):
+        # the moves are found once the first array has been taken, so a
+        # search for one array never looks for line automorphisms
+        def refuse(skel, count_node):
+            raise AssertionError("automorphism search for the first array")
+
+        skel = _relabelled_k3((3, 2, 4, 1)) if n == 4 else "cyclic"
+        expected = search_heffter(n, n, 3, 3, t, limit=2, skeleton=skel)
+        monkeypatch.setattr(validation, "_line_transversal", refuse)
+        assert search_heffter(n, n, 3, 3, t, limit=1, skeleton=skel) == expected[:1]
+        with pytest.raises(AssertionError, match="automorphism search"):
+            search_heffter(n, n, 3, 3, t, limit=2, skeleton=skel)
 
     # 80 arrays per first cell: 123 ends in the group of 2 = 2 * 1 and 757
     # in the group of 10 = 2 * 5, both mapped by a unit from another group;
