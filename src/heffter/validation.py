@@ -355,55 +355,49 @@ def search_heffter(
     array holds a unit at cell 0, so the images use O = {cell 0} alone, and
     each group is A1 times a unit.
 
-    A1 itself is searched only up to moves, and the rest of it is rebuilt
-    (orderly generation again).  A move is a map g_X of the transversal
-    (X != 0) or the inverse of one.  It applies to A in A1 when A holds a
-    unit w at g[0], and it sends A to w^-1 * A.g.  "Smaller" is in the order
-    of the row-major entries, the order in which the tree completes arrays.
+    Every tree that is searched is searched only up to moves, and the rest of
+    it is rebuilt (orderly generation).  Let a be the tree's first cell.  A
+    move sends A in the tree to u * A.g, for g a map g_X of the transversal
+    (X != 0) or the inverse of one and u the least unit with u*A[g[0]] = a
+    (it applies when there is one), or for g the identity and u != 1 a unit
+    that fixes a.  Below first cell 1, u is w^-1 for the unit w at g[0], and
+    the identity has no move; below a > 1, a map applies only where g[0]
+    holds a non-unit.  Any other unit u' with u'*A[g[0]] = a is s*u for a
+    unit s fixing a, so u' * A.g is two moves away.  "Smaller" is in the
+    order of the row-major entries, the order in which the tree completes
+    arrays.
 
-    * The image is in A1: A.g holds w at cell 0, so w^-1 * A.g holds 1 there,
-      and both symmetries keep the Heffter arrays on the skeleton.
-    * Moves are reversible: B = w^-1 * A.g holds the unit w^-1 at g^-1[0],
-      and g^-1 sends B to w * B.g^-1 = A.  So the arrays that moves connect
-      fall into components, and every move's inverse is a move.
+    * The image is in the tree: it holds a at cell 0, and both symmetries
+      keep the Heffter arrays on the skeleton.
+    * Moves can be undone.  The identity's u is undone by u^-1.  For a map
+      g, B = u * A.g holds u*a at g^-1[0], so g^-1 applies to B with some u'
+      and sends it to s * A, s = u'*u fixing a: that is A, or the identity's
+      s^-1 sends it to A.  So the arrays that moves connect fall into
+      components, and the moves from any member reach all of its component.
     * Each node carries the moves still undecided, with the index up to which
-      A and its image agree (cell Y of the image is w^-1 times cell g[Y] of
-      A).  After each placement the comparison resumes over the cells filled
-      on both sides.  Those cells keep their values in every completion of
-      the node, so an image that is smaller there is smaller in every
-      completion, and the branch is cut; an image larger there is larger in
-      every completion, and the move is dropped for the subtree, as is one
-      whose g[0] holds a non-unit.  So the tree completes exactly the arrays
-      of A1 that no move makes smaller (the first array, completed before the
-      moves are known, is the least of A1).
-    * Every array of A1 descends by moves, each image smaller, to one that no
-      move makes smaller, which is completed; so every component has a
-      completed member.  Its least member is made smaller by no move (the
+      A and its image agree (cell Y of the image is u times cell g[Y] of A,
+      and u is known once g[0] is filled).  After each placement the
+      comparison resumes over the cells filled on both sides.  Those cells
+      keep their values in every completion of the node, so an image that is
+      smaller there is smaller in every completion, and the branch is cut; an
+      image larger there is larger in every completion, and the move is
+      dropped for the subtree, as is a map whose g[0] holds a w with no unit
+      u*w = a.  So the tree completes exactly the arrays that no move
+      makes smaller (A1's first array, completed before the moves are known,
+      is the least of A1).
+    * Every array of the tree descends by moves, each image smaller, to one
+      that no move makes smaller, which is completed; so every component has
+      a completed member.  Its least member is made smaller by no move (the
       image would be in the component), so it is the first member the tree
       completes.  That completion is yielded, and its component is walked by
       moves: the other members go to a set of those seen and to a heap.  A
-      completion already seen is skipped, so each array of A1 is yielded once.
+      completion already seen is skipped, so each array is yielded once.
     * A member of the heap is yielded at the first node whose filled row-major
       prefix is above its own, or at the first completion not below it, or
       when the tree ends.  Every later completion is above it, and so is
       every later member of the heap, which comes from a component whose
-      least member is completed later.  So A1 is yielded in ascending order,
-      as the whole tree yields it.
-
-    A tree below a > 1 is searched only up to its stabilizer
-    G = {u unit : u*a = a}, along a stabilizer chain (orderly generation):
-    at a branched cell, with G_i the units that fix every value branched so
-    far, only values least in their G_i-orbit are tried, and G_{i+1} is
-    {u in G_i : u*val = val}.  The images under G of the completions found
-    are deduplicated.  This is exact:
-
-    * Which cells are branched on depends only on the skeleton, since a line
-      is closed when its count of free cells reaches one, and the branched
-      values B determine the array.  G maps the group onto itself.
-    * The member of a G-orbit whose B is lexicographically least passes every
-      test, and no other member does: if u*B is less than B, first differing
-      at index i, then u fixes B's first i values, so u is in G_i and B's
-      value at i was not least in its G_i-orbit.
+      least member is completed later.  So the tree's arrays are yielded in
+      ascending order, as the whole tree yields them.
 
     A1 is yielded lazily, as it is found, and its images are made once it is
     complete.  The automorphisms are searched once the first array has been
@@ -415,7 +409,7 @@ def search_heffter(
     branched on, or a completed array) and of the automorphism search counts
     one, and :class:`BudgetExceededError` is raised when the count exceeds
     it.  Images under units and line automorphisms cost no nodes, nor do the
-    arrays of A1 rebuilt by moves, and a cut branch is not entered.  So the
+    arrays rebuilt by moves, and a cut branch is not entered.  So the
     first L arrays take at most the nodes that the uncut tree below first
     cell 1 takes to reach its L-th completion, plus the automorphism search
     for L >= 2.  Each node also compares the moves, so a small ``limit``
@@ -572,16 +566,13 @@ def _search_iter(
     candidates = [x for x in range(1, v) if not used[x]]
     first_candidates = [x for x in candidates if x <= v // 2]
     nonunit = bytearray(gcd(x, v) > 1 for x in range(v))
+    units = [u for u in range(1, v) if not nonunit[u]]
+    identity = tuple(range(ncells))
     nodes = 0
-    # while A1 is searched: the line transversal once found; the moves, each
-    # as its start state (g, index compared up to, w^-1 or 0 while g[0] is
-    # empty); the arrays of A1 made or yielded (None after A1); and the made
-    # ones not yet yielded
+    # the line transversal, and the moves' maps other than the identity: its
+    # maps and their inverses; found once A1's first array has been taken
     orbit: list[tuple[int, tuple[int, ...]]] | None = None
-    moves: tuple[tuple[tuple[int, ...], int, int], ...] | None = None
-    seen: set[tuple[int, ...]] | None = set()
-    heap: list[tuple[int, ...]] = []
-    inverse: list[int] = []  # w^-1 for a unit w, 0 for a non-unit; made with the moves
+    maps: tuple[tuple[int, ...], ...] = ()
 
     def count_node() -> None:
         nonlocal nodes
@@ -590,6 +581,13 @@ def _search_iter(
             raise BudgetExceededError(
                 f"search tree exceeds budget of {budget} nodes"
             )
+
+    def find_orbit() -> None:
+        nonlocal orbit, maps
+        orbit = _line_transversal(skel, count_node)
+        found = {g for _, g in orbit[1:]}
+        found |= {tuple(sorted(range(ncells), key=g.__getitem__)) for g in found}
+        maps = tuple(sorted(found))
 
     # Requiring a line left with two free cells to still have two unused
     # classes a, b with a + b = -sum prunes more nodes, but it made the k = 3
@@ -637,118 +635,128 @@ def _search_iter(
                 sums[line] = (sums[line] - val) % v
                 left[line] += 1
 
-    def compare(undecided: tuple) -> tuple | None:
-        """The moves still undecided on the filled cells, or None if one makes A smaller."""
-        kept = []
-        for move in undecided:
-            g, pos, inv = move
-            if not inv:
-                w = vals[g[0]]
-                if w is None:
-                    kept.append(move)
-                    continue
-                inv = inverse[w]
-                if not inv:
-                    continue
-            while pos < ncells:
-                a, b = vals[pos], vals[g[pos]]
-                if a is None or b is None:
-                    kept.append((g, pos, inv))
-                    break
-                b = inv * b % v
-                if b != a:
-                    if b < a:
-                        return None
-                    break
-                pos += 1
-        return tuple(kept)
+    def tree(a: int) -> Iterator[tuple[int, ...]]:
+        """Row-major values of the arrays with a at cell 0, in ascending order."""
+        to_a = [0] * v  # to_a[w]: the least unit u with u*w = a, or 0
+        for u in reversed(units):
+            to_a[pow(u, -1, v) * a % v] = u
+        seen: set[tuple[int, ...]] = set()  # the arrays made or yielded
+        heap: list[tuple[int, ...]] = []  # the made ones not yet yielded
+        # each move's start state (g, index compared up to, u or 0 while g[0]
+        # is empty), and its getter; None in A1 until the moves are found
+        start: tuple | None = None
+        movers: list[tuple[int, itemgetter, int]] = []
 
-    def rebuild(values: tuple[int, ...]) -> None:
-        """Put the arrays of A1 that moves reach from values in seen and the heap."""
-        nonlocal orbit, moves
-        if moves is None:  # values is the first array, and it has been taken
-            orbit = _line_transversal(skel, count_node)
-            maps = {g for _, g in orbit[1:]}
-            maps |= {tuple(sorted(range(ncells), key=g.__getitem__)) for g in maps}
-            moves = tuple((g, 1, 0) for g in sorted(maps))
-            inverse[:] = [0 if nonunit[w] else pow(w, -1, v) for w in range(v)]
-        getters = [(g[0], itemgetter(*g)) for g, _, _ in moves]
-        seen.add(values)
-        todo = [values]
-        while todo:
-            a = todo.pop()
-            for g0, get in getters:
-                inv = inverse[a[g0]]
-                if inv:
-                    image = tuple([inv * x % v for x in get(a)])
-                    if image not in seen:
-                        seen.add(image)
-                        heappush(heap, image)
-                        todo.append(image)
+        def learn_moves() -> None:
+            nonlocal start, movers
+            fixing = [u for u in units[1:] if u * a % v == a]  # the identity's moves
+            start = (*((g, 1, 0) for g in maps), *((identity, 1, u) for u in fixing))
+            movers = [(g[0], itemgetter(*g), u) for g, _, u in start]
 
-    def place(
-        idx: int, stab: tuple[int, ...], undecided: tuple | None
-    ) -> Iterator[tuple[int, ...]]:
-        """Row-major values of the completions of the cells from idx on.
+        def compare(undecided: tuple) -> tuple | None:
+            """The moves still undecided on the filled cells, or None if one makes A smaller."""
+            kept = []
+            for move in undecided:
+                g, pos, u = move
+                if not u:
+                    w = vals[g[0]]
+                    if w is None:
+                        kept.append(move)
+                        continue
+                    u = to_a[w]
+                    if not u:
+                        continue
+                while pos < ncells:
+                    x, y = vals[pos], vals[g[pos]]
+                    if x is None or y is None:
+                        kept.append((g, pos, u))
+                        break
+                    y = u * y % v
+                    if y != x:
+                        if y < x:
+                            return None
+                        break
+                    pos += 1
+            return tuple(kept)
 
-        ``stab`` holds the units u != 1 that fix every value branched on so
-        far; only completions whose branched values are least in their orbit
-        under those units are yielded.  In A1, ``undecided`` holds the moves
-        whose image is not yet known to be larger (None before the moves are
-        found), and the arrays made by moves are yielded in order among the
-        completions.
-        """
-        count_node()
-        while idx < ncells and vals[idx] is not None:
-            idx += 1
-        if idx == ncells:
-            values = tuple(vals)
-            if seen is None:
-                yield values
+        def rebuild(values: tuple[int, ...]) -> None:
+            """Put the arrays that moves reach from values in seen and the heap."""
+            if start is None:  # values is A1's first array, and it has been taken
+                find_orbit()
+                learn_moves()
+            seen.add(values)
+            todo = [values]
+            while todo:
+                x = todo.pop()
+                for g0, get, u in movers:
+                    u = u or to_a[x[g0]]
+                    if u:
+                        image = tuple([u * y % v for y in get(x)])
+                        if image not in seen:
+                            seen.add(image)
+                            heappush(heap, image)
+                            todo.append(image)
+
+        def place(idx: int, undecided: tuple | None) -> Iterator[tuple[int, ...]]:
+            """Row-major values of the completions of the cells from idx on.
+
+            ``undecided`` holds the moves whose image is not yet known to be
+            larger (None before the moves are found), and the arrays made by
+            moves are yielded in order among the completions.
+            """
+            count_node()
+            while idx < ncells and vals[idx] is not None:
+                idx += 1
+            if idx == ncells:
+                values = tuple(vals)
+                while heap and heap[0] <= values:
+                    yield heappop(heap)
+                if values not in seen:
+                    yield values
+                    rebuild(values)
                 return
-            while heap and heap[0] <= values:
-                yield heappop(heap)
-            if values not in seen:
-                yield values
-                rebuild(values)
-            return
-        if heap:  # every completion from here on is above this prefix
-            prefix = tuple(vals[:idx])
-            while heap and heap[0] < prefix:
-                yield heappop(heap)
-        # every line through a free cell has two or more free cells here,
-        # since a line left with one is closed at once by assign
-        r, col = lines_of[idx]
-        close_r = left[r] == 2
-        close_c = left[col] == 2
-        rs, cs = sums[r], sums[col]
-        mark = len(trail)
-        for val in candidates:
-            if used[val]:
-                continue
-            # cheap rejections of a closing value before any state changes
-            if close_r:
-                x = (-rs - val) % v
-                if used[x] or x == val or x == v - val:
+            if heap:  # every completion from here on is above this prefix
+                prefix = tuple(vals[:idx])
+                while heap and heap[0] < prefix:
+                    yield heappop(heap)
+            # every line through a free cell has two or more free cells here,
+            # since a line left with one is closed at once by assign
+            r, col = lines_of[idx]
+            close_r = left[r] == 2
+            close_c = left[col] == 2
+            rs, cs = sums[r], sums[col]
+            mark = len(trail)
+            for val in candidates:
+                if used[val]:
                     continue
-            if close_c:
-                x = (-cs - val) % v
-                if used[x] or x == val or x == v - val:
-                    continue
-            if stab:
-                if any(u * val % v < val for u in stab):
-                    continue
+                # cheap rejections of a closing value before any state changes
+                if close_r:
+                    x = (-rs - val) % v
+                    if used[x] or x == val or x == v - val:
+                        continue
+                if close_c:
+                    x = (-cs - val) % v
+                    if used[x] or x == val or x == v - val:
+                        continue
                 if assign(idx, val):
-                    yield from place(idx + 1, tuple(u for u in stab if u * val % v == val), None)
-            elif assign(idx, val):
-                pending = moves if undecided is None else undecided
-                if not pending:
-                    yield from place(idx + 1, stab, pending)
-                else:
-                    child = compare(pending)
-                    if child is not None:
-                        yield from place(idx + 1, stab, child)
-            undo(mark)
+                    pending = start if undecided is None else undecided
+                    if not pending:
+                        yield from place(idx + 1, pending)
+                    else:
+                        child = compare(pending)
+                        if child is not None:
+                            yield from place(idx + 1, child)
+                undo(mark)
+
+        if orbit is not None:
+            learn_moves()
+        count_node()  # the root, whose free cell is the first one
+        # every line through the first cell has h or k >= 3 free cells, so
+        # a first value never closes a line and never hits a used class
+        assign(0, a)
+        yield from place(1, start)
+        undo(0)
+        yield from sorted(heap)  # the arrays made above the last completion
 
     # row i picks its cells' values from the values with None appended (at
     # index ncells) for its empty cells; n >= 3, so each picks a tuple
@@ -761,30 +769,19 @@ def _search_iter(
         return PartiallyFilledArray(m, n, v, t, 1, tuple([row(padded) for row in row_getters]))
 
     def arrays() -> Iterator[PartiallyFilledArray]:
-        nonlocal orbit, moves, seen
-        count_node()  # the root, whose free cell is the first one
-        # every line through the first cell has h or k >= 3 free cells, so
-        # a first value never closes a line and never hits a used class
+        nonlocal orbit
         first = []
-        assign(0, 1)
-        for values in place(1, (), None):
+        for values in tree(1):
             first.append(values)
             yield to_array(values)
-        undo(0)
-        rest = sorted(heap)  # the arrays made above the last completion
-        heap.clear()
-        moves = seen = None
-        first += rest
-        yield from map(to_array, rest)
-        units = [u for u in range(1, v) if not nonunit[u]]
         # the images A.g_x kept, by the gcd of their first cell with v
         images: dict[int, list[tuple[int, ...]]] = {
             a: [] for a in first_candidates if a > 1 and v % a == 0}
         # with no non-unit outside J, every array holds a unit at cell 0
         if not images:
-            orbit = [(0, tuple(range(ncells)))]
+            orbit = [(0, identity)]
         elif orbit is None:
-            orbit = _line_transversal(skel, count_node)
+            find_orbit()
         for x, g in orbit[1:]:
             before = [g[y] for y, _ in orbit if y < x]  # cell 0's first
             for values in first:
@@ -805,13 +802,8 @@ def _search_iter(
             else:
                 group = groups[a] = [tuple(u * y % v for y in image) for image in images[a]
                                      for u in units if u * image[0] % v == a]
-                if trees:
-                    stab = tuple(u for u in units if u > 1 and u * a % v == a)
-                    assign(0, a)
-                    found = {tuple(u * y % v for y in values)
-                             for values in place(1, stab, None) for u in (1, *stab)}
-                    undo(0)
-                    group.extend(values for values in found
+                if trees:  # the arrays holding a unit on the orbit are made above
+                    group.extend(values for values in tree(a)
                                  if all(nonunit[values[y]] for y in orbit_cells))
             yield from map(to_array, sorted(group))
 

@@ -230,6 +230,16 @@ class TestOrientationsAndCompatibility:
                 reference_orderings(array, rows, cols)
 
 
+def _grid_skeleton(*rows: str) -> Skeleton:
+    return Skeleton(len(rows), len(rows[0]), frozenset(
+        (i, j) for i, row in enumerate(rows, 1) for j, x in enumerate(row, 1) if x == "1"))
+
+
+# cell 0's orbit has 3 cells, no more than the non-unit classes of Z_32 and
+# Z_35 outside J, so the trees below first cells a > 1 dividing v run
+_ORBIT_3 = _grid_skeleton("11100", "10011", "10011", "01110", "01101")
+
+
 class TestSearch:
     def test_full_3x3(self, h33):
         rep = validate_heffter(h33)
@@ -327,6 +337,14 @@ class TestSearch:
         with pytest.raises(BudgetExceededError):
             search_heffter(4, 4, 3, 3, t, limit=1 << 30, skeleton=skel, budget=least - 1)
 
+    # the orbit-3 searches run the trees below first cells 2, 4 and 8 of
+    # Z_32 (t = 2) and below 5 of Z_35 (t = 5), each cut by its moves
+    @pytest.mark.parametrize("t, least", [(2, 35045), (5, 13245)])
+    def test_exhaustive_5x5_orbit_3_budget(self, t, least):
+        search_heffter(5, 5, 3, 3, t, limit=1 << 30, skeleton=_ORBIT_3, budget=least)
+        with pytest.raises(BudgetExceededError):
+            search_heffter(5, 5, 3, 3, t, limit=1 << 30, skeleton=_ORBIT_3, budget=least - 1)
+
     # the least budgets of the first L arrays in the uncut tree below first
     # cell 1; cutting it never needs more nodes, beyond those of the
     # automorphism search once a second array is asked for: an array rebuilt
@@ -356,15 +374,19 @@ class TestSearch:
         with pytest.raises(AssertionError, match="automorphism search"):
             search_heffter(n, n, 3, 3, t, limit=2, skeleton=skel)
 
-    # 80 arrays per first cell: 123 ends in the group of 2 = 2 * 1 and 757
-    # in the group of 10 = 2 * 5, both mapped by a unit from another group;
-    # 350 ends in the group of 5, made of images of first cell 1's group
-    # under line automorphisms
-    @pytest.mark.parametrize("limit", [123, 350, 757])
-    def test_limit_inside_a_mapped_group_is_a_prefix(self, limit):
-        skel = _relabelled_k3((3, 2, 4, 1))
-        exhaustive = search_heffter(4, 4, 3, 3, 1, limit=1 << 30, skeleton=skel)
-        assert search_heffter(4, 4, 3, 3, 1, limit=limit,
+    # 4x4 (80 arrays per first cell): 123 ends in the group of 2 = 2 * 1 and
+    # 757 in the group of 10 = 2 * 5, both mapped by a unit from another
+    # group; 350 ends in the group of 5, made of images of first cell 1's
+    # group under line automorphisms.  Orbit-3 over Z_32: 500 ends in the
+    # group of 2 (arrays 256-639) and 2500 in that of 8 (2176-2815), each
+    # holding the arrays of its own tree among images of first cell 1's
+    @pytest.mark.parametrize("n, t, limit", [
+        (4, 1, 123), (4, 1, 350), (4, 1, 757), (5, 2, 500), (5, 2, 2500),
+    ], ids=["123", "350", "757", "orbit-3-500", "orbit-3-2500"])
+    def test_limit_inside_a_mapped_group_is_a_prefix(self, n, t, limit):
+        skel = _relabelled_k3((3, 2, 4, 1)) if n == 4 else _ORBIT_3
+        exhaustive = search_heffter(n, n, 3, 3, t, limit=1 << 30, skeleton=skel)
+        assert search_heffter(n, n, 3, 3, t, limit=limit,
                               skeleton=skel) == exhaustive[:limit]
 
 
@@ -491,26 +513,25 @@ def test_every_4x4_relabelling_is_searched_as_before(t, digest):
                    for perm in itertools.permutations(range(1, 5))) == digest
 
 
-@pytest.mark.parametrize("t, count, digest", [
-    (1, 3300, "dc5b94b004f273b1"), (3, 2180, "245e5fea2ef2299a"),
-    (5, 1680, "bb18c1d48f7b0454"),
-])
-def test_exhaustive_5x5_cyclic_is_searched_as_before(t, count, digest):
-    found = search_heffter(5, 5, 3, 3, t, limit=1 << 30, skeleton="cyclic")
+# the orbit-3 lists were checked once against _unpruned_search_iter, which
+# takes about 130 and 80 s for them
+@pytest.mark.parametrize("skel, t, count, digest", [
+    ("cyclic", 1, 3300, "dc5b94b004f273b1"), ("cyclic", 3, 2180, "245e5fea2ef2299a"),
+    ("cyclic", 5, 1680, "bb18c1d48f7b0454"),
+    (_ORBIT_3, 2, 4992, "4d622cf555ad9f04"), (_ORBIT_3, 5, 1872, "53156a0e2deae71a"),
+], ids=["1-3300-dc5b94b004f273b1", "3-2180-245e5fea2ef2299a", "5-1680-bb18c1d48f7b0454",
+        "orbit-3-2-4992-4d622cf555ad9f04", "orbit-3-5-1872-53156a0e2deae71a"])
+def test_exhaustive_5x5_cyclic_is_searched_as_before(skel, t, count, digest):
+    found = search_heffter(5, 5, 3, 3, t, limit=1 << 30, skeleton=skel)
     assert len(found) == count
     assert _digest([found]) == digest
-
-
-def _grid_skeleton(*rows: str) -> Skeleton:
-    return Skeleton(len(rows), len(rows[0]), frozenset(
-        (i, j) for i, row in enumerate(rows, 1) for j, x in enumerate(row, 1) if x == "1"))
 
 
 @pytest.mark.parametrize("skel, size", [
     (Skeleton(3, 3, frozenset(itertools.product(range(1, 4), repeat=2))), 9),
     (_relabelled_k3((3, 2, 4, 1)), 12),
     (cyclic_diagonal_skeleton(5, 3), 10),
-    (_grid_skeleton("11100", "10011", "10011", "01110", "01101"), 3),
+    (_ORBIT_3, 3),
     (_grid_skeleton("01101", "10110", "11001", "01110", "10011"), 5),
     (_grid_skeleton("11100", "01011", "10011", "11100", "00111"), 6),
 ], ids=["3x3-full", "4x4", "5x5-cyclic", "5x5-orbit-3", "5x5-orbit-5", "5x5-orbit-6"])
