@@ -286,13 +286,12 @@ def _parse_direction(text: str | None, length: int, what: str) -> tuple[int, ...
 
 def _load_solution(path: str, m: int, n: int) -> knight.OrientationPair:
     try:
-        data = json.loads(_read(path))
-        rows, cols = tuple(data["R"]), tuple(data["C"])  # entries checked below
-        if len(rows) != m or len(cols) != n:
+        pair = knight.OrientationPair.from_json_dict(json.loads(_read(path)))
+        if len(pair.rows) != m or len(pair.cols) != n:
             raise UsageError(f"{path}: solution shape does not match the array")
-        validation._check_directions(rows, m, "row")
-        validation._check_directions(cols, n, "column")
-        return knight.OrientationPair(rows, cols)
+        validation._check_directions(pair.rows, m, "row")
+        validation._check_directions(pair.cols, n, "column")
+        return pair
     except (KeyError, OverflowError, RecursionError, TypeError, ValueError) as exc:
         raise UsageError(f"{path}: bad solution file: {exc}") from None
 
@@ -343,7 +342,7 @@ def cmd_tour_enum(args: argparse.Namespace) -> int:
         sols = knight.enumerate_solutions(
             skel, trivial_rows=args.trivial_R, budget=args.budget
         )
-    except knight.BudgetExceededError as exc:
+    except ValueError as exc:  # an empty skeleton, a budget exceeded
         raise UsageError(str(exc)) from None
     if args.text:
         _print([f"count={len(sols)}"])
@@ -483,9 +482,7 @@ def _load_run(run: Path) -> pipeline.PipelineResult:
         raise UsageError(f"{array_path}: not a Heffter array of fold 1")
     try:
         solutions = json.loads(_read(solutions_path))
-        if any(s["E"] != [j for j, d in enumerate(s["C"], 1) if d == -1] for s in solutions):
-            raise ValueError("E is not the positions of -1 in C")
-        return pipeline.run_pipeline(array, ((s["R"], s["C"]) for s in solutions))
+        return pipeline.run_pipeline(array, map(knight.OrientationPair.from_json_dict, solutions))
     except (KeyError, RecursionError, TypeError, ValueError) as exc:
         raise UsageError(f"{solutions_path}: not tour solutions of {array_path}: "
                          f"{type(exc).__name__}: {exc}") from None

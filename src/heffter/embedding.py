@@ -220,9 +220,10 @@ def build_embeddings(
     """Embeddings from a validated array and tour solutions (R, C), in order.
 
     The array is validated, checked for fold 1, hashed and read into its
-    lines once for all pairs.  Validation with fold 1 leaves each ± class of
-    Z_v \\ J exactly one entry, so the entries are distinct residues and hold
-    no ± pair, which :func:`build_rho0` and
+    lines once for all pairs, and each pair is checked as it is embedded, so
+    ``pairs`` may be a one-shot iterator.  Validation with fold 1 leaves each
+    ± class of Z_v \\ J exactly one entry, so the entries are distinct
+    residues and hold no ± pair, which :func:`build_rho0` and
     :func:`validation.orderings_from_orientations` check for other callers.
     Raises ValueError when the array fails validation, is a lambda-fold array
     with fold > 1 (those are validated but never embedded), or when some pair
@@ -238,10 +239,6 @@ def build_embeddings(
     v = array.v
     entry_class = frozenset(array.entries())
     rows, cols = _natural_lines(array)
-    pairs = [(tuple(rows_dir), tuple(cols_dir)) for rows_dir, cols_dir in pairs]
-    for rows_dir, cols_dir in pairs:
-        _check_directions(rows_dir, array.m, "row")
-        _check_directions(cols_dir, array.n, "column")
     # rho0 in line order: the rows give it on the entries (the negated
     # successor, which is the successor on the negated row), the columns on
     # their negatives; ``at[x]`` is where x is in that order, and J reads the
@@ -250,10 +247,13 @@ def build_embeddings(
     at = [len(order)] * v
     for i, x in enumerate(order):
         at[x] = i
-    row_parts = _line_parts([[(-b) % v for b in row] for row in rows], [r for r, _ in pairs])
-    col_parts = _line_parts(cols, [c for _, c in pairs])
+    row_parts = _line_parts([[(-b) % v for b in row] for row in rows])
+    col_parts = _line_parts(cols)
     out = []
     for rows_dir, cols_dir in pairs:
+        rows_dir, cols_dir = tuple(rows_dir), tuple(cols_dir)
+        _check_directions(rows_dir, array.m, "row")
+        _check_directions(cols_dir, array.n, "column")
         values = [*chain.from_iterable(map(getitem, row_parts, rows_dir)),
                   *chain.from_iterable(map(getitem, col_parts, cols_dir)), -1]
         source = EmbeddingSource(array.m, array.n, report.h, report.k, key, rows_dir, cols_dir)
@@ -262,20 +262,10 @@ def build_embeddings(
     return out
 
 
-def _line_parts(lines: Sequence[Sequence[int]], dirs: Sequence[Sequence[int]]) -> list[list]:
+def _line_parts(lines: Sequence[Sequence[int]]) -> list[list]:
     """Per line, the successor of each of its values, in line order, when it
-    is read in each direction that some vector of ``dirs`` gives it.
-
-    ``part[1]`` and ``part[-1]`` read the line forwards and backwards; a
-    direction no vector uses is left None.
-    """
-    parts = []
-    for line, used in zip(lines, map(set, zip(*dirs))):
-        part: list = [None, None, None]
-        for d in used:
-            part[d] = [*line[d:], *line[:d]]
-        parts.append(part)
-    return parts
+    is read forwards (``part[1]``) and backwards (``part[-1]``)."""
+    return [[None, [*line[1:], *line[:1]], [*line[-1:], *line[:-1]]] for line in lines]
 
 
 def build_embedding(

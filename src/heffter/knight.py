@@ -67,6 +67,15 @@ class OrientationPair(NamedTuple):
         return {"R": list(self.rows), "C": list(self.cols), "E": list(self.minus_positions)}
 
     @classmethod
+    def from_json_dict(cls, data: dict) -> "OrientationPair":
+        """The pair of a :meth:`to_json_dict` record.  ``E`` may be left out;
+        when given, it must be :attr:`minus_positions`, else ValueError."""
+        pair = cls(tuple(data["R"]), tuple(data["C"]))
+        if "E" in data and data["E"] != list(pair.minus_positions):
+            raise ValueError("E is not the positions of -1 in C")
+        return pair
+
+    @classmethod
     def from_minus_positions(
         cls, m: int, n: int, minus_positions: Sequence[int]
     ) -> "OrientationPair":

@@ -173,6 +173,16 @@ class TestEnumAndFamilies:
     def test_enum_budget(self, capsys):
         assert main(["tour-enum", ARRAY, "--budget", "16"]) == 2
 
+    @pytest.mark.parametrize("text", [
+        "v=7 t=1 m=2 n=2\n,\n,\n",
+        json.dumps({"v": 7, "t": 1, "m": 2, "n": 2, "cells": [[None, None], [None, None]]}),
+    ], ids=["text", "json"])
+    def test_enum_of_an_empty_array_is_a_usage_error(self, tmp_path, capsys, text):
+        path = tmp_path / "empty.arr"
+        path.write_text(text)
+        assert main(["tour-enum", str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: empty skeleton\n")
+
     def test_family(self, capsys):
         code, data = run_json(capsys, "tour-family", "--family", "3diag",
                               "--n", "5")
@@ -286,7 +296,9 @@ class TestEmbedFacesIso:
         ({"R": [0] + [1] * 10, "C": [1] * 11}, "row direction vector must be ±1"),
         ({"R": [1] * 11, "C": [1] * 10}, "solution shape does not match the array"),
         ({"R": [], "C": []}, "solution shape does not match the array"),
-    ], ids=["zero entry", "short C", "empty"])
+        ({"R": [1] * 11, "C": [-1] + [1] * 10, "E": []},
+         "bad solution file: E is not the positions of -1 in C"),
+    ], ids=["zero entry", "short C", "empty", "E not C's"])
     def test_embed_malformed_pair_is_a_usage_error(self, tmp_path, capsys, sol, message):
         p = tmp_path / "sol.json"
         p.write_text(json.dumps(sol))
@@ -304,6 +316,20 @@ class TestEmbedFacesIso:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"bad solution file: {what} direction vector must be ±1" in captured.err
+
+    @pytest.mark.parametrize("command", ["embed", "faces"])
+    def test_solution_e_is_optional_and_checked(self, tmp_path, capsys, solution_file,
+                                                command):
+        # the fixture's record has no E; C's one -1 is at position 1
+        argv = [command, "--array", ARRAY, "--solution"]
+        record = json.loads(Path(solution_file).read_text())
+        p = tmp_path / "sol_e.json"
+        p.write_text(json.dumps({**record, "E": [1]}))
+        assert run(capsys, *argv, str(p)) == run(capsys, *argv, solution_file)
+        p.write_text(json.dumps({**record, "E": [2]}))
+        assert main([*argv, str(p)]) == 2
+        assert capsys.readouterr() == ("", f"error: {p}: bad solution file: "
+                                           "E is not the positions of -1 in C\n")
 
     def test_faces_guarded(self, capsys, solution_file):
         code, data = run_json(capsys, "faces", "--array", ARRAY,
@@ -443,11 +469,23 @@ class TestIsoClassifyInput:
         return code, capsys.readouterr().err
 
     def test_run_dir_is_classified_as_pipeline_did(self, capsys, run_dir):
-        code, data = run_json(capsys, "classify", str(run_dir))
+        code, out = run(capsys, "classify", str(run_dir))
         assert code == 0
+        data = json.loads(out)
+        # classes and witnesses are nested records, written by _cells
+        assert out == json.dumps(data, sort_keys=True, indent=2) + "\n"
         classification = json.loads((run_dir / "classification.json").read_text())
         assert {key: data[key] for key in classification} == classification
         assert data["files"] == [f"solutions.json:{i}" for i in range(24)]
+
+    def test_run_dir_records_need_no_e(self, tmp_path, capsys, run_dir):
+        stripped = tmp_path / "run"
+        shutil.copytree(run_dir, stripped)
+        solutions = json.loads((stripped / "solutions.json").read_text())
+        assert all("E" in s for s in solutions)
+        (stripped / "solutions.json").write_text(
+            json.dumps([{"R": s["R"], "C": s["C"]} for s in solutions]))
+        assert run(capsys, "classify", str(stripped)) == run(capsys, "classify", str(run_dir))
 
     @pytest.mark.parametrize("name,text,message", [
         ("solutions.json", "{not json", "JSONDecodeError"),
@@ -1253,6 +1291,15 @@ class TestJsonEncoding:
         columns = _pair_columns if type(pool[0]) is knight.OrientationPair else _face_columns
         for pad in ("\n", "\n  "):
             assert "".join(_records_text(*columns(pool), pad, chunk)) == _dumps(records, pad)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_pair_pools())
+    def test_pair_records_read_back(self, pairs):
+        for p in pairs:
+            data = p.to_json_dict()
+            assert knight.OrientationPair.from_json_dict(data) == p
+            del data["E"]
+            assert knight.OrientationPair.from_json_dict(data) == p
 
     @settings(max_examples=60, deadline=None)
     @given(_chunked(_pair_pools()))

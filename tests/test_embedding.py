@@ -222,6 +222,13 @@ class TestBuild:
         with pytest.raises(ValueError, match="fold"):
             build_embeddings(lambda2_array, [])
 
+    def test_pairs_are_checked_as_they_are_read(self, h33):
+        pairs = [(p.rows, p.cols) for p in enumerate_solutions(h33.skeleton())[:2]]
+        one_shot = iter(pairs + [((1, 0, 1), (1, 1, 1))])
+        with pytest.raises(ValueError, match="row direction vector must be ±1 of length 3"):
+            build_embeddings(h33, one_shot)
+        assert next(one_shot, None) is None
+
     def test_provenance(self, ex_embedding):
         src = ex_embedding.source
         assert (src.m, src.n, src.h, src.k) == (11, 11, 9, 9)
