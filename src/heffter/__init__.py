@@ -10,7 +10,6 @@ from .embedding import (
     biembedding_report,
     build_embedding,
     build_embeddings,
-    build_rho0,
     genus_formula,
     trace_faces,
 )
@@ -38,7 +37,6 @@ from .knight import (
     prime_family,
     seven_diagonal_family,
     strip_criterion,
-    swapped,
     three_diagonal_family,
     tour,
 )
@@ -56,10 +54,8 @@ from .pfarray import (
 )
 from .validation import (
     ValidationReport,
-    are_compatible,
     is_globally_simple,
     is_simple_ordering,
-    orderings_from_orientations,
     search_heffter,
     validate_heffter,
 )

@@ -588,15 +588,15 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         raise pipeline.MathFailure("input array fails validation")
     if array.fold != 1:
         raise pipeline.MathFailure("fold > 1 arrays are not embedded")
-    outdir = _make_dir(Path(args.out))
-    _write(outdir / "array.arr", array.to_text())
-
+    # before the run directory, so that a refusal leaves nothing behind
     try:
         sols = knight.enumerate_solutions(
             array.skeleton(), trivial_rows=args.trivial_R, budget=args.budget
         )
-    except knight.BudgetExceededError as exc:
+    except ValueError as exc:  # an empty skeleton, a budget exceeded
         raise UsageError(str(exc)) from None
+    outdir = _make_dir(Path(args.out))
+    _write(outdir / "array.arr", array.to_text())
     _write(outdir / "solutions.json",
            json.dumps([p.to_json_dict() for p in sols], sort_keys=True) + "\n")
     result = pipeline.run_pipeline(array, sols)

@@ -184,29 +184,6 @@ class CombinatorialEmbedding(
         return cls.from_json_dict(json.loads(text))
 
 
-def build_rho0(
-    array: PartiallyFilledArray, ords: Sequence[Sequence[int]]
-) -> tuple[int, ...]:
-    """The rotation table rho0[a] = -(row successor of a), rho0[-a] = column
-    successor of a, from the tables (row_perm, col_perm) that
-    :func:`validation.orderings_from_orientations` returns.  Raises ValueError
-    when the array holds both a and -a."""
-    v = array.v
-    entries = set(array.entries())
-    for a in array.entries():
-        if (-a) % v in entries:
-            raise ValueError(
-                f"entries {a} and {(-a) % v} are negatives of each other: "
-                "the rotation construction needs one representative per pair"
-            )
-    row_perm, col_perm = ords
-    rho0 = [-1] * v
-    for a in entries:
-        rho0[a] = (-row_perm[a]) % v
-        rho0[(-a) % v] = col_perm[a]
-    return tuple(rho0)
-
-
 def array_key(array: PartiallyFilledArray) -> str:
     import hashlib  # here, so that commands which never hash do not load it
 
@@ -223,8 +200,7 @@ def build_embeddings(
     lines once for all pairs, and each pair is checked as it is embedded, so
     ``pairs`` may be a one-shot iterator.  Validation with fold 1 leaves each
     ± class of Z_v \\ J exactly one entry, so the entries are distinct
-    residues and hold no ± pair, which :func:`build_rho0` and
-    :func:`validation.orderings_from_orientations` check for other callers.
+    residues and hold no ± pair.
     Raises ValueError when the array fails validation, is a lambda-fold array
     with fold > 1 (those are validated but never embedded), or when some pair
     is not ±1 of the array's shape or induces orderings that are not

@@ -14,8 +14,8 @@ the results.
 
 Besides direct orbit tracing (the oracle) this module implements two exact
 characterizations of the trivial-R solutions of diagonal-structured square
-skeletons, five constructive solution families with those shapes, the two
-solution symmetries (negation, and row/column swap on cyclically diagonal
+skeletons, five constructive solution families with those shapes (closed
+under negation, and under the row/column swap on cyclically diagonal
 skeletons), and an exhaustive enumerator.  The cyclic characterization's two
 reconnection permutations are tables indexed by position with -1 off E, the
 library's one permutation form, and it tests their composition with
@@ -82,21 +82,6 @@ class OrientationPair(NamedTuple):
         """Trivial row vector plus the column vector with -1 at the given positions."""
         es = set(_positions(n, minus_positions))
         return cls((1,) * m, tuple(-1 if j + 1 in es else 1 for j in range(n)))
-
-
-def swapped(pair: OrientationPair, skel: Skeleton) -> OrientationPair:
-    """The pair (C, R) on the same skeleton.
-
-    Solutions are closed under the swap when the skeleton is cyclically
-    diagonal and R is trivial; both hypotheses are enforced.  Acceptance
-    criterion 6 checks this lemma on every trivial-R solution it finds.
-    """
-    profile = _profile(skel)
-    if not profile.cyclic:
-        raise ValueError("row/column swap needs a cyclically diagonal skeleton")
-    if any(d != 1 for d in pair.rows):
-        raise ValueError("row/column swap needs the trivial row vector")
-    return OrientationPair(pair.cols, pair.rows)
 
 
 # -- successor map and tours ---------------------------------------------------------

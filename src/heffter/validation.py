@@ -1,4 +1,4 @@
-"""Heffter-array validation, simple/compatible orderings, and small-size search.
+"""Heffter-array validation, simple orderings, and small-size search.
 
 An m x n partially filled array over Z_v (v = 2nk/lambda + t, J the subgroup of
 order t) is a lambda-fold Heffter array relative to J when
@@ -10,9 +10,13 @@ order t) is a lambda-fold Heffter array relative to J when
 
 Orderings of a line are *simple* when their partial sums are pairwise distinct
 mod v; the array is *globally simple* when every natural (left-to-right /
-top-to-bottom) line ordering is simple.  Row and column orderings induce
-permutations of the filled entries, and a pair of such permutations is
-*compatible* when the column-after-row composition is one full cycle.
+top-to-bottom) line ordering is simple.  Direction vectors (R, C) read each
+row and column forwards or backwards, and these orderings are *compatible*
+when the rotation rho0 they induce is one cycle on Z_v \\ J: the walk that
+:class:`embedding.CombinatorialEmbedding` counts.  rho0 alternates between
+the entries and their negatives, and its square on the entries is the
+column-after-row composition, so this is the paper's test that the
+composition is one full cycle.
 
 Every permutation here is held as the rotation rho0 of an embedding is: a
 tuple indexed by element, holding the element's image, with -1 off the
@@ -91,40 +95,6 @@ def is_simple_ordering(values: Sequence[int], v: int) -> bool:
     return True
 
 
-def _lines_table(
-    lines: Sequence[Sequence[int]], dirs: Sequence[int], v: int
-) -> tuple[int, ...]:
-    """Table on Z_v of the product of the cycles ``lines``, each read in its direction."""
-    table = [-1] * v
-    for line, d in zip(lines, dirs):
-        for a, b in zip(line, line[d:] + line[:d]):
-            table[a] = b
-    return tuple(table)
-
-
-def orderings_from_orientations(
-    array: PartiallyFilledArray,
-    rows_dir: Sequence[int],
-    cols_dir: Sequence[int],
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The tables (row_perm, col_perm) of the line orderings direction vectors induce.
-
-    Row i is read left-to-right when ``rows_dir[i-1]`` is +1 and right-to-left
-    when -1; column j top-to-bottom when ``cols_dir[j-1]`` is +1, else
-    bottom-to-top.  Raises ValueError unless the vectors are ±1 of the array's
-    shape and the entries distinct residues (true of every validated array).
-    """
-    _check_directions(rows_dir, array.m, "row")
-    _check_directions(cols_dir, array.n, "column")
-    entries = array.entries()
-    if len(set(entries)) != len(entries):
-        raise ValueError(
-            "array entries are not distinct residues: line permutations undefined"
-        )
-    rows, cols = _natural_lines(array)
-    return _lines_table(rows, rows_dir, array.v), _lines_table(cols, cols_dir, array.v)
-
-
 def _natural_lines(array: PartiallyFilledArray) -> tuple[list, list]:
     """The rows left to right and the columns top to bottom."""
     return ([array.row_values(i) for i in range(1, array.m + 1)],
@@ -135,18 +105,6 @@ def _check_directions(vec: Sequence[int], length: int, what: str) -> None:
     # 1.0 and True compare equal to 1, but only an int ±1 is a direction
     if len(vec) != length or any(type(d) is not int or d not in (1, -1) for d in vec):
         raise ValueError(f"{what} direction vector must be ±1 of length {length}")
-
-
-def are_compatible(row_perm: Sequence[int], col_perm: Sequence[int]) -> bool:
-    """True iff col_perm ∘ row_perm is a single cycle covering the entry set.
-
-    The paper's compatibility condition; acceptance criterion 3 checks it on
-    the golden orderings of the bundled array.
-    """
-    domain = [d for d, image in enumerate(row_perm) if image >= 0]
-    if domain != [d for d, image in enumerate(col_perm) if image >= 0]:
-        raise ValueError("orderings act on different ground sets")
-    return is_single_cycle(compose(col_perm, row_perm), domain)
 
 
 def is_globally_simple(array: PartiallyFilledArray) -> bool:
@@ -766,7 +724,11 @@ def _search_iter(
 
     def to_array(values: tuple[int, ...]) -> PartiallyFilledArray:
         padded = (*values, None)
-        return PartiallyFilledArray(m, n, v, t, 1, tuple([row(padded) for row in row_getters]))
+        # tuple.__new__ skips the constructor's checks, which hold here: the
+        # getters give m rows of n cells, each value is a candidate in [1, v)
+        # or a unit times one mod v, and search_heffter has checked t | v
+        return tuple.__new__(PartiallyFilledArray,
+                             (m, n, v, t, 1, tuple([row(padded) for row in row_getters])))
 
     def arrays() -> Iterator[PartiallyFilledArray]:
         nonlocal orbit

@@ -1,4 +1,6 @@
-"""Shared fixtures: bundled arrays, golden files, and searched test arrays."""
+"""Shared fixtures: bundled arrays, golden files, and searched test arrays,
+and the paper's orderings-and-compatibility route, the oracle that
+``build_embeddings`` is checked against."""
 
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from heffter.pfarray import (
     parse_array,
     parse_skeleton_json,
 )
-from heffter.validation import search_heffter
+from heffter.validation import compose, is_single_cycle, search_heffter
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -47,6 +49,23 @@ def reference_orderings(array, rows_dir, cols_dir) -> tuple[tuple[int, ...], ...
     """(row_perm, col_perm) the reference way: reverse lines, then cycles_table."""
     rows, cols = directed_lines(array, rows_dir, cols_dir)
     return cycles_table(array.v, rows), cycles_table(array.v, cols)
+
+
+def compatible(row_perm, col_perm) -> bool:
+    """The paper's compatibility test: col_perm ∘ row_perm is one cycle on the entries."""
+    entries = [a for a, image in enumerate(row_perm) if image >= 0]
+    return is_single_cycle(compose(col_perm, row_perm), entries)
+
+
+def rotation_from_orderings(v, row_perm, col_perm) -> tuple[int, ...]:
+    """The paper's rotation: rho0[a] = -row_perm[a] and rho0[-a] = col_perm[a]
+    for each entry a, -1 elsewhere."""
+    rho0 = [-1] * v
+    for a, image in enumerate(row_perm):
+        if image >= 0:
+            rho0[a] = (-image) % v
+            rho0[(-a) % v] = col_perm[a]
+    return tuple(rho0)
 
 
 def inverse(table) -> tuple[int, ...]:

@@ -29,21 +29,24 @@ from heffter.knight import (
     prime_family,
     seven_diagonal_family,
     strip_criterion,
-    swapped,
     three_diagonal_family,
     tour,
 )
 from heffter.pfarray import classify_diagonality, cyclic_diagonal_skeleton
 from heffter.validation import (
-    are_compatible,
     compose,
     cycle_from,
     is_globally_simple,
-    orderings_from_orientations,
     validate_heffter,
 )
 
-from conftest import cycles_table, load_golden
+from conftest import (
+    compatible,
+    cycles_table,
+    load_golden,
+    reference_orderings,
+    rotation_from_orderings,
+)
 
 
 @contextmanager
@@ -107,15 +110,18 @@ def test_criterion_03_golden_orderings(ex_array, ex_pair):
     with criterion(3, "golden orderings and composition cycle", 1.0):
         g = load_golden("orderings_11x11.json")
         v = ex_array.v
-        row_perm, col_perm = orderings_from_orientations(ex_array, *ex_pair)
+        row_perm, col_perm = reference_orderings(ex_array, *ex_pair)
         assert row_perm == cycles_table(
             v, [tuple(x % v for x in c) for c in g["row_cycles"]])
         assert col_perm == cycles_table(
             v, [tuple(x % v for x in c) for c in g["column_cycles"]])
         comp = compose(col_perm, row_perm)
         want = [x % v for x in g["composition_cycle"]]
-        assert are_compatible(row_perm, col_perm)
+        assert compatible(row_perm, col_perm)
         assert cycle_from(comp, want[0]) == want
+        # the library's one route gives the rotation of these orderings
+        assert build_embedding(ex_array, *ex_pair).rho0 == \
+            rotation_from_orderings(v, row_perm, col_perm)
 
 
 def test_criterion_04_golden_embedding(ex_array, ex_pair):
@@ -180,7 +186,7 @@ def test_criterion_06_symmetry_lemmas(ex_array):
             for pair in sols:
                 neg = pair.negated()
                 assert is_solution(skel, neg.rows, neg.cols), (n, k, pair)
-                sw = swapped(pair, skel)
+                sw = OrientationPair(pair.cols, pair.rows)
                 assert is_solution(skel, sw.rows, sw.cols), (n, k, pair)
         strip_skel, strip_sols = _strip_solution_set(ex_array)
         for pair in strip_sols:

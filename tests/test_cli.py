@@ -857,6 +857,9 @@ BELOW_ONE = {
     "pipeline --search 5,5,3,3,1,cyclic --budget 2 --out {tmp}/run",
     "pipeline --search 5,5,3,3,1,cyclic --budget 5 --out {tmp}/run",
     "pipeline --array {array} --budget 16 --out {tmp}/run",
+    "pipeline --array {array} --budget 100 --out {tmp}/run",
+    # no filled cell over Z_1: the array validates vacuously, the scan refuses
+    "pipeline --array {tmp}/blank_z1.arr --out {tmp}/run",
     "search --m 5 --n 5 --h 3 --k 3 --skeleton cyclic --budget 5",
     "search --m 3 --n 3 --h 3 --k 3 --limit 0",
     "search --m 3 --n 3 --h 3 --k 3 --t 0",
@@ -910,10 +913,12 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, argv):
     # header v inconsistent with the weights: 2nk/lambda + t = 207
     (tmp_path / "bad_v.arr").write_text(
         fixture_path("h9_11_9.arr").read_text().replace("v=207", "v=216", 1))
+    (tmp_path / "blank_z1.arr").write_text("v=1 t=1 m=2 n=3\n,,\n,,\n")
     code = main(argv.format(tmp=tmp_path, array=ARRAY).split())
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert code == 2
+    assert not (tmp_path / "run").exists()  # a refused pipeline writes nothing
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     if "--limit -1" in argv or "--limit 0" in argv:
         assert "limit" in err

@@ -1,9 +1,10 @@
 """Drawn command lines over every subcommand exit 0, 1 or 2 without a traceback.
 
 Integers are small, negative, or far past any size.  Files are missing,
-empty, a directory, malformed JSON or text, or valid files with one number
-replaced or the text cut short.  ``classify`` reads a directory of saved
-embeddings or a pipeline run directory, either of which may hold such a file.
+empty, a directory, malformed JSON or text, arrays with no filled cell, or
+valid files with one number replaced or the text cut short.  ``classify``
+reads a directory of saved embeddings or a pipeline run directory, either of
+which may hold such a file.
 ``--budget`` and ``--limit`` stay at most 1000 and every size is small, so
 no example starts a long exhaustive run.
 """
@@ -34,7 +35,10 @@ JSON = st.recursive(
                       max_size=4),
     max_leaves=10,
 )
-FILES = ("array.arr", "solution.json", "skeleton.json",
+# arrays with no filled cell: v disagrees with the weights in blank.arr, and
+# blank_z1.arr over Z_1 validates vacuously
+BLANKS = ("blank.arr", "blank_z1.arr")
+FILES = ("array.arr", *BLANKS, "solution.json", "skeleton.json",
          "embs/a.json", "embs/b.json", "saved/array.arr", "saved/solutions.json")
 DIRS = ("embs", "saved")  # a directory of saved embeddings, and a pipeline run
 NAMES = FILES + DIRS + ("empty.json", "missing.json")
@@ -51,6 +55,8 @@ def seeds():
     embs = [build_embedding(array, p.rows, p.cols).to_json_dict() for p in pairs]
     return {
         "array.arr": array.to_text(),
+        "blank.arr": "v=7 t=1 m=2 n=3\n,,\n,,\n",
+        "blank_z1.arr": "v=1 t=1 m=2 n=3\n,,\n,,\n",
         "solution.json": json.dumps(pairs[0].to_json_dict()),
         "skeleton.json": json.dumps(array.skeleton().to_json_dict()),
         "embs/a.json": json.dumps(embs[0]),
@@ -115,19 +121,19 @@ SEARCH = st.lists(SMALL.map(str) | st.sampled_from(["cyclic", "x"]),
 SKELETONS = st.sampled_from(["cyclic", "full", ""])
 
 COMMANDS = st.one_of(
-    tokens(fixed("verify"), arg(path("array.arr")), opt("--text")),
-    tokens(fixed("tour"), arg(path("skeleton.json", "array.arr")),
+    tokens(fixed("verify"), arg(path("array.arr", *BLANKS)), opt("--text")),
+    tokens(fixed("tour"), arg(path("skeleton.json", "array.arr", *BLANKS)),
            opt("--R", VECTORS), opt("--C", VECTORS), opt("--start", CELLS),
            opt("--cells"), opt("--text")),
-    tokens(fixed("tour-enum"), arg(path("skeleton.json", "array.arr")),
+    tokens(fixed("tour-enum"), arg(path("skeleton.json", "array.arr", *BLANKS)),
            opt("--trivial-R"), req("--budget", BOUNDED)),
     tokens(fixed("tour-family"), req("--family", FAMILIES), req("--n", SMALL),
            opt("--k", INTS), opt("--i", INTS), opt("--s1", INTS), opt("--r", INTS),
            req("--limit", BOUNDED)),
-    tokens(fixed("faces"), req("--array", path("array.arr")),
+    tokens(fixed("faces"), req("--array", path("array.arr", *BLANKS)),
            req("--solution", path("solution.json")), opt("--max-faces", INTS),
            opt("--all")),
-    tokens(fixed("embed"), req("--array", path("array.arr")),
+    tokens(fixed("embed"), req("--array", path("array.arr", *BLANKS)),
            req("--solution", path("solution.json")),
            opt("--save", st.sampled_from(["out.json", "missing/out.json", "embs"]))),
     tokens(fixed("iso"), arg(path("embs/a.json")), arg(path("embs/b.json"))),
@@ -141,7 +147,7 @@ COMMANDS = st.one_of(
            req("--n", SMALL), req("--k", SMALL), opt("--t", SMALL), opt("--s1", SMALL),
            opt("--force")),
     tokens(fixed("pipeline"),
-           st.one_of(req("--array", path("array.arr")), req("--search", SEARCH),
+           st.one_of(req("--array", path("array.arr", *BLANKS)), req("--search", SEARCH),
                      st.just([])),
            opt("--trivial-R"), req("--budget", BOUNDED),
            req("--out", st.sampled_from(["run", "array.arr"]))),

@@ -17,16 +17,15 @@ from heffter.embedding import (
     biembedding_report,
     build_embedding,
     build_embeddings,
-    build_rho0,
     genus_formula,
     trace_faces,
 )
 from heffter.iso import PRESERVING, verify_map
 from heffter.knight import enumerate_solutions
 from heffter.pfarray import PartiallyFilledArray
-from heffter.validation import cycle_from, orderings_from_orientations, search_heffter
+from heffter.validation import cycle_from, search_heffter
 
-from conftest import cycles_table, directed_lines
+from conftest import cycles_table, directed_lines, reference_orderings, rotation_from_orderings
 
 
 def face_set_key(faces):
@@ -158,25 +157,23 @@ def k19_embedding(h33):
 
 
 class TestRho0:
-    def test_golden_values(self, ex_array, ex_pair):
-        ords = orderings_from_orientations(ex_array, *ex_pair)
-        rho0 = build_rho0(ex_array, ords)
-        v = ex_array.v
+    def test_golden_values(self, ex_embedding):
+        rho0 = ex_embedding.rho0
+        v = ex_embedding.v
         assert rho0[10] == (-55) % v   # negated row successor of 10
         assert rho0[(-10) % v] == 36   # column successor of 10
         assert len(cycle_from(rho0, 10)) == 198
         assert len(rho0) == v and sum(x >= 0 for x in rho0) == 198
 
     def test_entry_and_its_negative_refused(self):
-        # 1 and 6 = -1 mod 7 both appear: rho0[6] would be set twice
+        # 1 and 6 = -1 mod 7 both appear: rho0[6] would be set twice, and the
+        # array is refused by validation before any rotation is built
         array = PartiallyFilledArray(1, 3, 7, 1, 1, ((1, 6, 2),))
-        ords = orderings_from_orientations(array, (1,), (1, 1, 1))
-        with pytest.raises(ValueError, match="negatives of each other"):
-            build_rho0(array, ords)
+        with pytest.raises(ValueError, match="fails validation"):
+            build_embedding(array, (1,), (1, 1, 1))
 
-    def test_square_never_fixes_a_point(self, ex_array, ex_pair):
-        ords = orderings_from_orientations(ex_array, *ex_pair)
-        rho0 = build_rho0(ex_array, ords)
+    def test_square_never_fixes_a_point(self, ex_embedding):
+        rho0 = ex_embedding.rho0
         assert all(rho0[rho0[a]] != a for a in range(len(rho0)) if rho0[a] >= 0)
 
     def test_alternates_between_entry_classes(self, ex_embedding):
@@ -308,8 +305,8 @@ class TestBuild:
             pairs = [(p.rows, p.cols) for p in enumerate_solutions(array.skeleton())]
             assert {-1, 1} <= {d for rows_dir, _ in pairs for d in rows_dir}
             for emb, (rows_dir, cols_dir) in zip(build_embeddings(array, pairs), pairs):
-                ords = orderings_from_orientations(array, rows_dir, cols_dir)
-                assert emb.rho0 == build_rho0(array, ords)
+                ords = reference_orderings(array, rows_dir, cols_dir)
+                assert emb.rho0 == rotation_from_orderings(array.v, *ords)
                 assert (emb.source.rows, emb.source.cols) == (rows_dir, cols_dir)
 
 

@@ -1,17 +1,17 @@
 """Cross-module integration: search -> tours -> embeddings -> classification."""
 
-from heffter.embedding import build_embedding, build_rho0, biembedding_report, genus_formula
+from heffter.embedding import build_embedding, biembedding_report, genus_formula
 from heffter.iso import classify
 from heffter.knight import enumerate_solutions, is_solution
 from heffter.validation import (
-    are_compatible,
     is_globally_simple,
     is_single_cycle,
-    orderings_from_orientations,
     search_heffter,
     subgroup_members,
     validate_heffter,
 )
+
+from conftest import compatible, reference_orderings, rotation_from_orderings
 
 
 def all_vectors(n):
@@ -27,12 +27,14 @@ def test_three_way_equivalence(h53_cyclic):
     hits = 0
     for rows in all_vectors(5):
         for cols in all_vectors(5):
-            ords = orderings_from_orientations(h53_cyclic, rows, cols)
-            compatible = are_compatible(*ords)
-            rho0 = build_rho0(h53_cyclic, ords)
-            assert is_single_cycle(rho0, connection) == compatible
-            assert compatible == is_solution(skel, rows, cols)
-            hits += compatible
+            ords = reference_orderings(h53_cyclic, rows, cols)
+            ok = compatible(*ords)
+            rho0 = rotation_from_orderings(v, *ords)
+            assert is_single_cycle(rho0, connection) == ok
+            assert ok == is_solution(skel, rows, cols)
+            if ok:  # the library's one route builds the same rotation
+                assert build_embedding(h53_cyclic, rows, cols).rho0 == rho0
+            hits += ok
     assert hits > 0
 
 

@@ -22,24 +22,22 @@ from heffter.knight import (
     prime_family,
     seven_diagonal_family,
     strip_criterion,
-    swapped,
     three_diagonal_family,
     tour,
 )
 from heffter.pfarray import (
     Skeleton,
+    classify_diagonality,
     cyclic_diagonal_skeleton,
     diagonal_skeleton,
 )
 from heffter.validation import (
-    are_compatible,
     compose,
     cycle_from,
     is_single_cycle,
-    orderings_from_orientations,
 )
 
-from conftest import load_golden
+from conftest import compatible, load_golden, reference_orderings
 
 
 def successor(skel, rows_dir, cols_dir, cell):
@@ -123,16 +121,15 @@ class TestTour:
     def test_orderings_equivalence(self, h53_cyclic):
         # a pair solves the tour iff its induced orderings compose to one cycle
         skel = h53_cyclic.skeleton()
-        compatible = []
+        found = []
         for rows in all_column_vectors(5):
             for cols in all_column_vectors(5):
-                ords = orderings_from_orientations(h53_cyclic, rows, cols)
-                ok = are_compatible(*ords)
+                ok = compatible(*reference_orderings(h53_cyclic, rows, cols))
                 assert ok == is_solution(skel, rows, cols)
                 if ok:
-                    compatible.append(OrientationPair(rows, cols))
+                    found.append(OrientationPair(rows, cols))
         # the full scan lists exactly these pairs, in this loop's order
-        assert enumerate_solutions(skel) == compatible
+        assert enumerate_solutions(skel) == found
 
     def test_solution_depends_only_on_skeleton(self, h53_cyclic, h53_centered):
         # same skeleton shape, different entries: identical solution sets
@@ -166,8 +163,6 @@ def test_bad_pair_is_refused_where_it_meets_a_shape(ex_array, rows, cols):
         is_solution(skel, rows, cols)
     with pytest.raises(ValueError, match="direction vector"):
         build_embedding(ex_array, rows, cols)
-    with pytest.raises(ValueError, match="direction vector"):
-        orderings_from_orientations(ex_array, rows, cols)
 
 
 class TestSymmetries:
@@ -182,22 +177,29 @@ class TestSymmetries:
     def test_swap_closure_on_cyclic(self, n, k):
         skel = cyclic_diagonal_skeleton(n, k)
         for pair in enumerate_solutions(skel, trivial_rows=True):
-            sw = swapped(pair, skel)
+            sw = OrientationPair(pair.cols, pair.rows)
             assert is_solution(skel, sw.rows, sw.cols)
 
     def test_negation_involution(self):
         p = OrientationPair((1, -1, 1), (-1, -1, 1))
         assert p.negated().negated() == p
 
-    def test_swap_requires_cyclic(self, ex_array):
-        p = OrientationPair((1,) * 11, (-1,) + (1,) * 10)
-        with pytest.raises(ValueError, match="cyclically"):
-            swapped(p, ex_array.skeleton())  # two strips: not cyclic
+    def test_swap_requires_cyclic(self):
+        # diagonals {1, 2, 4} of a 7x7 grid are not consecutive mod 7: 7 of
+        # the 56 trivial-R solutions do not survive the swap
+        skel = diagonal_skeleton(7, (1, 2, 4))
+        assert not classify_diagonality(skel).cyclic
+        sols = enumerate_solutions(skel, trivial_rows=True)
+        assert len(sols) == 56
+        assert sum(not is_solution(skel, p.cols, p.rows) for p in sols) == 7
 
     def test_swap_requires_trivial_rows(self):
+        # on a cyclic skeleton, 160 of the 300 solutions with a -1 in R do not
+        # survive the swap
         skel = cyclic_diagonal_skeleton(5, 3)
-        with pytest.raises(ValueError, match="trivial"):
-            swapped(OrientationPair((-1,) * 5, (1,) * 5), skel)
+        sols = [p for p in enumerate_solutions(skel) if -1 in p.rows]
+        assert len(sols) == 300
+        assert sum(not is_solution(skel, p.cols, p.rows) for p in sols) == 160
 
     def test_minus_positions(self):
         p = OrientationPair((1, 1), (-1, 1, -1, 1))

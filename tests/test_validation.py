@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import heffter
 from heffter import knight, validation
+from heffter.embedding import build_embedding
 from heffter.pfarray import (
     ArrayFormatError,
     PartiallyFilledArray,
@@ -21,29 +22,24 @@ from heffter.pfarray import (
 )
 from heffter.validation import (
     BudgetExceededError,
-    are_compatible,
     compose,
     cycle_from,
     is_globally_simple,
     is_simple_ordering,
-    orderings_from_orientations,
     search_heffter,
     subgroup_members,
     validate_heffter,
 )
 
 from conftest import (
+    compatible,
     cycles_table,
     inverse,
     load_golden,
     reference_orderings,
+    rotation_from_orderings,
     transpose,
 )
-
-
-def natural_orderings(array):
-    """The rows read left to right and the columns top to bottom."""
-    return orderings_from_orientations(array, (1,) * array.m, (1,) * array.n)
 
 
 def first_simple_orderings(array):
@@ -154,80 +150,81 @@ def test_reversal_preserves_simplicity_for_zero_sum(params):
 
 
 class TestOrientationsAndCompatibility:
-    def test_all_plus_is_natural(self, ex_array):
-        row_perm, col_perm = orderings_from_orientations(ex_array, (1,) * 11, (1,) * 11)
+    def test_all_plus_is_natural(self, ex_array, ex_pair):
+        # no all-+1 pair solves this array; ex_pair's rows and its columns
+        # but the first are +1, read left to right and top to bottom
         v = ex_array.v
-        assert row_perm == cycles_table(
-            v, [ex_array.row_values(i) for i in range(1, 12)])
-        assert col_perm == cycles_table(
-            v, [ex_array.column_values(j) for j in range(1, 12)])
+        rows = [ex_array.row_values(i) for i in range(1, 12)]
+        cols = [ex_array.column_values(j) for j in range(1, 12)]
+        cols[0] = cols[0][::-1]
+        assert build_embedding(ex_array, *ex_pair).rho0 == rotation_from_orderings(
+            v, cycles_table(v, rows), cycles_table(v, cols))
 
-    def test_all_minus_inverts_row_perm(self, ex_array):
-        nat_rows, nat_cols = natural_orderings(ex_array)
-        rev_rows, rev_cols = orderings_from_orientations(ex_array, (-1,) * 11, (-1,) * 11)
-        assert rev_rows == inverse(nat_rows)
-        assert rev_cols == inverse(nat_cols)
+    def test_all_minus_inverts_row_perm(self, ex_array, ex_pair):
+        # negating every direction inverts both orderings
+        row_perm, col_perm = reference_orderings(ex_array, *ex_pair)
+        neg = knight.OrientationPair(*ex_pair).negated()
+        assert build_embedding(ex_array, neg.rows, neg.cols).rho0 == \
+            rotation_from_orderings(ex_array.v, inverse(row_perm), inverse(col_perm))
 
     def test_golden_orderings(self, ex_array, ex_pair):
         g = load_golden("orderings_11x11.json")
-        row_perm, col_perm = orderings_from_orientations(ex_array, *ex_pair)
+        row_perm, col_perm = reference_orderings(ex_array, *ex_pair)
         v = ex_array.v
         want_rows = cycles_table(v, [tuple(x % v for x in c) for c in g["row_cycles"]])
         want_cols = cycles_table(v, [tuple(x % v for x in c) for c in g["column_cycles"]])
         assert row_perm == want_rows
         assert col_perm == want_cols
+        assert build_embedding(ex_array, *ex_pair).rho0 == \
+            rotation_from_orderings(v, want_rows, want_cols)
 
     def test_golden_composition_cycle(self, ex_array, ex_pair):
         g = load_golden("orderings_11x11.json")
-        row_perm, col_perm = orderings_from_orientations(ex_array, *ex_pair)
+        row_perm, col_perm = reference_orderings(ex_array, *ex_pair)
         comp = compose(col_perm, row_perm)
-        assert are_compatible(row_perm, col_perm)
+        assert compatible(row_perm, col_perm)
         want = [x % ex_array.v for x in g["composition_cycle"]]
         assert cycle_from(comp, want[0]) == want
 
     def test_inverse_composition_is_identity(self, ex_array):
-        _, nat_cols = natural_orderings(ex_array)
+        _, nat_cols = reference_orderings(ex_array, (1,) * 11, (1,) * 11)
         assert compose(nat_cols, inverse(nat_cols)) == cycles_table(
             ex_array.v, [(x,) for x in ex_array.entries()])
-        assert not are_compatible(inverse(nat_cols), nat_cols)
-
-    def test_ground_set_mismatch(self, ex_array, h33):
-        with pytest.raises(ValueError):
-            are_compatible(natural_orderings(ex_array)[0],
-                           natural_orderings(h33)[1])
+        assert not compatible(inverse(nat_cols), nat_cols)
 
     def test_lambda_fold_orderings_coincide(self, lambda2_array):
         # two different column direction vectors induce identical orderings:
         # every column has two entries, and reversing a 2-cycle changes nothing
         r = (1, 1)
-        o1 = orderings_from_orientations(lambda2_array, r, (1,) * 5)
-        o2 = orderings_from_orientations(lambda2_array, r, (1, -1, -1, 1, -1))
+        o1 = reference_orderings(lambda2_array, r, (1,) * 5)
+        o2 = reference_orderings(lambda2_array, r, (1, -1, -1, 1, -1))
         assert o1[0] == o2[0]
         assert o1[1] == o2[1]
-        assert are_compatible(*o1)
-
-    def test_direction_vector_validation(self, ex_array):
-        with pytest.raises(ValueError):
-            orderings_from_orientations(ex_array, (1,) * 10, (1,) * 11)
-        with pytest.raises(ValueError):
-            orderings_from_orientations(ex_array, (0,) + (1,) * 10, (1,) * 11)
+        assert compatible(*o1)
 
     def test_repeated_entry_refused(self):
-        # an unvalidated array with a repeated residue has no line permutation
+        # an array with a repeated residue has no line permutation; the
+        # embedding constructor refuses it at validation
         array = PartiallyFilledArray(1, 3, 7, 1, 1, ((2, 2, 3),))
-        with pytest.raises(ValueError, match="distinct residues"):
-            orderings_from_orientations(array, (1,), (1, 1, 1))
+        with pytest.raises(ValueError, match="fails validation"):
+            build_embedding(array, (1,), (1, 1, 1))
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
-    def test_matches_reversed_lines_reference(self, ex_array, lambda2_array, data):
-        # the tables equal the reference construction: reverse each line, then tabulate
-        for array in (ex_array, lambda2_array):
+    def test_matches_reversed_lines_reference(self, ex_array, h53_cyclic, data):
+        # build_embedding gives the rotation of the reference orderings, built
+        # by reversing lines, exactly when those orderings are compatible
+        for array in (ex_array, h53_cyclic):
             dirs = st.sampled_from((1, -1))
             rows = data.draw(st.tuples(*[dirs] * array.m))
             cols = data.draw(st.tuples(*[dirs] * array.n))
-            assert orderings_from_orientations(array, rows, cols) == \
-                reference_orderings(array, rows, cols)
+            ords = reference_orderings(array, rows, cols)
+            if compatible(*ords):
+                assert build_embedding(array, rows, cols).rho0 == \
+                    rotation_from_orderings(array.v, *ords)
+            else:
+                with pytest.raises(ValueError, match="single cycle"):
+                    build_embedding(array, rows, cols)
 
 
 def _grid_skeleton(*rows: str) -> Skeleton:
@@ -475,6 +472,20 @@ def test_pruned_search_matches_unpruned(n, t, skel, limit):
         _unpruned_search_iter(n, n, 6 * n + t, t, skel), limit))
     assert len(found) == min(limit, len(oracle))
     assert found == oracle
+
+
+@pytest.mark.parametrize("n, t, skel", [
+    (4, 1, _relabelled_k3((3, 2, 4, 1))), (4, 2, _relabelled_k3((2, 4, 1, 3))),
+    (4, 3, _relabelled_k3((3, 2, 4, 1))), (4, 4, _relabelled_k3((4, 2, 3, 1))),
+    (5, 1, "cyclic"),
+], ids=["4x4-t1", "4x4-t2", "4x4-t3", "4x4-t4", "5x5-cyclic-t1"])
+def test_searched_arrays_pass_the_checked_constructor(n, t, skel):
+    # the search builds its arrays without the constructor's checks
+    found = search_heffter(n, n, 3, 3, t, limit=1 << 30, skeleton=skel)
+    assert found
+    for a in found:
+        assert type(a) is PartiallyFilledArray
+        assert PartiallyFilledArray(*a) == a
 
 
 def test_exhaustive_5x5_cyclic_t5_is_closed_under_the_units():
