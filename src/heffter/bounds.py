@@ -28,14 +28,43 @@ def binary_entropy(p: float) -> float:
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
+class TooLargeError(ValueError):
+    """Raised for an exact value with more digits than str() prints."""
+
+
+def _check_digits(log10_value: float) -> None:
+    """Raise :class:`TooLargeError` when a value whose log10 is at least
+    ``log10_value`` is past the int-to-str digit limit; one digit absorbs rounding.
+
+    A limit of 0 (or none, before 3.10.7) lets str() print any int, but the
+    value would still take unbounded time to compute, so the interpreter's
+    default limit applies then."""
+    limit = (getattr(sys, "get_int_max_str_digits", int)()
+             or getattr(sys.int_info, "default_max_str_digits", 4300))
+    if log10_value > limit + 1:
+        raise TooLargeError(f"more than {limit} digits")
+
+
+def _check_printable(value: object) -> None:
+    """Raise :class:`TooLargeError` when str() cannot print ``value``."""
+    try:
+        str(value)
+    except ValueError:
+        raise TooLargeError(f"more than {sys.get_int_max_str_digits()} digits") from None
+
+
 def derangements(m: int) -> int:
-    """Number of fixed-point-free permutations of m symbols, exactly."""
+    """Number of fixed-point-free permutations of m symbols, exactly; raises
+    :class:`TooLargeError`, before computing it, past the digit limit."""
     if m < 0:
         raise ValueError("derangements need m >= 0")
     if m == 0:
         return 1
     if m == 1:
         return 0
+    # D(m) >= m!/(2e) for m >= 2, and D grows with m, so capping m keeps it
+    # a lower bound
+    _check_digits((math.lgamma(min(m, 10 ** 300) + 1) - 1 - math.log(2)) / math.log(10))
     a, b = 1, 0  # D(0), D(1)
     for i in range(2, m + 1):
         a, b = b, (i - 1) * (a + b)
@@ -43,6 +72,13 @@ def derangements(m: int) -> int:
 
 
 def binom(a: int, b: int) -> int:
+    """C(a, b), exactly; raises :class:`TooLargeError`, before computing it,
+    past the digit limit."""
+    # C(a, b) = C(a, c) >= (a/c)^c, c = min(b, a-b); as a/c >= 2, capping c
+    # keeps it a lower bound
+    c = min(b, a - b)
+    if c > 0:
+        _check_digits(min(c, 10 ** 300) * (math.log10(a) - math.log10(c)))
     return comb(a, b)
 
 
@@ -89,40 +125,6 @@ def _float(compute: Callable[[], float]) -> float | None:
     except OverflowError:
         return None
     return None if math.isinf(value) or math.isnan(value) else value
-
-
-class TooLargeError(ValueError):
-    """Raised before computing an exact value with more digits than str() prints."""
-
-
-def _check_digits(*log10_factors: float, den: int = 1) -> None:
-    """Raise :class:`TooLargeError` when a product of factors with at least these
-    log10s, reduced over ``den``, is past the int-to-str digit limit.
-    A reduced numerator is at least numerator/den; one digit absorbs rounding.
-
-    A limit of 0 (or none, before 3.10.7) lets str() print any int, but the
-    value would still take unbounded time to compute, so the interpreter's
-    default limit applies then."""
-    limit = (getattr(sys, "get_int_max_str_digits", int)()
-             or getattr(sys.int_info, "default_max_str_digits", 4300))
-    if sum(log10_factors) - math.log10(abs(den) or 1) > limit + 1:
-        raise TooLargeError(f"more than {limit} digits")
-
-
-def _log10_binom(a: int, b: int) -> float:
-    """A lower bound on log10 C(a, b) = log10 C(a, c) >= c log10(a/c), c = min(b, a-b);
-    as a/c >= 2, capping c keeps it a lower bound."""
-    c = min(b, a - b)
-    if c <= 0:
-        return -math.inf
-    return min(c, 10 ** 300) * (math.log10(a) - math.log10(c))
-
-
-def _log10_derangements(m: int) -> float:
-    """A lower bound on log10 D(m): D(m) >= m!/(2e) for m >= 2, and D grows with m."""
-    if m < 2:
-        return -math.inf
-    return (math.lgamma(min(m, 10 ** 300) + 1) - 1 - math.log(2)) / math.log(10)
 
 
 class BoundQuery(NamedTuple):
@@ -204,16 +206,12 @@ def _cdy_hypotheses(q: BoundQuery, prime_only: bool) -> dict[str, bool]:
     return hyp
 
 
-def _cdy_core(q: BoundQuery) -> int:
+def _cdy_core(q: BoundQuery, a: int = 0, b: int = 0) -> int:
+    """(n-2) D(t-2)^2 C(a, b); C(a, b) is not computed when the rest is 0."""
     t = q.cdy_t
     assert t is not None and t >= 2
-    return (q.n - 2) * derangements(t - 2) ** 2
-
-
-def _log10_cdy_core(q: BoundQuery) -> float:
-    """A lower bound on log10 |_cdy_core(q)|."""
-    n_term = math.log10(abs(q.n - 2)) if q.n != 2 else -math.inf
-    return n_term + 2 * _log10_derangements(q.cdy_t - 2)
+    core = (q.n - 2) * derangements(t - 2) ** 2
+    return core * binom(a, b) if core else 0
 
 
 def _diag_t_hypothesis(q: BoundQuery) -> dict[str, bool]:
@@ -227,7 +225,6 @@ def _diag_t_hypothesis(q: BoundQuery) -> dict[str, bool]:
 
 def _eval_cdy(q: BoundQuery) -> tuple[int, float | None]:
     t = q.cdy_t
-    _check_digits(_log10_cdy_core(q))
     value = _cdy_core(q)
     ref = _float(lambda: (q.n - 2) * (math.factorial(t - 2) / _E) ** 2)
     return value, ref
@@ -235,9 +232,7 @@ def _eval_cdy(q: BoundQuery) -> tuple[int, float | None]:
 
 def _eval_general_bound(q: BoundQuery) -> tuple:
     t = q.cdy_t
-    den = 2 * (2 * q.n * q.k) ** 2
-    _check_digits(_log10_cdy_core(q), den=den)
-    value = Fraction(_cdy_core(q), den)
+    value = Fraction(_cdy_core(q), 2 * (2 * q.n * q.k) ** 2)
     if t == 2:
         return value, None, "no asymptotic reference at t = 2: (t-2)^(2t-5) is 0^-1"
     ref = _float(
@@ -249,8 +244,7 @@ def _eval_general_bound(q: BoundQuery) -> tuple:
 def _eval_cdy2(q: BoundQuery) -> tuple[int, float | None]:
     t = q.cdy_t
     a, b = _ceil(q.n, 2 * q.k), _ceil(q.n, 8 * q.k)
-    _check_digits(_log10_cdy_core(q), _log10_binom(a, b))
-    value = 2 * _cdy_core(q) * binom(a, b)
+    value = 2 * _cdy_core(q, a, b)
     ref = _float(lambda: (
         math.factorial(t - 2) ** 2
         * math.sqrt((4 * t + 3) * q.n)
@@ -263,8 +257,7 @@ def _eval_cdy2(q: BoundQuery) -> tuple[int, float | None]:
 def _eval_cdy3(q: BoundQuery) -> tuple[Fraction, float | None]:
     t = q.cdy_t
     a, b = _ceil(q.n, 2 * q.k), _ceil(q.n, 8 * q.k)
-    _check_digits(_log10_cdy_core(q), _log10_binom(a, b), den=(2 * q.n * q.k) ** 2)
-    value = Fraction(_cdy_core(q) * binom(a, b), (2 * q.n * q.k) ** 2)
+    value = Fraction(_cdy_core(q, a, b), (2 * q.n * q.k) ** 2)
     ref = _float(lambda: (
         math.factorial(t - 2) ** 2
         / (_E ** 2 * math.sqrt(3 * math.pi * (q.n * (4 * t + 3)) ** 3))
@@ -275,16 +268,14 @@ def _eval_cdy3(q: BoundQuery) -> tuple[Fraction, float | None]:
 
 def _eval_cdy4(q: BoundQuery) -> tuple[int, float | None]:
     t = q.cdy_t
-    _check_digits(_log10_cdy_core(q), _log10_binom(q.n, 2))
-    value = 2 * _cdy_core(q) * binom(q.n, 2)
+    value = 2 * _cdy_core(q, q.n, 2)
     ref = _float(lambda: q.n ** 3 * math.factorial(t - 2) ** 2 / _E ** 2)
     return value, ref
 
 
 def _eval_cdy5(q: BoundQuery) -> tuple[Fraction, float | None]:
     t = q.cdy_t
-    _check_digits(_log10_cdy_core(q), _log10_binom(q.n, 2), den=(2 * q.n * q.k) ** 2)
-    value = Fraction(_cdy_core(q) * binom(q.n, 2), (2 * q.n * q.k) ** 2)
+    value = Fraction(_cdy_core(q, q.n, 2), (2 * q.n * q.k) ** 2)
     ref = _float(
         lambda: q.n * math.factorial(t - 2) ** 2 / (8 * ((4 * t + 3) * _E) ** 2)
     )
@@ -298,7 +289,6 @@ def _eval_diagbi(q: BoundQuery) -> tuple[None, float | None]:
 def _eval_diagbi2(q: BoundQuery) -> tuple[Fraction, float | None]:
     n, k = q.n, q.k
     a, b = n // (k - 1), n // (4 * k - 4)
-    _check_digits(_log10_binom(a, b), den=(n * k) ** 2)
     value = Fraction(binom(a, b), (n * k) ** 2)
     ref = _float(lambda: (
         math.sqrt(2 * (k - 1) / (3 * n * math.pi))
@@ -311,7 +301,6 @@ def _eval_diagbi2(q: BoundQuery) -> tuple[Fraction, float | None]:
 def _eval_diagbi3(q: BoundQuery) -> tuple[Fraction, float | None]:
     n, k = q.n, q.k
     a, b = _ceil(n, k - 1), _ceil(n, 4 * k - 4)
-    _check_digits(_log10_binom(a, b), den=(n * k) ** 2)
     value = Fraction(binom(a, b), (n * k) ** 2)
     ref = _float(lambda: (
         math.sqrt(2 * (k - 1) / (3 * n * math.pi))
@@ -328,7 +317,6 @@ def _eval_p3diag(q: BoundQuery) -> tuple[None, float | None]:
 def _eval_ppower2(q: BoundQuery) -> tuple[int, float | None]:
     n, k = q.n, q.k
     a, b = _ceil(n, k - 1), _ceil(n, 4 * k - 4)
-    _check_digits(_log10_binom(a, b))
     value = 4 * binom(a, b)
     ref = _float(lambda: (
         math.sqrt(2 * (k - 1) / (3 * n * math.pi)) * 2 ** (n / (k - 1) * _H14 + 3)
@@ -338,7 +326,6 @@ def _eval_ppower2(q: BoundQuery) -> tuple[int, float | None]:
 
 def _eval_pk7(q: BoundQuery) -> tuple[int, float | None]:
     n = q.n
-    _check_digits(_log10_binom(n // 6, n // 24))
     value = 4 * binom(n // 6, n // 24)
     ref = _float(lambda: 2 ** ((n // 6) * _H14 + 4) / math.sqrt(n * math.pi))
     return value, ref
@@ -347,7 +334,6 @@ def _eval_pk7(q: BoundQuery) -> tuple[int, float | None]:
 def _eval_pprime(q: BoundQuery) -> tuple[int, float | None]:
     n, k = q.n, q.k
     a, b = _ceil(n, 2 * k), _ceil(n, 8 * k)
-    _check_digits(_log10_binom(a, b))
     value = 2 * binom(a, b)
     ref = _float(
         lambda: math.sqrt(k / (3 * math.pi * n)) * 2 ** (n / (2 * k) * _H14 + 3)
@@ -356,7 +342,6 @@ def _eval_pprime(q: BoundQuery) -> tuple[int, float | None]:
 
 
 def _eval_ppairs(q: BoundQuery) -> tuple[int, None]:
-    _check_digits(_log10_binom(q.n, 2))
     return 2 * binom(q.n, 2), None
 
 
@@ -479,8 +464,8 @@ def evaluate_bound(query: BoundQuery, *, force: bool = False) -> BoundResult:
     Raises :class:`HypothesisError` when a hypothesis (or an evaluation-domain
     requirement, e.g. the derangement argument going negative) fails; pass
     ``force=True`` to evaluate anyway where the formula is still defined.
-    Raises :class:`TooLargeError`, before computing, when the exact value
-    would have more digits than the interpreter converts to a string.
+    Raises :class:`TooLargeError` when the exact value has more digits than
+    the interpreter converts to a string, before computing any factor that has.
     """
     try:
         check, evaluate, _ = THEOREMS[query.theorem]
@@ -506,6 +491,7 @@ def evaluate_bound(query: BoundQuery, *, force: bool = False) -> BoundResult:
         notes.append(f"forced evaluation despite failed hypotheses: {failed}")
     try:
         exact, ref, *more_notes = evaluate(query)
+        _check_printable(exact)
     except TooLargeError as exc:
         raise TooLargeError(f"{query.theorem}: exact value has {exc}") from None
     except (ArithmeticError, ValueError) as exc:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property, lru_cache
-from math import comb, gcd, log10
+from math import gcd, log10
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import kernels
@@ -323,10 +323,14 @@ class SolutionFamily:
     def census(self) -> int:
         """Exact number of pairs the stream yields (all distinct).
 
-        Raises :class:`bounds.TooLargeError`, before computing it, when a
-        3-diagonal census has more digits than str() prints.
+        Raises :class:`bounds.TooLargeError` when the census has more digits
+        than str() prints; a base count past that limit is not computed.
         """
-        return self.base_count * (4 if self.swap_closed else 2)
+        from .bounds import _check_printable
+
+        census = self.base_count * (4 if self.swap_closed else 2)
+        _check_printable(census)
+        return census
 
 
 def _default_prime_r(lo_num: int, lo_den: int, hi_num: int, hi_den: int,
@@ -399,8 +403,13 @@ def _subset_family(
         for combo in itertools.combinations(residues, pick):
             yield prefix + combo
 
+    def count() -> int:
+        from .bounds import binom
+
+        return binom(len(residues), pick)
+
     spec = FamilySpec(family_id, n, k, r, diagonals, admissibility)
-    return SolutionFamily(spec, swap_closed, lambda: comb(len(residues), pick), bases)
+    return SolutionFamily(spec, swap_closed, count, bases)
 
 
 def power_two_family(n: int, k: int, r: int | None = None) -> SolutionFamily:
@@ -527,12 +536,9 @@ def pairs_family(n: int, k: int, i: int, s1: int) -> SolutionFamily:
     diagonals = tuple(range(1, i + 1)) + (i + s1,) + tuple(
         range(i + s1 + 2, k + s1 + 1)
     )
-
-    def bases() -> Iterator[tuple[int, ...]]:
-        yield from itertools.combinations(range(1, n + 1), 2)
-
-    spec = FamilySpec("PairsGeneral", n, k, 2, diagonals, checks)
-    return SolutionFamily(spec, False, lambda: comb(n, 2), bases)
+    return _subset_family(
+        "PairsGeneral", n, k, 2, range(1, n + 1), (), False, checks, diagonals
+    )
 
 
 FAMILY_BUILDERS = {

@@ -312,20 +312,39 @@ def test_general_bound_reference_at_t2_is_null_with_a_note():
 
 def test_digit_check_refuses_only_unprintable_values():
     # around the least digit limit, every refused value really has more
-    # digits than str() prints, and every value printed was computed
+    # digits than str() prints, and every value printed was computed; for an
+    # int bound, a Fraction bound and a family census
+    from heffter.knight import power_two_family
+
+    def power_two_bound(n):
+        q = BoundQuery("PropPower2", n=n, k=5)
+        return (lambda: evaluate_bound(q, force=True).exact,
+                4 * math.comb(-(-n // 4), -(-n // 16)))
+
+    def diag_bi3_bound(n):
+        q = BoundQuery("DiagBi3", n=n, k=11)
+        return (lambda: evaluate_bound(q, force=True).exact,
+                Fraction(math.comb(-(-n // 10), -(-n // 40)), (11 * n) ** 2))
+
+    def power_two_census(n):
+        family = power_two_family(n, 5)  # C(n/4, r) with r about n/16
+        return family.census, 4 * math.comb((n + 3) // 4, family.spec.r)
+
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
-        refused = 0
-        for n in range(9001, 25002, 800):
-            q = BoundQuery("PropPower2", n=n, k=5)
-            exact = 4 * math.comb(-(-n // 4), -(-n // 16))
-            try:
-                assert evaluate_bound(q, force=True).exact == exact
-            except TooLargeError:
-                refused += 1
-                with pytest.raises(ValueError):
-                    str(exact)
-        assert 0 < refused < 21
+        for value, sizes in ((power_two_bound, range(9001, 25002, 800)),
+                             (diag_bi3_bound, range(16001, 48002, 1600)),
+                             (power_two_census, range(6001, 22002, 800))):
+            refused = 0
+            for n in sizes:
+                compute, exact = value(n)
+                try:
+                    assert compute() == exact
+                except TooLargeError:
+                    refused += 1
+                    with pytest.raises(ValueError):
+                        str(exact)
+            assert 0 < refused < len(sizes), value.__name__
     finally:
         sys.set_int_max_str_digits(old)

@@ -936,6 +936,8 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv", [
     "bounds --theorem PropPower2 --n 1000000001 --k 5",  # math.comb would run for minutes
     "bounds --theorem CDY --n 13 --k 4000000003",  # so would derangements(10**9 - 2)
+    # D(0) = 1 must not hide the binomial C(n/22, n/88) from the guard
+    "bounds --theorem CDY2 --n 1000000000061 --k 11",
 ])
 def test_huge_exact_value_is_refused_before_computing(argv):
     src = str(Path(heffter.__file__).resolve().parent.parent)
@@ -1006,22 +1008,39 @@ def test_huge_family_census_is_refused_before_building(capsys):
     assert peak < 100 * 2 ** 20
 
 
-@pytest.mark.parametrize("n", ["99999999999", "2000000001"])
-def test_huge_family_census_is_refused_before_computing(n):
+@pytest.mark.parametrize("family,name,n", [
     # 2^((n+1)/2) would take gigabytes, or 125 MB at n = 2000000001
+    pytest.param("3diag", "ThreeDiag", "99999999999", id="99999999999"),
+    pytest.param("3diag", "ThreeDiag", "2000000001", id="2000000001"),
+    # math.comb of the n/6 or n/4 positions would run for minutes
+    pytest.param("k7 --limit 1", "KSeven", "100000001", id="k7"),
+    pytest.param("power2 --k 5 --limit 1", "PowerTwo", "100000001", id="power2"),
+])
+def test_huge_family_census_is_refused_before_computing(family, name, n):
     src = str(Path(heffter.__file__).resolve().parent.parent)
+    argv = f"tour-family --family {family} --n {n} --text".split()
     script = ("import resource, sys\n"
               "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))\n"
               "from heffter.cli import main\n"
-              f"code = main(['tour-family', '--family', '3diag', '--n', '{n}', '--text'])\n"
+              f"code = main({argv!r})\n"
               f"{_PEAK_KB}\n"
               "print(peak)\n"
               "sys.exit(code)\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=30, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 2 and int(proc.stdout) < 100 * 1024  # peak RSS in KB
-    assert proc.stderr == (f"error: census of family ThreeDiag for n={n} "
+    assert proc.stderr == (f"error: census of family {name} for n={n} "
                            "is too large to print\n")
+
+
+def test_zero_exact_value_does_not_compute_its_huge_binomial():
+    # D(1) = 0 at k = 15, so CDY2 is 0 however large C(n/30, n/120) would be
+    src = str(Path(heffter.__file__).resolve().parent.parent)
+    argv = "bounds --theorem CDY2 --n 1000000000061 --k 15 --text"
+    proc = subprocess.run([sys.executable, "-m", "heffter", *argv.split()],
+                          capture_output=True, text=True, timeout=5,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "exact=0 approx=0.0\n", "")
 
 
 def test_huge_power_two_census_lists_no_positions():
