@@ -340,7 +340,8 @@ def cmd_tour_enum(args: argparse.Namespace) -> int:
         _print([f"count={len(sols)}"])
     else:
         _print_listing({"m": skel.m, "n": skel.n, "trivial_rows": args.trivial_R,
-                        "count": len(sols)}, "solutions", *_pair_columns(sols))
+                        "count": len(sols)}, "solutions",
+                       _records_text(*_pair_columns(sols), "\n  "))
     return PASS if sols else FAIL
 
 
@@ -386,7 +387,8 @@ def cmd_tour_family(args: argparse.Namespace) -> int:
         _print([f"census={census} emitted={emitted}"])
         return PASS
     _print_listing({"spec": family.spec.to_json_dict(), "census": census,
-                    "emitted": emitted}, "solutions", *_pair_columns(pairs))
+                    "emitted": emitted}, "solutions",
+                   _records_text(*_pair_columns(pairs), "\n  "))
     return PASS
 
 
@@ -397,11 +399,47 @@ def _pair_columns(pairs: Iterable[knight.OrientationPair]) -> tuple[tuple, tuple
                              map(attrgetter("minus_positions"), minus))
 
 
-def _print_listing(data: dict, key: str, names: Sequence[str], columns: Iterable) -> None:
-    """Print ``_dumps(data)`` with the records of ``names`` and ``columns`` as
-    its ``key``, written by :func:`_records_text` as the columns stream."""
+def _print_listing(data: dict, key: str, listing: Iterable[str]) -> None:
+    """Print ``_dumps(data)`` with the text pieces of ``listing``, a list at
+    pad ``"\\n  "``, as its ``key``, writing each piece as it comes."""
     head, tail = _dumps({**data, key: []}).split(f'"{key}": []', 1)
-    _print(itertools.chain([f'{head}"{key}": '], _records_text(names, columns, "\n  "), [tail]))
+    _print(itertools.chain([f'{head}"{key}": '], listing, [tail]))
+
+
+def _face_listing(emb: embedding.CombinatorialEmbedding, listed: int) -> str:
+    """``_dumps`` at pad ``"\\n  "`` of the records of the first ``listed``
+    faces of ``embedding.trace_faces(emb)``, written from its translate ranges.
+
+    Each vertex text comes from a table of the texts of 0 .. v-1 written
+    twice (with its comma, and without it for a face's first vertex), so a
+    range of a simple walk lifts as one ``zip`` of slices of it, each record
+    joined once between its cycle's head and tail.  A range of a non-simple
+    walk is lifted to ints first, for the least rotation.  The records go
+    into a table indexed by key, as the faces do in ``trace_faces``.
+    """
+    v, C = emb.v, len(emb.connection)
+    texts = [",\n        " + repr(x) for x in range(v)] * 2
+    firsts = [text[1:] for text in texts]
+    residues = list(range(v)) * 2
+    tail = "\n      ]\n    }"
+    by_key: list[str | None] = [None] * (v * C)
+    for key, lo, hi, starts, color, simple in embedding._face_ranges(emb):
+        if len(starts) == 1:
+            first, *rest = starts[0]
+            columns = [firsts[first + lo:first + hi], *[texts[y + lo:y + hi] for y in rest]]
+        else:
+            first, *rest = zip(*embedding._lift(starts, lo, hi, residues))
+            columns = [map(firsts.__getitem__, first), *[map(texts.__getitem__, c) for c in rest]]
+        head = (',\n    {\n      "color": ' + _dumps(color) + ',\n      "simple": '
+                + _dumps(simple) + ',\n      "vertices": [')
+        by_key[key:key + (hi - lo) * C:C] = map(
+            "".join, zip(itertools.repeat(head), *columns, itertools.repeat(tail)))
+    records = list(itertools.islice(filter(None, by_key), listed))
+    if not records:
+        return "[]"
+    records[0] = "[" + records[0][1:]
+    records.append("\n  ]")
+    return "".join(records)
 
 
 def _build_embedding_from_files(array_path: str, solution_path: str):
@@ -439,8 +477,7 @@ def cmd_faces(args: argparse.Namespace) -> int:
         return PASS
     _print_listing({"count": count, "row_faces": report.row_faces,
                     "column_faces": report.column_faces, "all_simple": report.simple,
-                    "listed": listed}, "faces", embedding.Face._fields,
-                   zip(*embedding.trace_faces(emb).faces[:listed]))
+                    "listed": listed}, "faces", [_face_listing(emb, listed)])
     return PASS
 
 

@@ -313,10 +313,12 @@ def _difference_cycles(emb: CombinatorialEmbedding) -> Iterator[list[int]]:
         yield diffs
 
 
-def trace_faces(emb: CombinatorialEmbedding) -> FaceSet:
-    """All faces, ordered by their least oriented-edge index x * C + i.
+def _face_ranges(emb: CombinatorialEmbedding) -> Iterator[tuple[int, int, int, list, str, bool]]:
+    """The faces as ranges of translates of the difference cycles' walks:
+    (key, lo, hi, starts, color, simple) per range.
 
-    i is the index of the edge's difference in ``emb.connection``, so this is
+    Faces are ordered by their least oriented-edge index x * C + i, where i
+    is the index of the edge's difference in ``emb.connection``, so this is
     the order of the face orbits by their least element.  Each face is a
     translate of its difference cycle's walk, written from its least vertex.
     The translate by s starts at the least walk value x >= v - s, which wraps
@@ -330,18 +332,18 @@ def trace_faces(emb: CombinatorialEmbedding) -> FaceSet:
     cosets of the subgroup generated by ``translates`` (the walk is invariant
     under adding its sum), so v - translates is one of them: the ranges of
     the values above it, and of 0, tile [0, translates), and the others start
-    past it.  Over one range each coordinate of the face runs through
-    consecutive residues, a slice of 0 .. v-1 written twice, and the key
-    steps by C; so the range lifts as one ``zip`` of slices, placed into a
-    table indexed by key that lists the faces in order.
+    past it.  A range yields the translates s in [lo, hi), which start at
+    x + lo = 0 (mod v) and have the keys ``key``, key + C, ...; ``starts``
+    holds the walk read from each visit of x, one rotation for every value
+    of a simple walk.  Face s of the range is, at each of its coordinates,
+    the start's value y lifted to (y + s) % v, and is the least of these
+    rotations when there are several.  ``color`` and ``simple`` are the
+    cycle's.
     """
     v = emb.v
-    C = len(emb.connection)
     conn_pos = [-1] * v
     for i, d in enumerate(emb.connection):
         conn_pos[d] = i
-    residues = list(range(v)) * 2
-    by_key: list[Face | None] = [None] * (v * C)
     entry_class = emb.entry_class
     for diffs in _difference_cycles(emb):
         translates = math.gcd(sum(diffs), v)
@@ -358,20 +360,38 @@ def trace_faces(emb: CombinatorialEmbedding) -> FaceSet:
         values = sorted(at)
         for j, x in enumerate(values):
             lo, hi = (v - x if j else 0), v - values[j - 1]
-            if lo >= translates:
-                continue
-            # one rotation per visit of x, taken as it is when there is one
-            # (every value of a simple walk); else each face is the least
-            lifted = [zip(*[residues[y + lo:y + hi] for y in twice[i:i + len(walk)]])
-                      for i in at[x]]
-            verts = lifted[0] if len(lifted) == 1 else map(min, zip(*lifted))
-            # the range's first translate starts at x + lo = 0 (mod v)
-            key = min(edge_di[i] for i in at[x])
-            # tuple.__new__ is what Face._make calls, without a Python frame per face
-            by_key[key:key + (hi - lo) * C:C] = map(
-                tuple.__new__, repeat(Face), zip(verts, repeat(color), repeat(simple))
-            )
+            if lo < translates:
+                yield (min(edge_di[i] for i in at[x]), lo, hi,
+                       [twice[i:i + len(walk)] for i in at[x]], color, simple)
+
+
+def trace_faces(emb: CombinatorialEmbedding) -> FaceSet:
+    """All faces, ordered by their least oriented-edge index (see
+    :func:`_face_ranges`).
+
+    Over one range each coordinate of the face runs through consecutive
+    residues, a slice of 0 .. v-1 written twice, and the key steps by C; so
+    the range lifts as one ``zip`` of slices, placed into a table indexed by
+    key that lists the faces in order.
+    """
+    v = emb.v
+    C = len(emb.connection)
+    residues = list(range(v)) * 2
+    by_key: list[Face | None] = [None] * (v * C)
+    for key, lo, hi, starts, color, simple in _face_ranges(emb):
+        verts = _lift(starts, lo, hi, residues)
+        # tuple.__new__ is what Face._make calls, without a Python frame per face
+        by_key[key:key + (hi - lo) * C:C] = map(
+            tuple.__new__, repeat(Face), zip(verts, repeat(color), repeat(simple))
+        )
     return FaceSet(v, tuple(filter(None, by_key)))
+
+
+def _lift(starts: list, lo: int, hi: int, residues: list[int]) -> Iterator[tuple[int, ...]]:
+    """The vertex tuples of the faces of a range of :func:`_face_ranges`;
+    ``residues`` is 0 .. v-1 written twice."""
+    lifted = [zip(*[residues[y + lo:y + hi] for y in start]) for start in starts]
+    return lifted[0] if len(lifted) == 1 else map(min, zip(*lifted))
 
 
 # -- genus and the full report ---------------------------------------------------------

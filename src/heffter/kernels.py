@@ -11,7 +11,7 @@ neighbours along its row and its column.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .pfarray import Skeleton
 from .validation import BudgetExceededError
@@ -161,10 +161,23 @@ def scan_orientations(
             if length == ncells:
                 cr = rotations(c)
                 found.update((rr[s] ^ e, cr[s] ^ e) for s, e in group)
-    row_vectors = {r: _vector(r, m) for r in {r for r, _ in found}}
-    return [(row_vectors[r], _vector(c, n)) for r, c in sorted(found)]
+    pairs = sorted(found)
+    # few distinct rows, and m is unbounded when the rows are trivial
+    row_vectors = {r: _vector(r, m) for r in {r for r, _ in pairs}}
+    return list(zip([row_vectors[r] for r, _ in pairs], _vectors([c for _, c in pairs], n)))
+
+
+def _vectors(masks: Iterable[int], length: int) -> list[tuple[int, ...]]:
+    """The vectors of ``masks`` (see :func:`_vector`), each the concatenation
+    of its top and bottom halves, taken from two tables of all the
+    half-width vectors made once per call."""
+    low = length // 2
+    tops = [_vector(x, length - low) for x in range(1 << (length - low))]
+    bottoms = [_vector(x, low) for x in range(1 << low)]
+    cut = (1 << low) - 1
+    return [tops[x >> low] + bottoms[x & cut] for x in masks]
 
 
 def _vector(mask: int, length: int) -> tuple[int, ...]:
     """The ±1 vector of a mask: bit 1 is -1, the first entry the top bit."""
-    return tuple(map({"0": 1, "1": -1}.__getitem__, format(mask, f"0{length}b")))
+    return tuple(map({"0": 1, "1": -1}.__getitem__, bin(mask | 1 << length)[3:]))

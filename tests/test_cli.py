@@ -360,10 +360,13 @@ class TestEmbedFacesIso:
     def test_faces_text_traces_no_faces(self, monkeypatch, capsys, solution_file):
         from heffter import embedding
 
-        def refuse(emb):
+        def refuse(*args):
             raise AssertionError("faces --text traced the faces")
 
+        # neither the faces, nor their translate ranges, nor the records
         monkeypatch.setattr(embedding, "trace_faces", refuse)
+        monkeypatch.setattr(embedding, "_face_ranges", refuse)
+        monkeypatch.setattr(heffter.cli, "_face_listing", refuse)
         for flags, line in [(["--all"], "count=4554 listed=4554\n"),
                             ([], "count=4554 listed=64\n"),
                             (["--max-faces", "5000"], "count=4554 listed=4554\n"),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from heffter.cli import _dumps, _face_listing
 from heffter.embedding import (
     COLUMN,
     ROW,
@@ -399,6 +400,19 @@ class TestFaces:
         g %= emb.v
         tau_g = tuple((x + g) % emb.v for x in range(emb.v))
         assert verify_map(emb, emb, tau_g) == PRESERVING
+
+    @settings(max_examples=100, deadline=None)
+    @given(alternating_embeddings())
+    @example(alternating_embedding(10, 2, [7, 1, 6, 2], [4, 3, 8, 9]))
+    @example(alternating_embedding(9, 3, [1, 7, 4], [2, 5, 8]))
+    @example(alternating_embedding(6, 2, [1, 4], [5, 2]))
+    def test_listing_writes_the_traced_records(self, emb):
+        # the faces command lists from the translate ranges; the bytes are
+        # those of the records of the traced faces, non-simple ones included
+        faces = trace_faces(emb).faces
+        for listed in sorted({0, 1, len(faces) - 1, len(faces)}):
+            records = [face._asdict() for face in faces[:listed]]
+            assert _face_listing(emb, listed) == _dumps(records, "\n  ")
 
     def test_mixed_rotation_raises(self, k19_embedding):
         # the connection set in ascending order: d -> rho0(-d) sends the

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import heffter
 from heffter.cli import main
+from heffter.kernels import _vectors
 from heffter.knight import OrientationPair, enumerate_solutions, is_solution, tour
 from heffter.pfarray import Skeleton, cyclic_diagonal_skeleton, diagonal_skeleton
 from heffter.validation import BudgetExceededError
@@ -109,6 +110,14 @@ def test_every_diagonal_subset_matches_oracle(n, trivial_rows):
 def test_cyclic_scan_matches_oracle(n, k, trivial_rows, count):
     skel = cyclic_diagonal_skeleton(n, k)
     assert len(assert_scan_matches_oracle(skel, trivial_rows)) == count
+
+
+def test_vectors_join_half_tables():
+    # widths 0 and 1 leave an empty bottom half, odd widths unequal halves
+    for length in range(8):
+        expected = list(itertools.product((1, -1), repeat=length))
+        assert _vectors(range(1 << length), length) == expected
+        assert _vectors([], length) == []
 
 
 @pytest.mark.parametrize("trivial_rows", [True, False])
