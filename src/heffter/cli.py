@@ -9,6 +9,7 @@ Exit codes: 0 = pass, 1 = mathematical failure, 2 = usage error.
 from __future__ import annotations
 
 import argparse
+import heapq
 import io
 import itertools
 import json
@@ -19,7 +20,7 @@ from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from . import __version__, embedding, iso, knight, pfarray, pipeline, validation
+from . import __version__, embedding, iso, kernels, knight, pfarray, pipeline, validation
 
 PASS, FAIL, USAGE = 0, 1, 2
 
@@ -331,18 +332,67 @@ def cmd_tour(args: argparse.Namespace) -> int:
 def cmd_tour_enum(args: argparse.Namespace) -> int:
     skel = _load_skeleton(args.input)
     try:
-        sols = knight.enumerate_solutions(
-            skel, trivial_rows=args.trivial_R, budget=args.budget
-        )
+        pairs = kernels.scan_orientations(skel, args.trivial_R, args.budget)
     except ValueError as exc:  # an empty skeleton, a budget exceeded
         raise UsageError(str(exc)) from None
     if args.text:
-        _print([f"count={len(sols)}"])
+        _print([f"count={len(pairs)}"])
     else:
         _print_listing({"m": skel.m, "n": skel.n, "trivial_rows": args.trivial_R,
-                        "count": len(sols)}, "solutions",
-                       _records_text(*_pair_columns(sols), "\n  "))
-    return PASS if sols else FAIL
+                        "count": len(pairs)}, "solutions",
+                       _solution_listing(skel.m, skel.n, pairs))
+    return PASS if pairs else FAIL
+
+
+def _solution_listing(m: int, n: int, pairs: Sequence[tuple[int, int]],
+                      chunk: int = 4096) -> Iterator[str]:
+    """``_dumps`` at pad ``"\\n  "`` of the ``OrientationPair.to_json_dict``
+    records of ``pairs``, (R-mask, C-mask) pairs of an m x n skeleton as
+    :func:`kernels.scan_orientations` returns them, ``chunk`` records at a time.
+
+    Each record is five texts joined: the ``C`` items of its mask's top half
+    and of its bottom half, the ``E`` positions of each half, and its ``R``.
+    They come from tables made once per listing, over the half vectors of
+    :func:`kernels._halves` and over the distinct row masks.  A top half with
+    no -1 takes its bottom half's ``E`` from a second table that opens the
+    list, or writes ``[]``.
+    """
+    low = n // 2
+    cut, item, close = (1 << low) - 1, ",\n        ", "\n      ]"
+
+    def texts(vector: tuple[int, ...], first: int) -> tuple[list[str], list[str]]:
+        """The entries of ``vector``, and the positions of its -1s counted
+        from ``first``, as texts."""
+        return ([repr(d) for d in vector],
+                [repr(j) for j, d in enumerate(vector, first) if d < 0])
+
+    top_vectors, bottom_vectors = kernels._halves(n)
+    bottoms, minus_rest, minus_only = [], [], []
+    for vector in bottom_vectors:
+        entries, minus = texts(vector, n - low + 1)
+        bottoms.append("".join(item + x for x in entries) + close + ',\n      "E": ')
+        minus_rest.append("".join(item + x for x in minus) + close)
+        minus_only.append("[\n        " + item.join(minus) + close if minus else "[]")
+    tops = []
+    for vector in top_vectors:
+        entries, minus = texts(vector, 1)
+        tops.append((',\n    {\n      "C": [\n        ' + item.join(entries),
+                     "[\n        " + item.join(minus) if minus else "",
+                     minus_rest if minus else minus_only))
+    # one R text per distinct row mask, as m is unbounded when the rows are trivial
+    rows = {r: ',\n      "R": ' + _dumps(kernels._vector(r, m), "\n      ") + "\n    }"
+            for r in {r for r, _ in pairs}}
+    opening = "["
+    for start in range(0, len(pairs), chunk):
+        tokens = []
+        for r, c in pairs[start:start + chunk]:
+            head, minus, minus_tail = tops[c >> low]
+            y = c & cut
+            tokens += (head, bottoms[y], minus, minus_tail[y], rows[r])
+        tokens[0] = opening + tokens[0][1:]
+        yield "".join(tokens)
+        opening = ","
+    yield "[]" if opening == "[" else "\n  ]"
 
 
 def cmd_tour_family(args: argparse.Namespace) -> int:
@@ -415,15 +465,27 @@ def _face_listing(emb: embedding.CombinatorialEmbedding, listed: int) -> str:
     range of a simple walk lifts as one ``zip`` of slices of it, each record
     joined once between its cycle's head and tail.  A range of a non-simple
     walk is lifted to ints first, for the least rotation.  The records go
-    into a table indexed by key, as the faces do in ``trace_faces``.
+    into a table indexed by key, as the faces do in ``trace_faces``.  Short
+    of every face, the key of the ``listed``-th face comes first, from a
+    merge of the ranges' key progressions, and each range is lifted only up
+    to it.
     """
+    if not listed:
+        return "[]"
     v, C = emb.v, len(emb.connection)
+    ranges = list(embedding._face_ranges(emb))
+    last = v * C - 1
+    if listed < sum(hi - lo for _, lo, hi, *_ in ranges):
+        keys = heapq.merge(*(range(key, key + (hi - lo) * C, C) for key, lo, hi, *_ in ranges))
+        last = next(itertools.islice(keys, listed - 1, None))
+        ranges = [(key, lo, min(hi, lo + (last - key) // C + 1), *rest)
+                  for key, lo, hi, *rest in ranges if key <= last]
     texts = [",\n        " + repr(x) for x in range(v)] * 2
     firsts = [text[1:] for text in texts]
     residues = list(range(v)) * 2
     tail = "\n      ]\n    }"
-    by_key: list[str | None] = [None] * (v * C)
-    for key, lo, hi, starts, color, simple in embedding._face_ranges(emb):
+    by_key: list[str | None] = [None] * (last + 1)
+    for key, lo, hi, starts, color, simple in ranges:
         if len(starts) == 1:
             first, *rest = starts[0]
             columns = [firsts[first + lo:first + hi], *[texts[y + lo:y + hi] for y in rest]]
@@ -434,9 +496,8 @@ def _face_listing(emb: embedding.CombinatorialEmbedding, listed: int) -> str:
                 + _dumps(simple) + ',\n      "vertices": [')
         by_key[key:key + (hi - lo) * C:C] = map(
             "".join, zip(itertools.repeat(head), *columns, itertools.repeat(tail)))
-    records = list(itertools.islice(filter(None, by_key), listed))
-    if not records:
-        return "[]"
+    # the table ends at the listed-th face's key
+    records = list(filter(None, by_key))
     records[0] = "[" + records[0][1:]
     records.append("\n  ]")
     return "".join(records)
@@ -778,31 +839,48 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI's parser; with a ``command`` of ``COMMANDS``, only that subparser.
-
-    Each ``add_argument`` costs a help formatter and a terminal-size query,
-    so a call that names its command builds that command's arguments only.
-    Its usage line still names every command, through the subparsers'
-    metavar, so help and error text are the full parser's.  The full parser
-    leaves that metavar unset: a missing command is reported as ``command``.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, with a subparser for every command of ``COMMANDS``."""
     parser = argparse.ArgumentParser(
         prog="heffter",
         description="Validate arrays, solve crazy knight's tours, build and "
                     "classify biembeddings, and evaluate counting bounds.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in COMMANDS if command is None else (command,):
-        help_, add_arguments, fn = COMMANDS[name]
-        p = sub.add_parser(name, help=help_)
-        p.add_argument("--text", action="store_true",
-                       help="brief text output instead of JSON")
-        add_arguments(p)
-        p.set_defaults(fn=fn)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_, _, _) in COMMANDS.items():
+        _command_arguments(sub.add_parser(name, help=help_), name)
     return parser
+
+
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of the command ``name`` alone, with the help, usage and
+    error text of its subparser in :func:`build_parser`."""
+    parser = argparse.ArgumentParser(prog=f"heffter {name}")
+    _command_arguments(parser, name)
+    return parser
+
+
+def _command_arguments(p: argparse.ArgumentParser, name: str) -> None:
+    _, add_arguments, fn = COMMANDS[name]
+    p.add_argument("--text", action="store_true", help="brief text output instead of JSON")
+    add_arguments(p)
+    p.set_defaults(fn=fn)
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The arguments of ``argv``, parsed by the named command's parser alone.
+
+    Each ``add_argument`` costs a help formatter and a terminal-size query,
+    so a call that names its command builds that command's parser only.
+    Anything else, and arguments that parser leaves over, go to the full
+    parser, which reports them as the top level does.
+    """
+    if argv and argv[0] in COMMANDS:
+        args, rest = command_parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
 
 
 _VALUE_FLAGS = ("--R", "--C", "--start")
@@ -825,9 +903,8 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = _merge_negative_values(list(sys.argv[1:] if argv is None else argv))
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return PASS if exc.code in (0, None) else USAGE

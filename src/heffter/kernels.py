@@ -1,10 +1,11 @@
 """Hot integer loops: tour stepping and orientation scans.
 
 The loops are plain Python over tuples of ints and serial, so output order
-never depends on scheduling.  The kernels take a :class:`Skeleton`, its
-1-based cells and an orientation pair as its two ±1 direction vectors, rows
-then columns, the form the whole library uses; the scan holds the vectors as
-bit masks inside.  Both step through one cached table of each filled cell's
+never depends on scheduling.  The kernels take a :class:`Skeleton` and its
+1-based cells.  The tour takes an orientation pair as its two ±1 direction
+vectors, rows then columns, the form the whole library uses; the scan finds
+the pairs as bit masks and returns them so, and :func:`_vectors` turns masks
+into vectors.  Both step through one cached table of each filled cell's
 neighbours along its row and its column.
 """
 
@@ -62,15 +63,13 @@ def tour_orbit(
             return orbit
 
 
-def scan_orientations(
-    skel: Skeleton, trivial_rows: bool, budget: int
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The direction-vector pairs (R, C) whose tour covers every cell.
+def scan_orientations(skel: Skeleton, trivial_rows: bool, budget: int) -> list[tuple[int, int]]:
+    """The direction-vector pairs (R, C) whose tour covers every cell, as
+    (R-mask, C-mask) int pairs in ascending order.
 
-    Pairs come in lexicographic order over (R, C) with +1 before -1; with
-    ``trivial_rows`` R is all +1.  A vector is held here as a bit mask, bit 1
-    for -1 and its first entry the most significant bit, so ascending
-    (R-mask, C-mask) is that order.
+    A mask has bit 1 for -1 and its first entry as the most significant bit,
+    so the order is the lexicographic one over (R, C) with +1 before -1; with
+    ``trivial_rows`` R is all +1, mask 0.
 
     When the skeleton is square and its filled cells are closed under the
     shift (i, j) -> (i+1, j+1) mod n (a union of full diagonals), the shift
@@ -112,15 +111,14 @@ def scan_orientations(
             )
         shifts, negations = 1, (0,)
     group = [(s, e) for e in negations for s in range(shifts)]
-    top = n - 1
+    full = (1 << n) - 1
 
     def rotations(x: int) -> list[int]:
         """x rotated toward its end by 0, 1, ... places, one per shift."""
-        out = [x]
-        for _ in range(shifts - 1):
-            x = (x >> 1) | ((x & 1) << top)
-            out.append(x)
-        return out
+        if shifts == 1:  # the rows of a plain scan have m bits, not n
+            return [x]
+        doubled = x | x << n
+        return [doubled >> s & full for s in range(shifts)]
 
     found: set[tuple[int, int]] = set()
     traced = 0
@@ -159,23 +157,28 @@ def scan_orientations(
                     break
                 length += 1
             if length == ncells:
-                cr = rotations(c)
+                # the sieve step has rotated c already
+                cr = rotations(c) if col_seen is None else cr
                 found.update((rr[s] ^ e, cr[s] ^ e) for s, e in group)
-    pairs = sorted(found)
-    # few distinct rows, and m is unbounded when the rows are trivial
-    row_vectors = {r: _vector(r, m) for r in {r for r, _ in pairs}}
-    return list(zip([row_vectors[r] for r, _ in pairs], _vectors([c for _, c in pairs], n)))
+    return sorted(found)
 
 
 def _vectors(masks: Iterable[int], length: int) -> list[tuple[int, ...]]:
     """The vectors of ``masks`` (see :func:`_vector`), each the concatenation
-    of its top and bottom halves, taken from two tables of all the
-    half-width vectors made once per call."""
+    of its top and bottom halves, taken from the tables of :func:`_halves`
+    made once per call."""
+    tops, bottoms = _halves(length)
     low = length // 2
-    tops = [_vector(x, length - low) for x in range(1 << (length - low))]
-    bottoms = [_vector(x, low) for x in range(1 << low)]
     cut = (1 << low) - 1
     return [tops[x >> low] + bottoms[x & cut] for x in masks]
+
+
+def _halves(length: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The vectors of every top-half mask and of every bottom-half mask of a
+    ``length``-bit mask, whose bottom half is its low length // 2 bits."""
+    low = length // 2
+    return ([_vector(x, length - low) for x in range(1 << (length - low))],
+            [_vector(x, low) for x in range(1 << low)])
 
 
 def _vector(mask: int, length: int) -> tuple[int, ...]:

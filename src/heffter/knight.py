@@ -145,10 +145,11 @@ def enumerate_solutions(
     symmetric scan when its 2^n sieve is larger than ``budget`` or it traces
     more than ``budget`` pairs.
     """
-    return [
-        OrientationPair(rows, cols)
-        for rows, cols in kernels.scan_orientations(skel, trivial_rows, budget)
-    ]
+    pairs = kernels.scan_orientations(skel, trivial_rows, budget)
+    # few distinct rows, and m is unbounded when the rows are trivial
+    rows = {r: kernels._vector(r, skel.m) for r in {r for r, _ in pairs}}
+    return list(map(OrientationPair, [rows[r] for r, _ in pairs],
+                    kernels._vectors([c for _, c in pairs], skel.n)))
 
 
 # -- exact characterizations (trivial row vector) ---------------------------------------

@@ -19,11 +19,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import heffter
-from heffter import knight
-from heffter.cli import COMMANDS, _dumps, _pair_columns, _records_text, build_parser, main
+from heffter import kernels, knight
+from heffter.cli import (COMMANDS, _dumps, _pair_columns, _records_text, _solution_listing,
+                         build_parser, command_parser, main)
 from heffter.embedding import Face, build_embeddings
 from heffter.iso import stabilizer, verify_map
-from heffter.pfarray import parse_array
+from heffter.pfarray import Skeleton, cyclic_diagonal_skeleton, parse_array
 from heffter.pipeline import MathFailure, run_pipeline
 
 from conftest import fixture_path
@@ -160,11 +161,48 @@ class TestTour:
         assert main(["tour", ARRAY, "--C", "1,2,3"]) == 2
 
 
+@st.composite
+def _skeletons(draw):
+    """Cyclic k-diagonal skeletons, which take the symmetric scan, and others,
+    m != n among them; n runs over 1, 2, odd and even."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 8))
+        return cyclic_diagonal_skeleton(n, draw(st.integers(1, n)))
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 7))
+    # every row and every column holds a filled cell
+    cells = {(i, (i - 1) % n + 1) for i in range(1, m + 1)}
+    cells |= {((j - 1) % m + 1, j) for j in range(1, n + 1)}
+    cells |= draw(st.sets(st.tuples(st.integers(1, m), st.integers(1, n)), max_size=8))
+    return Skeleton(m, n, frozenset(cells))
+
+
+# the two cells of the 2x2 diagonal each make a tour of their own
+_NO_SOLUTION = Skeleton(2, 2, frozenset({(1, 1), (2, 2)}))
+
+
 class TestEnumAndFamilies:
+    @settings(max_examples=80, deadline=None)
+    @given(_skeletons(), st.booleans(), st.sampled_from([1, 2, 4096]))
+    @example(_NO_SOLUTION, False, 4096)
+    @example(cyclic_diagonal_skeleton(1, 1), False, 1)
+    def test_enum_listing_is_the_pair_records(self, skel, trivial_rows, chunk):
+        pairs = kernels.scan_orientations(skel, trivial_rows, 1 << 20)
+        sols = knight.enumerate_solutions(skel, trivial_rows=trivial_rows)
+        pieces = list(_solution_listing(skel.m, skel.n, pairs, chunk))
+        assert "".join(pieces) == _dumps([p.to_json_dict() for p in sols], "\n  ")
+        # the records come a chunk at a time, then the closing bracket
+        assert [piece.count('"C"') for piece in pieces[:-1]] == \
+            [min(chunk, len(pairs) - start) for start in range(0, len(pairs), chunk)]
+
+    def test_enum_without_solutions_lists_none(self, tmp_path, capsys):
+        path = tmp_path / "diag2.json"
+        path.write_text(json.dumps(_NO_SOLUTION.to_json_dict()))
+        for flags in ([], ["--trivial-R"]):
+            code, data = run_json(capsys, "tour-enum", str(path), *flags)
+            assert code == 1 and data["count"] == 0 and data["solutions"] == []
+
     def test_enum_trivial(self, tmp_path, capsys):
         skel = tmp_path / "c53.json"
-        from heffter.pfarray import cyclic_diagonal_skeleton
-
         skel.write_text(json.dumps(cyclic_diagonal_skeleton(5, 3).to_json_dict()))
         code, data = run_json(capsys, "tour-enum", str(skel), "--trivial-R")
         assert code == 0 and data["count"] == 20
@@ -351,10 +389,15 @@ class TestEmbedFacesIso:
         assert code == 0
         code, solutions = run(capsys, "tour-enum", ARRAY, "--trivial-R")
         assert code == 0
+        # the full scan: 4708 solutions over several row vectors
+        code, full = run(capsys, "tour-enum", ARRAY)
+        assert code == 0
         assert {name: hashlib.sha256(text.encode()).hexdigest()
-                for name, text in [("faces", faces), ("tour-enum", solutions)]} == {
+                for name, text in [("faces", faces), ("tour-enum", solutions),
+                                   ("tour-enum full", full)]} == {
             "faces": "cd1438a73af6cd01d72ba21a2b6eda71fb03e4d07a43c704e5b09a8f4e6a8565",
             "tour-enum": "775ffa34d3c43308cfa4ff575e4c2dfce04cc628ab01187f6dadb8f677f7be78",
+            "tour-enum full": "4cf819a218309155f74fdcd950e0ea988e1ab26462ebd4cd85de4646b90e35c4",
         }
 
     def test_faces_text_traces_no_faces(self, monkeypatch, capsys, solution_file):
@@ -375,10 +418,11 @@ class TestEmbedFacesIso:
                        "--text", *flags) == (0, line)
 
     def test_tour_enum_text_builds_no_records(self, monkeypatch, capsys):
-        def refuse(pairs):
+        def refuse(*args):
             raise AssertionError("tour-enum --text built the records")
 
-        monkeypatch.setattr(heffter.cli, "_pair_columns", refuse)
+        # the scan still runs, for the count
+        monkeypatch.setattr(heffter.cli, "_solution_listing", refuse)
         assert run(capsys, "tour-enum", ARRAY, "--trivial-R", "--text") == (0, "count=990\n")
 
     @pytest.mark.parametrize("command", ["embed", "faces"])
@@ -1140,13 +1184,18 @@ def parse_with_full_parser(capsys, argv):
     return code, captured.out, captured.err
 
 
+# the progs of the parsers build_parser makes: the top level, then each command
+_FULL_PARSER = ["heffter", *(f"heffter {name}" for name in COMMANDS)]
+
+
 class TestParser:
     """``main`` builds the named subcommand's parser only, with the same text."""
 
     def test_parses_cover_every_command(self):
         assert list(PARSES) == list(COMMANDS)
         for name, rest in PARSES.items():
-            assert build_parser(name).parse_args([name, *rest]).fn is COMMANDS[name][2]
+            assert command_parser(name).parse_args(rest).fn is COMMANDS[name][2]
+            assert build_parser().parse_args([name, *rest]).fn is COMMANDS[name][2]
 
     @pytest.mark.parametrize("columns", ["80", "33"])
     @pytest.mark.parametrize("case", ["help", "missing", "unknown"])
@@ -1180,23 +1229,25 @@ class TestParser:
         assert (captured.out, captured.err) == (out, err)
 
     @pytest.mark.parametrize("argv, built", [
-        (["verify", ARRAY], ["verify"]),
-        (["embed", "--help"], ["embed"]),
-        (["--help"], list(COMMANDS)),
-        (["verif", ARRAY], list(COMMANDS)),
+        (["verify", ARRAY], ["heffter verify"]),
+        (["embed", "--help"], ["heffter embed"]),
+        (["--help"], _FULL_PARSER),
+        (["verif", ARRAY], _FULL_PARSER),
+        # arguments left over go to the full parser, which reports them
+        (["verify", ARRAY, "--bogus"], ["heffter verify", *_FULL_PARSER]),
     ])
     def test_main_adds_only_the_named_subparser(self, monkeypatch, capsys,
                                                 argv, built):
-        added = []
-        add_parser = argparse._SubParsersAction.add_parser
+        progs = []
+        init = argparse.ArgumentParser.__init__
 
-        def counting(self, name, **kwargs):
-            added.append(name)
-            return add_parser(self, name, **kwargs)
+        def counting(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            progs.append(self.prog)
 
-        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
         main(argv)
-        assert added == built
+        assert progs == built
 
     def test_docstring_lists_the_command_table(self):
         listed = heffter.cli.__doc__.split("Subcommands:")[1].split(".")[0]
