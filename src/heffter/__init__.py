@@ -5,13 +5,10 @@ from typing import TYPE_CHECKING
 from .embedding import (
     BiembeddingReport,
     CombinatorialEmbedding,
-    Face,
-    FaceSet,
     biembedding_report,
     build_embedding,
     build_embeddings,
     genus_formula,
-    trace_faces,
 )
 from .iso import (
     EmbeddingMap,

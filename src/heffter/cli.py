@@ -16,7 +16,6 @@ import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -107,71 +106,6 @@ def _cells(values: Sequence, pad: str) -> Iterable[str]:
         return map("".join, zip(itertools.repeat("[" + inner), joined,
                                 itertools.repeat(pad + "]")))
     return [_dumps(x, pad) for x in values]
-
-
-def _records_text(names: Sequence[str], columns: Iterable[Iterable], pad: str,
-                  chunk: int = 4096) -> Iterator[str]:
-    """``_dumps(records, pad)`` in pieces, ``chunk`` records at a time, where
-    record i maps each of ``names`` to item i of its column in ``columns``.
-
-    The records are never built, and only one chunk of ``columns`` is held
-    at a time.  Each column holds tuples of ints or leaves of ``_LEAF`` only,
-    as the library's records do: the first item of a chunk says which, and
-    no other item's type is looked at, so a mixed column is written wrong
-    (``True`` and ``1`` share one text).
-    """
-    fields = sorted(zip(names, map(iter, columns)))
-    opening = "["
-    while True:
-        block = [(name, list(itertools.islice(column, chunk))) for name, column in fields]
-        if not block or not block[0][1]:
-            break
-        yield _chunk_text(block, opening, pad + "  ")
-        opening = ","
-    yield "[]" if opening == "[" else pad + "]"
-
-
-def _chunk_text(block: list[tuple[str, list]], opening: str, pad: str) -> str:
-    """``opening``, then the records of ``block``, a list of (name, column),
-    each at ``pad`` and each but the first after a comma.
-
-    Each distinct value of a column is written once.  Each record's pieces
-    go into one list by strided slice assignment, joined once; only that
-    text outlives the call.
-    """
-    count, field = len(block[0][1]), pad + "  "
-    pieces, sep = [], "," + pad + "{" + field
-    for name, column in block:
-        pieces.append([sep + encode_basestring_ascii(name) + ": "] * count)
-        if type(column[0]) is tuple:
-            pieces.append(_int_lists(column, field))
-        else:
-            memo = {x: _dumps(x) for x in set(column)}
-            pieces.append(map(memo.__getitem__, column))
-        sep = "," + field
-    pieces.append([pad + "}"] * count)
-    tokens = [""] * (len(pieces) * count)
-    for i, texts in enumerate(pieces):
-        tokens[i::len(pieces)] = texts
-    tokens[0] = opening + tokens[0][1:]
-    return "".join(tokens)
-
-
-def _int_lists(column: list[tuple[int, ...]], pad: str) -> Iterable[str]:
-    """``_dumps(list(t), pad)`` for each tuple of ints ``t`` of ``column``.
-
-    Each distinct tuple is written once, from a table of the reprs of the
-    column's ints.  ``itemgetter(*t)`` takes a tuple's reprs from it in one
-    call, about twice as fast as a ``map``; it returns a lone repr unwrapped,
-    so a tuple of one int goes by ``map``.
-    """
-    distinct = dict.fromkeys(column)
-    ints = set(itertools.chain.from_iterable(distinct))
-    table = dict(zip(ints, map(int.__repr__, ints)))
-    start, sep, end = "[" + pad + "  ", "," + pad + "  ", pad + "]"
-    texts = {t: start + sep.join(itemgetter(*t)(table) if len(t) > 1 else map(table.__getitem__, t))
-             + end if t else "[]" for t in distinct}
-    return texts.values() if len(texts) == len(column) else map(texts.__getitem__, column)
 
 
 def _print(chunks: Iterable[str]) -> None:
@@ -438,15 +372,42 @@ def cmd_tour_family(args: argparse.Namespace) -> int:
         return PASS
     _print_listing({"spec": family.spec.to_json_dict(), "census": census,
                     "emitted": emitted}, "solutions",
-                   _records_text(*_pair_columns(pairs), "\n  "))
+                   _family_listing(pairs))
     return PASS
 
 
-def _pair_columns(pairs: Iterable[knight.OrientationPair]) -> tuple[tuple, tuple]:
-    """The names and lazy columns of ``OrientationPair.to_json_dict`` over ``pairs``."""
-    rows, cols, minus = itertools.tee(pairs, 3)
-    return ("R", "C", "E"), (map(itemgetter(0), rows), map(itemgetter(1), cols),
-                             map(attrgetter("minus_positions"), minus))
+def _family_listing(pairs: Iterable[knight.OrientationPair],
+                    chunk: int = 4096) -> Iterator[str]:
+    """``_dumps`` at pad ``"\\n  "`` of the ``OrientationPair.to_json_dict``
+    records of ``pairs``, ``chunk`` records at a time.
+
+    Every entry of R and C is +1 or -1, so a vector's text is its entries'
+    texts from a two-item table, joined.  Each distinct vector of a chunk is
+    written once, and each distinct C's ``E``: a family's vectors recur,
+    each as some pair's C and another's R.
+    """
+    items, close = {1: "\n        1", -1: "\n        -1"}, "\n      ]"
+    head, tail = ',\n    {\n      "C": ', "\n    }"
+    pairs, opening = iter(pairs), "["
+    while block := list(itertools.islice(pairs, chunk)):
+        by_cols = {pair.cols: pair for pair in block}
+        vectors = {vector: "[" + ",".join(map(items.__getitem__, vector)) + close
+                   for vector in dict.fromkeys(itertools.chain(by_cols, (r for r, _ in block)))}
+        minus = {}
+        for cols, pair in by_cols.items():
+            positions = ",\n        ".join(map(repr, pair.minus_positions))
+            minus[cols] = (',\n      "E": ' + ("[\n        " + positions + close
+                                                  if positions else "[]") + ',\n      "R": ')
+        tokens = []
+        for rows, cols in block:
+            tokens += (head, vectors[cols], minus[cols], vectors[rows], tail)
+        tokens[0] = opening + tokens[0][1:]
+        text = "".join(tokens)
+        # only the text outlives its chunk, so the next one is built alone
+        del block, by_cols, vectors, minus, tokens
+        yield text
+        opening = ","
+    yield "[]" if opening == "[" else "\n  ]"
 
 
 def _print_listing(data: dict, key: str, listing: Iterable[str]) -> None:
@@ -457,18 +418,19 @@ def _print_listing(data: dict, key: str, listing: Iterable[str]) -> None:
 
 
 def _face_listing(emb: embedding.CombinatorialEmbedding, listed: int) -> str:
-    """``_dumps`` at pad ``"\\n  "`` of the records of the first ``listed``
-    faces of ``embedding.trace_faces(emb)``, written from its translate ranges.
+    """``_dumps`` at pad ``"\\n  "`` of the records ``{"color", "simple",
+    "vertices"}`` of the first ``listed`` faces of ``emb``, in the order of
+    :func:`embedding._face_ranges`, written from its translate ranges.
 
     Each vertex text comes from a table of the texts of 0 .. v-1 written
     twice (with its comma, and without it for a face's first vertex), so a
     range of a simple walk lifts as one ``zip`` of slices of it, each record
     joined once between its cycle's head and tail.  A range of a non-simple
-    walk is lifted to ints first, for the least rotation.  The records go
-    into a table indexed by key, as the faces do in ``trace_faces``.  Short
-    of every face, the key of the ``listed``-th face comes first, from a
-    merge of the ranges' key progressions, and each range is lifted only up
-    to it.
+    walk is lifted to ints first by :func:`embedding._lift`, for the least
+    rotation.  The records go into a table indexed by key, which lists them
+    in face order.  Short of every face, the key of the ``listed``-th face
+    comes first, from a merge of the ranges' key progressions, and each
+    range is lifted only up to it.
     """
     if not listed:
         return "[]"

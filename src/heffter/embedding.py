@@ -25,7 +25,7 @@ Translations act regularly on the oriented edges and commute with next, so the
 difference of an edge evolves on its own, d -> rho0(-d), on the connection
 set.  A difference cycle of length L and sum S lifts to gcd(S, v) faces of
 length L * ord(S), the translates of one walk from 0 (the face lifting of
-current graphs, Gross & Tucker, Topological Graph Theory, ch. 4).  Face
+current graphs, Gross & Tucker, Topological Graph Theory, ch. 4).  The face
 statistics therefore cost O(C), not O(v * C).
 """
 
@@ -35,7 +35,7 @@ import json
 import math
 from collections import namedtuple
 from functools import lru_cache
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain
 from operator import getitem
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -263,27 +263,6 @@ ROW = "row"
 COLUMN = "column"
 
 
-class Face(NamedTuple):
-    """A face boundary: vertex circuit in canonical rotation, fixed orientation."""
-
-    vertices: tuple[int, ...]
-    color: str
-    simple: bool
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices)
-
-
-class FaceSet(NamedTuple):
-    v: int
-    faces: tuple[Face, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.faces)
-
-
 def _difference_cycles(emb: CombinatorialEmbedding) -> Iterator[list[int]]:
     """The cycles of d -> rho0(-d), each as its list of differences, started
     at its first element in connection order.
@@ -335,9 +314,9 @@ def _face_ranges(emb: CombinatorialEmbedding) -> Iterator[tuple[int, int, int, l
     past it.  A range yields the translates s in [lo, hi), which start at
     x + lo = 0 (mod v) and have the keys ``key``, key + C, ...; ``starts``
     holds the walk read from each visit of x, one rotation for every value
-    of a simple walk.  Face s of the range is, at each of its coordinates,
-    the start's value y lifted to (y + s) % v, and is the least of these
-    rotations when there are several.  ``color`` and ``simple`` are the
+    of a simple walk.  The face s of the range is, at each of its
+    coordinates, the start's value y lifted to (y + s) % v, and is the least
+    of these rotations when there are several.  ``color`` and ``simple`` are the
     cycle's.
     """
     v = emb.v
@@ -363,28 +342,6 @@ def _face_ranges(emb: CombinatorialEmbedding) -> Iterator[tuple[int, int, int, l
             if lo < translates:
                 yield (min(edge_di[i] for i in at[x]), lo, hi,
                        [twice[i:i + len(walk)] for i in at[x]], color, simple)
-
-
-def trace_faces(emb: CombinatorialEmbedding) -> FaceSet:
-    """All faces, ordered by their least oriented-edge index (see
-    :func:`_face_ranges`).
-
-    Over one range each coordinate of the face runs through consecutive
-    residues, a slice of 0 .. v-1 written twice, and the key steps by C; so
-    the range lifts as one ``zip`` of slices, placed into a table indexed by
-    key that lists the faces in order.
-    """
-    v = emb.v
-    C = len(emb.connection)
-    residues = list(range(v)) * 2
-    by_key: list[Face | None] = [None] * (v * C)
-    for key, lo, hi, starts, color, simple in _face_ranges(emb):
-        verts = _lift(starts, lo, hi, residues)
-        # tuple.__new__ is what Face._make calls, without a Python frame per face
-        by_key[key:key + (hi - lo) * C:C] = map(
-            tuple.__new__, repeat(Face), zip(verts, repeat(color), repeat(simple))
-        )
-    return FaceSet(v, tuple(filter(None, by_key)))
 
 
 def _lift(starts: list, lo: int, hi: int, residues: list[int]) -> Iterator[tuple[int, ...]]:
@@ -471,8 +428,8 @@ def biembedding_report(emb: CombinatorialEmbedding) -> BiembeddingReport:
     Checks that each face stays in one difference class (else raises
     AssertionError), face lengths per color (h on row faces, k on column
     faces), and Euler consistency of the face count against the closed-form
-    genus.  Face statistics come from the difference cycles, without listing
-    the faces.  The 2-coloring and translation regularity hold by
+    genus.  The face statistics come from the difference cycles, without
+    listing the faces.  The 2-coloring and translation regularity hold by
     construction (see :class:`BiembeddingReport`).
     """
     if emb.source is None:

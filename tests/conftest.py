@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from heffter.embedding import CombinatorialEmbedding, EmbeddingSource
 from heffter.pfarray import (
     PartiallyFilledArray,
     Skeleton,
@@ -34,6 +35,17 @@ def cycles_table(size: int, cycles) -> tuple[int, ...]:
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             table[a] = b
     return tuple(table)
+
+
+def alternating_embedding(v, t, entries, negated):
+    """The rotation alternating ``entries`` with ``negated``, a reordering of
+    their negatives: every difference cycle stays in one class, while its
+    sum, and so the face length and simplicity, is arbitrary."""
+    cycle = [d for pair in zip(entries, negated) for d in pair]
+    # m = n = 1, k = 3 keeps the closed-form genus defined (it is 1)
+    source = EmbeddingSource(1, 1, 3, 3, "random", (1,), (1,))
+    return CombinatorialEmbedding(v, t, cycles_table(v, [cycle]),
+                                  frozenset(entries), source)
 
 
 def directed_lines(array, rows_dir, cols_dir) -> tuple[list, list]:

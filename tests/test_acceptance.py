@@ -5,18 +5,19 @@ lines and timings.  Time limits are wall-clock seconds.
 """
 
 import itertools
+import json
 import math
 import time
 from contextlib import contextmanager
 
 from heffter.bounds import BoundQuery, binary_entropy, derangements, evaluate_bound
+from heffter.cli import _face_listing
 from heffter.embedding import (
     COLUMN,
     ROW,
     biembedding_report,
     build_embedding,
     genus_formula,
-    trace_faces,
 )
 from heffter.iso import classify, stabilizer, verify_map
 from heffter.knight import (
@@ -127,12 +128,14 @@ def test_criterion_03_golden_orderings(ex_array, ex_pair):
 def test_criterion_04_golden_embedding(ex_array, ex_pair):
     with criterion(4, "golden embedding report", 10.0):
         emb = build_embedding(ex_array, *ex_pair)
-        faces = trace_faces(emb)
-        assert faces.count == 4554
-        assert {f.length for f in faces.faces} == {9}
-        assert all(f.simple for f in faces.faces)
-        assert sum(f.color == ROW for f in faces.faces) == 2277
-        assert sum(f.color == COLUMN for f in faces.faces) == 2277
+        # every face, as the faces command lists them: there are fewer
+        # faces than oriented edges
+        faces = json.loads(_face_listing(emb, emb.v * len(emb.connection)))
+        assert len(faces) == 4554
+        assert {len(f["vertices"]) for f in faces} == {9}
+        assert all(f["simple"] for f in faces)
+        assert sum(f["color"] == ROW for f in faces) == 2277
+        assert sum(f["color"] == COLUMN for f in faces) == 2277
         rep = biembedding_report(emb)
         assert rep.two_colorable
         assert rep.genus_euler == rep.genus_closed_form == 7867

@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 
 import heffter
 from heffter import kernels, knight
-from heffter.cli import (COMMANDS, _dumps, _pair_columns, _records_text, _solution_listing,
-                         build_parser, command_parser, main)
-from heffter.embedding import Face, build_embeddings
+from heffter.cli import (COMMANDS, _dumps, _family_listing, _solution_listing, build_parser,
+                         command_parser, main)
+from heffter.embedding import build_embeddings
 from heffter.iso import stabilizer, verify_map
 from heffter.pfarray import Skeleton, cyclic_diagonal_skeleton, parse_array
 from heffter.pipeline import MathFailure, run_pipeline
@@ -406,8 +406,7 @@ class TestEmbedFacesIso:
         def refuse(*args):
             raise AssertionError("faces --text traced the faces")
 
-        # neither the faces, nor their translate ranges, nor the records
-        monkeypatch.setattr(embedding, "trace_faces", refuse)
+        # neither the faces' translate ranges nor their records
         monkeypatch.setattr(embedding, "_face_ranges", refuse)
         monkeypatch.setattr(heffter.cli, "_face_listing", refuse)
         for flags, line in [(["--all"], "count=4554 listed=4554\n"),
@@ -842,6 +841,19 @@ class TestSearchBoundsPipeline:
         assert main(["pipeline", "--search", "5,5,3,3,1,cyclic", "--trivial-R",
                      "--out", str(out)]) == 0
         recertify(out)
+
+    def test_pipeline_with_a_failed_report_exits_1(self, tmp_path, capsys, monkeypatch):
+        report = heffter.embedding.biembedding_report
+
+        def inconsistent(emb):
+            return report(emb)._replace(euler_consistent=False)
+
+        monkeypatch.setattr(heffter.embedding, "biembedding_report", inconsistent)
+        out = tmp_path / "run"
+        code, data = run_json(capsys, "pipeline", "--search", "5,5,3,3,1,cyclic",
+                              "--trivial-R", "--out", str(out))
+        assert code == 1 and data["reports_all_passed"] is False
+        assert json.loads((out / "summary.json").read_text()) == data
 
     def test_recertify_refuses_a_swapped_sigma(self, tmp_path, full_scan):
         run = tmp_path / "run"
@@ -1322,14 +1334,15 @@ def _pair_pools(draw):
 
 
 @st.composite
-def _face_pools(draw):
-    """A few faces over one Z_v with lengths h and k, of both colours, simple
-    or not."""
-    v = draw(st.integers(1, 300))
-    lengths = draw(st.lists(st.integers(1, 12), min_size=1, max_size=2))
-    return [Face(tuple(draw(st.lists(st.integers(0, v - 1), min_size=h, max_size=h))),
-                 draw(st.sampled_from(["row", "column"])), draw(st.booleans()))
-            for h in draw(st.lists(st.sampled_from(lengths), min_size=1, max_size=5))]
+def _family_pools(draw):
+    """A few pairs of one n x n shape whose R and C come from one small set of
+    vectors, all +1 and all -1 among them: R and C each repeat, and the R of
+    one pair is the C of another, as in the families' swap closure."""
+    n = draw(st.integers(1, 12))
+    vectors = st.sampled_from([(1,) * n, (-1,) * n,
+                               *draw(st.lists(_vectors(n), min_size=1, max_size=2))])
+    return [knight.OrientationPair(draw(vectors), draw(vectors))
+            for _ in range(draw(st.integers(1, 5)))]
 
 
 @st.composite
@@ -1339,10 +1352,6 @@ def _chunked(draw, pools):
     pool, chunk = draw(pools), draw(st.sampled_from([1, 2, 4096]))
     length = draw(st.sampled_from([0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1]))
     return list(itertools.islice(itertools.cycle(pool), length)), chunk
-
-
-def _face_columns(faces):
-    return Face._fields, zip(*faces)
 
 
 class TestJsonEncoding:
@@ -1362,13 +1371,10 @@ class TestJsonEncoding:
             assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
 
     @settings(max_examples=100, deadline=None)
-    @given(_pair_pools() | _face_pools(), st.integers(1, 3))
+    @given(_pair_pools() | _family_pools(), st.integers(1, 3))
     def test_records_text_joins_to_dumps(self, pool, chunk):
-        records = [p.to_json_dict() if type(p) is knight.OrientationPair else p._asdict()
-                   for p in pool]
-        columns = _pair_columns if type(pool[0]) is knight.OrientationPair else _face_columns
-        for pad in ("\n", "\n  "):
-            assert "".join(_records_text(*columns(pool), pad, chunk)) == _dumps(records, pad)
+        records = [p.to_json_dict() for p in pool]
+        assert "".join(_family_listing(pool, chunk)) == _dumps(records, "\n  ")
 
     @settings(max_examples=60, deadline=None)
     @given(_pair_pools())
@@ -1379,29 +1385,21 @@ class TestJsonEncoding:
             del data["E"]
             assert knight.OrientationPair.from_json_dict(data) == p
 
-    @settings(max_examples=60, deadline=None)
-    @given(_chunked(_pair_pools()))
+    @settings(max_examples=100, deadline=None)
+    @given(_chunked(_pair_pools() | _family_pools()))
     @example(([], 4096))
+    @example((list(knight.three_diagonal_family(5)), 2))
     def test_pair_records_are_indented_json(self, listing):
         pairs, chunk = listing
         dicts = [p.to_json_dict() for p in pairs]
-        text = "".join(_records_text(*_pair_columns(pairs), "\n", chunk))
-        assert text == json.dumps(dicts, sort_keys=True, indent=2)
-        text = "".join(_records_text(*_pair_columns(pairs), "\n  ", chunk))
-        assert '{\n  "solutions": ' + text + "\n}" == \
-            json.dumps({"solutions": dicts}, sort_keys=True, indent=2)
-
-    @settings(max_examples=60, deadline=None)
-    @given(_chunked(_face_pools()))
-    @example(([], 4096))
-    def test_face_records_are_indented_json(self, listing):
-        faces, chunk = listing
-        dicts = [{"vertices": f.vertices, "color": f.color, "simple": f.simple} for f in faces]
-        text = "".join(_records_text(*_face_columns(faces), "\n", chunk))
-        assert text == json.dumps(dicts, sort_keys=True, indent=2)
-        text = "".join(_records_text(*_face_columns(faces), "\n  ", chunk))
-        assert '{\n  "faces": ' + text + "\n}" == \
-            json.dumps({"faces": dicts}, sort_keys=True, indent=2)
+        want = json.dumps({"solutions": dicts}, sort_keys=True, indent=2)
+        # from a list too, whose chunks must follow one another: the records
+        # come a chunk at a time, then the closing bracket, and no more
+        sizes = [min(chunk, len(pairs) - start) for start in range(0, len(pairs), chunk)]
+        for source in (pairs, iter(pairs)):
+            pieces = list(itertools.islice(_family_listing(source, chunk), len(sizes) + 2))
+            assert [piece.count('"C"') for piece in pieces[:-1]] == sizes
+            assert '{\n  "solutions": ' + "".join(pieces) + "\n}" == want
 
     @pytest.mark.parametrize("value", [{1, 2}, object(), [1, {2}], {"a": object()}])
     def test_dumps_rejects_what_json_rejects(self, value):

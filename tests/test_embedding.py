@@ -1,5 +1,6 @@
 """Rotation construction, face tracing, genus, and the biembedding report."""
 
+import json
 import signal
 from contextlib import contextmanager
 
@@ -13,39 +14,50 @@ from heffter.embedding import (
     ROW,
     CombinatorialEmbedding,
     EmbeddingSource,
-    Face,
-    FaceSet,
     biembedding_report,
     build_embedding,
     build_embeddings,
     genus_formula,
-    trace_faces,
 )
 from heffter.iso import PRESERVING, verify_map
 from heffter.knight import enumerate_solutions
 from heffter.pfarray import PartiallyFilledArray
 from heffter.validation import cycle_from, search_heffter
 
-from conftest import cycles_table, directed_lines, reference_orderings, rotation_from_orderings
+from conftest import (
+    alternating_embedding,
+    cycles_table,
+    directed_lines,
+    reference_orderings,
+    rotation_from_orderings,
+)
 
 
 def face_set_key(faces):
-    return frozenset((f.vertices, f.color) for f in faces.faces)
+    return frozenset((vertices, color) for vertices, color, _ in faces)
 
 
-def translated_faces(faces, g):
-    """The face set shifted by x -> x+g, each face written from its least
-    rotation, the one trace_faces lists."""
+def translated_faces(faces, v, g):
+    """The faces over Z_v shifted by x -> x+g, each face written from its
+    least rotation, the one the listing writes."""
     out = set()
-    for f in faces.faces:
-        verts = tuple((x + g) % faces.v for x in f.vertices)
-        out.add((min(verts[i:] + verts[:i] for i in range(len(verts))), f.color))
+    for vertices, color, _ in faces:
+        verts = tuple((x + g) % v for x in vertices)
+        out.add((min(verts[i:] + verts[:i] for i in range(len(verts))), color))
     return frozenset(out)
+
+
+def listed_faces(emb):
+    """Every face that ``_face_listing`` writes for ``emb``, read back as a
+    (vertices, color, simple) tuple."""
+    records = json.loads(_face_listing(emb, emb.v * len(emb.connection)))
+    return tuple((tuple(r["vertices"]), r["color"], r["simple"]) for r in records)
 
 
 def reference_faces(emb):
     """Faces as the orbits of next((x, y)) = (y, y + rho0(x - y)) on all v*C
-    oriented edges, walked from the least unseen edge index x*C + i."""
+    oriented edges, walked from the least unseen edge index x*C + i, each a
+    (vertices, color, simple) tuple with its vertices from the least one."""
     v, conn = emb.v, emb.connection
     C = len(conn)
     index = {d: i for i, d in enumerate(conn)}
@@ -68,24 +80,24 @@ def reference_faces(emb):
             raise AssertionError(
                 "face boundary mixes entry and negated-entry differences")
         canonical = min(verts[i:] + verts[:i] for i in range(len(verts)))
-        faces.append(Face(canonical, COLUMN if True in in_entry else ROW,
-                          len(set(verts)) == len(verts)))
-    return FaceSet(v, tuple(faces))
+        faces.append((canonical, COLUMN if True in in_entry else ROW,
+                      len(set(verts)) == len(verts)))
+    return tuple(faces)
 
 
 def reference_report_fields(emb, faces):
     """The report fields that depend on the faces, counted from ``faces``."""
     src = emb.source
-    V, E, F = emb.v, emb.v * len(emb.connection) // 2, faces.count
+    V, E, F = emb.v, emb.v * len(emb.connection) // 2, len(faces)
     return {
         "face_count": F,
-        "row_faces": sum(f.color == ROW for f in faces.faces),
-        "column_faces": sum(f.color == COLUMN for f in faces.faces),
-        "row_lengths_ok": all(f.length == src.h for f in faces.faces
-                              if f.color == ROW),
-        "column_lengths_ok": all(f.length == src.k for f in faces.faces
-                                 if f.color == COLUMN),
-        "simple": all(f.simple for f in faces.faces),
+        "row_faces": sum(color == ROW for _, color, _ in faces),
+        "column_faces": sum(color == COLUMN for _, color, _ in faces),
+        "row_lengths_ok": all(len(verts) == src.h for verts, color, _ in faces
+                              if color == ROW),
+        "column_lengths_ok": all(len(verts) == src.k for verts, color, _ in faces
+                                 if color == COLUMN),
+        "simple": all(simple for _, _, simple in faces),
         "genus_euler": (2 - (V - E + F)) // 2,
     }
 
@@ -94,17 +106,6 @@ def assert_report_matches(emb, faces):
     want = reference_report_fields(emb, faces)
     rep = biembedding_report(emb).to_json_dict()
     assert {key: rep[key] for key in want} == want
-
-
-def alternating_embedding(v, t, entries, negated):
-    """The rotation alternating ``entries`` with ``negated``, a reordering of
-    their negatives: every difference cycle stays in one class, while its
-    sum, and so the face length and simplicity, is arbitrary."""
-    cycle = [d for pair in zip(entries, negated) for d in pair]
-    # m = n = 1, k = 3 keeps the closed-form genus defined (it is 1)
-    source = EmbeddingSource(1, 1, 3, 3, "random", (1,), (1,))
-    return CombinatorialEmbedding(v, t, cycles_table(v, [cycle]),
-                                  frozenset(entries), source)
 
 
 @st.composite
@@ -312,45 +313,42 @@ class TestBuild:
 
 
 class TestFaces:
+    # the faces as the faces command lists them, against reference_faces
     def test_bundled_array_face_census(self, ex_embedding):
-        faces = trace_faces(ex_embedding)
-        assert faces.count == 4554 == 207 * (11 + 11)
-        assert sum(f.color == ROW for f in faces.faces) == 2277
-        assert sum(f.color == COLUMN for f in faces.faces) == 2277
-        assert {f.length for f in faces.faces} == {9}
-        assert all(f.simple for f in faces.faces)
+        faces = listed_faces(ex_embedding)
+        assert len(faces) == 4554 == 207 * (11 + 11)
+        assert sum(color == ROW for _, color, _ in faces) == 2277
+        assert sum(color == COLUMN for _, color, _ in faces) == 2277
+        assert {len(verts) for verts, _, _ in faces} == {9}
+        assert all(simple for _, _, simple in faces)
 
     def test_k19_triangles(self, k19_embedding):
-        faces = trace_faces(k19_embedding)
-        assert faces.count == 19 * 6
-        assert {f.length for f in faces.faces} == {3}
-        assert all(f.simple for f in faces.faces)
+        faces = listed_faces(k19_embedding)
+        assert len(faces) == 19 * 6
+        assert {len(verts) for verts, _, _ in faces} == {3}
+        assert all(simple for _, _, simple in faces)
 
     def test_boundary_differences_stay_in_class(self, k19_embedding):
         v = k19_embedding.v
         ec = k19_embedding.entry_class
-        for f in trace_faces(k19_embedding).faces:
-            diffs = {(f.vertices[(i + 1) % f.length] - f.vertices[i]) % v
-                     for i in range(f.length)}
-            inside = diffs <= ec
-            assert inside if f.color == COLUMN else diffs.isdisjoint(ec)
+        for verts, color, _ in listed_faces(k19_embedding):
+            diffs = {(b - a) % v for a, b in zip(verts, verts[1:] + verts[:1])}
+            assert diffs <= ec if color == COLUMN else diffs.isdisjoint(ec)
 
     def test_boundary_sums_vanish(self, k19_embedding):
         v = k19_embedding.v
-        for f in trace_faces(k19_embedding).faces:
-            diffs = [(f.vertices[(i + 1) % f.length] - f.vertices[i]) % v
-                     for i in range(f.length)]
-            assert sum(diffs) % v == 0
+        for verts, _, _ in listed_faces(k19_embedding):
+            assert sum((b - a) % v for a, b in zip(verts, verts[1:] + verts[:1])) % v == 0
 
     def test_translation_permutes_faces(self, k19_embedding):
-        faces = trace_faces(k19_embedding)
+        faces = listed_faces(k19_embedding)
         key = face_set_key(faces)
         for g in (1, 5, 11):
-            assert translated_faces(faces, g) == key
+            assert translated_faces(faces, k19_embedding.v, g) == key
 
     def test_canonical_rotation_starts_at_least_vertex(self, k19_embedding):
-        for f in trace_faces(k19_embedding).faces:
-            assert f.vertices[0] == min(f.vertices)
+        for verts, _, _ in listed_faces(k19_embedding):
+            assert verts[0] == min(verts)
 
     def test_column_faces_follow_column_orderings(self, ex_array, ex_pair,
                                                   ex_embedding):
@@ -362,13 +360,10 @@ class TestFaces:
             lo = cyc.index(min(cyc))
             canonical[cyc[lo:] + cyc[:lo]] = 0
         assert len(canonical) == 11
-        for f in trace_faces(ex_embedding).faces:
-            if f.color != COLUMN:
+        for verts, color, _ in listed_faces(ex_embedding):
+            if color != COLUMN:
                 continue
-            diffs = tuple(
-                (f.vertices[(i + 1) % f.length] - f.vertices[i]) % v
-                for i in range(f.length)
-            )
+            diffs = tuple((b - a) % v for a, b in zip(verts, verts[1:] + verts[:1]))
             lo = diffs.index(min(diffs))
             key = diffs[lo:] + diffs[:lo]
             assert key in canonical
@@ -378,7 +373,7 @@ class TestFaces:
     @pytest.mark.parametrize("name", ["ex_embedding", "k19_embedding"])
     def test_matches_reference(self, name, request):
         emb = request.getfixturevalue(name)
-        assert trace_faces(emb) == reference_faces(emb)
+        assert listed_faces(emb) == reference_faces(emb)
 
     @settings(max_examples=150, deadline=None)
     @given(alternating_embeddings(), st.integers(0, 39))
@@ -394,7 +389,7 @@ class TestFaces:
     @example(alternating_embedding(6, 2, [1, 4], [5, 2]), 5)
     def test_random_rotations_match_reference(self, emb, g):
         faces = reference_faces(emb)
-        assert trace_faces(emb) == faces
+        assert listed_faces(emb) == faces
         assert_report_matches(emb, faces)
         # the report's z_v_regular, which it no longer checks at run time
         g %= emb.v
@@ -408,10 +403,12 @@ class TestFaces:
     @example(alternating_embedding(6, 2, [1, 4], [5, 2]))
     def test_listing_writes_the_traced_records(self, emb):
         # the faces command lists from the translate ranges; the bytes are
-        # those of the records of the traced faces, non-simple ones included
-        faces = trace_faces(emb).faces
+        # those of the records of the reference faces, non-simple ones
+        # included, also when the listing stops short of them all
+        faces = reference_faces(emb)
         for listed in sorted({0, 1, len(faces) - 1, len(faces)}):
-            records = [face._asdict() for face in faces[:listed]]
+            records = [{"vertices": list(verts), "color": color, "simple": simple}
+                       for verts, color, simple in faces[:listed]]
             assert _face_listing(emb, listed) == _dumps(records, "\n  ")
 
     def test_mixed_rotation_raises(self, k19_embedding):
@@ -421,7 +418,7 @@ class TestFaces:
         mixed = CombinatorialEmbedding(
             e.v, e.t, cycles_table(e.v, [e.connection]),
             frozenset(range(1, 10)), e.source)
-        for trace in (trace_faces, reference_faces, biembedding_report):
+        for trace in (listed_faces, reference_faces, biembedding_report):
             with pytest.raises(AssertionError, match="mixes"):
                 trace(mixed)
 

@@ -17,7 +17,6 @@ from heffter import (
     CombinatorialEmbedding,
     DiagonalProfile,
     EmbeddingMap,
-    FaceSet,
     FamilySpec,
     OrientationPair,
     PartiallyFilledArray,
@@ -33,7 +32,6 @@ from heffter import (
     stabilizer,
     three_diagonal_family,
     tour,
-    trace_faces,
     validate_heffter,
 )
 from heffter.embedding import EmbeddingSource
@@ -43,7 +41,7 @@ from heffter.pipeline import PipelineResult, run_pipeline
 # every public record type but SolutionFamily, a plain mutable class
 RECORD_TYPES = {
     BiembeddingReport, BoundQuery, BoundResult, ClassificationResult, CombinatorialEmbedding,
-    DiagonalProfile, EmbeddingMap, EmbeddingSource, FaceSet, FamilySpec, IsomorphismClass,
+    DiagonalProfile, EmbeddingMap, EmbeddingSource, FamilySpec, IsomorphismClass,
     OrientationPair, PartiallyFilledArray, PipelineResult, Skeleton, StabilizerGroup,
     TourResult, ValidationReport,
 }
@@ -153,7 +151,7 @@ def test_records_are_immutable(ex_array, ex_pair):
         skel, ex_array, classify_diagonality(skel), validate_heffter(ex_array),
         OrientationPair(*ex_pair),
         tour(skel, *ex_pair), three_diagonal_family(9).spec, emb.source, emb,
-        trace_faces(emb), biembedding_report(emb), group, group.elements[0],
+        biembedding_report(emb), group, group.elements[0],
         result, result.classes[0], run_pipeline(ex_array, [ex_pair]),
         BoundQuery("CDY", 13, 11), evaluate_bound(BoundQuery("CDY", 13, 11)),
     ]

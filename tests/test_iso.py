@@ -24,7 +24,7 @@ from heffter.iso import (
 from heffter.knight import enumerate_solutions
 from heffter.validation import compose, cycle_from, search_heffter
 
-from conftest import inverse, transpose
+from conftest import alternating_embedding, inverse, transpose
 
 
 def translation(v: int, g: int) -> tuple[int, ...]:
@@ -419,6 +419,16 @@ class TestVerifyMap:
         ident = tuple(range(31))
         assert verify_map(k31_family[0], k31_family[1], ident) is None
 
+    def test_different_t_never_isomorphic(self):
+        # Z_9 with t = 1 (degree 8) and t = 3 (degree 6), both ways, under
+        # every multiplier and a map that is not one
+        e1 = alternating_embedding(9, 1, [1, 2, 3, 4], [8, 7, 6, 5])
+        e3 = alternating_embedding(9, 3, [1, 2, 4], [8, 7, 5])
+        maps = [tuple(u * x % 9 for x in range(9)) for u in (1, 2, 4, 5, 7, 8)]
+        for sigma in [*maps, translation(9, 1)]:
+            assert verify_map(e1, e3, sigma) is None
+            assert verify_map(e3, e1, sigma) is None
+
     def test_mismatched_moduli(self, k19, k31_family):
         with pytest.raises(ValueError, match="moduli"):
             verify_map(k19, k31_family[0], tuple(range(19)))
@@ -696,6 +706,20 @@ class TestClassify:
         monkeypatch.setattr(iso, "verify_map", lambda e1, e2, sigma: None)
         with pytest.raises(RuntimeError, match="above the provable cap"):
             classify(k31_family[:2])
+
+    def test_class_may_reach_its_cap_but_not_pass_it(self, k31_family, monkeypatch):
+        # one embedding repeated, with Aut_0 cut to its first map: the cap is
+        # then 2 * degree = 60
+        emb = k31_family[0]
+        assert emb.degree() == 30
+        isomorphisms = iso._isomorphisms
+        monkeypatch.setattr(iso, "_isomorphisms",
+                            lambda *args: itertools.islice(isomorphisms(*args), 1))
+        screens = [iso._screen(emb)] * 61
+        cls, rest = iso._class([emb] * 60, list(range(60)), screens)
+        assert (cls.cap, len(cls.members), rest) == (60, 60, [])
+        with pytest.raises(iso.ClassificationError, match="61 members, above the provable cap 60"):
+            iso._class([emb] * 61, list(range(61)), screens)
 
     def test_bundled_array_trivial_rows(self, ex_array):
         # the 990 trivial-R embeddings over Z_207 are pairwise non-isomorphic
