@@ -40,7 +40,7 @@ from operator import getitem
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .pfarray import PartiallyFilledArray
-from .validation import _check_directions, _natural_lines, validate_heffter
+from .validation import _check_directions, _natural_lines, _validate_lines
 
 
 class EmbeddingSource(NamedTuple):
@@ -196,25 +196,25 @@ def build_embeddings(
 ) -> list[CombinatorialEmbedding]:
     """Embeddings from a validated array and tour solutions (R, C), in order.
 
-    The array is validated, checked for fold 1, hashed and read into its
-    lines once for all pairs, and each pair is checked as it is embedded, so
-    ``pairs`` may be a one-shot iterator.  Validation with fold 1 leaves each
-    ± class of Z_v \\ J exactly one entry, so the entries are distinct
-    residues and hold no ± pair.
+    The array is read into its lines, validated from them, checked for fold
+    1 and hashed once for all pairs, and each pair is checked as it is
+    embedded, so ``pairs`` may be a one-shot iterator.  Validation with fold
+    1 leaves each ± class of Z_v \\ J exactly one entry, so the entries are
+    distinct residues and hold no ± pair.
     Raises ValueError when the array fails validation, is a lambda-fold array
     with fold > 1 (those are validated but never embedded), or when some pair
     is not ±1 of the array's shape or induces orderings that are not
     compatible, i.e. (R, C) does not solve the tour problem of the skeleton.
     """
-    report = validate_heffter(array)
+    rows, cols = _natural_lines(array)
+    report = _validate_lines(array, rows, cols)
     if not report.passed:
         raise ValueError("array fails validation; cannot embed")
     if array.fold != 1:
         raise ValueError("fold > 1 arrays are not embedded")
     key = array_key(array)
     v = array.v
-    entry_class = frozenset(array.entries())
-    rows, cols = _natural_lines(array)
+    entry_class = frozenset(chain.from_iterable(rows))
     # rho0 in line order: the rows give it on the entries (the negated
     # successor, which is the successor on the negated row), the columns on
     # their negatives; ``at[x]`` is where x is in that order, and J reads the

@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property, lru_cache
 from math import gcd, log10
+from operator import neg
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import kernels
@@ -54,9 +55,7 @@ class OrientationPair(NamedTuple):
 
     def negated(self) -> "OrientationPair":
         """The pair (-R, -C); solutions are closed under this."""
-        return OrientationPair(
-            tuple(-d for d in self.rows), tuple(-d for d in self.cols)
-        )
+        return OrientationPair(tuple(map(neg, self.rows)), tuple(map(neg, self.cols)))
 
     @property
     def minus_positions(self) -> tuple[int, ...]:

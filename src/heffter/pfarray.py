@@ -118,15 +118,11 @@ class PartiallyFilledArray(namedtuple("PartiallyFilledArray", "m n v t fold cell
     # -- serialization -----------------------------------------------------------
 
     def to_text(self) -> str:
-        header = f"v={self.v} t={self.t} lambda={self.fold} m={self.m} n={self.n}"
-        lines = [header]
-        for i in range(1, self.m + 1):
-            lines.append(
-                ",".join(
-                    "" if x is None else str(signed(x, self.v))
-                    for x in self.cells[i - 1]
-                )
-            )
+        v, half = self.v, self.v // 2
+        lines = [f"v={v} t={self.t} lambda={self.fold} m={self.m} n={self.n}"]
+        # each cell in the signed form of :func:`signed`
+        lines += [",".join(["" if x is None else str(x if x <= half else x - v) for x in row])
+                  for row in self.cells]
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import sys
-from collections import Counter
 from heapq import heappop, heappush
 from math import gcd
 from operator import itemgetter
@@ -96,9 +95,9 @@ def is_simple_ordering(values: Sequence[int], v: int) -> bool:
 
 
 def _natural_lines(array: PartiallyFilledArray) -> tuple[list, list]:
-    """The rows left to right and the columns top to bottom."""
-    return ([array.row_values(i) for i in range(1, array.m + 1)],
-            [array.column_values(j) for j in range(1, array.n + 1)])
+    """The rows left to right and the columns top to bottom, one pass each."""
+    return ([[x for x in row if x is not None] for row in array.cells],
+            [[x for x in col if x is not None] for col in zip(*array.cells)])
 
 
 def _check_directions(vec: Sequence[int], length: int, what: str) -> None:
@@ -175,16 +174,21 @@ def validate_heffter(array: PartiallyFilledArray) -> ValidationReport:
     Raises ArrayFormatError when v is inconsistent with 2nk/lambda + t (with k
     the observed column weight), since then the support condition is ill-posed.
     """
+    return _validate_lines(array, *_natural_lines(array))
+
+
+def _validate_lines(array: PartiallyFilledArray, rows: Sequence[Sequence[int]],
+                    cols: Sequence[Sequence[int]]) -> ValidationReport:
+    """:func:`validate_heffter` on the array's natural lines, for callers
+    that read them anyway."""
     v, t, lam = array.v, array.t, array.fold
 
-    row_w = [len(array.row_values(i)) for i in range(1, array.m + 1)]
-    col_w = [len(array.column_values(j)) for j in range(1, array.n + 1)]
-    uniform = len(set(row_w)) == 1 and len(set(col_w)) == 1
-    if not uniform:
+    row_w, col_w = set(map(len, rows)), set(map(len, cols))
+    if len(row_w) != 1 or len(col_w) != 1:
         return ValidationReport(
             v, t, lam, None, None, False, None, None, None
         )
-    h, k = row_w[0], col_w[0]
+    (h,), (k,) = row_w, col_w
 
     if lam * (v - t) != 2 * array.n * k:
         raise ArrayFormatError(
@@ -192,45 +196,30 @@ def validate_heffter(array: PartiallyFilledArray) -> ValidationReport:
             f"{2 * array.n * k // lam + t} (n={array.n}, k={k}, lambda={lam})"
         )
 
-    J = subgroup_members(v, t)
-    entries = array.entries()
-    support_errors: list[str] = []
-
-    signed_count: Counter[int] = Counter()
-    for x in entries:
-        signed_count[x] += 1
-        signed_count[(-x) % v] += 1
-    for x in sorted(J):
-        if signed_count[x]:
-            support_errors.append(f"element {x} of the subgroup J appears")
+    step = v // t
+    count = [0] * v
+    for row in rows:
+        for x in row:
+            count[x] += 1
+    # the signed support hits x count[x] + count[-x] times
+    support_errors = [f"element {x} of the subgroup J appears"
+                      for x in range(0, v, step) if count[x] or count[-x]]
     if lam == 1:
-        for x in range(1, v):
-            if x in J or x > (-x) % v:
-                continue
-            if signed_count[x] != 1:  # the number of entries in the class ±x
-                support_errors.append(
-                    f"class ±{x}: appears {signed_count[x]} times, expected 1"
-                )
+        for x in range(1, v // 2 + 1):  # one x per class ±x
+            if x % step and (hits := count[x] + count[v - x]) != 1:
+                support_errors.append(f"class ±{x}: appears {hits} times, expected 1")
     else:
-        for x in range(v):
-            if x in J:
-                continue
-            if signed_count[x] != lam:
+        for x in range(1, v):
+            if x % step and (hits := count[x] + count[v - x]) != lam:
                 support_errors.append(
-                    f"element {x}: signed support hits it {signed_count[x]} "
-                    f"times, expected {lam}"
+                    f"element {x}: signed support hits it {hits} times, expected {lam}"
                 )
-    support_ok = not support_errors
 
-    bad_rows = tuple(
-        i for i in range(1, array.m + 1) if sum(array.row_values(i)) % v != 0
-    )
-    bad_cols = tuple(
-        j for j in range(1, array.n + 1) if sum(array.column_values(j)) % v != 0
-    )
+    bad_rows = tuple(i for i, row in enumerate(rows, 1) if sum(row) % v)
+    bad_cols = tuple(j for j, col in enumerate(cols, 1) if sum(col) % v)
 
     return ValidationReport(
-        v, t, lam, h, k, True, support_ok, not bad_rows, not bad_cols,
+        v, t, lam, h, k, True, not support_errors, not bad_rows, not bad_cols,
         bad_rows, bad_cols, tuple(support_errors),
     )
 

@@ -1,24 +1,35 @@
-"""Shared fixtures: bundled arrays, golden files, and searched test arrays,
-and the paper's orderings-and-compatibility route, the oracle that
-``build_embeddings`` is checked against."""
+"""Shared fixtures: bundled arrays, golden files, and searched test arrays;
+the paper's orderings-and-compatibility route, the oracle that
+``build_embeddings`` is checked against; and the line-by-line validator and
+array writer that ``validate_heffter`` and ``to_text`` are checked against."""
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from heffter.embedding import CombinatorialEmbedding, EmbeddingSource
 from heffter.pfarray import (
+    ArrayFormatError,
     PartiallyFilledArray,
     Skeleton,
     diagonal_skeleton,
     parse_array,
     parse_skeleton_json,
+    signed,
 )
-from heffter.validation import compose, is_single_cycle, search_heffter
+from heffter.validation import (
+    ValidationReport,
+    compose,
+    is_single_cycle,
+    search_heffter,
+    subgroup_members,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -95,6 +106,165 @@ def transpose(obj):
         return Skeleton(obj.n, obj.m, frozenset((j, i) for (i, j) in obj.filled))
     return PartiallyFilledArray(obj.n, obj.m, obj.v, obj.t, obj.fold,
                                 tuple(zip(*obj.cells)))
+
+
+def reference_validate_heffter(array) -> ValidationReport:
+    """The Heffter conditions read line by line, with the signed support
+    counted in a Counter: the validator ``validate_heffter`` must agree with,
+    field by field and message by message."""
+    v, t, lam = array.v, array.t, array.fold
+
+    row_w = [len(array.row_values(i)) for i in range(1, array.m + 1)]
+    col_w = [len(array.column_values(j)) for j in range(1, array.n + 1)]
+    uniform = len(set(row_w)) == 1 and len(set(col_w)) == 1
+    if not uniform:
+        return ValidationReport(v, t, lam, None, None, False, None, None, None)
+    h, k = row_w[0], col_w[0]
+
+    if lam * (v - t) != 2 * array.n * k:
+        raise ArrayFormatError(
+            f"v={v} inconsistent with 2nk/lambda + t = "
+            f"{2 * array.n * k // lam + t} (n={array.n}, k={k}, lambda={lam})"
+        )
+
+    J = subgroup_members(v, t)
+    support_errors: list[str] = []
+    signed_count: Counter[int] = Counter()
+    for x in array.entries():
+        signed_count[x] += 1
+        signed_count[(-x) % v] += 1
+    for x in sorted(J):
+        if signed_count[x]:
+            support_errors.append(f"element {x} of the subgroup J appears")
+    if lam == 1:
+        for x in range(1, v):
+            if x in J or x > (-x) % v:
+                continue
+            if signed_count[x] != 1:  # the number of entries in the class ±x
+                support_errors.append(
+                    f"class ±{x}: appears {signed_count[x]} times, expected 1"
+                )
+    else:
+        for x in range(v):
+            if x in J:
+                continue
+            if signed_count[x] != lam:
+                support_errors.append(
+                    f"element {x}: signed support hits it {signed_count[x]} "
+                    f"times, expected {lam}"
+                )
+
+    bad_rows = tuple(
+        i for i in range(1, array.m + 1) if sum(array.row_values(i)) % v != 0
+    )
+    bad_cols = tuple(
+        j for j in range(1, array.n + 1) if sum(array.column_values(j)) % v != 0
+    )
+    return ValidationReport(
+        v, t, lam, h, k, True, not support_errors, not bad_rows, not bad_cols,
+        bad_rows, bad_cols, tuple(support_errors),
+    )
+
+
+def reference_to_text(array) -> str:
+    """The array's text format, written row by row through ``signed``."""
+    lines = [f"v={array.v} t={array.t} lambda={array.fold} m={array.m} n={array.n}"]
+    for i in range(1, array.m + 1):
+        lines.append(",".join("" if x is None else str(signed(x, array.v))
+                              for x in array.cells[i - 1]))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def drawn_arrays(draw) -> PartiallyFilledArray:
+    """Arrays of at most 5x5 over Z_v, fold 1 or 2, for the validator's and
+    the writer's oracles.
+
+    Most are square with k cyclic diagonals, so every line holds k cells
+    (k = 0 is the all-empty array), where one cell may be emptied to make the
+    weights uneven; the rest have a drawn pattern.  v mostly fits the first
+    column's weight k, v = 2nk/fold + t, and is drawn otherwise.  Where v
+    fits, the entries may be one representative of each ± class of
+    Z_v \\ J, fold times (a class {x} with x = -x once per two folds), with
+    drawn signs and order, so that the support condition can hold; else they
+    are drawn from Z_v, J and v/2.  Then the last cell of each row, or of
+    each column, may be set so that its line sums to 0.
+    """
+    fold = draw(st.sampled_from((1, 2)))
+    n = draw(st.integers(1, 5))
+    if draw(st.integers(0, 3)):
+        m, k = n, draw(st.sampled_from((*range(1, n + 1), n, 0)))
+        filled = [[(j - i) % n < k for j in range(n)] for i in range(n)]
+        if k and draw(st.integers(0, 3)) == 0:
+            filled[0][0] = False
+    else:
+        m = draw(st.integers(1, 5))
+        filled = draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                               min_size=m, max_size=m))
+    k = sum(row[0] for row in filled)
+    base, rem = divmod(2 * n * k, fold)
+    if not rem and draw(st.integers(0, 3)):
+        t = draw(st.sampled_from([d for d in range(1, base + 1) if base % d == 0]
+                                 or [1, 2, 3, 4]))
+        v = base + t
+    else:
+        v = draw(st.integers(1, 40))
+        t = draw(st.sampled_from([d for d in range(1, v + 1) if v % d == 0]))
+    step = v // t
+    at = [(i, j) for i in range(m) for j in range(n) if filled[i][j]]
+    reps = [x for x in range(1, v // 2 + 1) if x % step
+            for _ in range(fold // 2 if 2 * x == v else fold)]
+    if len(reps) == len(at) and draw(st.booleans()):
+        values = [x if keep else v - x
+                  for x, keep in zip(draw(st.permutations(reps)),
+                                     draw(st.lists(st.booleans(), min_size=len(at),
+                                                   max_size=len(at))))]
+    else:
+        special = sorted({*range(0, v, step), v // 2})
+        values = draw(st.lists(st.integers(0, v - 1) | st.sampled_from(special),
+                               min_size=len(at), max_size=len(at)))
+    cells: list[list[int | None]] = [[None] * n for _ in range(m)]
+    for (i, j), x in zip(at, values):
+        cells[i][j] = x
+    lines = draw(st.sampled_from(("none", "rows", "columns")))
+    if lines != "none":
+        grid = cells if lines == "rows" else [list(col) for col in zip(*cells)]
+        for line in grid:
+            last = max((j for j, x in enumerate(line) if x is not None), default=None)
+            if last is not None:
+                line[last] = -sum(x for j, x in enumerate(line)
+                                  if x is not None and j != last) % v
+        if lines == "columns":
+            cells = [list(row) for row in zip(*grid)]
+    return PartiallyFilledArray(m, n, v, t, fold, tuple(map(tuple, cells)))
+
+
+def count_line_reads(monkeypatch) -> Counter:
+    """Count the calls of the one read of an array's lines
+    (``validation._natural_lines``) and of the one check of them
+    (``validation._validate_lines``), at every module that looks them up;
+    the array's per-line readers raise, so no other read goes uncounted."""
+    from heffter import embedding, validation
+
+    calls: Counter = Counter()
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    for name in ("_natural_lines", "_validate_lines"):
+        wrapper = counted(name, getattr(validation, name))
+        for module in (validation, embedding):
+            monkeypatch.setattr(module, name, wrapper)
+
+    def refuse(*args):
+        raise AssertionError("an array's lines were read outside _natural_lines")
+
+    for name in ("row_values", "column_values", "entries"):
+        monkeypatch.setattr(PartiallyFilledArray, name, refuse)
+    return calls
 
 
 def fixture_path(name: str) -> Path:

@@ -27,7 +27,7 @@ from heffter.iso import stabilizer, verify_map
 from heffter.pfarray import Skeleton, cyclic_diagonal_skeleton, parse_array
 from heffter.pipeline import MathFailure, run_pipeline
 
-from conftest import fixture_path
+from conftest import count_line_reads, fixture_path
 
 ARRAY = str(fixture_path("h9_11_9.arr"))
 SKELETON = str(fixture_path("cr_6x6.skel.json"))
@@ -426,15 +426,9 @@ class TestEmbedFacesIso:
 
     @pytest.mark.parametrize("command", ["embed", "faces"])
     def test_array_is_validated_once(self, monkeypatch, capsys, solution_file, command):
-        from heffter import embedding, validation
-
-        calls = []
-        validate = validation.validate_heffter
-        for module in (validation, embedding):
-            monkeypatch.setattr(module, "validate_heffter",
-                                lambda a: calls.append(a) or validate(a))
+        calls = count_line_reads(monkeypatch)
         assert main([command, "--array", ARRAY, "--solution", solution_file]) == 0
-        assert len(calls) == 1
+        assert calls == {"_natural_lines": 1, "_validate_lines": 1}
 
 
 def k7_embedding(rho0) -> str:

@@ -26,6 +26,7 @@ from heffter.validation import cycle_from, search_heffter
 
 from conftest import (
     alternating_embedding,
+    count_line_reads,
     cycles_table,
     directed_lines,
     reference_orderings,
@@ -205,17 +206,12 @@ class TestBuild:
             build_embedding(lambda2_array, (1, 1), (1,) * 5)
 
     def test_many_pairs_validate_once(self, h33, lambda2_array, monkeypatch):
-        from heffter import embedding
-
         sols = enumerate_solutions(h33.skeleton())
         pairs = [(p.rows, p.cols) for p in sols]
         one_at_a_time = [build_embedding(h33, *pair) for pair in pairs]
-        calls = []
-        validate = embedding.validate_heffter
-        monkeypatch.setattr(embedding, "validate_heffter",
-                            lambda a: calls.append(a) or validate(a))
+        calls = count_line_reads(monkeypatch)
         assert build_embeddings(h33, pairs) == one_at_a_time
-        assert len(calls) == 1
+        assert calls == {"_natural_lines": 1, "_validate_lines": 1}
         with pytest.raises(ValueError, match="not compatible"):
             build_embeddings(h33, pairs[:1] + [((1,) * 3, (1,) * 3)])
         with pytest.raises(ValueError, match="fold"):

@@ -19,7 +19,7 @@ from heffter.pfarray import (
 )
 from heffter.validation import validate_heffter
 
-from conftest import transpose
+from conftest import drawn_arrays, reference_to_text, transpose
 
 
 def row_translated(skel, shift):
@@ -63,6 +63,29 @@ class TestParsing:
 
     def test_text_roundtrip(self, ex_array):
         assert parse_array(ex_array.to_text()) == ex_array
+
+    def test_text_matches_reference_writer(self):
+        # negative cells, cells above v/2 (written negative), v/2 itself and
+        # empty cells, in every position of a row
+        array = PartiallyFilledArray(
+            3, 4, 12, 1, 1, ((11, None, 6, 0), (None, 7, 5, None), (1, 2, None, 10)))
+        text = array.to_text()
+        assert text == reference_to_text(array) == (
+            "v=12 t=1 lambda=1 m=3 n=4\n-1,,6,0\n,-5,5,\n1,2,,-2\n")
+        assert parse_array(text) == array
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawn_arrays())
+    def test_drawn_text_matches_reference_writer(self, array):
+        text = array.to_text()
+        assert text == reference_to_text(array)
+        if array.n == 1 and (None,) in array.cells:
+            # a one-column row with an empty cell is a blank line, which the
+            # parser skips, so the rows no longer match the header
+            with pytest.raises(ArrayFormatError, match="header m=|no data rows"):
+                parse_array(text)
+        else:
+            assert parse_array(text) == array
 
     @pytest.mark.parametrize(
         "bad",

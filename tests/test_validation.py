@@ -22,6 +22,7 @@ from heffter.pfarray import (
 )
 from heffter.validation import (
     BudgetExceededError,
+    ValidationReport,
     compose,
     cycle_from,
     is_globally_simple,
@@ -34,9 +35,11 @@ from heffter.validation import (
 from conftest import (
     compatible,
     cycles_table,
+    drawn_arrays,
     inverse,
     load_golden,
     reference_orderings,
+    reference_validate_heffter,
     rotation_from_orderings,
     transpose,
 )
@@ -104,6 +107,94 @@ class TestValidate:
     def test_subgroup_members(self):
         assert subgroup_members(207, 9) == frozenset(range(0, 207, 23))
         assert subgroup_members(19, 1) == frozenset({0})
+
+
+def validation_outcome(validate, array):
+    """The report, or the type and text of the ArrayFormatError raised."""
+    try:
+        return validate(array)
+    except ArrayFormatError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(array):
+    """validate_heffter and the reference give reports equal field by field,
+    the messages in order, or raise the same text."""
+    got = validation_outcome(validate_heffter, array)
+    want = validation_outcome(reference_validate_heffter, array)
+    assert type(got) is type(want)
+    if isinstance(want, ValidationReport):
+        assert got._asdict() == want._asdict()
+    else:
+        assert got == want
+
+
+def edited(array, *cells):
+    """``array`` with each (i, j, x) of ``cells`` put at (i, j), 1-based;
+    x is None or a signed entry."""
+    grid = [list(row) for row in array.cells]
+    for i, j, x in cells:
+        grid[i - 1][j - 1] = None if x is None else x % array.v
+    return array._replace(cells=tuple(map(tuple, grid)))
+
+
+Z12_FOLD2 = PartiallyFilledArray(3, 3, 12, 3, 2, ((6, 5, 1), (9, 5, 10), (9, 2, 1)))
+
+# (name, array from the fixtures, what its report shows); every field of the
+# report, and the messages in order, must equal the reference's
+NAMED_ARRAYS = [
+    ("fold 1", lambda ex, l2: ex, lambda r: r.passed and r.fold == 1),
+    ("fold 2", lambda ex, l2: l2, lambda r: r.passed and r.fold == 2),
+    # Z_12 relative to J = {0, 4, 8}, fold 2: the class {6} is its own
+    # negative, so one 6 hits it twice
+    ("even v, x = v/2 once", lambda ex, l2: Z12_FOLD2, lambda r: r.passed),
+    ("even v, x = v/2 twice", lambda ex, l2: edited(Z12_FOLD2, (1, 3, 6)),
+     lambda r: r.support_errors == (
+         "element 1: signed support hits it 1 times, expected 2",
+         "element 6: signed support hits it 4 times, expected 2",
+         "element 11: signed support hits it 1 times, expected 2")),
+    # 23 generates the order-9 subgroup J of Z_207
+    ("entry in J", lambda ex, l2: edited(ex, (1, 1, 23)),
+     lambda r: r.support_errors == ("element 23 of the subgroup J appears",
+                                    "element 184 of the subgroup J appears",
+                                    "class ±10: appears 0 times, expected 1")),
+    ("uneven weights", lambda ex, l2: edited(ex, (1, 1, None)),
+     lambda r: not r.uniform_weights and r.h is None and r.support_ok is None),
+    # 10 and -37 swap inside column 1, 10 and 55 inside row 1
+    ("bad row sums", lambda ex, l2: edited(ex, (1, 1, -37), (2, 1, 10)),
+     lambda r: r.bad_rows == (1, 2) and not r.bad_cols and r.support_ok),
+    ("bad column sums", lambda ex, l2: edited(ex, (1, 1, 55), (1, 2, 10)),
+     lambda r: r.bad_cols == (1, 2) and not r.bad_rows and r.support_ok),
+    ("one class twice, one never", lambda ex, l2: edited(ex, (1, 1, 12)),
+     lambda r: r.support_errors == ("class ±10: appears 0 times, expected 1",
+                                    "class ±12: appears 2 times, expected 1")
+     and r.bad_rows == (1,) and r.bad_cols == (1,)),
+    ("all empty", lambda ex, l2: PartiallyFilledArray(2, 3, 4, 4, 1, ((None,) * 3,) * 2),
+     lambda r: r.passed and (r.h, r.k) == (0, 0)),
+    ("all empty, v does not fit", lambda ex, l2: PartiallyFilledArray(
+        2, 3, 4, 2, 1, ((None,) * 3,) * 2),
+     lambda r: r == (ArrayFormatError,
+                     "v=4 inconsistent with 2nk/lambda + t = 2 (n=3, k=0, lambda=1)")),
+    ("v does not fit", lambda ex, l2: PartiallyFilledArray(1, 1, 7, 1, 1, ((1,),)),
+     lambda r: r == (ArrayFormatError,
+                     "v=7 inconsistent with 2nk/lambda + t = 3 (n=1, k=1, lambda=1)")),
+]
+
+
+class TestValidateOracle:
+    """validate_heffter against the line-by-line, Counter-based reference."""
+
+    @pytest.mark.parametrize("make, shows", [case[1:] for case in NAMED_ARRAYS],
+                             ids=[case[0] for case in NAMED_ARRAYS])
+    def test_named_arrays(self, ex_array, lambda2_array, make, shows):
+        array = make(ex_array, lambda2_array)
+        assert_same_outcome(array)
+        assert shows(validation_outcome(validate_heffter, array))
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawn_arrays())
+    def test_drawn_arrays(self, array):
+        assert_same_outcome(array)
 
 
 class TestSimpleOrderings:
