@@ -431,6 +431,28 @@ def biembedding_report(emb: CombinatorialEmbedding) -> BiembeddingReport:
     genus.  The face statistics come from the difference cycles, without
     listing the faces.  The 2-coloring and translation regularity hold by
     construction (see :class:`BiembeddingReport`).
+
+    On an embedding from :func:`build_embeddings` the report is a fact about
+    the array, the same for all of its tour solutions (R, C): every face is
+    a translate of a row or a column read in the order R or C picks
+    (Archdeacon, "Heffter arrays and biembedding graphs on surfaces", 2015).
+
+    * d -> rho0(-d) sends a negated entry -b to -omega_r(b) and an entry b
+      to omega_c(b), so each difference cycle walks one line, forwards or
+      backwards: its length is the line's cell count, h or k.
+    * Every line sums to 0, so each cycle lifts to gcd(0, v) = v faces of
+      that length: ``row_faces`` = m * v, ``column_faces`` = n * v, and
+      both length checks hold.
+    * A face's vertices are the partial sums of its line (negated on a row),
+      from the cycle's first difference.  Another start shifts them by a
+      constant; reading the line backwards gives P_h - P_(h-i) = -P_(h-i)
+      in place of P_i, the sums negated and shifted.  Neither changes
+      whether they are distinct, so ``simple`` is that of the natural line
+      orders (``validation.is_globally_simple``) for every (R, C).
+    * V = v, E = v * n * k and F = (m + n) * v fix the Euler genus, equal to
+      the closed form since v = 2nk + t.  ``passed`` reads nothing else.
+
+    So :class:`heffter.pipeline.PipelineResult` reports one embedding per run.
     """
     if emb.source is None:
         raise ValueError("report needs source parameters (m, n, h, k)")

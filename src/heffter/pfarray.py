@@ -89,23 +89,6 @@ class PartiallyFilledArray(namedtuple("PartiallyFilledArray", "m n v t fold cell
                     raise ValueError(f"entry {x} outside [0, {v - 1}]")
         return super().__new__(cls, m, n, v, t, fold, cells)
 
-    # -- cell access (1-based) --------------------------------------------------
-
-    def entry(self, i: int, j: int) -> int | None:
-        return self.cells[i - 1][j - 1]
-
-    def row_values(self, i: int) -> tuple[int, ...]:
-        """Entries of row i, left to right."""
-        return tuple(x for x in self.cells[i - 1] if x is not None)
-
-    def column_values(self, j: int) -> tuple[int, ...]:
-        """Entries of column j, top to bottom."""
-        return tuple(r[j - 1] for r in self.cells if r[j - 1] is not None)
-
-    def entries(self) -> tuple[int, ...]:
-        """All filled entries, row-major."""
-        return tuple(x for row in self.cells for x in row if x is not None)
-
     def skeleton(self) -> Skeleton:
         filled = frozenset(
             (i + 1, j + 1)

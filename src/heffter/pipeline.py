@@ -1,8 +1,10 @@
-"""The pipeline core: tour solutions of one array → embeddings → classes → reports.
+"""The pipeline core: tour solutions of one array → embeddings → classes, and one report.
 
 This is the chain behind the paper's lower bound: take one Heffter array,
 list tour solutions (R, C) of its skeleton, embed each one, show the
-rotation tables distinct, and classify the embeddings.  ``pipeline`` feeds
+rotation tables distinct, and classify the embeddings.  The biembedding
+report is a fact about the array, the same for all of its solutions (see
+:func:`embedding.biembedding_report`), so it is made once.  ``pipeline`` feeds
 it the solutions it enumerates, and ``classify`` on a run directory the
 solutions that ``pipeline`` saved.
 
@@ -31,12 +33,13 @@ class PipelineResult(NamedTuple):
 
     @property
     def reports_passed(self) -> bool:
-        """Whether every embedding passes :func:`embedding.biembedding_report`.
+        """Whether the embeddings pass :func:`embedding.biembedding_report`.
 
-        Computed on each read, so a caller that never reads it pays for no
-        report.
+        The report cannot vary over one array's solutions (its docstring
+        says why), so only the first embedding is reported.  Computed on
+        each read, so a caller that never reads it pays for no report.
         """
-        return all(embedding.biembedding_report(e).passed for e in self.embeddings)
+        return embedding.biembedding_report(self.embeddings[0]).passed
 
 
 def run_pipeline(array: embedding.PartiallyFilledArray,

@@ -42,11 +42,13 @@ from heffter.validation import (
 )
 
 from conftest import (
+    column_values,
     compatible,
     cycles_table,
     load_golden,
     reference_orderings,
     rotation_from_orderings,
+    row_values,
 )
 
 
@@ -84,9 +86,9 @@ def test_criterion_01_golden_validation(ex_array):
         assert prof.k == 9 and set(prof.strip_widths) == {1}
         assert is_globally_simple(ex_array)
         # all 99 partial sums per direction are computed and line-distinct
-        row_sums = [[s % 207 for s in itertools.accumulate(ex_array.row_values(i))]
+        row_sums = [[s % 207 for s in itertools.accumulate(row_values(ex_array, i))]
                     for i in range(1, 12)]
-        col_sums = [[s % 207 for s in itertools.accumulate(ex_array.column_values(j))]
+        col_sums = [[s % 207 for s in itertools.accumulate(column_values(ex_array, j))]
                     for j in range(1, 12)]
         assert sum(len(s) for s in row_sums) == 99
         assert sum(len(s) for s in col_sums) == 99

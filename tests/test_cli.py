@@ -829,6 +829,23 @@ class TestSearchBoundsPipeline:
             classes = json.loads((run / "classification.json").read_text())["classes"]
             assert data["classes"] == classes
 
+    def test_pipeline_makes_one_report(self, tmp_path, capsys, monkeypatch):
+        # the report is the array's, not the solution's: the 320 embeddings
+        # of the full 5x5 cyclic scan get one report, of embedding 0
+        report = heffter.embedding.biembedding_report
+        reported = []
+
+        def counted(emb):
+            reported.append(emb)
+            return report(emb)
+
+        monkeypatch.setattr(heffter.embedding, "biembedding_report", counted)
+        out = tmp_path / "run"
+        code, data = run_json(capsys, "pipeline", "--search", "5,5,3,3,1,cyclic",
+                              "--out", str(out))
+        assert code == 0 and data["embeddings"] == 320 and data["reports_all_passed"] is True
+        assert reported == rebuilt_embeddings(out)[:1]
+
     def test_saved_run_is_recertified(self, tmp_path, capsys, full_scan):
         recertify(full_scan)
         out = tmp_path / "run"

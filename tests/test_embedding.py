@@ -21,8 +21,8 @@ from heffter.embedding import (
 )
 from heffter.iso import PRESERVING, verify_map
 from heffter.knight import enumerate_solutions
-from heffter.pfarray import PartiallyFilledArray
-from heffter.validation import cycle_from, search_heffter
+from heffter.pfarray import PartiallyFilledArray, parse_array
+from heffter.validation import cycle_from, is_globally_simple, search_heffter
 
 from conftest import (
     alternating_embedding,
@@ -480,6 +480,41 @@ class TestGenusAndReport:
         assert rep.row_lengths_ok and rep.column_lengths_ok
         assert rep.genus_closed_form == 1 and rep.genus_euler == 20
         assert not rep.euler_consistent and not rep.passed
+
+    @pytest.mark.parametrize("array_name, solutions", [
+        ("5x5 t=1", 320), ("5x5 t=2", 320), ("5x5 t=3", 320), ("7x7 t=1", 3584),
+        ("bundled", 4708), ("3x6 non-simple", 96),
+    ])
+    def test_every_solution_gives_one_report(self, request, array_name, solutions):
+        # the report is the array's (biembedding_report's docstring): every
+        # embedding of a full scan reports what embeddings[0] does, the face
+        # counts m * v and n * v, and the simplicity of the natural lines,
+        # also where a row is not simple
+        if array_name == "bundled":
+            array = request.getfixturevalue("ex_array")
+        elif array_name == "3x6 non-simple":
+            array = parse_array(NON_SIMPLE_3X6)
+        else:
+            n, t = int(array_name[0]), int(array_name[-1])
+            array = search_heffter(n, n, 3, 3, t, limit=1, skeleton="cyclic")[0]
+        embs = build_embeddings(array, enumerate_solutions(array.skeleton()))
+        assert len(embs) == solutions
+        reports = set(map(biembedding_report, embs))
+        assert reports == {biembedding_report(embs[0])}
+        (rep,) = reports
+        assert rep.row_faces == array.m * array.v
+        assert rep.column_faces == array.n * array.v
+        assert rep.passed
+        assert rep.simple == is_globally_simple(array) == (array_name != "3x6 non-simple")
+
+
+# the first array a 3 x 6 search over Z_37 finds whose rows are not all
+# simple: row 3's partial sums meet 12 twice
+NON_SIMPLE_3X6 = """v=37 t=1 lambda=1 m=3 n=6
+1,2,3,4,5,-15
+6,16,-11,13,-14,-10
+-7,-18,8,-17,9,-12
+"""
 
 
 class TestDistinctness:

@@ -33,14 +33,17 @@ from heffter.validation import (
 )
 
 from conftest import (
+    column_values,
     compatible,
     cycles_table,
     drawn_arrays,
+    entries,
     inverse,
     load_golden,
     reference_orderings,
     reference_validate_heffter,
     rotation_from_orderings,
+    row_values,
     transpose,
 )
 
@@ -48,8 +51,8 @@ from conftest import (
 def first_simple_orderings(array):
     """Per line, rows then columns, its first simple ordering in the
     lexicographic order of the permutations of its natural order, or None."""
-    lines = ([array.row_values(i) for i in range(1, array.m + 1)]
-             + [array.column_values(j) for j in range(1, array.n + 1)])
+    lines = ([row_values(array, i) for i in range(1, array.m + 1)]
+             + [column_values(array, j) for j in range(1, array.n + 1)])
     return [next((p for p in itertools.permutations(line)
                   if is_simple_ordering(p, array.v)), None) for line in lines]
 
@@ -199,7 +202,7 @@ class TestValidateOracle:
 
 class TestSimpleOrderings:
     def test_natural_row_of_bundled_array(self, ex_array):
-        assert is_simple_ordering(ex_array.row_values(1), 207)
+        assert is_simple_ordering(row_values(ex_array, 1), 207)
 
     def test_singleton(self):
         assert is_simple_ordering((5,), 11)
@@ -245,8 +248,8 @@ class TestOrientationsAndCompatibility:
         # no all-+1 pair solves this array; ex_pair's rows and its columns
         # but the first are +1, read left to right and top to bottom
         v = ex_array.v
-        rows = [ex_array.row_values(i) for i in range(1, 12)]
-        cols = [ex_array.column_values(j) for j in range(1, 12)]
+        rows = [row_values(ex_array, i) for i in range(1, 12)]
+        cols = [column_values(ex_array, j) for j in range(1, 12)]
         cols[0] = cols[0][::-1]
         assert build_embedding(ex_array, *ex_pair).rho0 == rotation_from_orderings(
             v, cycles_table(v, rows), cycles_table(v, cols))
@@ -280,7 +283,7 @@ class TestOrientationsAndCompatibility:
     def test_inverse_composition_is_identity(self, ex_array):
         _, nat_cols = reference_orderings(ex_array, (1,) * 11, (1,) * 11)
         assert compose(nat_cols, inverse(nat_cols)) == cycles_table(
-            ex_array.v, [(x,) for x in ex_array.entries()])
+            ex_array.v, [(x,) for x in entries(ex_array)])
         assert not compatible(inverse(nat_cols), nat_cols)
 
     def test_lambda_fold_orderings_coincide(self, lambda2_array):
@@ -344,8 +347,8 @@ class TestSearch:
         first = search_heffter(3, 3, 3, 3, 1, limit=1)[0]
         # frozen from the deterministic cell order: first cell is the least
         # usable residue, and the whole grid is the DFS-minimal completion
-        assert [signed(first.entry(1, j), first.v) for j in (1, 2, 3)] == [1, 3, -4]
-        assert first.entry(1, 1) == 1
+        assert [signed(x, first.v) for x in first.cells[0]] == [1, 3, -4]
+        assert first.cells[0][0] == 1
 
     def test_cyclic_5x5(self, h53_cyclic):
         from heffter.pfarray import classify_diagonality
@@ -586,13 +589,13 @@ def test_exhaustive_5x5_cyclic_t5_is_closed_under_the_units():
     found = search_heffter(5, 5, 3, 3, 5, limit=1 << 30, skeleton="cyclic")
     assert len(found) == 1680
     v = 35
-    rows = [a.entries() for a in found]
+    rows = [entries(a) for a in found]
     assert rows == sorted(rows)  # so each first-cell group is sorted
     listed = set(rows)
     assert len(listed) == len(rows)
     for u in (u for u in range(1, v) if gcd(u, v) == 1):
-        for entries in rows:
-            image = tuple(u * x % v for x in entries)
+        for row_major in rows:
+            image = tuple(u * x % v for x in row_major)
             assert image in listed or tuple(-x % v for x in image) in listed
     assert all(validate_heffter(a).passed for a in found)
 
@@ -685,8 +688,8 @@ def test_signed_support_partition(h53_cyclic):
     # all 2nk signed values are distinct and avoid the subgroup
     v = h53_cyclic.v
     signed_support = set()
-    for x in h53_cyclic.entries():
+    for x in entries(h53_cyclic):
         signed_support.update({x, (-x) % v})
-    assert len(signed_support) == 2 * len(h53_cyclic.entries())
+    assert len(signed_support) == 2 * len(entries(h53_cyclic))
     assert 0 not in signed_support
 
